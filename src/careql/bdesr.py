@@ -6,6 +6,10 @@ combined with weights alpha + beta = 1), splits episodes into the low- and
 high-discrepancy extremes of the score distribution, and compares survival
 rates between the two cohorts. A policy trained in a beneficial direction
 shows a higher survival rate in the low-discrepancy cohort.
+
+The policy is duck-typed: ``episodes_greedy_actions(episodes)`` returns the
+recommended flat action indices, one (T,) array per episode, so a learned
+policy scores a whole dataset in one batched forward.
 """
 
 from __future__ import annotations
@@ -44,30 +48,8 @@ class CohortSplit:
 
 def episode_discrepancy(episode: Episode, policy, alpha: float = 0.5,
                         beta: float = 0.5) -> DiscrepancyScore:
-    """Mean absolute per-drug level gap between policy and clinician.
-
-    ``policy`` needs episode_greedy_actions(episode) -> flat action indices.
-    """
-    _check_weights(alpha, beta)
-    if len(episode.transitions) == 0:
-        raise BdesrError("cannot score an empty episode")
-    recommended = np.asarray(policy.episode_greedy_actions(episode), dtype=np.int64)
-    if recommended.shape[0] != len(episode.transitions):
-        raise BdesrError(
-            f"policy returned {recommended.shape[0]} actions for "
-            f"{len(episode.transitions)} decisions"
-        )
-    iv_gap = 0.0
-    vaso_gap = 0.0
-    for tr, flat in zip(episode.transitions, recommended):
-        rec = ActionIndex.from_flat(int(flat))
-        iv_gap += abs(rec.iv_level - tr.action.iv_level)
-        vaso_gap += abs(rec.vaso_level - tr.action.vaso_level)
-    T = len(episode.transitions)
-    m_iv = iv_gap / T
-    m_vaso = vaso_gap / T
-    return DiscrepancyScore(episode_id=episode.episode_id, m_iv=m_iv,
-                            m_vaso=m_vaso, m=alpha * m_iv + beta * m_vaso)
+    """Mean absolute per-drug level gap between policy and clinician."""
+    return _score([episode], policy, alpha, beta)[0]
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -80,7 +62,34 @@ def score_dataset(dataset: OfflineDataset, policy, alpha: float = 0.5,
                   beta: float = 0.5,
                   episodes: Sequence[Episode] | None = None) -> list[DiscrepancyScore]:
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    return [episode_discrepancy(ep, policy, alpha, beta) for ep in eps_list]
+    return _score(eps_list, policy, alpha, beta)
+
+
+def _score(episodes: Sequence[Episode], policy, alpha: float,
+           beta: float) -> list[DiscrepancyScore]:
+    _check_weights(alpha, beta)
+    if any(len(ep.transitions) == 0 for ep in episodes):
+        raise BdesrError("cannot score an empty episode")
+    scores = []
+    for episode, recommended in zip(episodes, policy.episodes_greedy_actions(episodes)):
+        recommended = np.asarray(recommended, dtype=np.int64)
+        if recommended.shape[0] != len(episode.transitions):
+            raise BdesrError(
+                f"policy returned {recommended.shape[0]} actions for "
+                f"{len(episode.transitions)} decisions"
+            )
+        iv_gap = 0.0
+        vaso_gap = 0.0
+        for tr, flat in zip(episode.transitions, recommended):
+            rec = ActionIndex.from_flat(int(flat))
+            iv_gap += abs(rec.iv_level - tr.action.iv_level)
+            vaso_gap += abs(rec.vaso_level - tr.action.vaso_level)
+        T = len(episode.transitions)
+        m_iv = iv_gap / T
+        m_vaso = vaso_gap / T
+        scores.append(DiscrepancyScore(episode_id=episode.episode_id, m_iv=m_iv,
+                                       m_vaso=m_vaso, m=alpha * m_iv + beta * m_vaso))
+    return scores
 
 
 def cohort_split(scores: Sequence[DiscrepancyScore], p: float = 20.0) -> CohortSplit:

@@ -159,6 +159,10 @@ def _validate_config(cfg: dict) -> None:
     _check(isinstance(o["n_bootstrap"], int) and o["n_bootstrap"] >= 2,
            "ope.n_bootstrap", "expected an integer >= 2")
     _check(0.0 < o["eps_soft"] < 1.0, "ope.eps_soft", "must be in (0, 1)")
+    clip = o["clip_percentile"]
+    _check(clip is None or (isinstance(clip, (int, float)) and not isinstance(clip, bool)
+                            and 0.0 < clip <= 100.0),
+           "ope.clip_percentile", "must be null or a number in (0, 100]")
     _check(o["behavior"] in ("auto", "logged", "fitted"), "ope.behavior",
            "must be auto|logged|fitted")
     b = cfg["bdesr"]
@@ -286,6 +290,15 @@ def _load_bundle(data_dir: str | Path, cfg: dict):
     return dataset, gt
 
 
+def _load_policy(path: str | Path) -> tr_mod.LearnedPolicy:
+    """The checkpoint's policy; a missing or malformed file is a data error."""
+    try:
+        return tr_mod.LearnedPolicy.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ds_mod.DatasetError(
+            f"checkpoint {path}: cannot load ({type(exc).__name__}: {exc})") from exc
+
+
 def _behavior_model(cfg: dict, dataset: ds_mod.OfflineDataset, seed: int):
     mode = cfg["ope"]["behavior"]
     has_logged = all(tr.behavior_prob is not None
@@ -405,7 +418,7 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _out_dir(args, "eval")
     dataset, _ = _load_bundle(args.data, cfg)
-    policy = tr_mod.LearnedPolicy.load(args.checkpoint)
+    policy = _load_policy(args.checkpoint)
     episodes = _eval_split(dataset)
     if not bdesr_only:
         report = _ope_report_for(cfg, dataset, policy, seed, episodes)

@@ -12,6 +12,7 @@ module.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -49,6 +50,9 @@ class Tensor:
     # reflected Tensor ops run instead
     __array_ufunc__ = None
 
+    # False inside ``no_grad``: new nodes keep no parents and no backward
+    _record_tape = True
+
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _f64(data)
         self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
@@ -78,8 +82,9 @@ class Tensor:
     def _node(data: Array, parents: tuple["Tensor", ...],
               backward: Callable[[Array], None]) -> "Tensor":
         out = Tensor(data)
-        out._parents = parents
-        out._backward = backward
+        if Tensor._record_tape:
+            out._parents = parents
+            out._backward = backward
         return out
 
     def _accumulate(self, g: Array) -> None:
@@ -283,6 +288,24 @@ class Tensor:
                 node._backward(node.grad)
 
 
+@contextmanager
+def no_grad():
+    """Build no tape inside the block.
+
+    Nodes created here record no parents and no backward closure, so each
+    intermediate array is freed as soon as the next op has used it. Values
+    are computed exactly as outside the block; use it for forwards whose
+    result is only read as ``.data``. The mode is process-wide and restored
+    on exit, also when the block raises.
+    """
+    previous = Tensor._record_tape
+    Tensor._record_tape = False
+    try:
+        yield
+    finally:
+        Tensor._record_tape = previous
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     parts = [Tensor._lift(t) for t in tensors]
     sizes = [p.data.shape[axis] for p in parts]
@@ -475,6 +498,8 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor],
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or not isinstance(payload.get("tensors"), dict):
+        raise ValueError("checkpoint must be a JSON object with a 'tensors' object")
     version = payload.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")

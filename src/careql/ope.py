@@ -7,10 +7,18 @@ and a convex aggregate of the three whose weights minimize the
 bootstrap-estimated MSE (OPERA). Greedy policies must be softened (see
 ``soften``) before evaluation so importance ratios stay well-defined.
 
-Target policies are duck-typed: ``episode_action_probs(episode) -> (T, A)``
-plus ``episode_state_features(episode) -> (T+1, dim)`` for value fitting.
-Behavior probabilities come from the logged ``behavior_prob`` fields or a
-fitted 25-way classifier (``fit_behavior``).
+Target policies, behavior models and Q-models are duck-typed and answer for
+a list of episodes at once, so a learned policy runs one batched forward per
+call instead of one per episode. Each method returns one array per episode,
+in order:
+
+- target policy: ``episodes_action_probs(episodes)`` -> (T, A) each, and
+  ``episodes_state_features(episodes)`` -> (T+1, dim) each, for value
+  fitting;
+- behavior model: ``episodes_logged_probs(episodes)`` -> (T,) each, read off
+  the logged ``behavior_prob`` fields or a fitted 25-way classifier
+  (``fit_behavior``);
+- Q-model: ``episodes_q_matrix(episodes)`` -> (T, A) each.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .netcore import (
     Tensor,
     clone_param_values,
     load_param_values,
+    no_grad,
 )
 
 Array = np.ndarray
@@ -70,11 +79,13 @@ class TabularPolicy:
     def episode_action_probs(self, episode: Episode) -> Array:
         return self.probs[self._state_ids(episode)[:-1]]
 
-    def episode_state_features(self, episode: Episode) -> Array:
-        ids = self._state_ids(episode)
-        feats = np.zeros((ids.shape[0], self.probs.shape[0]))
-        feats[np.arange(ids.shape[0]), ids] = 1.0
-        return feats
+    def episodes_action_probs(self, episodes: Sequence[Episode]) -> list[Array]:
+        return [self.episode_action_probs(ep) for ep in episodes]
+
+    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
+        """One-hot latent state per frame."""
+        one_hot = np.eye(self.probs.shape[0])
+        return [one_hot[self._state_ids(ep)] for ep in episodes]
 
 
 class SoftenedPolicy:
@@ -90,11 +101,11 @@ class SoftenedPolicy:
     def n_actions(self) -> int:
         return self.policy.n_actions
 
-    def episode_action_probs(self, episode: Episode) -> Array:
-        return self.policy.episode_action_probs(episode, eps=self.eps)
+    def episodes_action_probs(self, episodes: Sequence[Episode]) -> list[Array]:
+        return self.policy.episodes_action_probs(episodes, eps=self.eps)
 
-    def episode_state_features(self, episode: Episode) -> Array:
-        return self.policy.episode_state_features(episode)
+    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
+        return self.policy.episodes_state_features(episodes)
 
 
 def soften(policy, eps: float = 0.01) -> SoftenedPolicy:
@@ -120,6 +131,9 @@ class LoggedBehavior:
             probs.append(tr.behavior_prob)
         return np.asarray(probs, dtype=np.float64)
 
+    def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
+        return [self.episode_logged_probs(ep) for ep in episodes]
+
 
 @dataclass(frozen=True)
 class BehaviorFitConfig:
@@ -143,43 +157,56 @@ class FittedBehavior:
     """
 
     def __init__(self, layers: list[Dense], floor: float,
-                 featurizer: Callable[[Episode], Array]):
+                 featurizer: Callable[[Sequence[Episode]], list[Array]]):
         self._layers = layers
         self.floor = floor
         self._featurizer = featurizer
 
     def action_dist(self, features: Array) -> Array:
-        h = Tensor(np.atleast_2d(features))
-        for layer in self._layers[:-1]:
-            h = layer(h).relu()
-        logits = self._layers[-1](h).data
+        with no_grad():
+            h = Tensor(np.atleast_2d(features))
+            for layer in self._layers[:-1]:
+                h = layer(h).relu()
+            logits = self._layers[-1](h).data
         logits = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         p = e / e.sum(axis=1, keepdims=True)
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
-    def episode_action_dist(self, episode: Episode) -> Array:
-        feats = self._featurizer(episode)
-        return self.action_dist(feats[:len(episode.transitions)])
-
-    def episode_logged_probs(self, episode: Episode) -> Array:
-        dist = self.episode_action_dist(episode)
-        actions = np.array([tr.action.flat for tr in episode.transitions])
-        return dist[np.arange(actions.shape[0]), actions]
+    def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
+        dist = self.action_dist(_decision_features(episodes, self._featurizer(episodes)))
+        actions = _logged_actions(episodes)
+        return _split_by_episode(dist[np.arange(actions.shape[0]), actions], episodes)
 
 
-def _structured_featurizer(episode: Episode) -> Array:
-    return np.stack([f.structured for f in episode.frames()])
+def _structured_featurizer(episodes: Sequence[Episode]) -> list[Array]:
+    return [np.stack([f.structured for f in ep.frames()]) for ep in episodes]
+
+
+def _decision_features(episodes: Sequence[Episode],
+                       features: Sequence[Array]) -> Array:
+    """Per-frame features cut to the decision frames, stacked over episodes."""
+    return np.concatenate([f[:len(ep)] for ep, f in zip(episodes, features)])
+
+
+def _logged_actions(episodes: Sequence[Episode]) -> Array:
+    return np.array([tr.action.flat for ep in episodes for tr in ep.transitions],
+                    dtype=np.int64)
+
+
+def _split_by_episode(rows: Array, episodes: Sequence[Episode]) -> list[Array]:
+    """Undo the stacking of ``_decision_features``: one block per episode."""
+    return np.split(rows, np.cumsum([len(ep) for ep in episodes])[:-1])
 
 
 def fit_behavior(dataset: OfflineDataset, floor: float = 1e-3,
                  cfg: BehaviorFitConfig | None = None,
-                 featurizer: Callable[[Episode], Array] | None = None,
+                 featurizer: Callable[[Sequence[Episode]], list[Array]] | None = None,
                  episodes: Sequence[Episode] | None = None) -> FittedBehavior:
     """Fit the logging policy as a floored softmax classifier.
 
     Features default to the raw structured vector; pass ``featurizer`` (e.g.
-    a learned policy's episode_state_features) to fit on fused states. The
+    a learned policy's episodes_state_features) to fit on fused states. The
     ``floor`` argument is ignored when an explicit cfg is given.
     """
     if cfg is None:
@@ -188,14 +215,8 @@ def fit_behavior(dataset: OfflineDataset, floor: float = 1e-3,
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
     if not eps_list:
         raise OpeError("no episodes to fit a behavior model on")
-    xs, ys = [], []
-    for ep in eps_list:
-        feats = featurizer(ep)
-        for t, tr in enumerate(ep.transitions):
-            xs.append(feats[t])
-            ys.append(tr.action.flat)
-    X = np.stack(xs)
-    y = np.array(ys, dtype=np.int64)
+    X = _decision_features(eps_list, featurizer(eps_list))
+    y = _logged_actions(eps_list)
 
     rng = np.random.default_rng([cfg.seed, 31])
     layers = []
@@ -249,11 +270,12 @@ def _prepare_stats(episodes: Sequence[Episode], policy, behavior, q_hat,
     lengths = np.zeros(n, dtype=np.int64)
     returns = np.zeros(n)
     init_value = np.zeros(n)
-    for i, ep in enumerate(episodes):
+    pis = policy.episodes_action_probs(episodes)
+    betas = behavior.episodes_logged_probs(episodes)
+    q_matrices = q_hat.episodes_q_matrix(episodes) if q_hat is not None else None
+    for i, (ep, pi, beta) in enumerate(zip(episodes, pis, betas)):
         T = len(ep.transitions)
         lengths[i] = T
-        pi = policy.episode_action_probs(ep)
-        beta = behavior.episode_logged_probs(ep)
         if (beta <= 0.0).any():
             raise OpeError(
                 f"episode {ep.episode_id!r}: zero behavior probability on a "
@@ -267,8 +289,8 @@ def _prepare_stats(episodes: Sequence[Episode], policy, behavior, q_hat,
         r = np.array([tr.reward for tr in ep.transitions])
         rewards[i, :T] = r
         returns[i] = float((gamma ** np.arange(T)) @ r)
-        if q_hat is not None:
-            qm = q_hat.episode_q_matrix(ep)
+        if q_matrices is not None:
+            qm = q_matrices[i]
             q_taken[i, :T] = qm[np.arange(T), actions]
             v_hat[i, :T] = (pi * qm).sum(axis=1)
             init_value[i] = v_hat[i, 0]
@@ -359,11 +381,14 @@ class TabularQ:
 
     q: Array  # (S, A)
 
-    def episode_q_matrix(self, episode: Episode) -> Array:
-        ids = [tr.state_id for tr in episode.transitions]
-        if any(s is None for s in ids):
-            raise OpeError("tabular Q needs state ids on the transitions")
-        return self.q[np.asarray(ids, dtype=np.int64)]
+    def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
+        out = []
+        for ep in episodes:
+            ids = [tr.state_id for tr in ep.transitions]
+            if any(s is None for s in ids):
+                raise OpeError("tabular Q needs state ids on the transitions")
+            out.append(self.q[np.asarray(ids, dtype=np.int64)])
+        return out
 
 
 @dataclass(frozen=True)
@@ -503,11 +528,12 @@ class NetworkQ:
         self.policy = policy
 
     def q_matrix(self, features: Array) -> Array:
-        return self.net(Tensor(np.atleast_2d(features))).data
+        with no_grad():
+            return self.net(Tensor(np.atleast_2d(features))).data
 
-    def episode_q_matrix(self, episode: Episode) -> Array:
-        feats = self.policy.episode_state_features(episode)
-        return self.q_matrix(feats[:len(episode.transitions)])
+    def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
+        X = _decision_features(episodes, self.policy.episodes_state_features(episodes))
+        return _split_by_episode(self.q_matrix(X), episodes)
 
 
 def fqe_network(dataset: OfflineDataset, policy, gamma: float,
@@ -524,9 +550,9 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
     actions, rewards, dones, init_rows = [], [], [], []
     init_pi = []
     row = 0
-    for ep in eps_list:
-        f = policy.episode_state_features(ep)
-        pi = policy.episode_action_probs(ep)
+    features = policy.episodes_state_features(eps_list)
+    action_probs = policy.episodes_action_probs(eps_list)
+    for ep, f, pi in zip(eps_list, features, action_probs):
         T = len(ep.transitions)
         for t, tr in enumerate(ep.transitions):
             feats.append(f[t])
@@ -559,7 +585,8 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
                                  n_actions=N_ACTIONS, name="fqe")
     for it in range(cfg.iterations):
         load_param_values(frozen_net.params(), frozen)
-        next_q = frozen_net(Tensor(X_next)).data
+        with no_grad():
+            next_q = frozen_net(Tensor(X_next)).data
         targets = rewards + gamma * not_done * (pi_next * next_q).sum(axis=1)
         if not np.isfinite(targets).all():
             raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "

@@ -28,6 +28,7 @@ from .netcore import (
     clone_param_values,
     load_checkpoint,
     load_param_values,
+    no_grad,
     save_checkpoint,
     zero_grads,
 )
@@ -183,7 +184,8 @@ class ActionClassifier:
         return self.head(h)
 
     def probs(self, x: Array) -> Array:
-        logits = self.logits(Tensor(x)).data
+        with no_grad():
+            logits = self.logits(Tensor(x)).data
         logits = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         return e / e.sum(axis=1, keepdims=True)
@@ -314,16 +316,59 @@ class LearnedPolicy:
         return N_ACTIONS
 
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
-        return self.model.q_values(structured, f_c, f_e).data
+        with no_grad():
+            return self.model.q_values(structured, f_c, f_e).data
+
+    def _greedy(self, state: Tensor) -> Array:
+        """The action rule on model-input states; call under ``no_grad``."""
+        q = self.model.qnet(state).data
+        if self.algorithm == "bcq":
+            probs = self.behavior_classifier.probs(state.data)
+            q = np.where(bcq_allowed_mask(probs, self.bcq_threshold), q, -np.inf)
+        return q.argmax(axis=1)
 
     def greedy_actions(self, structured: Array, f_c: Array, f_e: Array) -> Array:
-        q = self.q_matrix(structured, f_c, f_e)
-        if self.algorithm == "bcq":
-            state = self.model.state_tensor(structured, f_c, f_e).data
-            probs = self.behavior_classifier.probs(state)
-            masked = np.where(bcq_allowed_mask(probs, self.bcq_threshold), q, -np.inf)
-            return masked.argmax(axis=1)
-        return q.argmax(axis=1)
+        with no_grad():
+            return self._greedy(self.model.state_tensor(structured, f_c, f_e))
+
+    def episodes_forward(self, episodes: Sequence[Episode]
+                         ) -> tuple[list[Array], list[Array]]:
+        """State features (T+1 rows) and greedy actions (T rows) per episode.
+
+        The frames of all episodes go through the state encoder, the Q-head
+        and, for BCQ, the classifier in one batched no-grad forward; the
+        results are split back by episode offsets.
+        """
+        if not episodes:
+            return [], []
+        inputs = [self.episode_inputs(ep) for ep in episodes]
+        structured, f_c, f_e = (np.concatenate(column) for column in zip(*inputs))
+        ends = np.cumsum([len(ep.transitions) + 1 for ep in episodes])
+        decision = np.ones(ends[-1], dtype=bool)
+        decision[ends - 1] = False      # the final frame of an episode has no decision
+        with no_grad():
+            state = self.model.state_tensor(structured, f_c, f_e)
+            greedy = self._greedy(Tensor(state.data[decision]))
+        features = np.split(state.data, ends[:-1])
+        actions = np.split(greedy, ends[:-1] - np.arange(1, len(episodes)))
+        return features, actions
+
+    def episodes_greedy_actions(self, episodes: Sequence[Episode]) -> list[Array]:
+        return self.episodes_forward(episodes)[1]
+
+    def episodes_action_probs(self, episodes: Sequence[Episode],
+                              eps: float = 0.0) -> list[Array]:
+        """(T, 25) action distribution per episode; eps-soft around the greedy rule."""
+        out = []
+        for greedy in self.episodes_greedy_actions(episodes):
+            probs = np.full((greedy.shape[0], N_ACTIONS), eps / (N_ACTIONS - 1))
+            probs[np.arange(greedy.shape[0]), greedy] = 1.0 - eps
+            out.append(probs)
+        return out
+
+    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
+        """Model-input state features per frame (T+1 rows), for value fitting."""
+        return self.episodes_forward(episodes)[0]
 
     def episode_inputs(self, episode: Episode) -> tuple[Array, Array, Array]:
         """Per-frame (structured, f_c, f_e) arrays, length T+1."""
@@ -332,21 +377,13 @@ class LearnedPolicy:
         return structured, f_c, f_e
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
-        structured, f_c, f_e = self.episode_inputs(episode)
-        T = len(episode.transitions)
-        return self.greedy_actions(structured[:T], f_c[:T], f_e[:T])
+        return self.episodes_greedy_actions([episode])[0]
 
     def episode_action_probs(self, episode: Episode, eps: float = 0.0) -> Array:
-        """(T, 25) action distribution; eps-soft around the greedy rule."""
-        greedy = self.episode_greedy_actions(episode)
-        probs = np.full((greedy.shape[0], N_ACTIONS), eps / (N_ACTIONS - 1))
-        probs[np.arange(greedy.shape[0]), greedy] = 1.0 - eps
-        return probs
+        return self.episodes_action_probs([episode], eps)[0]
 
     def episode_state_features(self, episode: Episode) -> Array:
-        """Model-input state features per frame (T+1 rows), for value fitting."""
-        structured, f_c, f_e = self.episode_inputs(episode)
-        return self.model.state_tensor(structured, f_c, f_e).data
+        return self.episodes_state_features([episode])[0]
 
     def action_table(self, canon) -> Array:
         """Greedy actions at canonical per-state observations.
@@ -465,12 +502,14 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
 
     for step in range(1, cfg.total_steps + 1):
         idx = batch_rng.integers(0, table.size, size=cfg.batch_size)
-        next_q = target.q_values(table.next_structured[idx], table.next_f_c[idx],
-                                 table.next_f_e[idx]).data
+        with no_grad():
+            next_q = target.q_values(table.next_structured[idx], table.next_f_c[idx],
+                                     table.next_f_e[idx]).data
         if cfg.algorithm == "bcq":
-            next_state = model.state_tensor(table.next_structured[idx],
-                                            table.next_f_c[idx],
-                                            table.next_f_e[idx]).data
+            with no_grad():
+                next_state = model.state_tensor(table.next_structured[idx],
+                                                table.next_f_c[idx],
+                                                table.next_f_e[idx]).data
             next_probs = classifier.probs(next_state)
             y = bcq_target(table.reward[idx], table.done[idx], next_q,
                            next_probs, cfg.gamma, cfg.bcq_threshold)
@@ -487,8 +526,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         zero_grads(model.params())
 
         if cfg.algorithm == "bcq":
-            state = model.state_tensor(table.structured[idx], table.f_c[idx],
-                                       table.f_e[idx]).data
+            with no_grad():
+                state = model.state_tensor(table.structured[idx], table.f_c[idx],
+                                           table.f_e[idx]).data
             clf_loss = cross_entropy_loss(classifier.logits(Tensor(state)),
                                           table.action[idx])
             clf_loss.backward()

@@ -23,6 +23,9 @@ class FixedPolicy:
     def episode_greedy_actions(self, episode):
         return np.asarray(self.actions_by_episode[episode.episode_id])
 
+    def episodes_greedy_actions(self, episodes):
+        return [self.episode_greedy_actions(ep) for ep in episodes]
+
 
 def episode_with_actions(flats, ep_id="e0", survived=True):
     actions = [ActionIndex.from_flat(f) for f in flats]

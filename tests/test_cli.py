@@ -298,3 +298,60 @@ def test_default_out_dir_uses_env_root(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0
     assert (tmp_path / "root" / "synth" / "structured.csv").exists()
+
+
+# Malformed inputs and the exit code each must give: 2 for configuration,
+# 3 for data. A checkpoint is data, so every way it can be unreadable is 3.
+STRUCTURED_META = {
+    "modality": "structured", "algorithm": "cql", "bcq_threshold": 0.3,
+    "strategy": {"kind": "context", "window": 3},
+    "encoder": {"n_features": 6, "d_n": 8, "d": 8, "d_k": 4, "depth": 1,
+                "use_attention": True},
+    "qnet": {"width": 16, "depth": 2},
+}
+CHECKPOINT_FAULTS = {
+    "missing_file": None,
+    "not_json": "{format_version: 1",
+    "not_an_object": "[1, 2]",
+    "tensors_not_an_object": json.dumps(
+        {"format_version": 1, "metadata": STRUCTURED_META, "tensors": [1.0]}),
+    "wrong_format_version": json.dumps(
+        {"format_version": 99, "metadata": STRUCTURED_META, "tensors": {}}),
+    "missing_metadata_keys": json.dumps(
+        {"format_version": 1, "metadata": {}, "tensors": {}}),
+    "missing_tensors": json.dumps(
+        {"format_version": 1, "metadata": STRUCTURED_META, "tensors": {}}),
+}
+CLIP_PERCENTILE_FAULTS = {"above_100": 150, "zero": 0, "negative": -5.0,
+                          "string": "abc", "boolean": True}
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("contents", list(CHECKPOINT_FAULTS.values()),
+                             ids=list(CHECKPOINT_FAULTS))
+    def test_unloadable_checkpoint_exits_3_naming_it(self, tmp_path, synth_dir,
+                                                     capsys, contents):
+        checkpoint = tmp_path / "checkpoint.json"
+        if contents is not None:
+            checkpoint.write_text(contents)
+        code = main(["eval", "--config", str(write_config(tmp_path)),
+                     "--data", str(synth_dir), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and str(checkpoint) in err
+
+    @pytest.mark.parametrize("value", list(CLIP_PERCENTILE_FAULTS.values()),
+                             ids=list(CLIP_PERCENTILE_FAULTS))
+    def test_bad_clip_percentile_exits_2_naming_it(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"ope.clip_percentile": value})
+        code = main(["eval", "--config", str(cfg), "--data", str(tmp_path),
+                     "--checkpoint", str(tmp_path / "checkpoint.json"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert "ope.clip_percentile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, 100, 0.5])
+    def test_valid_clip_percentile_accepted(self, tmp_path, value):
+        cfg = load_config(write_config(tmp_path, {"ope.clip_percentile": value}))
+        assert cfg["ope"]["clip_percentile"] == value

@@ -13,6 +13,7 @@ from careql.netcore import (
     gradient_check,
     load_checkpoint,
     load_param_values,
+    no_grad,
     save_checkpoint,
     zero_grads,
 )
@@ -163,6 +164,68 @@ class TestBackward:
         t = Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             (t + 1.0).backward()
+
+
+def every_op(a, b, w):
+    """One node of each op, on (3, 4) operands a and b and a (4, 5) weight."""
+    return [a + b, a * b, a - b, 2.0 - a, -a, a / 2.0, a @ w, a.T, a.relu(),
+            a.sigmoid(), a.square(), a.sum(), a.mean(axis=0),
+            a.logsumexp(axis=1), a.softmax(axis=1), a.pick(np.array([0, 3, 1])),
+            concat([a, b], axis=1)]
+
+
+class TestNoGrad:
+    def operands(self):
+        rng = np.random.default_rng(5)
+        return (Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                Tensor(rng.normal(size=(3, 4))),
+                Tensor(rng.normal(size=(4, 5)), requires_grad=True))
+
+    def test_nodes_inside_record_no_parents_and_same_values(self):
+        a, b, w = self.operands()
+        taped = every_op(a, b, w)
+        with no_grad():
+            untaped = every_op(a, b, w)
+            q = make_net(0)(Tensor(np.ones((2, 7))))
+        assert all(node._parents for node in taped)
+        for node, ref in zip(untaped, taped):
+            assert node._parents == () and node._backward is None
+            assert np.array_equal(node.data, ref.data)
+        assert q._parents == () and q._backward is None
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        a, b, _ = self.operands()
+        with no_grad():
+            with no_grad():
+                pass
+            assert (a * b)._parents == ()
+        assert (a * b)._parents == (a, b)
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert (a * b)._parents == (a, b)
+
+    def test_loss_after_block_backpropagates_same_gradients(self):
+        net = make_net(3)
+        params = net.params()
+        x = np.random.default_rng(4).normal(size=(6, 7))
+        actions = np.array([0, 5, 24, 3, 3, 11])
+
+        def loss():
+            q = net(Tensor(x))
+            return (q.logsumexp(axis=1) - q.pick(actions)).mean()
+
+        zero_grads(params)
+        loss().backward()
+        reference = {k: p.grad.copy() for k, p in params.items()}
+        zero_grads(params)
+        with no_grad():
+            untaped = loss()
+        untaped.backward()     # no tape: reaches no parameter
+        assert all(not p.grad.any() for p in params.values())
+        loss().backward()
+        for key, p in params.items():
+            assert np.array_equal(p.grad, reference[key]), key
 
 
 class TestAdam:

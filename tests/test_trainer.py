@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS
 from careql.encoder import EncoderConfig, NoteStrategy
 from careql.netcore import Tensor
+from careql.ope import (
+    BehaviorFitConfig,
+    FqeNetConfig,
+    OpeConfig,
+    evaluate_policy,
+    fit_behavior,
+    soften,
+)
 from careql.synthgym import (
     GeneratorConfig,
     canonical_inputs,
@@ -324,6 +333,93 @@ class TestLearnedPolicy:
         assert probs.shape == (len(ep.transitions), N_ACTIONS)
         for t, a in enumerate(greedy):
             assert probs[t, a] == pytest.approx(0.88)
+
+
+def one_episode_forward(policy, episode):
+    """Greedy actions, state features and Q rows of one episode through the
+    row-level methods: the per-episode path evaluation took before batching."""
+    structured, f_c, f_e = policy.episode_inputs(episode)
+    T = len(episode)
+    return (policy.greedy_actions(structured[:T], f_c[:T], f_e[:T]),
+            policy.model.state_tensor(structured, f_c, f_e).data,
+            policy.q_matrix(structured, f_c, f_e))
+
+
+class OneEpisodeAtATime:
+    """A learned policy answering list-form calls with one forward per episode."""
+
+    n_actions = N_ACTIONS
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def episodes_greedy_actions(self, episodes):
+        return [one_episode_forward(self.policy, ep)[0] for ep in episodes]
+
+    def episodes_state_features(self, episodes):
+        return [one_episode_forward(self.policy, ep)[1] for ep in episodes]
+
+    def episodes_action_probs(self, episodes, eps=0.0):
+        out = []
+        for greedy in self.episodes_greedy_actions(episodes):
+            probs = np.full((len(greedy), N_ACTIONS), eps / (N_ACTIONS - 1))
+            probs[np.arange(len(greedy)), greedy] = 1.0 - eps
+            out.append(probs)
+        return out
+
+
+@pytest.fixture(scope="module", params=["multimodal_cql", "structured_bcq"])
+def trained_policy(request):
+    _, _, ds, enc_cfg = small_setup(n_episodes=120)
+    modality, algorithm = request.param.split("_")
+    result = train(ds, quick_train_cfg(total_steps=120, algorithm=algorithm),
+                   enc_cfg, modality=modality)
+    return result.policy, ds
+
+
+class TestBatchedForward:
+    def test_matches_one_episode_forwards(self, trained_policy):
+        policy, ds = trained_policy
+        episodes = list(ds.episodes[:60])
+        assert len({len(ep) for ep in episodes}) > 1
+        features, actions = policy.episodes_forward(episodes)
+        assert len(features) == len(actions) == len(episodes)
+        for ep, feats, greedy in zip(episodes, features, actions):
+            ref_greedy, ref_feats, ref_q = one_episode_forward(policy, ep)
+            assert np.array_equal(greedy, ref_greedy)
+            assert np.abs(feats - ref_feats).max() <= 1e-12
+            q = policy.model.qnet(Tensor(feats)).data
+            assert np.abs(q - ref_q).max() <= 1e-12
+        assert policy.episodes_forward([]) == ([], [])
+
+    def test_one_episode_methods_are_the_batched_forward(self, trained_policy):
+        policy, ds = trained_policy
+        features, actions = policy.episodes_forward(list(ds.episodes[:3]))
+        for i, ep in enumerate(ds.episodes[:3]):
+            assert np.array_equal(policy.episode_greedy_actions(ep), actions[i])
+            assert np.abs(policy.episode_state_features(ep) - features[i]).max() <= 1e-12
+            probs = policy.episode_action_probs(ep, eps=0.2)
+            assert np.array_equal(probs.argmax(axis=1), actions[i])
+
+    def test_bdesr_same_cohorts_and_scores(self, trained_policy):
+        policy, ds = trained_policy
+        assert bdesr_report(ds, policy) == bdesr_report(ds, OneEpisodeAtATime(policy))
+
+    def test_network_evaluation_same_wis_and_close_estimates(self, trained_policy):
+        policy, ds = trained_policy
+        episodes = list(ds.episodes[:80])
+        behavior = fit_behavior(ds, cfg=BehaviorFitConfig(steps=100), episodes=episodes)
+        cfg = OpeConfig(gamma=0.9, n_bootstrap=20, seed=0,
+                        fqe=FqeNetConfig(iterations=3, steps_per_iteration=20,
+                                         width=16))
+        batched = evaluate_policy(ds, soften(policy), behavior, cfg, episodes=episodes)
+        looped = evaluate_policy(ds, soften(OneEpisodeAtATime(policy)), behavior, cfg,
+                                 episodes=episodes)
+        assert batched.fqe_mode == looped.fqe_mode == "network"
+        assert batched.wis == looped.wis
+        assert batched.effective_sample_size == looped.effective_sample_size
+        for name in ("dr", "fqe", "opera"):
+            assert abs(getattr(batched, name) - getattr(looped, name)) <= 1e-12, name
 
 
 class _TabularQStub:
