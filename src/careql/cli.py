@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -115,7 +116,39 @@ def _check(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_number(x) -> bool:
+    """A finite int or float; JSON true/false are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+# Real-valued keys, type-checked before any range check reads them; the
+# nullable ones may also be null.
+NUMERIC_KEYS = (
+    "dataset.synth.gamma", "dataset.synth.term_prob_mid", "dataset.synth.term_prob_edge",
+    "dataset.synth.noise_structured", "dataset.synth.noise_note", "dataset.synth.note_prob",
+    "dataset.synth.min_gap", "dataset.synth.behavior_epsilon",
+    "train.learning_rate", "train.gamma", "train.cql_alpha", "train.bcq_threshold",
+    "train.grad_clip", "ope.gamma", "ope.eps_soft", "ope.behavior_floor",
+    "ope.clip_percentile", "bdesr.alpha", "bdesr.beta", "bdesr.p",
+)
+NULLABLE_KEYS = ("train.grad_clip", "ope.clip_percentile")
+
+
+def _check_numeric_types(cfg: dict) -> None:
+    for path in NUMERIC_KEYS:
+        *sections, name = path.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        if path in NULLABLE_KEYS:
+            _check(node[name] is None or _is_number(node[name]), path,
+                   "expected a number or null")
+        else:
+            _check(_is_number(node[name]), path, "expected a number")
+
+
 def _validate_config(cfg: dict) -> None:
+    _check_numeric_types(cfg)
     d = cfg["dataset"]
     _check(d["source"] in ("synth", "files"), "dataset.source",
            "must be 'synth' or 'files'")
@@ -160,8 +193,7 @@ def _validate_config(cfg: dict) -> None:
            "ope.n_bootstrap", "expected an integer >= 2")
     _check(0.0 < o["eps_soft"] < 1.0, "ope.eps_soft", "must be in (0, 1)")
     clip = o["clip_percentile"]
-    _check(clip is None or (isinstance(clip, (int, float)) and not isinstance(clip, bool)
-                            and 0.0 < clip <= 100.0),
+    _check(clip is None or 0.0 < clip <= 100.0,
            "ope.clip_percentile", "must be null or a number in (0, 100]")
     _check(o["behavior"] in ("auto", "logged", "fitted"), "ope.behavior",
            "must be auto|logged|fitted")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Episode, JointObservation
-from .netcore import Dense, Tensor, concat, init_param
+from .netcore import Dense, Tensor, concat, init_param, linear
 
 Array = np.ndarray
 
@@ -204,7 +204,7 @@ class GatedFusion:
                 f"gate expects matching (B, {self.d}) inputs, got "
                 f"{f_c.data.shape} and {f_e.data.shape}"
             )
-        psi = (concat([f_c, f_e], axis=1) @ self.W.T + self.b).sigmoid()
+        psi = linear(concat([f_c, f_e], axis=1), self.W, self.b).sigmoid()
         return psi * f_c + (1.0 - psi) * f_e
 
     def params(self) -> dict[str, Tensor]:
@@ -221,10 +221,16 @@ class CrossModalAttention:
 
     Each modality is projected to query/key (d_k) and value (d) spaces in
     both directions. With one vector per modality the softmax runs over a
-    single score, so the attended feature equals the value projection of
-    the source modality exactly; each original vector is then concatenated
-    with its attended feature and linearly mapped back to d. Output is the
-    fused state [l~; n~] of width 2d.
+    single score, so its weight is exactly 1.0 and the attended feature is
+    exactly the value projection of the source modality; the module computes
+    that projection directly. Each original vector is then concatenated with
+    its attended feature and linearly mapped back to d. Output is the fused
+    state [l~; n~] of width 2d.
+
+    The query and key matrices (``Wq_*``, ``Wk_*``) therefore never affect
+    the output and always get a zero gradient. They stay among the
+    parameters so that initialization draws the same random numbers and
+    checkpoints keep their format.
     """
 
     def __init__(self, d: int, d_k: int, rng: np.random.Generator,
@@ -240,25 +246,16 @@ class CrossModalAttention:
         self.out_l = init_param((d, 2 * d), 2 * d, rng, f"{name}.out_l")
         self.out_n = init_param((d, 2 * d), 2 * d, rng, f"{name}.out_n")
 
-    def _attend(self, query_src: Tensor, kv_src: Tensor,
-                Wq: Tensor, Wk: Tensor, Wv: Tensor) -> Tensor:
-        q = query_src @ Wq.T
-        k = kv_src @ Wk.T
-        v = kv_src @ Wv.T
-        score = (q * k).sum(axis=1, keepdims=True) * (1.0 / np.sqrt(self.d_k))
-        alpha = score.softmax(axis=1)  # single token: exactly 1
-        return alpha * v
-
     def __call__(self, n: Tensor, l: Tensor) -> Tensor:
         if n.data.shape[1] != self.d or l.data.shape[1] != self.d:
             raise EncoderError(
                 f"attention expects (B, {self.d}) inputs, got "
                 f"{n.data.shape} and {l.data.shape}"
             )
-        a_struct_to_note = self._attend(l, n, self.Wq_l, self.Wk_n, self.Wv_n)
-        a_note_to_struct = self._attend(n, l, self.Wq_n, self.Wk_l, self.Wv_l)
-        l_tilde = concat([l, a_note_to_struct], axis=1) @ self.out_l.T
-        n_tilde = concat([n, a_struct_to_note], axis=1) @ self.out_n.T
+        a_struct_to_note = linear(n, self.Wv_n)     # the attended note values
+        a_note_to_struct = linear(l, self.Wv_l)
+        l_tilde = linear(concat([l, a_note_to_struct], axis=1), self.out_l)
+        n_tilde = linear(concat([n, a_struct_to_note], axis=1), self.out_n)
         return concat([l_tilde, n_tilde], axis=1)
 
     def params(self) -> dict[str, Tensor]:

@@ -4,9 +4,16 @@ Everything runs in float64 numpy. A ``Tensor`` records the operation that
 produced it; ``backward()`` on a scalar loss walks the tape and accumulates
 gradients into every reachable parameter. The op set is deliberately small:
 exactly what dense trunks, a dueling Q-head, gated fusion and single-token
-cross-attention need. Analytic gradients are verified against central finite
-differences (see ``gradient_check``), which is the independent oracle for this
-module.
+cross-attention need; ``linear`` is an affine map ``x @ W.T + b`` as one node.
+Analytic gradients are verified against central finite differences (see
+``gradient_check``), which is the independent oracle for this module.
+
+A node is recorded only when one of its parents requires a gradient: a
+parameter (``requires_grad=True``) or a node recorded before it. Inputs and
+constants are never recorded and never receive a gradient, so nothing is
+computed toward them, and ``no_grad`` records nothing at all. A parameter
+accumulates its gradient in place into ``grad``; an intermediate node keeps
+the first gradient it is given as is and adds later ones out of place.
 """
 
 from __future__ import annotations
@@ -82,15 +89,21 @@ class Tensor:
     def _node(data: Array, parents: tuple["Tensor", ...],
               backward: Callable[[Array], None]) -> "Tensor":
         out = Tensor(data)
-        if Tensor._record_tape:
+        if Tensor._record_tape and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = parents
             out._backward = backward
         return out
 
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self._backward is None:          # a leaf: accumulate in place
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad += g
+        elif self.grad is None:
+            self.grad = g
+        else:                               # g may be shared with another parent
+            self.grad = self.grad + g
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -99,8 +112,10 @@ class Tensor:
         a, b = self, other
 
         def backward(g: Array) -> None:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.data.shape))
 
         return Tensor._node(a.data + b.data, (a, b), backward)
 
@@ -111,8 +126,10 @@ class Tensor:
         a, b = self, other
 
         def backward(g: Array) -> None:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._node(a.data * b.data, (a, b), backward)
 
@@ -142,8 +159,10 @@ class Tensor:
             )
 
         def backward(g: Array) -> None:
-            a._accumulate(g @ b.data.T)
-            b._accumulate(a.data.T @ g)
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(a.data.T @ g)
 
         return Tensor._node(a.data @ b.data, (a, b), backward)
 
@@ -175,11 +194,9 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        out_data = np.empty_like(a.data)
-        pos = a.data >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-        ez = np.exp(a.data[~pos])
-        out_data[~pos] = ez / (1.0 + ez)
+        # exp(-|x|) never overflows; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+        e = np.exp(-np.abs(a.data))
+        out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
         def backward(g: Array) -> None:
             a._accumulate(g * out_data * (1.0 - out_data))
@@ -256,7 +273,7 @@ class Tensor:
 
         def backward(g: Array) -> None:
             full = np.zeros_like(a.data)
-            np.add.at(full, (rows, idx), g)
+            full[rows, idx] = g         # one entry per row: no index repeats
             a._accumulate(full)
 
         return Tensor._node(a.data[rows, idx], (a,), backward)
@@ -280,7 +297,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
@@ -313,12 +330,35 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
     def backward(g: Array) -> None:
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            part._accumulate(g[tuple(sl)])
+            if part.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(lo, hi)
+                part._accumulate(g[tuple(sl)])
 
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis),
                         tuple(parts), backward)
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ W.T + b as one node, with W stored as (n_out, n_in).
+
+    The products keep the orientation of a transpose node followed by a
+    matmul, so the values equal ``x @ W.T + b`` bit for bit.
+    """
+    xd, Wd = x.data, W.data
+    out = xd @ Wd.T
+    if b is not None:
+        out += b.data
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            x._accumulate(g @ Wd)
+        if W.requires_grad:
+            W._accumulate((xd.T @ g).T)
+        if b is not None and b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return Tensor._node(out, (x, W) if b is None else (x, W, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +390,7 @@ class Dense:
                 f"{self.W.name}: expected input width {self.n_in}, "
                 f"got {x.data.shape}"
             )
-        out = x @ self.W.T
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return linear(x, self.W, self.b)
 
     def params(self) -> dict[str, Tensor]:
         out = {self.W.name: self.W}
@@ -399,21 +436,19 @@ class DuelingQNetwork:
         return out
 
 
-def forward_q(net: DuelingQNetwork, state: Array | Tensor) -> Array:
-    """Convenience single/batch forward returning plain ndarray Q-values."""
-    x = state if isinstance(state, Tensor) else Tensor(np.atleast_2d(_f64(state)))
-    q = net(x)
-    return q.data[0] if (not isinstance(state, Tensor) and _f64(state).ndim == 1) \
-        else q.data
-
-
 # ---------------------------------------------------------------------------
 # Optimizer
 # ---------------------------------------------------------------------------
 
 
 class Adam:
-    """Adam with bias correction; clears grads after each step."""
+    """Adam with bias correction over flat moment buffers; clears grads after each step.
+
+    The moments of all parameters live in one flat ``m`` and one flat ``v``,
+    so a step is one gather of the gradients and one update expression,
+    followed by one in-place subtraction per parameter. ``grad_clip`` caps
+    each parameter's gradient norm separately.
+    """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
@@ -425,31 +460,38 @@ class Adam:
         self.eps = float(eps)
         self.grad_clip = grad_clip
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        sizes = [p.data.size for p in self.params.values()]
+        self._slices = [slice(end - size, end)
+                        for size, end in zip(sizes, np.cumsum(sizes).tolist())]
+        self._m = np.zeros(sum(sizes))
+        self._v = np.zeros(sum(sizes))
 
     def step(self) -> None:
+        grads = [np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                 for p in self.params.values()]
+        g = np.concatenate(grads) if grads else np.zeros(0)
+        if not np.isfinite(g).all():
+            bad = next(key for key, sl in zip(self.params, self._slices)
+                       if not np.isfinite(g[sl]).all())
+            raise NonFiniteGradientError(f"non-finite gradient in {bad!r}")
+        if self.grad_clip is not None:
+            for sl in self._slices:
+                part = g[sl]
+                norm = float(np.sqrt((part * part).sum()))
+                if norm > self.grad_clip:
+                    part *= self.grad_clip / norm
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for key, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NonFiniteGradientError(f"non-finite gradient in {key!r}")
-            if self.grad_clip is not None:
-                norm = float(np.sqrt((g * g).sum()))
-                if norm > self.grad_clip:
-                    g = g * (self.grad_clip / norm)
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for p, sl in zip(self.params.values(), self._slices):
+            p.data -= update[sl].reshape(p.data.shape)
         zero_grads(self.params)
 
 

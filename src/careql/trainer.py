@@ -85,6 +85,10 @@ class TrainConfig:
             raise TrainerError("cql_alpha must be >= 0")
         if not (0.0 <= self.bcq_threshold <= 1.0):
             raise TrainerError("bcq_threshold must be in [0, 1]")
+        clip = self.grad_clip
+        if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))
+                                 or not clip > 0):
+            raise TrainerError(f"grad_clip must be null or a positive number, got {clip!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,44 +122,40 @@ class TransitionTable:
 
 def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
                            episodes: Sequence[Episode] | None = None) -> TransitionTable:
+    """Flatten episodes into per-transition rows.
+
+    Transition t of an episode reads frame t as its state and frame t + 1
+    as its next state. Note inputs are sliced from each episode's arrays;
+    structured rows are stacked straight from the frames, because a copy per
+    episode would leave many small freed arrays behind and raise peak memory.
+    """
     eps = list(dataset.episodes) if episodes is None else list(episodes)
     if not eps:
         raise TrainerError("no episodes to build a transition table from")
-    cols = {name: [] for name in ("structured", "f_c", "f_e", "next_structured",
-                                  "next_f_c", "next_f_e")}
-    action, reward, done, bprob, ep_idx = [], [], [], [], []
-    state_id, next_state_id, initial = [], [], []
-    for e_i, ep in enumerate(eps):
-        f_c, f_e = episode_note_inputs(ep, strategy)
-        frames = ep.frames()
-        for t, tr in enumerate(ep.transitions):
-            cols["structured"].append(frames[t].structured)
-            cols["f_c"].append(f_c[t])
-            cols["f_e"].append(f_e[t])
-            cols["next_structured"].append(frames[t + 1].structured)
-            cols["next_f_c"].append(f_c[t + 1])
-            cols["next_f_e"].append(f_e[t + 1])
-            action.append(tr.action.flat)
-            reward.append(tr.reward)
-            done.append(tr.done)
-            bprob.append(np.nan if tr.behavior_prob is None else tr.behavior_prob)
-            ep_idx.append(e_i)
-            state_id.append(-1 if tr.state_id is None else tr.state_id)
-            next_state_id.append(-1 if tr.next_state_id is None else tr.next_state_id)
-            initial.append(t == 0)
+    frames = [ep.frames() for ep in eps]
+    cols = {"structured": np.stack([f.structured for fr in frames for f in fr[:-1]]),
+            "next_structured": np.stack([f.structured for fr in frames for f in fr[1:]])}
+    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in eps))
+    for name, per_episode in (("f_c", f_c), ("f_e", f_e)):
+        cols[name] = np.concatenate([x[:-1] for x in per_episode])
+        cols[f"next_{name}"] = np.concatenate([x[1:] for x in per_episode])
+    trs = [tr for ep in eps for tr in ep.transitions]
+    lengths = [len(ep.transitions) for ep in eps]
+    initial = np.zeros(len(trs), dtype=bool)
+    initial[np.cumsum(lengths) - lengths] = True
     return TransitionTable(
-        structured=np.stack(cols["structured"]),
-        f_c=np.stack(cols["f_c"]), f_e=np.stack(cols["f_e"]),
-        next_structured=np.stack(cols["next_structured"]),
-        next_f_c=np.stack(cols["next_f_c"]), next_f_e=np.stack(cols["next_f_e"]),
-        action=np.array(action, dtype=np.int64),
-        reward=np.array(reward, dtype=np.float64),
-        done=np.array(done, dtype=bool),
-        behavior_prob=np.array(bprob, dtype=np.float64),
-        episode_index=np.array(ep_idx, dtype=np.int64),
-        state_id=np.array(state_id, dtype=np.int64),
-        next_state_id=np.array(next_state_id, dtype=np.int64),
-        initial_mask=np.array(initial, dtype=bool),
+        **cols,
+        action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
+        reward=np.array([tr.reward for tr in trs], dtype=np.float64),
+        done=np.array([tr.done for tr in trs], dtype=bool),
+        behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
+                                for tr in trs], dtype=np.float64),
+        episode_index=np.repeat(np.arange(len(eps), dtype=np.int64), lengths),
+        state_id=np.array([-1 if tr.state_id is None else tr.state_id for tr in trs],
+                          dtype=np.int64),
+        next_state_id=np.array([-1 if tr.next_state_id is None else tr.next_state_id
+                                for tr in trs], dtype=np.int64),
+        initial_mask=initial,
     )
 
 

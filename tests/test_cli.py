@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from careql.cli import ConfigError, load_config, main
+from careql.trainer import TrainConfig
 
 TINY_SYNTH = {
     "dataset": {
@@ -324,6 +325,18 @@ CHECKPOINT_FAULTS = {
 }
 CLIP_PERCENTILE_FAULTS = {"above_100": 150, "zero": 0, "negative": -5.0,
                           "string": "abc", "boolean": True}
+# (key, value) pairs that `careql train` must reject with exit 2 naming the key
+TRAIN_CONFIG_FAULTS = {
+    "grad_clip_string": ("train.grad_clip", "abc"),
+    "grad_clip_negative": ("train.grad_clip", -1.0),
+    "grad_clip_zero": ("train.grad_clip", 0.0),
+    "grad_clip_boolean": ("train.grad_clip", True),
+    "eps_soft_string": ("ope.eps_soft", "x"),
+    "learning_rate_string": ("train.learning_rate", "x"),
+    "gamma_string": ("train.gamma", "x"),
+    "cql_alpha_boolean": ("train.cql_alpha", True),
+    "bdesr_p_string": ("bdesr.p", "x"),
+}
 
 
 class TestFaultInjection:
@@ -355,3 +368,20 @@ class TestFaultInjection:
     def test_valid_clip_percentile_accepted(self, tmp_path, value):
         cfg = load_config(write_config(tmp_path, {"ope.clip_percentile": value}))
         assert cfg["ope"]["clip_percentile"] == value
+
+    @pytest.mark.parametrize("key, value", list(TRAIN_CONFIG_FAULTS.values()),
+                             ids=list(TRAIN_CONFIG_FAULTS))
+    def test_bad_config_value_exits_2_naming_it(self, tmp_path, synth_dir, capsys,
+                                                key, value):
+        cfg = write_config(tmp_path, {key: value}, name="bad.json")
+        code = main(["train", "--config", str(cfg), "--data", str(synth_dir),
+                     "--out", str(tmp_path / "train")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and key.split(".")[-1] in err
+
+    @pytest.mark.parametrize("value", [None, 0.5, 2])
+    def test_valid_grad_clip_accepted(self, tmp_path, value):
+        cfg = load_config(write_config(tmp_path, {"train.grad_clip": value}))
+        assert cfg["train"]["grad_clip"] == value
+        assert TrainConfig(total_steps=1, grad_clip=value).grad_clip == value

@@ -17,7 +17,7 @@ from careql.encoder import (
     gated_fusion,
     resolve_note,
 )
-from careql.netcore import Tensor, gradient_check
+from careql.netcore import gradient_check
 
 
 def obs(features, emb=None, present=False, d_n=4):
@@ -189,12 +189,26 @@ def attention_oracle(attn, n, l):
 
 class TestCrossModalAttention:
     def test_single_token_softmax_collapse(self):
+        # full query/key/softmax attention over one token equals the value
+        # projection exactly, so the module's output does too
         rng = np.random.default_rng(0)
         attn = CrossModalAttention(4, 3, rng)
         n, l = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-        attended = attn._attend(Tensor(l), Tensor(n),
-                                attn.Wq_l, attn.Wk_n, attn.Wv_n)
-        assert np.abs(attended.data - n @ attn.Wv_n.data.T).max() < 1e-12
+
+        def attend(query_src, kv_src, Wq, Wk, Wv):
+            score = ((query_src @ Wq.data.T) * (kv_src @ Wk.data.T)).sum(
+                axis=1, keepdims=True) / np.sqrt(attn.d_k)
+            alpha = np.exp(score - score.max(axis=1, keepdims=True))
+            alpha = alpha / alpha.sum(axis=1, keepdims=True)
+            return alpha * (kv_src @ Wv.data.T)
+
+        a_struct_to_note = attend(l, n, attn.Wq_l, attn.Wk_n, attn.Wv_n)
+        a_note_to_struct = attend(n, l, attn.Wq_n, attn.Wk_l, attn.Wv_l)
+        assert np.array_equal(a_struct_to_note, n @ attn.Wv_n.data.T)
+        full = np.concatenate(
+            [np.concatenate([l, a_note_to_struct], axis=1) @ attn.out_l.data.T,
+             np.concatenate([n, a_struct_to_note], axis=1) @ attn.out_n.data.T], axis=1)
+        assert np.array_equal(cross_modal_attend(n, l, attn).data, full)
 
     def test_zero_parameters_zero_state(self):
         attn = CrossModalAttention(4, 3, np.random.default_rng(1))

@@ -11,6 +11,7 @@ from careql.netcore import (
     collect_params,
     concat,
     gradient_check,
+    linear,
     load_checkpoint,
     load_param_values,
     no_grad,
@@ -228,7 +229,146 @@ class TestNoGrad:
             assert np.array_equal(p.grad, reference[key]), key
 
 
+class TestLinear:
+    def graphs(self, bias):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=True, name="x")
+        W = Tensor(rng.normal(size=(3, 5)), requires_grad=True, name="W")
+        b = Tensor(rng.normal(size=(3,)), requires_grad=True, name="b") if bias else None
+        weights = rng.normal(size=(7, 3))
+        return x, W, b, weights
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_bitwise_equal_to_matmul_transpose_add(self, bias):
+        x, W, b, weights = self.graphs(bias)
+        params = {"x": x, "W": W} if b is None else {"x": x, "W": W, "b": b}
+        reference = x @ W.T if b is None else x @ W.T + b
+        (reference * Tensor(weights)).sigmoid().sum().backward()
+        expected = {k: p.grad.copy() for k, p in params.items()}
+        zero_grads(params)
+        fused = linear(x, W, b)
+        (fused * Tensor(weights)).sigmoid().sum().backward()
+        assert np.array_equal(fused.data, reference.data)
+        for key, p in params.items():
+            assert np.array_equal(p.grad, expected[key]), key
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_finite_difference_agreement(self, bias):
+        x, W, b, weights = self.graphs(bias)
+        params = {"W": W} if b is None else {"W": W, "b": b}
+        err = gradient_check(
+            lambda: (linear(Tensor(x.data), W, b) * Tensor(weights)).sigmoid().mean(),
+            params)
+        assert err < 1e-4
+
+
+class TestTapeRecording:
+    def test_input_and_constant_get_no_gradient(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(6, 4)))
+        target = Tensor(rng.normal(size=(6, 2)))
+        W = Tensor(rng.normal(size=(2, 4)), requires_grad=True, name="W")
+        loss = (linear(x, W) - target).square().mean()
+        loss.backward()
+        assert x.grad is None and target.grad is None
+        assert W.grad.any()
+
+    def test_gradient_shared_by_both_operands_of_add(self):
+        # c takes the same gradient array as s from the outer add, then more
+        # from s's own add; adding that in place would also change s's
+        rng = np.random.default_rng(24)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, name="w")
+        x = rng.normal(size=(3, 4))
+
+        def loss():
+            a = Tensor(x) * w
+            c = a.square()
+            s = a + c
+            return (s + c).sum()
+
+        assert gradient_check(loss, {"w": w}) < 1e-6
+
+    def test_node_from_non_grad_leaves_records_nothing(self):
+        rng = np.random.default_rng(23)
+        a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+        w = Tensor(rng.normal(size=(4, 5)))
+        for node in every_op(a, b, w) + [linear(a, w.T, Tensor(np.ones(5)))]:
+            assert node._parents == () and node._backward is None
+            assert not node.requires_grad
+
+
+def per_tensor_adam(values, grads_per_step, lr, grad_clip, b1=0.9, b2=0.999, eps=1e-8):
+    """Reference: the per-tensor Adam recursion, one loop over parameters per step."""
+    values = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    s = {k: np.zeros_like(v) for k, v in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        for key, value in values.items():
+            g = grads[key] if grads[key] is not None else np.zeros_like(value)
+            if grad_clip is not None:
+                norm = float(np.sqrt((g * g).sum()))
+                if norm > grad_clip:
+                    g = g * (grad_clip / norm)
+            m[key] *= b1
+            m[key] += (1.0 - b1) * g
+            s[key] *= b2
+            s[key] += (1.0 - b2) * (g * g)
+            value -= lr * (m[key] / (1.0 - b1 ** t)) / (
+                np.sqrt(s[key] / (1.0 - b2 ** t)) + eps)
+    return values
+
+
 class TestAdam:
+    def test_flat_update_matches_per_tensor_reference(self):
+        rng = np.random.default_rng(24)
+        shapes = {"big": (4, 6), "small": (5,), "none": (2, 3), "scalar": (1,)}
+        params = {k: Tensor(rng.normal(size=shape), requires_grad=True, name=k)
+                  for k, shape in shapes.items()}
+        start = clone_param_values(params)
+        grads_per_step = []
+        for _ in range(30):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            grads["big"] *= 10.0          # norm well above the clip
+            grads["small"] *= 0.01        # norm well below it
+            grads["none"] = None
+            grads_per_step.append(grads)
+        opt = Adam(params, lr=1e-2, grad_clip=1.5)
+        for grads in grads_per_step:
+            for key, p in params.items():
+                p.grad = None if grads[key] is None else grads[key].copy()
+            opt.step()
+        expected = per_tensor_adam(start, grads_per_step, lr=1e-2, grad_clip=1.5)
+        for key, p in params.items():
+            assert np.array_equal(p.data, expected[key]), key
+
+    def test_non_finite_gradient_names_first_bad_key(self):
+        params = {k: Tensor(np.zeros(2), requires_grad=True, name=k)
+                  for k in ("fine", "first_bad", "second_bad")}
+        opt = Adam(params)
+        params["first_bad"].grad = np.array([0.0, np.inf])
+        params["second_bad"].grad = np.array([np.nan, 0.0])
+        with pytest.raises(NonFiniteGradientError, match="'first_bad'"):
+            opt.step()
+        assert all(not p.data.any() for p in params.values())
+
+    def test_updates_after_load_param_values_rebinds_data(self):
+        rng = np.random.default_rng(25)
+        params = {"w": Tensor(rng.normal(size=(3, 2)), requires_grad=True, name="w")}
+        opt = Adam(params, lr=1e-2)
+        g1, g2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        params["w"].grad = g1.copy()
+        opt.step()
+        loaded = rng.normal(size=(3, 2))
+        load_param_values(params, {"w": loaded})
+        params["w"].grad = g2.copy()
+        opt.step()
+        # the moments carry over from step 1; the step applies to the loaded values
+        m = 0.9 * (0.1 * g1) + 0.1 * g2
+        v = 0.999 * (0.001 * (g1 * g1)) + 0.001 * (g2 * g2)
+        update = 1e-2 * (m / (1 - 0.9 ** 2)) / (np.sqrt(v / (1 - 0.999 ** 2)) + 1e-8)
+        assert np.abs(params["w"].data - (loaded - update)).max() < 1e-15
+        assert params["w"].data is not loaded
+
     def test_zero_gradient_leaves_params_unchanged(self):
         p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="p")
         before = p.data.copy()

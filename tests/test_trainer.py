@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS
-from careql.encoder import EncoderConfig, NoteStrategy
+from careql.encoder import EncoderConfig, NoteStrategy, episode_note_inputs
 from careql.netcore import Tensor
 from careql.ope import (
     BehaviorFitConfig,
@@ -174,6 +176,62 @@ class TestTransitionTable:
             first = rows[0]
             if np.any(first != 0.0):
                 assert np.allclose(rows, first[None, :])
+
+
+def per_transition_table(dataset, strategy):
+    """Reference flattening: one append per transition into every column."""
+    cols = {name: [] for name in ("structured", "f_c", "f_e", "next_structured",
+                                  "next_f_c", "next_f_e")}
+    action, reward, done, bprob, ep_idx = [], [], [], [], []
+    state_id, next_state_id, initial = [], [], []
+    for e_i, ep in enumerate(dataset.episodes):
+        f_c, f_e = episode_note_inputs(ep, strategy)
+        frames = ep.frames()
+        for t, tr in enumerate(ep.transitions):
+            cols["structured"].append(frames[t].structured)
+            cols["f_c"].append(f_c[t])
+            cols["f_e"].append(f_e[t])
+            cols["next_structured"].append(frames[t + 1].structured)
+            cols["next_f_c"].append(f_c[t + 1])
+            cols["next_f_e"].append(f_e[t + 1])
+            action.append(tr.action.flat)
+            reward.append(tr.reward)
+            done.append(tr.done)
+            bprob.append(np.nan if tr.behavior_prob is None else tr.behavior_prob)
+            ep_idx.append(e_i)
+            state_id.append(-1 if tr.state_id is None else tr.state_id)
+            next_state_id.append(-1 if tr.next_state_id is None else tr.next_state_id)
+            initial.append(t == 0)
+    out = {name: np.stack(rows) for name, rows in cols.items()}
+    out.update(
+        action=np.array(action, dtype=np.int64),
+        reward=np.array(reward, dtype=np.float64),
+        done=np.array(done, dtype=bool),
+        behavior_prob=np.array(bprob, dtype=np.float64),
+        episode_index=np.array(ep_idx, dtype=np.int64),
+        state_id=np.array(state_id, dtype=np.int64),
+        next_state_id=np.array(next_state_id, dtype=np.int64),
+        initial_mask=np.array(initial, dtype=bool))
+    return out
+
+
+class TestTransitionTableReference:
+    @pytest.mark.parametrize("kind", ["raw", "impute", "stack", "context"])
+    def test_byte_equal_to_per_transition_reference(self, kind):
+        _, _, ds, _ = small_setup(n_episodes=40)
+        # unknown behaviour probabilities and state ids on every other episode
+        episodes = [ep if i % 2 else replace(ep, transitions=[
+            replace(tr, behavior_prob=None, state_id=None, next_state_id=None)
+            for tr in ep.transitions]) for i, ep in enumerate(ds.episodes)]
+        ds = replace(ds, episodes=episodes)
+        strategy = NoteStrategy(kind, window=2)
+        table = build_transition_table(ds, strategy)
+        reference = per_transition_table(ds, strategy)
+        assert set(reference) == set(table.__dataclass_fields__)
+        for name, expected in reference.items():
+            got = getattr(table, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 class TestTrain:
