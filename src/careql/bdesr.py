@@ -20,7 +20,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import ActionIndex, Episode, OfflineDataset
+from .dataset import (N_ACTIONS, N_DOSE_LEVELS, DatasetError, Episode, OfflineDataset,
+                      transition_columns)
 
 Array = np.ndarray
 
@@ -68,25 +69,27 @@ def score_dataset(dataset: OfflineDataset, policy, alpha: float = 0.5,
 def _score(episodes: Sequence[Episode], policy, alpha: float,
            beta: float) -> list[DiscrepancyScore]:
     _check_weights(alpha, beta)
-    if any(len(ep.transitions) == 0 for ep in episodes):
-        raise BdesrError("cannot score an empty episode")
+    if not episodes:
+        return []
+    cols = transition_columns(episodes)
+    recommended = [np.asarray(r, dtype=np.int64)
+                   for r in policy.episodes_greedy_actions(episodes)]
+    for rec, T in zip(recommended, cols.lengths):
+        if rec.shape[0] != T:
+            raise BdesrError(f"policy returned {rec.shape[0]} actions for {T} decisions")
+    rec = np.concatenate(recommended)
+    out_of_range = (rec < 0) | (rec >= N_ACTIONS)
+    if out_of_range.any():
+        raise DatasetError(f"flat action must be in [0, {N_ACTIONS - 1}], "
+                           f"got {rec[out_of_range][0]}")
+    # per-drug level gaps summed per episode; integer sums are exact
+    iv_gap = np.add.reduceat(np.abs(rec // N_DOSE_LEVELS - cols.action // N_DOSE_LEVELS),
+                             cols.offsets)
+    vaso_gap = np.add.reduceat(np.abs(rec % N_DOSE_LEVELS - cols.action % N_DOSE_LEVELS),
+                               cols.offsets)
     scores = []
-    for episode, recommended in zip(episodes, policy.episodes_greedy_actions(episodes)):
-        recommended = np.asarray(recommended, dtype=np.int64)
-        if recommended.shape[0] != len(episode.transitions):
-            raise BdesrError(
-                f"policy returned {recommended.shape[0]} actions for "
-                f"{len(episode.transitions)} decisions"
-            )
-        iv_gap = 0.0
-        vaso_gap = 0.0
-        for tr, flat in zip(episode.transitions, recommended):
-            rec = ActionIndex.from_flat(int(flat))
-            iv_gap += abs(rec.iv_level - tr.action.iv_level)
-            vaso_gap += abs(rec.vaso_level - tr.action.vaso_level)
-        T = len(episode.transitions)
-        m_iv = iv_gap / T
-        m_vaso = vaso_gap / T
+    for episode, iv, vaso, T in zip(episodes, iv_gap, vaso_gap, cols.lengths):
+        m_iv, m_vaso = float(iv / T), float(vaso / T)
         scores.append(DiscrepancyScore(episode_id=episode.episode_id, m_iv=m_iv,
                                        m_vaso=m_vaso, m=alpha * m_iv + beta * m_vaso))
     return scores

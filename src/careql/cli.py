@@ -132,31 +132,55 @@ NUMERIC_KEYS = (
     "ope.clip_percentile", "bdesr.alpha", "bdesr.beta", "bdesr.p",
 )
 NULLABLE_KEYS = ("train.grad_clip", "ope.clip_percentile")
+# Integer keys and the least value each may take.
+INTEGER_KEYS = {
+    "dataset.synth.n_severity": 1, "dataset.synth.n_context": 1,
+    "dataset.synth.n_features": 1, "dataset.synth.d_n": 1,
+    "dataset.synth.n_episodes": 1, "dataset.synth.max_len": 1, "dataset.synth.seed": 0,
+    "encoder.d": 1, "encoder.d_k": 1, "encoder.depth": 0, "encoder.window": 1,
+    "train.total_steps": 1, "train.batch_size": 1, "train.target_update": 1,
+    "train.hidden_width": 1, "train.trunk_depth": 1, "train.eval_interval": 1,
+    "ope.n_bootstrap": 2, "ope.behavior_fit_steps": 1, "ope.fqe_iterations": 1,
+    "ope.fqe_steps": 1, "ope.fqe_width": 1, "ope.fqe_depth": 0,
+    "cross_eval.snapshot_points": 1, "seed": 0,
+}
 
 
-def _check_numeric_types(cfg: dict) -> None:
-    for path in NUMERIC_KEYS:
-        *sections, name = path.split(".")
+def _is_integer(x, minimum: int) -> bool:
+    """An int of at least ``minimum``; JSON true/false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
+
+
+def _check_types(cfg: dict) -> None:
+    def lookup(path: str):
         node = cfg
-        for section in sections:
+        for section in path.split("."):
             node = node[section]
+        return node
+
+    for path in NUMERIC_KEYS:
+        value = lookup(path)
         if path in NULLABLE_KEYS:
-            _check(node[name] is None or _is_number(node[name]), path,
-                   "expected a number or null")
+            _check(value is None or _is_number(value), path, "expected a number or null")
         else:
-            _check(_is_number(node[name]), path, "expected a number")
+            _check(_is_number(value), path, "expected a number")
+    for path, minimum in INTEGER_KEYS.items():
+        _check(_is_integer(lookup(path), minimum), path,
+               f"expected an integer >= {minimum}")
+    _check(isinstance(cfg["seeds"], list) and cfg["seeds"]
+           and all(_is_integer(x, 0) for x in cfg["seeds"]),
+           "seeds", "expected a nonempty list of integers >= 0")
+    _check(isinstance(cfg["ablate"]["windows"], list)
+           and all(_is_integer(w, 1) for w in cfg["ablate"]["windows"]),
+           "ablate.windows", "expected a list of integers >= 1")
 
 
 def _validate_config(cfg: dict) -> None:
-    _check_numeric_types(cfg)
+    _check_types(cfg)
     d = cfg["dataset"]
     _check(d["source"] in ("synth", "files"), "dataset.source",
            "must be 'synth' or 'files'")
     s = d["synth"]
-    for key in ("n_severity", "n_context", "n_features", "d_n", "n_episodes",
-                "max_len"):
-        _check(isinstance(s[key], int) and s[key] >= 1,
-               f"dataset.synth.{key}", "expected a positive integer")
     _check(0.0 <= s["gamma"] < 1.0, "dataset.synth.gamma", "must be in [0, 1)")
     _check(0.0 < s["behavior_epsilon"] < 1.0, "dataset.synth.behavior_epsilon",
            "must be in (0, 1)")
@@ -171,45 +195,33 @@ def _validate_config(cfg: dict) -> None:
     _check(cfg["modality"] in tr_mod.MODALITIES, "modality",
            f"must be one of {tr_mod.MODALITIES}")
     e = cfg["encoder"]
-    for key in ("d", "d_k", "depth", "window"):
-        _check(isinstance(e[key], int) and e[key] >= (0 if key == "depth" else 1),
-               f"encoder.{key}", "expected a nonnegative integer")
     _check(e["strategy"] in ("raw", "impute", "stack", "context"),
            "encoder.strategy", "must be raw|impute|stack|context")
     t = cfg["train"]
     _check(t["algorithm"] in tr_mod.ALGORITHMS, "train.algorithm",
            f"must be one of {tr_mod.ALGORITHMS}")
-    for key in ("total_steps", "batch_size", "target_update", "hidden_width",
-                "trunk_depth", "eval_interval"):
-        _check(isinstance(t[key], int) and t[key] >= 1, f"train.{key}",
-               "expected a positive integer")
     _check(0.0 <= t["gamma"] < 1.0, "train.gamma", "must be in [0, 1)")
     _check(t["cql_alpha"] >= 0.0, "train.cql_alpha", "must be >= 0")
     _check(0.0 <= t["bcq_threshold"] <= 1.0, "train.bcq_threshold",
            "must be in [0, 1]")
     o = cfg["ope"]
     _check(0.0 <= o["gamma"] < 1.0, "ope.gamma", "must be in [0, 1)")
-    _check(isinstance(o["n_bootstrap"], int) and o["n_bootstrap"] >= 2,
-           "ope.n_bootstrap", "expected an integer >= 2")
     _check(0.0 < o["eps_soft"] < 1.0, "ope.eps_soft", "must be in (0, 1)")
     clip = o["clip_percentile"]
     _check(clip is None or 0.0 < clip <= 100.0,
            "ope.clip_percentile", "must be null or a number in (0, 100]")
     _check(o["behavior"] in ("auto", "logged", "fitted"), "ope.behavior",
            "must be auto|logged|fitted")
+    _check(0.0 < o["behavior_floor"] < 1.0 / ds_mod.N_ACTIONS, "ope.behavior_floor",
+           f"must be in (0, 1/{ds_mod.N_ACTIONS})")
     b = cfg["bdesr"]
     _check(b["alpha"] >= 0 and b["beta"] >= 0
            and abs(b["alpha"] + b["beta"] - 1.0) < 1e-9,
            "bdesr.alpha", "weights must be nonnegative and sum to 1")
     _check(0.0 < b["p"] < 50.0, "bdesr.p", "must be in (0, 50)")
-    _check(isinstance(cfg["seeds"], list) and cfg["seeds"]
-           and all(isinstance(x, int) for x in cfg["seeds"]),
-           "seeds", "expected a nonempty list of integers")
     for kind in cfg["ablate"]["strategies"]:
         _check(kind in ("raw", "impute", "stack", "context"),
                "ablate.strategies", f"unknown strategy {kind!r}")
-    _check(all(isinstance(w, int) and w >= 1 for w in cfg["ablate"]["windows"]),
-           "ablate.windows", "expected positive integers")
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -306,17 +318,23 @@ def _write_provenance(out: Path, cfg: dict, seed: int) -> None:
     _write_json(out / "resolved_config.json", resolved)
 
 
-def _load_bundle(data_dir: str | Path, cfg: dict):
-    """Dataset files + optional ground truth; normalization per config."""
+def _read_cohort(data_dir: str | Path, gt_path: str | Path = ""):
+    """A directory's dataset files, with the ground truth at ``gt_path`` (by
+    default the directory's ``ground_truth.json``) attached when present."""
     data = Path(data_dir)
     dataset = ds_mod.ingest(data / "structured.csv", data / "notes.jsonl",
                             data / "manifest.json")
     gt = None
-    gt_path = Path(cfg["dataset"]["files"]["ground_truth"]) \
-        if cfg["dataset"]["files"]["ground_truth"] else data / "ground_truth.json"
+    gt_path = Path(gt_path) if gt_path else data / "ground_truth.json"
     if gt_path.exists():
         gt = gym_mod.load_ground_truth(gt_path)
         dataset = gym_mod.attach_ground_truth(dataset, gt)
+    return dataset, gt
+
+
+def _load_bundle(data_dir: str | Path, cfg: dict):
+    """Dataset files + optional ground truth; normalization per config."""
+    dataset, gt = _read_cohort(data_dir, cfg["dataset"]["files"]["ground_truth"])
     if cfg["dataset"]["normalize"]:
         dataset = ds_mod.normalize(dataset)
     return dataset, gt
@@ -333,8 +351,8 @@ def _load_policy(path: str | Path) -> tr_mod.LearnedPolicy:
 
 def _behavior_model(cfg: dict, dataset: ds_mod.OfflineDataset, seed: int):
     mode = cfg["ope"]["behavior"]
-    has_logged = all(tr.behavior_prob is not None
-                     for ep in dataset.episodes for tr in ep.transitions)
+    logged = ds_mod.transition_columns(dataset.episodes).behavior_prob
+    has_logged = not np.isnan(logged).any()
     if mode == "logged" or (mode == "auto" and has_logged):
         if not has_logged:
             raise ds_mod.DatasetError(
@@ -357,17 +375,22 @@ def _eval_split(dataset: ds_mod.OfflineDataset):
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["dataset"]["synth"]["seed"]
-    out = _out_dir(args, "synth")
-    gen_cfg = _generator_config(cfg)
+def _synth_rollout(cfg: dict, seed: int):
+    """The configured synthetic MDP, its behaviour policy and a logged dataset."""
     s = cfg["dataset"]["synth"]
-    mdp = gym_mod.generate_mdp(gen_cfg, seed=seed)
+    mdp = gym_mod.generate_mdp(_generator_config(cfg), seed=seed)
     behavior = gym_mod.near_clinician_behavior(mdp, s["behavior_epsilon"])
     dataset = gym_mod.rollout(mdp, behavior, n_episodes=s["n_episodes"],
                               max_len=s["max_len"], seed=seed,
                               split_fractions=tuple(s["split_fractions"]))
+    return mdp, behavior, dataset
+
+
+def cmd_synth(args) -> int:
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else cfg["dataset"]["synth"]["seed"]
+    out = _out_dir(args, "synth")
+    mdp, behavior, dataset = _synth_rollout(cfg, seed)
     paths = ds_mod.export(dataset, out)
     gym_mod.write_ground_truth(out / "ground_truth.json", mdp, behavior, dataset)
     _write_provenance(out, cfg, seed)
@@ -495,7 +518,9 @@ def cmd_ablate(args) -> int:
     if args.data:
         dataset, _ = _load_bundle(args.data, cfg)
     else:
-        dataset = _synth_dataset(cfg)
+        dataset = _synth_rollout(cfg, cfg["dataset"]["synth"]["seed"])[2]
+        if cfg["dataset"]["normalize"]:
+            dataset = ds_mod.normalize(dataset)
     episodes = _eval_split(dataset)
     metrics = ("opera", "dr", "fqe", "wis")
     rows = []
@@ -534,36 +559,12 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _synth_dataset(cfg: dict) -> ds_mod.OfflineDataset:
-    s = cfg["dataset"]["synth"]
-    mdp = gym_mod.generate_mdp(_generator_config(cfg), seed=s["seed"])
-    behavior = gym_mod.near_clinician_behavior(mdp, s["behavior_epsilon"])
-    dataset = gym_mod.rollout(mdp, behavior, n_episodes=s["n_episodes"],
-                              max_len=s["max_len"], seed=s["seed"],
-                              split_fractions=tuple(s["split_fractions"]))
-    if cfg["dataset"]["normalize"]:
-        dataset = ds_mod.normalize(dataset)
-    return dataset
-
-
 def cmd_cross_eval(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _out_dir(args, "cross_eval")
-    train_ds_raw = ds_mod.ingest(Path(args.train_data) / "structured.csv",
-                                 Path(args.train_data) / "notes.jsonl",
-                                 Path(args.train_data) / "manifest.json")
-    gt_path = Path(args.train_data) / "ground_truth.json"
-    if gt_path.exists():
-        train_ds_raw = gym_mod.attach_ground_truth(
-            train_ds_raw, gym_mod.load_ground_truth(gt_path))
-    eval_ds_raw = ds_mod.ingest(Path(args.eval_data) / "structured.csv",
-                                Path(args.eval_data) / "notes.jsonl",
-                                Path(args.eval_data) / "manifest.json")
-    eval_gt_path = Path(args.eval_data) / "ground_truth.json"
-    if eval_gt_path.exists():
-        eval_ds_raw = gym_mod.attach_ground_truth(
-            eval_ds_raw, gym_mod.load_ground_truth(eval_gt_path))
+    train_ds_raw, _ = _read_cohort(args.train_data)
+    eval_ds_raw, _ = _read_cohort(args.eval_data)
     if cfg["dataset"]["share_bins"]:
         eval_ds_raw = ds_mod.rediscretize(eval_ds_raw, train_ds_raw.bin_edges)
     if cfg["dataset"]["normalize"]:
@@ -575,8 +576,8 @@ def cmd_cross_eval(args) -> int:
 
     enc_cfg = _encoder_config(cfg, train_ds)
     train_cfg = _train_config(cfg, seed)
-    n_points = max(cfg["cross_eval"]["snapshot_points"], 1)
-    snapshot_interval = max(train_cfg.total_steps // n_points, 1)
+    snapshot_interval = max(train_cfg.total_steps
+                            // cfg["cross_eval"]["snapshot_points"], 1)
     result = tr_mod.train(train_ds, train_cfg, enc_cfg,
                           modality=cfg["modality"],
                           snapshot_interval=snapshot_interval)

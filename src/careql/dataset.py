@@ -209,6 +209,65 @@ class OfflineDataset:
         return {ep.episode_id: ep.survived for ep in self.episodes}
 
 
+@dataclass(frozen=True)
+class TransitionColumns:
+    """Scalar per-transition columns of a list of episodes, in episode order.
+
+    Row k is one transition; episode i owns the ``lengths[i]`` consecutive
+    rows that start at ``offsets[i]``.
+    """
+
+    action: Array          # (N,) int64 flat action index
+    reward: Array          # (N,) float64
+    done: Array            # (N,) bool, True on each episode's last row
+    behavior_prob: Array   # (N,) float64, nan when unknown
+    state_id: Array        # (N,) int64, -1 when unknown
+    next_state_id: Array   # (N,) int64, -1 when unknown
+    lengths: Array         # (n,) int64 transitions per episode
+
+    @property
+    def offsets(self) -> Array:
+        """Row of each episode's first transition."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @property
+    def episode_index(self) -> Array:
+        return np.repeat(np.arange(self.lengths.shape[0], dtype=np.int64), self.lengths)
+
+    @property
+    def initial_mask(self) -> Array:
+        mask = np.zeros(self.action.shape[0], dtype=bool)
+        mask[self.offsets] = True
+        return mask
+
+    def split(self, rows: Array) -> list[Array]:
+        """Per-transition rows cut into one block per episode."""
+        return np.split(rows, np.cumsum(self.lengths)[:-1])
+
+    def first_episode(self, rows: Array) -> int | None:
+        """Index of the episode that holds the first True row, or None."""
+        return int(self.episode_index[rows.argmax()]) if rows.any() else None
+
+
+def transition_columns(episodes: Sequence[Episode]) -> TransitionColumns:
+    """Flatten the scalar fields of every transition into columns (the flat
+    layout of D4RL, Fu et al. 2020); frames are left out, because their note
+    inputs depend on the note strategy."""
+    trs = [tr for ep in episodes for tr in ep.transitions]
+    return TransitionColumns(
+        action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
+        reward=np.array([tr.reward for tr in trs], dtype=np.float64),
+        done=np.array([tr.done for tr in trs], dtype=bool),
+        behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
+                                for tr in trs], dtype=np.float64),
+        state_id=np.array([-1 if tr.state_id is None else tr.state_id for tr in trs],
+                          dtype=np.int64),
+        next_state_id=np.array([-1 if tr.next_state_id is None else tr.next_state_id
+                                for tr in trs], dtype=np.int64),
+        lengths=np.array([len(ep.transitions) for ep in episodes], dtype=np.int64),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import Episode, N_ACTIONS, OfflineDataset
+from .dataset import Episode, N_ACTIONS, OfflineDataset, transition_columns
 from .netcore import (
     Adam,
     Dense,
@@ -66,26 +66,31 @@ class TabularPolicy:
     def n_actions(self) -> int:
         return self.probs.shape[1]
 
-    def _state_ids(self, episode: Episode) -> Array:
-        ids = [tr.state_id for tr in episode.transitions]
-        ids.append(episode.transitions[-1].next_state_id)
-        if any(s is None for s in ids):
+    @staticmethod
+    def _frame_state_ids(episodes: Sequence[Episode]) -> list[Array]:
+        """Latent state id of every frame, T+1 per episode."""
+        cols = transition_columns(episodes)
+        bad = cols.first_episode((cols.state_id < 0)
+                                 | (cols.done & (cols.next_state_id < 0)))
+        if bad is not None:
             raise OpeError(
-                f"episode {episode.episode_id!r} lacks state ids; tabular "
+                f"episode {episodes[bad].episode_id!r} lacks state ids; tabular "
                 f"policies need synthetic ground truth attached"
             )
-        return np.asarray(ids, dtype=np.int64)
+        ends = np.cumsum(cols.lengths)
+        ids = np.insert(cols.state_id, ends, cols.next_state_id[ends - 1])
+        return np.split(ids, ends[:-1] + np.arange(1, len(episodes)))
 
     def episode_action_probs(self, episode: Episode) -> Array:
-        return self.probs[self._state_ids(episode)[:-1]]
+        return self.episodes_action_probs([episode])[0]
 
     def episodes_action_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        return [self.episode_action_probs(ep) for ep in episodes]
+        return [self.probs[ids[:-1]] for ids in self._frame_state_ids(episodes)]
 
     def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
         """One-hot latent state per frame."""
         one_hot = np.eye(self.probs.shape[0])
-        return [one_hot[self._state_ids(ep)] for ep in episodes]
+        return [one_hot[ids] for ids in self._frame_state_ids(episodes)]
 
 
 class SoftenedPolicy:
@@ -121,18 +126,17 @@ class LoggedBehavior:
     """Behavior probabilities read off the dataset (synthetic data)."""
 
     def episode_logged_probs(self, episode: Episode) -> Array:
-        probs = []
-        for tr in episode.transitions:
-            if tr.behavior_prob is None:
-                raise OpeError(
-                    f"episode {episode.episode_id!r} has no logged behavior "
-                    f"probabilities; fit a behavior model instead"
-                )
-            probs.append(tr.behavior_prob)
-        return np.asarray(probs, dtype=np.float64)
+        return self.episodes_logged_probs([episode])[0]
 
     def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        return [self.episode_logged_probs(ep) for ep in episodes]
+        cols = transition_columns(episodes)
+        bad = cols.first_episode(np.isnan(cols.behavior_prob))
+        if bad is not None:
+            raise OpeError(
+                f"episode {episodes[bad].episode_id!r} has no logged behavior "
+                f"probabilities; fit a behavior model instead"
+            )
+        return cols.split(cols.behavior_prob)
 
 
 @dataclass(frozen=True)
@@ -174,29 +178,18 @@ class FittedBehavior:
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
     def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        dist = self.action_dist(_decision_features(episodes, self._featurizer(episodes)))
-        actions = _logged_actions(episodes)
-        return _split_by_episode(dist[np.arange(actions.shape[0]), actions], episodes)
+        dist = self.action_dist(_decision_features(self._featurizer(episodes)))
+        cols = transition_columns(episodes)
+        return cols.split(dist[np.arange(cols.action.shape[0]), cols.action])
 
 
 def _structured_featurizer(episodes: Sequence[Episode]) -> list[Array]:
     return [np.stack([f.structured for f in ep.frames()]) for ep in episodes]
 
 
-def _decision_features(episodes: Sequence[Episode],
-                       features: Sequence[Array]) -> Array:
-    """Per-frame features cut to the decision frames, stacked over episodes."""
-    return np.concatenate([f[:len(ep)] for ep, f in zip(episodes, features)])
-
-
-def _logged_actions(episodes: Sequence[Episode]) -> Array:
-    return np.array([tr.action.flat for ep in episodes for tr in ep.transitions],
-                    dtype=np.int64)
-
-
-def _split_by_episode(rows: Array, episodes: Sequence[Episode]) -> list[Array]:
-    """Undo the stacking of ``_decision_features``: one block per episode."""
-    return np.split(rows, np.cumsum([len(ep) for ep in episodes])[:-1])
+def _decision_features(features: Sequence[Array]) -> Array:
+    """Per-frame features without each episode's final frame, stacked."""
+    return np.concatenate([f[:-1] for f in features])
 
 
 def fit_behavior(dataset: OfflineDataset, floor: float = 1e-3,
@@ -215,8 +208,8 @@ def fit_behavior(dataset: OfflineDataset, floor: float = 1e-3,
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
     if not eps_list:
         raise OpeError("no episodes to fit a behavior model on")
-    X = _decision_features(eps_list, featurizer(eps_list))
-    y = _logged_actions(eps_list)
+    X = _decision_features(featurizer(eps_list))
+    y = transition_columns(eps_list).action
 
     rng = np.random.default_rng([cfg.seed, 31])
     layers = []
@@ -252,59 +245,61 @@ class _EpisodeStats:
     rewards: Array    # (n, Tmax)
     q_taken: Array    # (n, Tmax)
     v_hat: Array      # (n, Tmax)
-    lengths: Array    # (n,)
     returns: Array    # (n,) discounted
     traj_weight: Array  # (n,)
-    init_value: Array   # (n,) Q-model value of the initial state
     gamma: float
 
 
 def _prepare_stats(episodes: Sequence[Episode], policy, behavior, q_hat,
                    gamma: float) -> _EpisodeStats:
-    n = len(episodes)
-    t_max = max(len(ep.transitions) for ep in episodes)
-    rho = np.ones((n, t_max))
-    rewards = np.zeros((n, t_max))
-    q_taken = np.zeros((n, t_max))
-    v_hat = np.zeros((n, t_max))
-    lengths = np.zeros(n, dtype=np.int64)
-    returns = np.zeros(n)
-    init_value = np.zeros(n)
-    pis = policy.episodes_action_probs(episodes)
-    betas = behavior.episodes_logged_probs(episodes)
-    q_matrices = q_hat.episodes_q_matrix(episodes) if q_hat is not None else None
-    for i, (ep, pi, beta) in enumerate(zip(episodes, pis, betas)):
-        T = len(ep.transitions)
-        lengths[i] = T
-        if (beta <= 0.0).any():
-            raise OpeError(
-                f"episode {ep.episode_id!r}: zero behavior probability on a "
-                f"logged action violates the support assumption"
-            )
-        actions = np.array([tr.action.flat for tr in ep.transitions])
-        ratios = pi[np.arange(T), actions] / beta
-        cum = np.cumprod(ratios)
-        rho[i, :T] = cum
-        rho[i, T:] = cum[-1]
-        r = np.array([tr.reward for tr in ep.transitions])
-        rewards[i, :T] = r
-        returns[i] = float((gamma ** np.arange(T)) @ r)
-        if q_matrices is not None:
-            qm = q_matrices[i]
-            q_taken[i, :T] = qm[np.arange(T), actions]
-            v_hat[i, :T] = (pi * qm).sum(axis=1)
-            init_value[i] = v_hat[i, 0]
+    cols = transition_columns(episodes)
+    pi = np.concatenate(policy.episodes_action_probs(episodes))
+    beta = np.concatenate(behavior.episodes_logged_probs(episodes))
+    bad = cols.first_episode(beta <= 0.0)
+    if bad is not None:
+        raise OpeError(
+            f"episode {episodes[bad].episode_id!r}: zero behavior probability on a "
+            f"logged action violates the support assumption"
+        )
+    rows = np.arange(cols.action.shape[0])
+    n, t_max = len(episodes), int(cols.lengths.max())
+    at = (cols.episode_index, rows - cols.offsets[cols.episode_index])
+
+    def padded(values: Array, fill: float) -> Array:
+        """(n, t_max) per-episode rows, filled past each episode's end."""
+        out = np.full((n, t_max), fill)
+        out[at] = values
+        return out
+
+    # a ratio of 1 past the end freezes rho at the episode's final weight
+    rho = np.cumprod(padded(pi[rows, cols.action] / beta, 1.0), axis=1)
+    rewards = padded(cols.reward, 0.0)
+    q_taken = v_hat = np.zeros((n, t_max))
+    if q_hat is not None:
+        qm = np.concatenate(q_hat.episodes_q_matrix(episodes))
+        q_taken = padded(qm[rows, cols.action], 0.0)
+        v_hat = padded((pi * qm).sum(axis=1), 0.0)
     return _EpisodeStats(rho=rho, rewards=rewards, q_taken=q_taken, v_hat=v_hat,
-                         lengths=lengths, returns=returns,
-                         traj_weight=rho[np.arange(n), lengths - 1],
-                         init_value=init_value, gamma=gamma)
+                         returns=rewards @ (gamma ** np.arange(t_max)),
+                         traj_weight=rho[np.arange(n), cols.lengths - 1], gamma=gamma)
+
+
+def _clipped_weights(stats: _EpisodeStats, idx: Array,
+                     clip_percentile: float | None) -> Array:
+    """Trajectory weights of the episodes at idx, capped at their percentile."""
+    w = stats.traj_weight[idx]
+    if clip_percentile is not None:
+        w = np.minimum(w, np.percentile(w, clip_percentile))
+    return w
+
+
+def _ess(w: Array) -> float:
+    return float(w.sum() ** 2 / np.maximum((w * w).sum(), 1e-300))
 
 
 def _wis_from_stats(stats: _EpisodeStats, idx: Array,
                     clip_percentile: float | None) -> float:
-    w = stats.traj_weight[idx].copy()
-    if clip_percentile is not None:
-        w = np.minimum(w, np.percentile(w, clip_percentile))
+    w = _clipped_weights(stats, idx, clip_percentile)
     total = w.sum()
     if total <= 0.0:
         raise OpeError("all importance weights are zero; the target policy "
@@ -347,13 +342,10 @@ def wis(dataset: OfflineDataset, policy, behavior, gamma: float,
     """
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
     stats = _prepare_stats(eps_list, policy, behavior, None, gamma)
-    w = stats.traj_weight.copy()
-    if clip_percentile is not None:
-        w = np.minimum(w, np.percentile(w, clip_percentile))
-    estimate = _wis_from_stats(stats, np.arange(len(eps_list)), clip_percentile)
-    ess = float(w.sum() ** 2 / np.maximum((w * w).sum(), 1e-300))
-    return WisResult(estimate=estimate, weights=w, returns=stats.returns,
-                     effective_sample_size=ess)
+    idx = np.arange(len(eps_list))
+    w = _clipped_weights(stats, idx, clip_percentile)
+    return WisResult(estimate=_wis_from_stats(stats, idx, clip_percentile),
+                     weights=w, returns=stats.returns, effective_sample_size=_ess(w))
 
 
 def dr(dataset: OfflineDataset, policy, behavior, q_hat, gamma: float,
@@ -382,13 +374,10 @@ class TabularQ:
     q: Array  # (S, A)
 
     def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
-        out = []
-        for ep in episodes:
-            ids = [tr.state_id for tr in ep.transitions]
-            if any(s is None for s in ids):
-                raise OpeError("tabular Q needs state ids on the transitions")
-            out.append(self.q[np.asarray(ids, dtype=np.int64)])
-        return out
+        cols = transition_columns(episodes)
+        if (cols.state_id < 0).any():
+            raise OpeError("tabular Q needs state ids on the transitions")
+        return cols.split(self.q[cols.state_id])
 
 
 @dataclass(frozen=True)
@@ -415,41 +404,29 @@ def fqe_tabular(dataset: OfflineDataset, policy_matrix: Array, gamma: float,
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.shape != (n_states, N_ACTIONS):
         raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    s_arr, a_arr, r_arr, ns_arr, done_arr = [], [], [], [], []
-    for ep in eps_list:
-        for tr in ep.transitions:
-            if tr.state_id is None or tr.next_state_id is None:
-                raise OpeError(f"episode {ep.episode_id!r} lacks state ids")
-            s_arr.append(tr.state_id)
-            a_arr.append(tr.action.flat)
-            r_arr.append(tr.reward)
-            ns_arr.append(tr.next_state_id)
-            done_arr.append(tr.done)
-    s_arr = np.array(s_arr)
-    a_arr = np.array(a_arr)
-    r_arr = np.array(r_arr, dtype=np.float64)
-    ns_arr = np.array(ns_arr)
-    not_done = 1.0 - np.array(done_arr, dtype=np.float64)
+    cols = transition_columns(eps_list)
+    bad = cols.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
+    if bad is not None:
+        raise OpeError(f"episode {eps_list[bad].episode_id!r} lacks state ids")
+    sa = (cols.state_id, cols.action)
+    not_done = 1.0 - cols.done.astype(np.float64)
     counts = np.zeros((n_states, N_ACTIONS))
-    np.add.at(counts, (s_arr, a_arr), 1.0)
+    np.add.at(counts, sa, 1.0)
     safe_counts = np.maximum(counts, 1.0)
 
     q = np.zeros((n_states, N_ACTIONS))
     iterations = 0
     for iterations in range(1, max_iters + 1):
         v = (pi * q).sum(axis=1)
-        targets = r_arr + gamma * not_done * v[ns_arr]
+        targets = cols.reward + gamma * not_done * v[cols.next_state_id]
         q_new = np.zeros_like(q)
-        np.add.at(q_new, (s_arr, a_arr), targets)
+        np.add.at(q_new, sa, targets)
         q_new /= safe_counts
         if np.abs(q_new - q).max() < tol:
             q = q_new
             break
         q = q_new
-    initial = np.array([
-        float(pi[ep.transitions[0].state_id] @ q[ep.transitions[0].state_id])
-        for ep in eps_list
-    ])
+    initial = np.array([float(pi[s] @ q[s]) for s in cols.state_id[cols.offsets]])
     uncovered = int(((counts == 0) & (pi.max(axis=0) > 0)[None, :]).sum())
     return FqeResult(estimate=float(initial.mean()), q_model=TabularQ(q),
                      initial_values=initial, iterations=iterations,
@@ -470,24 +447,12 @@ class _TabularFqeBootstrap:
         self.pi = pi
         self.gamma = gamma
         self.n_states = n_states
-        s, a, r, ns, done, ep_idx, init_state = [], [], [], [], [], [], []
-        for i, ep in enumerate(episodes):
-            init_state.append(ep.transitions[0].state_id)
-            for tr in ep.transitions:
-                s.append(tr.state_id)
-                a.append(tr.action.flat)
-                r.append(tr.reward)
-                ns.append(tr.next_state_id)
-                done.append(tr.done)
-                ep_idx.append(i)
-        self.s = np.array(s)
-        self.a = np.array(a)
-        self.r = np.array(r, dtype=np.float64)
-        self.ns = np.array(ns)
-        self.not_done = 1.0 - np.array(done, dtype=np.float64)
-        self.ep_idx = np.array(ep_idx)
-        self.init_state = np.array(init_state)
-        self.n_episodes = len(episodes)
+        cols = transition_columns(episodes)
+        self.s, self.a, self.r, self.ns = (cols.state_id, cols.action, cols.reward,
+                                           cols.next_state_id)
+        self.not_done = 1.0 - cols.done.astype(np.float64)
+        self.ep_idx = cols.episode_index
+        self.init_state = cols.state_id[cols.offsets]
 
     def estimate(self, episode_multiplicity: Array) -> float:
         w_row = episode_multiplicity[self.ep_idx].astype(np.float64)
@@ -532,8 +497,8 @@ class NetworkQ:
             return self.net(Tensor(np.atleast_2d(features))).data
 
     def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
-        X = _decision_features(episodes, self.policy.episodes_state_features(episodes))
-        return _split_by_episode(self.q_matrix(X), episodes)
+        X = _decision_features(self.policy.episodes_state_features(episodes))
+        return transition_columns(episodes).split(self.q_matrix(X))
 
 
 def fqe_network(dataset: OfflineDataset, policy, gamma: float,
@@ -546,34 +511,15 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
     """
     cfg = cfg or FqeNetConfig()
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    feats, next_feats, pi_next = [], [], []
-    actions, rewards, dones, init_rows = [], [], [], []
-    init_pi = []
-    row = 0
     features = policy.episodes_state_features(eps_list)
-    action_probs = policy.episodes_action_probs(eps_list)
-    for ep, f, pi in zip(eps_list, features, action_probs):
-        T = len(ep.transitions)
-        for t, tr in enumerate(ep.transitions):
-            feats.append(f[t])
-            next_feats.append(f[t + 1])
-            # policy distribution at the successor state; rows for terminal
-            # transitions are masked by (1 - done)
-            pi_next.append(pi[t + 1] if t + 1 < T else np.zeros(N_ACTIONS))
-            actions.append(tr.action.flat)
-            rewards.append(tr.reward)
-            dones.append(tr.done)
-        init_rows.append(row)
-        init_pi.append(pi[0])
-        row += T
-    X = np.stack(feats)
-    X_next = np.stack(next_feats)
-    pi_next = np.stack(pi_next)
-    actions = np.array(actions, dtype=np.int64)
-    rewards = np.array(rewards, dtype=np.float64)
-    not_done = 1.0 - np.array(dones, dtype=np.float64)
-    init_rows = np.array(init_rows, dtype=np.int64)
-    init_pi = np.stack(init_pi)
+    pi = np.concatenate(policy.episodes_action_probs(eps_list))
+    cols = transition_columns(eps_list)
+    X = _decision_features(features)
+    X_next = np.concatenate([f[1:] for f in features])
+    # policy distribution at the successor state; rows for terminal
+    # transitions are masked by (1 - done)
+    pi_next = np.where(cols.done[:, None], 0.0, np.roll(pi, -1, axis=0))
+    not_done = 1.0 - cols.done.astype(np.float64)
 
     rng = np.random.default_rng([cfg.seed, 41])
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
@@ -587,20 +533,20 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
         load_param_values(frozen_net.params(), frozen)
         with no_grad():
             next_q = frozen_net(Tensor(X_next)).data
-        targets = rewards + gamma * not_done * (pi_next * next_q).sum(axis=1)
+        targets = cols.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
         if not np.isfinite(targets).all():
             raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
                            f"non-finite regression targets")
         for _ in range(cfg.steps_per_iteration):
             idx = rng.integers(0, X.shape[0], size=min(cfg.batch_size, X.shape[0]))
-            pred = net(Tensor(X[idx])).pick(actions[idx])
+            pred = net(Tensor(X[idx])).pick(cols.action[idx])
             loss = (pred - Tensor(targets[idx])).square().mean() * 0.5
             loss.backward()
             opt.step()
         frozen = clone_param_values(net.params())
     q_model = NetworkQ(net, policy)
-    q0 = q_model.q_matrix(X[init_rows])
-    initial = (init_pi * q0).sum(axis=1)
+    q0 = q_model.q_matrix(X[cols.offsets])
+    initial = (pi[cols.offsets] * q0).sum(axis=1)
     return FqeResult(estimate=float(initial.mean()), q_model=q_model,
                      initial_values=initial, iterations=cfg.iterations)
 
@@ -748,10 +694,8 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
         raise OpeError("no episodes to evaluate on")
     n = len(eps_list)
 
-    ids_present = all(tr.state_id is not None
-                      for ep in eps_list for tr in ep.transitions)
     fqe_boot = None
-    if policy_table is not None and ids_present:
+    if policy_table is not None and (transition_columns(eps_list).state_id >= 0).all():
         if n_states is None:
             raise OpeError("tabular FQE needs n_states")
         fqe_result = fqe_tabular(dataset, policy_table, cfg.gamma, n_states,
@@ -786,10 +730,7 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
                  ("dr", dr_point, reps[:, 1]),
                  ("fqe", fqe_point, reps[:, 2])])
 
-    w = stats.traj_weight
-    if cfg.clip_percentile is not None:
-        w = np.minimum(w, np.percentile(w, cfg.clip_percentile))
-    ess = float(w.sum() ** 2 / np.maximum((w * w).sum(), 1e-300))
+    ess = _ess(_clipped_weights(stats, full_idx, cfg.clip_percentile))
     ses = {name: float(reps[:, j].std(ddof=1))
            for j, name in enumerate(("wis", "dr", "fqe"))}
     opera_reps = reps @ np.array([agg.weights["wis"], agg.weights["dr"],

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, N_ACTIONS, OfflineDataset
+from .dataset import Episode, N_ACTIONS, OfflineDataset, transition_columns
 from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
     Adam,
@@ -139,23 +139,12 @@ def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
     for name, per_episode in (("f_c", f_c), ("f_e", f_e)):
         cols[name] = np.concatenate([x[:-1] for x in per_episode])
         cols[f"next_{name}"] = np.concatenate([x[1:] for x in per_episode])
-    trs = [tr for ep in eps for tr in ep.transitions]
-    lengths = [len(ep.transitions) for ep in eps]
-    initial = np.zeros(len(trs), dtype=bool)
-    initial[np.cumsum(lengths) - lengths] = True
+    flat = transition_columns(eps)
     return TransitionTable(
-        **cols,
-        action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
-        reward=np.array([tr.reward for tr in trs], dtype=np.float64),
-        done=np.array([tr.done for tr in trs], dtype=bool),
-        behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
-                                for tr in trs], dtype=np.float64),
-        episode_index=np.repeat(np.arange(len(eps), dtype=np.int64), lengths),
-        state_id=np.array([-1 if tr.state_id is None else tr.state_id for tr in trs],
-                          dtype=np.int64),
-        next_state_id=np.array([-1 if tr.next_state_id is None else tr.next_state_id
-                                for tr in trs], dtype=np.int64),
-        initial_mask=initial,
+        **cols, action=flat.action, reward=flat.reward, done=flat.done,
+        behavior_prob=flat.behavior_prob, episode_index=flat.episode_index,
+        state_id=flat.state_id, next_state_id=flat.next_state_id,
+        initial_mask=flat.initial_mask,
     )
 
 
@@ -343,7 +332,7 @@ class LearnedPolicy:
             return [], []
         inputs = [self.episode_inputs(ep) for ep in episodes]
         structured, f_c, f_e = (np.concatenate(column) for column in zip(*inputs))
-        ends = np.cumsum([len(ep.transitions) + 1 for ep in episodes])
+        ends = np.cumsum(transition_columns(episodes).lengths + 1)
         decision = np.ones(ends[-1], dtype=bool)
         decision[ends - 1] = False      # the final frame of an episode has no decision
         with no_grad():
@@ -477,6 +466,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     load_param_values(target.params(), clone_param_values(model.params()))
 
     trainable = dict(model.qnet.params()) if cfg.freeze_encoders else model.params()
+    for key, p in model.params().items():   # a frozen encoder stays off the tape
+        p.requires_grad = key in trainable
     opt = Adam(trainable, lr=cfg.learning_rate, grad_clip=cfg.grad_clip)
 
     classifier = None

@@ -336,6 +336,21 @@ TRAIN_CONFIG_FAULTS = {
     "gamma_string": ("train.gamma", "x"),
     "cql_alpha_boolean": ("train.cql_alpha", True),
     "bdesr_p_string": ("bdesr.p", "x"),
+    "behavior_floor_too_large": ("ope.behavior_floor", 0.5),
+    "behavior_floor_zero": ("ope.behavior_floor", 0.0),
+    "fqe_width_string": ("ope.fqe_width", "x"),
+    "behavior_fit_steps_string": ("ope.behavior_fit_steps", "x"),
+    "fqe_iterations_zero": ("ope.fqe_iterations", 0),
+    "fqe_steps_boolean": ("ope.fqe_steps", True),
+    "fqe_depth_negative": ("ope.fqe_depth", -1),
+    "total_steps_boolean": ("train.total_steps", True),
+    "batch_size_boolean": ("train.batch_size", True),
+    "n_episodes_boolean": ("dataset.synth.n_episodes", True),
+    "synth_seed_negative": ("dataset.synth.seed", -1),
+    "encoder_depth_boolean": ("encoder.depth", False),
+    "snapshot_points_zero": ("cross_eval.snapshot_points", 0),
+    "seeds_boolean": ("seeds", [True]),
+    "windows_boolean": ("ablate.windows", [True]),
 }
 
 

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from careql.dataset import (
     ActionIndex,
@@ -17,6 +20,7 @@ from careql.dataset import (
     export,
     ingest,
     normalize,
+    transition_columns,
 )
 
 EDGES = (0.5, 1.5, 2.5, 3.5)
@@ -284,3 +288,69 @@ class TestIngestExport:
             fh.write(json.dumps(note) + "\n")
         with pytest.raises(DatasetError, match="unknown frame"):
             ingest(paths["structured"], paths["notes"], paths["manifest"])
+
+
+def per_transition_columns(episodes):
+    """Reference for ``transition_columns``: one Python loop per transition."""
+    rows = {name: [] for name in ("action", "reward", "done", "behavior_prob",
+                                  "state_id", "next_state_id", "episode_index",
+                                  "initial_mask")}
+    for i, ep in enumerate(episodes):
+        for t, tr in enumerate(ep.transitions):
+            rows["action"].append(tr.action.flat)
+            rows["reward"].append(tr.reward)
+            rows["done"].append(tr.done)
+            rows["behavior_prob"].append(np.nan if tr.behavior_prob is None
+                                         else tr.behavior_prob)
+            rows["state_id"].append(-1 if tr.state_id is None else tr.state_id)
+            rows["next_state_id"].append(-1 if tr.next_state_id is None
+                                         else tr.next_state_id)
+            rows["episode_index"].append(i)
+            rows["initial_mask"].append(t == 0)
+    dtypes = {"reward": np.float64, "behavior_prob": np.float64, "done": bool,
+              "initial_mask": bool}
+    out = {name: np.array(values, dtype=dtypes.get(name, np.int64))
+           for name, values in rows.items()}
+    out["lengths"] = np.array([len(ep.transitions) for ep in episodes], dtype=np.int64)
+    out["offsets"] = np.array([sum(len(e.transitions) for e in episodes[:i])
+                               for i in range(len(episodes))], dtype=np.int64)
+    return out
+
+
+@st.composite
+def logged_episodes(draw):
+    """Episodes of random lengths; probs and state ids missing on random ones."""
+    episodes = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 5))
+        flats = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
+        probs = draw(st.none() | st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+        states = draw(st.none() | st.lists(st.integers(0, 30), min_size=n + 1,
+                                           max_size=n + 1))
+        ep = make_episode([[float(t)] for t in range(n + 1)], survived=draw(st.booleans()),
+                          ep_id=f"ep{i}", actions=[ActionIndex.from_flat(f) for f in flats])
+        episodes.append(replace(ep, transitions=tuple(
+            replace(tr, behavior_prob=None if probs is None else probs[t],
+                    state_id=None if states is None else states[t],
+                    next_state_id=None if states is None else states[t + 1])
+            for t, tr in enumerate(ep.transitions))))
+    return episodes
+
+
+class TestTransitionColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(logged_episodes())
+    def test_equals_per_transition_reference(self, episodes):
+        cols = transition_columns(episodes)
+        for name, expected in per_transition_columns(episodes).items():
+            got = getattr(cols, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+        rows = np.arange(cols.action.shape[0])
+        blocks = cols.split(rows)
+        assert [b.tolist() for b in blocks] == [
+            list(range(o, o + n)) for o, n in zip(cols.offsets, cols.lengths)]
+        missing = np.isnan(cols.behavior_prob)
+        first = next((i for i, ep in enumerate(episodes)
+                      if any(tr.behavior_prob is None for tr in ep.transitions)), None)
+        assert cols.first_episode(missing) == first

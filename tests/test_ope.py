@@ -363,3 +363,43 @@ class TestEvaluatePolicy:
                                  episodes=list(dataset.episodes[:300]))
         assert report.fqe_mode == "network"
         assert np.isfinite(report.opera)
+
+
+def strip(episode, **fields):
+    """The episode with the given transition fields set on every transition."""
+    from dataclasses import replace
+
+    return replace(episode, transitions=tuple(replace(tr, **fields)
+                                              for tr in episode.transitions))
+
+
+class TestMissingDataNamesEpisode:
+    """Each error names the first episode, in order, that lacks the data."""
+
+    def test_logged_behavior_without_probs(self, synth):
+        _, _, dataset, _, _ = synth
+        eps = list(dataset.episodes[:4])
+        eps[1], eps[3] = strip(eps[1], behavior_prob=None), strip(eps[3], behavior_prob=None)
+        with pytest.raises(OpeError, match=f"episode {eps[1].episode_id!r} has no logged"):
+            LoggedBehavior().episodes_logged_probs(eps)
+
+    def test_fqe_tabular_without_state_ids(self, synth):
+        mdp, _, dataset, target, _ = synth
+        eps = list(dataset.episodes[:4])
+        eps[2] = strip(eps[2], next_state_id=None)
+        eps[3] = strip(eps[3], state_id=None)
+        with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r} lacks state ids"):
+            fqe_tabular(dataset, target.probs, GAMMA, mdp.n_states, episodes=eps)
+
+    def test_zero_behavior_probability(self, synth):
+        _, _, dataset, target, _ = synth
+        eps = list(dataset.episodes[:4])
+
+        class ZeroOnLaterEpisodes:
+            def episodes_logged_probs(self, episodes):
+                probs = LoggedBehavior().episodes_logged_probs(episodes)
+                return [p if i < 2 else np.where(np.arange(len(p)) == len(p) - 1, 0.0, p)
+                        for i, p in enumerate(probs)]
+
+        with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):
+            wis(dataset, target, ZeroOnLaterEpisodes(), GAMMA, episodes=eps)

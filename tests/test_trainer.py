@@ -299,6 +299,22 @@ class TestTrain:
         for key in enc_after:
             assert np.array_equal(enc_after[key], enc_init[key]), key
 
+    def test_frozen_encoder_gets_no_gradient(self, monkeypatch):
+        import careql.trainer as trainer_mod
+
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        zeroed = []
+        real_zero_grads = trainer_mod.zero_grads
+
+        def spy(params):
+            zeroed.append(sum(float(np.abs(p.grad).sum()) for key, p in params.items()
+                              if key.startswith("state.") and p.grad is not None))
+            real_zero_grads(params)
+
+        monkeypatch.setattr(trainer_mod, "zero_grads", spy)
+        train(ds, quick_train_cfg(total_steps=3, freeze_encoders=True), enc_cfg)
+        assert zeroed == [0.0, 0.0, 0.0]
+
     def test_validation_fqe_selection_logs_values(self):
         cfg_gen = GeneratorConfig(n_severity=3, n_context=1, n_features=6,
                                   d_n=4, min_gap=0.0, gamma=0.9)
