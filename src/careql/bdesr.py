@@ -7,9 +7,11 @@ high-discrepancy extremes of the score distribution, and compares survival
 rates between the two cohorts. A policy trained in a beneficial direction
 shows a higher survival rate in the low-discrepancy cohort.
 
-The policy is duck-typed: ``episodes_greedy_actions(episodes)`` returns the
-recommended flat action indices, one (T,) array per episode, so a learned
-policy scores a whole dataset in one batched forward.
+The policy is duck-typed: ``greedy_rows(episodes)`` returns one flat array
+of recommended flat action indices, one per transition in the order of
+``dataset.transition_columns``. A learned policy answers for a whole
+dataset in one batched forward, the episodes are flattened once, and each
+episode's gaps are summed from those two arrays.
 """
 
 from __future__ import annotations
@@ -72,12 +74,10 @@ def _score(episodes: Sequence[Episode], policy, alpha: float,
     if not episodes:
         return []
     cols = transition_columns(episodes)
-    recommended = [np.asarray(r, dtype=np.int64)
-                   for r in policy.episodes_greedy_actions(episodes)]
-    for rec, T in zip(recommended, cols.lengths):
-        if rec.shape[0] != T:
-            raise BdesrError(f"policy returned {rec.shape[0]} actions for {T} decisions")
-    rec = np.concatenate(recommended)
+    rec = np.asarray(policy.greedy_rows(episodes), dtype=np.int64)
+    if rec.shape != cols.action.shape:
+        raise BdesrError(f"policy returned actions of shape {rec.shape} for "
+                         f"{cols.action.shape[0]} decisions")
     out_of_range = (rec < 0) | (rec >= N_ACTIONS)
     if out_of_range.any():
         raise DatasetError(f"flat action must be in [0, {N_ACTIONS - 1}], "

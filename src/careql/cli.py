@@ -32,7 +32,7 @@ from . import ope as ope_mod
 from . import synthgym as gym_mod
 from . import trainer as tr_mod
 from .encoder import EncoderConfig, NoteStrategy
-from .netcore import NonFiniteGradientError
+from .netcore import NonFiniteGradientError, load_param_values
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -288,13 +288,21 @@ def _train_config(cfg: dict, seed: int, algorithm: str | None = None,
 def _ope_config(cfg: dict, seed: int) -> ope_mod.OpeConfig:
     o = cfg["ope"]
     return ope_mod.OpeConfig(
-        gamma=o["gamma"], n_bootstrap=o["n_bootstrap"], eps_soft=o["eps_soft"],
+        gamma=o["gamma"], n_bootstrap=o["n_bootstrap"],
         clip_percentile=o["clip_percentile"], seed=seed,
         fqe=ope_mod.FqeNetConfig(iterations=o["fqe_iterations"],
                                  steps_per_iteration=o["fqe_steps"],
                                  width=o["fqe_width"], depth=o["fqe_depth"],
                                  seed=seed),
     )
+
+
+def _seed(args, default: int) -> int:
+    """The --seed flag, or ``default`` when it is absent."""
+    if args.seed is None:
+        return default
+    _check(args.seed >= 0, "--seed", "expected an integer >= 0")
+    return args.seed
 
 
 def _out_dir(args, command: str) -> Path:
@@ -388,7 +396,7 @@ def _synth_rollout(cfg: dict, seed: int):
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["dataset"]["synth"]["seed"]
+    seed = _seed(args, cfg["dataset"]["synth"]["seed"])
     out = _out_dir(args, "synth")
     mdp, behavior, dataset = _synth_rollout(cfg, seed)
     paths = ds_mod.export(dataset, out)
@@ -418,7 +426,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args, cfg["seed"])
     out = _out_dir(args, "train")
     dataset, _ = _load_bundle(args.data, cfg)
     enc_cfg = _encoder_config(cfg, dataset)
@@ -470,7 +478,7 @@ def _write_residuals(out: Path, policy, dataset, gamma: float) -> None:
 
 def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args, cfg["seed"])
     out = _out_dir(args, "eval")
     dataset, _ = _load_bundle(args.data, cfg)
     policy = _load_policy(args.checkpoint)
@@ -561,7 +569,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_cross_eval(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args, cfg["seed"])
     out = _out_dir(args, "cross_eval")
     train_ds_raw, _ = _read_cohort(args.train_data)
     eval_ds_raw, _ = _read_cohort(args.eval_data)
@@ -588,20 +596,18 @@ def cmd_cross_eval(args) -> int:
     _write_ope_outputs(out, report, variant="cross")
     _write_residuals(out, result.policy, eval_ds, cfg["ope"]["gamma"])
 
-    # DR across training iterations on the evaluation cohort
+    # DR across training iterations on the evaluation cohort, one batch each
     behavior = _behavior_model(cfg, eval_ds, seed)
+    gamma = cfg["ope"]["gamma"]
     curve_lines = ["step,dr"]
-    from .netcore import load_param_values
     for step, values in result.snapshots:
         load_param_values(result.policy.all_params(),
                           {k: v for k, v in values.items()
                            if k in result.policy.all_params()})
         target = ope_mod.soften(result.policy, cfg["ope"]["eps_soft"])
-        fqe_res = ope_mod.fqe_network(eval_ds, target, cfg["ope"]["gamma"],
-                                      _ope_config(cfg, seed).fqe,
-                                      episodes=episodes)
-        point = ope_mod.dr(eval_ds, target, behavior, fqe_res.q_model,
-                           cfg["ope"]["gamma"], episodes=episodes)
+        batch = ope_mod.eval_batch(eval_ds, target, behavior, episodes=episodes)
+        fqe_res = ope_mod.fqe_network(batch, target, gamma, _ope_config(cfg, seed).fqe)
+        point = ope_mod.dr(batch, target, behavior, fqe_res.q_model, gamma)
         curve_lines.append(f"{step},{point!r}")
     (out / "dr_curve.csv").write_text("\n".join(curve_lines) + "\n",
                                       encoding="utf-8")

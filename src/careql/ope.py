@@ -7,28 +7,38 @@ and a convex aggregate of the three whose weights minimize the
 bootstrap-estimated MSE (OPERA). Greedy policies must be softened (see
 ``soften``) before evaluation so importance ratios stay well-defined.
 
-Target policies, behavior models and Q-models are duck-typed and answer for
-a list of episodes at once, so a learned policy runs one batched forward per
-call instead of one per episode. Each method returns one array per episode,
-in order:
+Every estimator reads one ``EvalBatch``, a fixed set of logged arrays in
+the sense of Voloshin et al. (2021): the episodes' transition columns
+(``dataset.transition_columns``), the target policy's state features at
+every frame and action distribution at every decision, and the behavior
+probability of every logged action. ``eval_batch`` flattens the episodes
+once and asks each model once; ``evaluate_policy`` builds one batch and runs
+every estimator on it. The public estimators take a dataset (and
+optionally some of its episodes) and build the batch, or take a batch in
+the dataset's place, and then read no other argument the batch holds.
 
-- target policy: ``episodes_action_probs(episodes)`` -> (T, A) each, and
-  ``episodes_state_features(episodes)`` -> (T+1, dim) each, for value
-  fitting;
-- behavior model: ``episodes_logged_probs(episodes)`` -> (T,) each, read off
-  the logged ``behavior_prob`` fields or a fitted 25-way classifier
+Target policies, behavior models and Q-models are duck-typed and answer
+with flat arrays, never one array per episode. Decision rows are the N
+transitions in the order of ``TransitionColumns``; frame rows are each
+episode's T + 1 frames, episode after episode:
+
+- target policy: ``evaluation_rows(episodes, cols)`` -> (state features
+  per frame row, action probabilities (N, A));
+- behavior model: ``logged_probs(episodes, cols)`` -> (N,), read off the
+  logged ``behavior_prob`` fields or a fitted 25-way classifier
   (``fit_behavior``);
-- Q-model: ``episodes_q_matrix(episodes)`` -> (T, A) each.
+- Q-model: ``q_rows(batch)`` -> (N, A).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, N_ACTIONS, OfflineDataset, transition_columns
+from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
+                      transition_columns)
 from .netcore import (
     Adam,
     Dense,
@@ -47,6 +57,58 @@ class OpeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# The evaluation batch
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EvalBatch:
+    """The arrays every estimator of one evaluation reads, built once."""
+
+    episodes: tuple[Episode, ...]
+    cols: TransitionColumns
+    features: Array      # (N + n, dim) target policy's state features per frame
+    pi: Array            # (N, A) target action probabilities per decision
+    beta: Array | None   # (N,) behavior probability of each logged action
+
+    @property
+    def decision_frame(self) -> Array:
+        """Frame row of each decision row: each earlier episode's final frame,
+        which has no decision, shifts it by one."""
+        return np.arange(self.cols.action.shape[0]) + self.cols.episode_index
+
+    @property
+    def decision_features(self) -> Array:
+        return self.features[self.decision_frame]
+
+    @property
+    def next_features(self) -> Array:
+        return self.features[self.decision_frame + 1]
+
+
+def _columns(data: OfflineDataset | EvalBatch, episodes: Sequence[Episode] | None
+             ) -> tuple[tuple[Episode, ...], TransitionColumns]:
+    if isinstance(data, EvalBatch):
+        return data.episodes, data.cols
+    eps = tuple(data.episodes if episodes is None else episodes)
+    if not eps:
+        raise OpeError("no episodes to evaluate on")
+    return eps, transition_columns(eps)
+
+
+def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None,
+               episodes: Sequence[Episode] | None = None) -> EvalBatch:
+    """The batch of ``episodes`` (default: all of ``data``'s) under a target
+    policy and, when given, a behavior model; a batch passes through."""
+    if isinstance(data, EvalBatch):
+        return data
+    eps, cols = _columns(data, episodes)
+    features, pi = policy.evaluation_rows(eps, cols)
+    beta = None if behavior is None else behavior.logged_probs(eps, cols)
+    return EvalBatch(eps, cols, features, pi, beta)
+
+
+# ---------------------------------------------------------------------------
 # Target policies
 # ---------------------------------------------------------------------------
 
@@ -62,14 +124,9 @@ class TabularPolicy:
         if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-8 or self.probs.min() < 0:
             raise OpeError("policy rows must be distributions")
 
-    @property
-    def n_actions(self) -> int:
-        return self.probs.shape[1]
-
-    @staticmethod
-    def _frame_state_ids(episodes: Sequence[Episode]) -> list[Array]:
-        """Latent state id of every frame, T+1 per episode."""
-        cols = transition_columns(episodes)
+    def evaluation_rows(self, episodes: Sequence[Episode],
+                        cols: TransitionColumns) -> tuple[Array, Array]:
+        """One-hot latent state per frame, and the policy's row per decision."""
         bad = cols.first_episode((cols.state_id < 0)
                                  | (cols.done & (cols.next_state_id < 0)))
         if bad is not None:
@@ -78,43 +135,17 @@ class TabularPolicy:
                 f"policies need synthetic ground truth attached"
             )
         ends = np.cumsum(cols.lengths)
-        ids = np.insert(cols.state_id, ends, cols.next_state_id[ends - 1])
-        return np.split(ids, ends[:-1] + np.arange(1, len(episodes)))
-
-    def episode_action_probs(self, episode: Episode) -> Array:
-        return self.episodes_action_probs([episode])[0]
-
-    def episodes_action_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        return [self.probs[ids[:-1]] for ids in self._frame_state_ids(episodes)]
-
-    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
-        """One-hot latent state per frame."""
-        one_hot = np.eye(self.probs.shape[0])
-        return [one_hot[ids] for ids in self._frame_state_ids(episodes)]
+        frame_ids = np.insert(cols.state_id, ends, cols.next_state_id[ends - 1])
+        return np.eye(self.probs.shape[0])[frame_ids], self.probs[cols.state_id]
 
 
-class SoftenedPolicy:
-    """Eps-soft wrapper around a greedy learned policy."""
-
-    def __init__(self, policy, eps: float = 0.01):
-        if not (0.0 < eps < 1.0):
-            raise OpeError(f"eps must be in (0, 1), got {eps}")
-        self.policy = policy
-        self.eps = eps
-
-    @property
-    def n_actions(self) -> int:
-        return self.policy.n_actions
-
-    def episodes_action_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        return self.policy.episodes_action_probs(episodes, eps=self.eps)
-
-    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
-        return self.policy.episodes_state_features(episodes)
-
-
-def soften(policy, eps: float = 0.01) -> SoftenedPolicy:
-    return SoftenedPolicy(policy, eps)
+def soften(policy, eps: float = 0.01):
+    """A copy of a greedy policy dataclass (``trainer.LearnedPolicy``) with
+    ``eps`` spread evenly over the non-greedy actions, so every logged action
+    keeps a nonzero target probability."""
+    if not (0.0 < eps < 1.0):
+        raise OpeError(f"eps must be in (0, 1), got {eps}")
+    return replace(policy, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +156,14 @@ def soften(policy, eps: float = 0.01) -> SoftenedPolicy:
 class LoggedBehavior:
     """Behavior probabilities read off the dataset (synthetic data)."""
 
-    def episode_logged_probs(self, episode: Episode) -> Array:
-        return self.episodes_logged_probs([episode])[0]
-
-    def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        cols = transition_columns(episodes)
+    def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:
         bad = cols.first_episode(np.isnan(cols.behavior_prob))
         if bad is not None:
             raise OpeError(
                 f"episode {episodes[bad].episode_id!r} has no logged behavior "
                 f"probabilities; fit a behavior model instead"
             )
-        return cols.split(cols.behavior_prob)
+        return cols.behavior_prob
 
 
 @dataclass(frozen=True)
@@ -145,7 +172,6 @@ class BehaviorFitConfig:
     steps: int = 2000
     batch_size: int = 512
     learning_rate: float = 1e-2
-    hidden_width: int = 0      # 0 = linear softmax
     seed: int = 0
 
     def __post_init__(self):
@@ -154,84 +180,55 @@ class BehaviorFitConfig:
 
 
 class FittedBehavior:
-    """25-way softmax classifier over per-step features, probability-floored.
+    """25-way linear softmax over the structured features, probability-floored.
 
     Probabilities are mixed with the uniform distribution so that every
     action keeps at least ``floor`` mass after renormalization.
     """
 
-    def __init__(self, layers: list[Dense], floor: float,
-                 featurizer: Callable[[Sequence[Episode]], list[Array]]):
-        self._layers = layers
+    def __init__(self, layer: Dense, floor: float):
+        self._layer = layer
         self.floor = floor
-        self._featurizer = featurizer
 
     def action_dist(self, features: Array) -> Array:
         with no_grad():
-            h = Tensor(np.atleast_2d(features))
-            for layer in self._layers[:-1]:
-                h = layer(h).relu()
-            logits = self._layers[-1](h).data
+            logits = self._layer(Tensor(np.atleast_2d(features))).data
         logits = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         p = e / e.sum(axis=1, keepdims=True)
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
-    def episodes_logged_probs(self, episodes: Sequence[Episode]) -> list[Array]:
-        dist = self.action_dist(_decision_features(self._featurizer(episodes)))
-        cols = transition_columns(episodes)
-        return cols.split(dist[np.arange(cols.action.shape[0]), cols.action])
+    def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:
+        dist = self.action_dist(_decision_structured(episodes))
+        return dist[np.arange(cols.action.shape[0]), cols.action]
 
 
-def _structured_featurizer(episodes: Sequence[Episode]) -> list[Array]:
-    return [np.stack([f.structured for f in ep.frames()]) for ep in episodes]
+def _decision_structured(episodes: Sequence[Episode]) -> Array:
+    """Structured features of every frame that has a decision, stacked."""
+    return np.stack([f.structured for ep in episodes for f in ep.frames()[:-1]])
 
 
-def _decision_features(features: Sequence[Array]) -> Array:
-    """Per-frame features without each episode's final frame, stacked."""
-    return np.concatenate([f[:-1] for f in features])
-
-
-def fit_behavior(dataset: OfflineDataset, floor: float = 1e-3,
-                 cfg: BehaviorFitConfig | None = None,
-                 featurizer: Callable[[Sequence[Episode]], list[Array]] | None = None,
+def fit_behavior(dataset: OfflineDataset, cfg: BehaviorFitConfig | None = None,
                  episodes: Sequence[Episode] | None = None) -> FittedBehavior:
-    """Fit the logging policy as a floored softmax classifier.
-
-    Features default to the raw structured vector; pass ``featurizer`` (e.g.
-    a learned policy's episodes_state_features) to fit on fused states. The
-    ``floor`` argument is ignored when an explicit cfg is given.
-    """
-    if cfg is None:
-        cfg = BehaviorFitConfig(floor=floor)
-    featurizer = featurizer or _structured_featurizer
+    """Fit the logging policy as a floored softmax classifier on the raw
+    structured vector of each decision's frame."""
+    cfg = cfg or BehaviorFitConfig()
     eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
     if not eps_list:
         raise OpeError("no episodes to fit a behavior model on")
-    X = _decision_features(featurizer(eps_list))
+    X = _decision_structured(eps_list)
     y = transition_columns(eps_list).action
 
     rng = np.random.default_rng([cfg.seed, 31])
-    layers = []
-    d_in = X.shape[1]
-    if cfg.hidden_width > 0:
-        layers.append(Dense(d_in, cfg.hidden_width, rng, "behavior.hidden"))
-        d_in = cfg.hidden_width
-    layers.append(Dense(d_in, N_ACTIONS, rng, "behavior.out"))
-    params = {}
-    for layer in layers:
-        params.update(layer.params())
-    opt = Adam(params, lr=cfg.learning_rate)
+    layer = Dense(X.shape[1], N_ACTIONS, rng, "behavior.out")
+    opt = Adam(layer.params(), lr=cfg.learning_rate)
     for _ in range(cfg.steps):
         idx = rng.integers(0, X.shape[0], size=min(cfg.batch_size, X.shape[0]))
-        h = Tensor(X[idx])
-        for layer in layers[:-1]:
-            h = layer(h).relu()
-        logits = layers[-1](h)
+        logits = layer(Tensor(X[idx]))
         loss = (logits.logsumexp(axis=1) - logits.pick(y[idx])).mean()
         loss.backward()
         opt.step()
-    return FittedBehavior(layers, cfg.floor, featurizer)
+    return FittedBehavior(layer, cfg.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +247,18 @@ class _EpisodeStats:
     gamma: float
 
 
-def _prepare_stats(episodes: Sequence[Episode], policy, behavior, q_hat,
-                   gamma: float) -> _EpisodeStats:
-    cols = transition_columns(episodes)
-    pi = np.concatenate(policy.episodes_action_probs(episodes))
-    beta = np.concatenate(behavior.episodes_logged_probs(episodes))
-    bad = cols.first_episode(beta <= 0.0)
+def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
+    cols, pi = batch.cols, batch.pi
+    if batch.beta is None:
+        raise OpeError("importance weights need a batch built with a behavior model")
+    bad = cols.first_episode(batch.beta <= 0.0)
     if bad is not None:
         raise OpeError(
-            f"episode {episodes[bad].episode_id!r}: zero behavior probability on a "
-            f"logged action violates the support assumption"
+            f"episode {batch.episodes[bad].episode_id!r}: zero behavior probability "
+            f"on a logged action violates the support assumption"
         )
     rows = np.arange(cols.action.shape[0])
-    n, t_max = len(episodes), int(cols.lengths.max())
+    n, t_max = len(batch.episodes), int(cols.lengths.max())
     at = (cols.episode_index, rows - cols.offsets[cols.episode_index])
 
     def padded(values: Array, fill: float) -> Array:
@@ -272,11 +268,11 @@ def _prepare_stats(episodes: Sequence[Episode], policy, behavior, q_hat,
         return out
 
     # a ratio of 1 past the end freezes rho at the episode's final weight
-    rho = np.cumprod(padded(pi[rows, cols.action] / beta, 1.0), axis=1)
+    rho = np.cumprod(padded(pi[rows, cols.action] / batch.beta, 1.0), axis=1)
     rewards = padded(cols.reward, 0.0)
     q_taken = v_hat = np.zeros((n, t_max))
     if q_hat is not None:
-        qm = np.concatenate(q_hat.episodes_q_matrix(episodes))
+        qm = q_hat.q_rows(batch)
         q_taken = padded(qm[rows, cols.action], 0.0)
         v_hat = padded((pi * qm).sum(axis=1), 0.0)
     return _EpisodeStats(rho=rho, rewards=rewards, q_taken=q_taken, v_hat=v_hat,
@@ -332,7 +328,7 @@ class WisResult:
     effective_sample_size: float
 
 
-def wis(dataset: OfflineDataset, policy, behavior, gamma: float,
+def wis(dataset: OfflineDataset | EvalBatch, policy, behavior, gamma: float,
         clip_percentile: float | None = None,
         episodes: Sequence[Episode] | None = None) -> WisResult:
     """Self-normalized trajectory-weighted return estimate.
@@ -340,15 +336,14 @@ def wis(dataset: OfflineDataset, policy, behavior, gamma: float,
     A convex combination of logged episode returns, so the estimate always
     lies between the smallest and largest observed return.
     """
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    stats = _prepare_stats(eps_list, policy, behavior, None, gamma)
-    idx = np.arange(len(eps_list))
+    stats = _prepare_stats(eval_batch(dataset, policy, behavior, episodes), None, gamma)
+    idx = np.arange(stats.returns.shape[0])
     w = _clipped_weights(stats, idx, clip_percentile)
     return WisResult(estimate=_wis_from_stats(stats, idx, clip_percentile),
                      weights=w, returns=stats.returns, effective_sample_size=_ess(w))
 
 
-def dr(dataset: OfflineDataset, policy, behavior, q_hat, gamma: float,
+def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: float,
        episodes: Sequence[Episode] | None = None) -> float:
     """Weighted (self-normalized) per-decision doubly robust estimate.
 
@@ -357,9 +352,8 @@ def dr(dataset: OfflineDataset, policy, behavior, q_hat, gamma: float,
     deterministic process the correction terms telescope and the estimate
     equals the model's initial-state value.
     """
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    stats = _prepare_stats(eps_list, policy, behavior, q_hat, gamma)
-    return _wdr_from_stats(stats, np.arange(len(eps_list)))
+    stats = _prepare_stats(eval_batch(dataset, policy, behavior, episodes), q_hat, gamma)
+    return _wdr_from_stats(stats, np.arange(stats.returns.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +363,15 @@ def dr(dataset: OfflineDataset, policy, behavior, q_hat, gamma: float,
 
 @dataclass(frozen=True)
 class TabularQ:
-    """Q-table over latent state ids, rowed out per episode on demand."""
+    """Q-table over latent state ids."""
 
     q: Array  # (S, A)
 
-    def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
-        cols = transition_columns(episodes)
-        if (cols.state_id < 0).any():
+    def q_rows(self, batch: EvalBatch) -> Array:
+        state_id = batch.cols.state_id
+        if (state_id < 0).any():
             raise OpeError("tabular Q needs state ids on the transitions")
-        return cols.split(self.q[cols.state_id])
+        return self.q[state_id]
 
 
 @dataclass(frozen=True)
@@ -389,7 +383,7 @@ class FqeResult:
     uncovered_pairs: int = 0
 
 
-def fqe_tabular(dataset: OfflineDataset, policy_matrix: Array, gamma: float,
+def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma: float,
                 n_states: int, tol: float = 1e-10, max_iters: int = 100_000,
                 episodes: Sequence[Episode] | None = None) -> FqeResult:
     """Exact tabular FQE: iterate the empirical Bellman operator to a fixed
@@ -400,11 +394,10 @@ def fqe_tabular(dataset: OfflineDataset, policy_matrix: Array, gamma: float,
     DP solution of the empirical model. Pairs never observed keep Q = 0 and
     are counted in ``uncovered_pairs``.
     """
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.shape != (n_states, N_ACTIONS):
         raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    cols = transition_columns(eps_list)
+    eps_list, cols = _columns(dataset, episodes)
     bad = cols.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
     if bad is not None:
         raise OpeError(f"episode {eps_list[bad].episode_id!r} lacks state ids")
@@ -442,12 +435,11 @@ class _TabularFqeBootstrap:
     the FQE bootstrap (initial-state resampling alone badly understates it).
     """
 
-    def __init__(self, episodes: Sequence[Episode], pi: Array, gamma: float,
+    def __init__(self, cols: TransitionColumns, pi: Array, gamma: float,
                  n_states: int):
         self.pi = pi
         self.gamma = gamma
         self.n_states = n_states
-        cols = transition_columns(episodes)
         self.s, self.a, self.r, self.ns = (cols.state_id, cols.action, cols.reward,
                                            cols.next_state_id)
         self.not_done = 1.0 - cols.done.astype(np.float64)
@@ -488,20 +480,18 @@ class FqeNetConfig:
 class NetworkQ:
     """Fitted Q-network over the target policy's state features."""
 
-    def __init__(self, net: DuelingQNetwork, policy):
+    def __init__(self, net: DuelingQNetwork):
         self.net = net
-        self.policy = policy
 
     def q_matrix(self, features: Array) -> Array:
         with no_grad():
             return self.net(Tensor(np.atleast_2d(features))).data
 
-    def episodes_q_matrix(self, episodes: Sequence[Episode]) -> list[Array]:
-        X = _decision_features(self.policy.episodes_state_features(episodes))
-        return transition_columns(episodes).split(self.q_matrix(X))
+    def q_rows(self, batch: EvalBatch) -> Array:
+        return self.q_matrix(batch.decision_features)
 
 
-def fqe_network(dataset: OfflineDataset, policy, gamma: float,
+def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
                 cfg: FqeNetConfig | None = None,
                 episodes: Sequence[Episode] | None = None) -> FqeResult:
     """Iterated Q regression on the policy's state features.
@@ -510,12 +500,9 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
     (s', a) onto Q_{k+1}(s, a) with a frozen Q_k; diverging values abort.
     """
     cfg = cfg or FqeNetConfig()
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    features = policy.episodes_state_features(eps_list)
-    pi = np.concatenate(policy.episodes_action_probs(eps_list))
-    cols = transition_columns(eps_list)
-    X = _decision_features(features)
-    X_next = np.concatenate([f[1:] for f in features])
+    batch = eval_batch(dataset, policy, episodes=episodes)
+    cols, pi = batch.cols, batch.pi
+    X, X_next = batch.decision_features, batch.next_features
     # policy distribution at the successor state; rows for terminal
     # transitions are masked by (1 - done)
     pi_next = np.where(cols.done[:, None], 0.0, np.roll(pi, -1, axis=0))
@@ -544,7 +531,7 @@ def fqe_network(dataset: OfflineDataset, policy, gamma: float,
             loss.backward()
             opt.step()
         frozen = clone_param_values(net.params())
-    q_model = NetworkQ(net, policy)
+    q_model = NetworkQ(net)
     q0 = q_model.q_matrix(X[cols.offsets])
     initial = (pi[cols.offsets] * q0).sum(axis=1)
     return FqeResult(estimate=float(initial.mean()), q_model=q_model,
@@ -638,7 +625,6 @@ def opera(components: Sequence[tuple[str, float, Array]]) -> OperaResult:
 class OpeConfig:
     gamma: float = 0.99
     n_bootstrap: int = 200
-    eps_soft: float = 0.01
     clip_percentile: float | None = 99.0
     seed: int = 0
     fqe: FqeNetConfig = field(default_factory=FqeNetConfig)
@@ -689,27 +675,22 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     FQE replicate only resamples per-episode initial-state values (the
     network is fit once, so its bootstrap SE understates refit variance).
     """
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    if not eps_list:
-        raise OpeError("no episodes to evaluate on")
-    n = len(eps_list)
+    batch = eval_batch(dataset, policy, behavior, episodes)
+    n = len(batch.episodes)
 
     fqe_boot = None
-    if policy_table is not None and (transition_columns(eps_list).state_id >= 0).all():
+    if policy_table is not None and (batch.cols.state_id >= 0).all():
         if n_states is None:
             raise OpeError("tabular FQE needs n_states")
-        fqe_result = fqe_tabular(dataset, policy_table, cfg.gamma, n_states,
-                                 episodes=eps_list)
-        fqe_boot = _TabularFqeBootstrap(eps_list, np.asarray(policy_table),
+        fqe_result = fqe_tabular(batch, policy_table, cfg.gamma, n_states)
+        fqe_boot = _TabularFqeBootstrap(batch.cols, np.asarray(policy_table),
                                         cfg.gamma, n_states)
         fqe_mode = "tabular"
     else:
-        fqe_result = fqe_network(dataset, policy, cfg.gamma, cfg.fqe,
-                                 episodes=eps_list)
+        fqe_result = fqe_network(batch, policy, cfg.gamma, cfg.fqe)
         fqe_mode = "network"
 
-    stats = _prepare_stats(eps_list, policy, behavior, fqe_result.q_model,
-                           cfg.gamma)
+    stats = _prepare_stats(batch, fqe_result.q_model, cfg.gamma)
     full_idx = np.arange(n)
     wis_point = _wis_from_stats(stats, full_idx, cfg.clip_percentile)
     dr_point = _wdr_from_stats(stats, full_idx)

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, N_ACTIONS, OfflineDataset, transition_columns
+from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
+                      transition_columns)
 from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
     Adam,
@@ -32,6 +33,7 @@ from .netcore import (
     save_checkpoint,
     zero_grads,
 )
+from .synthgym import eps_soft_matrix
 
 Array = np.ndarray
 
@@ -292,17 +294,18 @@ def cross_entropy_loss(logits: Tensor, actions: Array) -> Tensor:
 
 @dataclass
 class LearnedPolicy:
-    """Frozen trained model plus its action rule (BCQ-constrained or greedy)."""
+    """Frozen trained model plus its action rule (BCQ-constrained or greedy).
+
+    As a target policy it puts 1 - ``eps`` on the greedy action and spreads
+    ``eps`` evenly over the others (``ope.soften`` sets ``eps``).
+    """
 
     model: QModel
     algorithm: str
     bcq_threshold: float
     strategy: NoteStrategy
     behavior_classifier: ActionClassifier | None = None
-
-    @property
-    def n_actions(self) -> int:
-        return N_ACTIONS
+    eps: float = 0.0
 
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
         with no_grad():
@@ -320,44 +323,41 @@ class LearnedPolicy:
         with no_grad():
             return self._greedy(self.model.state_tensor(structured, f_c, f_e))
 
-    def episodes_forward(self, episodes: Sequence[Episode]
-                         ) -> tuple[list[Array], list[Array]]:
-        """State features (T+1 rows) and greedy actions (T rows) per episode.
+    def forward_rows(self, episodes: Sequence[Episode]) -> tuple[Array, Array]:
+        """State features of every frame (T+1 rows per episode) and greedy
+        actions at every decision (T rows per episode), episode after episode.
 
         The frames of all episodes go through the state encoder, the Q-head
-        and, for BCQ, the classifier in one batched no-grad forward; the
-        results are split back by episode offsets.
+        and, for BCQ, the classifier in one batched no-grad forward.
         """
-        if not episodes:
-            return [], []
         inputs = [self.episode_inputs(ep) for ep in episodes]
         structured, f_c, f_e = (np.concatenate(column) for column in zip(*inputs))
-        ends = np.cumsum(transition_columns(episodes).lengths + 1)
+        ends = np.cumsum([len(ep) + 1 for ep in episodes])
         decision = np.ones(ends[-1], dtype=bool)
         decision[ends - 1] = False      # the final frame of an episode has no decision
         with no_grad():
             state = self.model.state_tensor(structured, f_c, f_e)
             greedy = self._greedy(Tensor(state.data[decision]))
-        features = np.split(state.data, ends[:-1])
-        actions = np.split(greedy, ends[:-1] - np.arange(1, len(episodes)))
-        return features, actions
+        return state.data, greedy
 
-    def episodes_greedy_actions(self, episodes: Sequence[Episode]) -> list[Array]:
-        return self.episodes_forward(episodes)[1]
+    def evaluation_rows(self, episodes: Sequence[Episode],
+                        cols: TransitionColumns) -> tuple[Array, Array]:
+        """Per-frame state features and the eps-soft (N, 25) action distribution."""
+        features, greedy = self.forward_rows(episodes)
+        return features, eps_soft_matrix(greedy, N_ACTIONS, self.eps)
 
-    def episodes_action_probs(self, episodes: Sequence[Episode],
-                              eps: float = 0.0) -> list[Array]:
-        """(T, 25) action distribution per episode; eps-soft around the greedy rule."""
-        out = []
-        for greedy in self.episodes_greedy_actions(episodes):
-            probs = np.full((greedy.shape[0], N_ACTIONS), eps / (N_ACTIONS - 1))
-            probs[np.arange(greedy.shape[0]), greedy] = 1.0 - eps
-            out.append(probs)
-        return out
+    def greedy_rows(self, episodes: Sequence[Episode]) -> Array:
+        return self.forward_rows(episodes)[1]
 
-    def episodes_state_features(self, episodes: Sequence[Episode]) -> list[Array]:
-        """Model-input state features per frame (T+1 rows), for value fitting."""
-        return self.episodes_forward(episodes)[0]
+    def episodes_forward(self, episodes: Sequence[Episode]
+                         ) -> tuple[list[Array], list[Array]]:
+        """``forward_rows`` split by episode."""
+        if not episodes:
+            return [], []
+        features, greedy = self.forward_rows(episodes)
+        ends = np.cumsum([len(ep) for ep in episodes])[:-1]
+        return (np.split(features, ends + np.arange(1, len(episodes))),
+                np.split(greedy, ends))
 
     def episode_inputs(self, episode: Episode) -> tuple[Array, Array, Array]:
         """Per-frame (structured, f_c, f_e) arrays, length T+1."""
@@ -366,13 +366,13 @@ class LearnedPolicy:
         return structured, f_c, f_e
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
-        return self.episodes_greedy_actions([episode])[0]
+        return self.greedy_rows([episode])
 
     def episode_action_probs(self, episode: Episode, eps: float = 0.0) -> Array:
-        return self.episodes_action_probs([episode], eps)[0]
+        return eps_soft_matrix(self.episode_greedy_actions(episode), N_ACTIONS, eps)
 
     def episode_state_features(self, episode: Episode) -> Array:
-        return self.episodes_state_features([episode])[0]
+        return self.forward_rows([episode])[0]
 
     def action_table(self, canon) -> Array:
         """Greedy actions at canonical per-state observations.

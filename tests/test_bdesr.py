@@ -9,7 +9,7 @@ from careql.bdesr import (
     cohort_split,
     episode_discrepancy,
 )
-from careql.dataset import ActionIndex, DoseBins, Episode, OfflineDataset
+from careql.dataset import ActionIndex, DatasetError, DoseBins, Episode, OfflineDataset
 
 from test_dataset import make_episode
 
@@ -20,11 +20,9 @@ class FixedPolicy:
     def __init__(self, actions_by_episode):
         self.actions_by_episode = actions_by_episode
 
-    def episode_greedy_actions(self, episode):
-        return np.asarray(self.actions_by_episode[episode.episode_id])
-
-    def episodes_greedy_actions(self, episodes):
-        return [self.episode_greedy_actions(ep) for ep in episodes]
+    def greedy_rows(self, episodes):
+        return np.concatenate([np.asarray(self.actions_by_episode[ep.episode_id])
+                               for ep in episodes])
 
 
 def episode_with_actions(flats, ep_id="e0", survived=True):
@@ -173,3 +171,16 @@ class TestReport:
         pol_b = FixedPolicy({"e0": [ActionIndex(3, 3).flat, ActionIndex(1, 4).flat]})
         assert episode_discrepancy(ep_a, pol_a).m == \
             episode_discrepancy(ep_b, pol_b).m
+
+
+class TestPolicyAnswerChecks:
+    def test_wrong_number_of_actions_raises(self):
+        ep = episode_with_actions([7, 12, 3])
+        with pytest.raises(BdesrError, match="for 3 decisions"):
+            episode_discrepancy(ep, FixedPolicy({"e0": [7, 12]}))
+
+    @pytest.mark.parametrize("bad", [25, -1])
+    def test_out_of_range_action_raises(self, bad):
+        ep = episode_with_actions([7, 12, 3])
+        with pytest.raises(DatasetError, match=rf"must be in \[0, 24\], got {bad}"):
+            episode_discrepancy(ep, FixedPolicy({"e0": [7, bad, 3]}))

@@ -352,6 +352,9 @@ TRAIN_CONFIG_FAULTS = {
     "seeds_boolean": ("seeds", [True]),
     "windows_boolean": ("ablate.windows", [True]),
 }
+# extra arguments of each seeded command whose --seed flag must be >= 0
+SEED_FLAG_ARGS = {"synth": [], "train": ["--data", "{data}"],
+                  "eval": ["--data", "{data}", "--checkpoint", "{checkpoint}"]}
 
 
 class TestFaultInjection:
@@ -394,6 +397,23 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and key.split(".")[-1] in err
+
+    @pytest.mark.parametrize("command", list(SEED_FLAG_ARGS))
+    def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, synth_dir, capsys,
+                                                  command):
+        cfg = str(write_config(tmp_path, {"train.total_steps": 5}, name="short.json"))
+        checkpoint = tmp_path / "train" / "checkpoint.json"
+        if command == "eval":
+            assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                         "--out", str(checkpoint.parent)]) == 0
+        args = [a.format(data=synth_dir, checkpoint=checkpoint)
+                for a in SEED_FLAG_ARGS[command]]
+        capsys.readouterr()
+        code = main([command, "--config", cfg, *args, "--seed", "-1",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and "--seed" in err
 
     @pytest.mark.parametrize("value", [None, 0.5, 2])
     def test_valid_grad_clip_accepted(self, tmp_path, value):

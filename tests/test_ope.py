@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from careql.dataset import N_ACTIONS
+from careql.dataset import N_ACTIONS, transition_columns
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -213,8 +215,8 @@ class TestDr:
         rho = np.ones((n, t_max))
         rewards = np.zeros((n, t_max))
         for i, ep in enumerate(subset):
-            pi = target.episode_action_probs(ep)
-            beta = LoggedBehavior().episode_logged_probs(ep)
+            pi = target.probs[[tr.state_id for tr in ep.transitions]]
+            beta = np.array([tr.behavior_prob for tr in ep.transitions])
             acts = [tr.action.flat for tr in ep.transitions]
             ratios = pi[np.arange(len(acts)), acts] / beta
             cum = np.cumprod(ratios)
@@ -381,7 +383,7 @@ class TestMissingDataNamesEpisode:
         eps = list(dataset.episodes[:4])
         eps[1], eps[3] = strip(eps[1], behavior_prob=None), strip(eps[3], behavior_prob=None)
         with pytest.raises(OpeError, match=f"episode {eps[1].episode_id!r} has no logged"):
-            LoggedBehavior().episodes_logged_probs(eps)
+            LoggedBehavior().logged_probs(eps, transition_columns(eps))
 
     def test_fqe_tabular_without_state_ids(self, synth):
         mdp, _, dataset, target, _ = synth
@@ -396,10 +398,76 @@ class TestMissingDataNamesEpisode:
         eps = list(dataset.episodes[:4])
 
         class ZeroOnLaterEpisodes:
-            def episodes_logged_probs(self, episodes):
-                probs = LoggedBehavior().episodes_logged_probs(episodes)
-                return [p if i < 2 else np.where(np.arange(len(p)) == len(p) - 1, 0.0, p)
-                        for i, p in enumerate(probs)]
+            def logged_probs(self, episodes, cols):
+                probs = LoggedBehavior().logged_probs(episodes, cols).copy()
+                probs[np.cumsum(cols.lengths)[2:] - 1] = 0.0   # last step of episodes 2+
+                return probs
 
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):
             wis(dataset, target, ZeroOnLaterEpisodes(), GAMMA, episodes=eps)
+
+
+@pytest.fixture(scope="module")
+def tiny_mdp():
+    cfg = GeneratorConfig(n_severity=3, n_context=2, n_features=4, d_n=4,
+                          gamma=GAMMA, min_gap=0.0)
+    return generate_mdp(cfg, seed=3)
+
+
+def small_rollout(mdp, seed, n_episodes, target_eps):
+    """Logged episodes and an eps-soft tabular target with random actions."""
+    data = rollout(mdp, near_clinician_behavior(mdp, 0.3), n_episodes=n_episodes,
+                   max_len=8, seed=seed)
+    actions = np.random.default_rng(seed).integers(0, N_ACTIONS, size=mdp.n_states)
+    return data, TabularPolicy(eps_soft_matrix(actions, N_ACTIONS, eps=target_eps))
+
+
+def pdis_loop(episodes, probs, gamma):
+    """Self-normalized per-decision importance sampling, one episode at a time."""
+    t_max = max(len(ep) for ep in episodes)
+    rho = np.ones((len(episodes), t_max))
+    rewards = np.zeros((len(episodes), t_max))
+    for i, ep in enumerate(episodes):
+        weight = 1.0
+        for t, tr in enumerate(ep.transitions):
+            weight *= probs[tr.state_id, tr.action.flat] / tr.behavior_prob
+            rho[i, t] = weight
+            rewards[i, t] = tr.reward
+        rho[i, len(ep):] = weight
+    w = rho / rho.sum(axis=0, keepdims=True)
+    return float((gamma ** np.arange(t_max)) @ (w * rewards).sum(axis=0))
+
+
+rollout_cases = dict(seed=st.integers(0, 2 ** 16), n_episodes=st.integers(2, 25),
+                     target_eps=st.floats(0.05, 0.9))
+
+
+class TestBatchEstimatorProperties:
+    """Invariants of the batch estimators on small random rollouts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**rollout_cases, clip=st.sampled_from([None, 50.0, 99.0]))
+    def test_wis_lies_within_logged_returns(self, tiny_mdp, seed, n_episodes,
+                                            target_eps, clip):
+        data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
+        returns = [ep.discounted_return(GAMMA) for ep in data.episodes]
+        estimate = wis(data, target, LoggedBehavior(), GAMMA, clip_percentile=clip).estimate
+        assert min(returns) - 1e-12 <= estimate <= max(returns) + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(**rollout_cases)
+    def test_dr_without_model_is_pdis(self, tiny_mdp, seed, n_episodes, target_eps):
+        data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
+        estimate = dr(data, target, LoggedBehavior(), None, GAMMA)
+        assert estimate == pytest.approx(pdis_loop(data.episodes, target.probs, GAMMA),
+                                         abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**rollout_cases)
+    def test_opera_weights_on_simplex(self, tiny_mdp, seed, n_episodes, target_eps):
+        data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
+        report = evaluate_policy(data, target, LoggedBehavior(),
+                                 OpeConfig(gamma=GAMMA, n_bootstrap=20, seed=seed),
+                                 policy_table=target.probs, n_states=tiny_mdp.n_states)
+        w = np.array(list(report.opera_weights.values()))
+        assert (w >= -1e-12).all() and w.sum() == pytest.approx(1.0, abs=1e-9)

@@ -1,11 +1,14 @@
-from dataclasses import replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from careql import bdesr as bdesr_mod, dataset as dataset_mod, ope as ope_mod
+from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS
-from careql.encoder import EncoderConfig, NoteStrategy, episode_note_inputs
+from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from careql.netcore import Tensor
 from careql.ope import (
     BehaviorFitConfig,
@@ -419,27 +422,23 @@ def one_episode_forward(policy, episode):
             policy.q_matrix(structured, f_c, f_e))
 
 
+@dataclass
 class OneEpisodeAtATime:
-    """A learned policy answering list-form calls with one forward per episode."""
+    """A learned policy answering the flat protocol with one forward per episode."""
 
-    n_actions = N_ACTIONS
+    policy: LearnedPolicy
+    eps: float = 0.0
 
-    def __init__(self, policy):
-        self.policy = policy
+    def greedy_rows(self, episodes):
+        return np.concatenate([one_episode_forward(self.policy, ep)[0] for ep in episodes])
 
-    def episodes_greedy_actions(self, episodes):
-        return [one_episode_forward(self.policy, ep)[0] for ep in episodes]
-
-    def episodes_state_features(self, episodes):
-        return [one_episode_forward(self.policy, ep)[1] for ep in episodes]
-
-    def episodes_action_probs(self, episodes, eps=0.0):
-        out = []
-        for greedy in self.episodes_greedy_actions(episodes):
-            probs = np.full((len(greedy), N_ACTIONS), eps / (N_ACTIONS - 1))
-            probs[np.arange(len(greedy)), greedy] = 1.0 - eps
-            out.append(probs)
-        return out
+    def evaluation_rows(self, episodes, cols):
+        features = np.concatenate([one_episode_forward(self.policy, ep)[1]
+                                   for ep in episodes])
+        greedy = self.greedy_rows(episodes)
+        probs = np.full((len(greedy), N_ACTIONS), self.eps / (N_ACTIONS - 1))
+        probs[np.arange(len(greedy)), greedy] = 1.0 - self.eps
+        return features, probs
 
 
 @pytest.fixture(scope="module", params=["multimodal_cql", "structured_bcq"])
@@ -494,6 +493,33 @@ class TestBatchedForward:
         assert batched.effective_sample_size == looped.effective_sample_size
         for name in ("dr", "fqe", "opera"):
             assert abs(getattr(batched, name) - getattr(looped, name)) <= 1e-12, name
+
+    def test_one_flattening_and_one_encoder_forward_per_call(self, trained_policy,
+                                                             monkeypatch):
+        policy, ds = trained_policy
+        episodes = list(ds.episodes[:40])
+        behavior = fit_behavior(ds, cfg=BehaviorFitConfig(steps=10), episodes=episodes)
+        cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
+                        fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        flatten = dataset_mod.transition_columns
+        for module in (dataset_mod, ope_mod, bdesr_mod, trainer_mod):
+            monkeypatch.setattr(module, "transition_columns", counted("flatten", flatten))
+        monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
+        encodes = 1 if policy.model.modality == "multimodal" else 0
+        report = evaluate_policy(ds, soften(policy), behavior, cfg, episodes=episodes)
+        assert report.fqe_mode == "network"
+        assert (calls["flatten"], calls["encode"]) == (1, encodes)
+        calls.clear()
+        bdesr_report(ds, policy, episodes=episodes)
+        assert (calls["flatten"], calls["encode"]) == (1, encodes)
 
 
 class _TabularQStub:
