@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from . import dataset as ds_mod
 from . import ope as ope_mod
 from . import synthgym as gym_mod
 from . import trainer as tr_mod
-from .encoder import EncoderConfig, NoteStrategy
+from .encoder import STRATEGY_KINDS, EncoderConfig, NoteStrategy
 from .netcore import NonFiniteGradientError, load_param_values
 
 EXIT_OK = 0
@@ -50,9 +51,10 @@ class ConfigError(ValueError):
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+# The one schema: every key a config file may set, each with its default. A
+# user value must have its default's JSON type (see ``_expected``).
 DEFAULT_CONFIG: dict = {
     "dataset": {
-        "source": "synth",
         "synth": {
             "n_severity": 5, "n_context": 3, "n_features": 42, "d_n": 64,
             "gamma": 0.95, "term_prob_mid": 0.25, "term_prob_edge": 0.55,
@@ -61,8 +63,7 @@ DEFAULT_CONFIG: dict = {
             "n_episodes": 2000, "max_len": 18,
             "split_fractions": [1.0, 0.0, 0.0], "seed": 0,
         },
-        "files": {"structured": "", "notes": "", "manifest": "",
-                  "ground_truth": ""},
+        "files": {"ground_truth": ""},
         "normalize": True,
         "share_bins": False,
     },
@@ -94,9 +95,48 @@ DEFAULT_CONFIG: dict = {
     "seeds": [0, 1, 2, 3, 4],
     "seed": 0,
 }
+# Numeric keys that may also be null (a null default is such a number).
+NULLABLE_KEYS = ("train.grad_clip", "ope.clip_percentile")
+# Integer keys, or lists of integers, whose least value is not 1.
+INTEGER_MINIMA = {"seed": 0, "seeds": 0, "dataset.synth.seed": 0,
+                  "encoder.depth": 0, "ope.fqe_depth": 0, "ope.n_bootstrap": 2}
 
 
-def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+def _conforms(value, default, path: str) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: the same bool or
+    string type, an integer >= its least value, a finite number, or a list
+    of items of the default items' type. true/false are never numbers."""
+    if value is None and path in NULLABLE_KEYS:
+        return True
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _conforms(item, default[0], path) for item in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int) and value >= INTEGER_MINIMA.get(path, 1)
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _expected(default, path: str) -> str:
+    """The type rule of ``_conforms``, in words."""
+    if isinstance(default, list):
+        return f"a list, each item {_expected(default[0], path)}"
+    if isinstance(default, bool):
+        return "a boolean"
+    if isinstance(default, str):
+        return "a string"
+    if isinstance(default, int):
+        return f"an integer >= {INTEGER_MINIMA.get(path, 1)}"
+    return "a number or null" if path in NULLABLE_KEYS else "a number"
+
+
+def _deep_merge(base: dict, override: dict, path: str = "",
+                schema: dict = DEFAULT_CONFIG) -> dict:
+    """``base`` with ``override`` laid over it, each value type-checked
+    against its default in ``schema``, the same section of ``DEFAULT_CONFIG``."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
@@ -105,8 +145,10 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here}: expected an object")
-            merged[key] = _deep_merge(base[key], value, here)
+            merged[key] = _deep_merge(base[key], value, here, schema[key])
         else:
+            _check(_conforms(value, schema[key], here), here,
+                   f"expected {_expected(schema[key], here)}")
             merged[key] = value
     return merged
 
@@ -116,86 +158,18 @@ def _check(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _is_number(x) -> bool:
-    """A finite int or float; JSON true/false are not numbers here."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-# Real-valued keys, type-checked before any range check reads them; the
-# nullable ones may also be null.
-NUMERIC_KEYS = (
-    "dataset.synth.gamma", "dataset.synth.term_prob_mid", "dataset.synth.term_prob_edge",
-    "dataset.synth.noise_structured", "dataset.synth.noise_note", "dataset.synth.note_prob",
-    "dataset.synth.min_gap", "dataset.synth.behavior_epsilon",
-    "train.learning_rate", "train.gamma", "train.cql_alpha", "train.bcq_threshold",
-    "train.grad_clip", "ope.gamma", "ope.eps_soft", "ope.behavior_floor",
-    "ope.clip_percentile", "bdesr.alpha", "bdesr.beta", "bdesr.p",
-)
-NULLABLE_KEYS = ("train.grad_clip", "ope.clip_percentile")
-# Integer keys and the least value each may take.
-INTEGER_KEYS = {
-    "dataset.synth.n_severity": 1, "dataset.synth.n_context": 1,
-    "dataset.synth.n_features": 1, "dataset.synth.d_n": 1,
-    "dataset.synth.n_episodes": 1, "dataset.synth.max_len": 1, "dataset.synth.seed": 0,
-    "encoder.d": 1, "encoder.d_k": 1, "encoder.depth": 0, "encoder.window": 1,
-    "train.total_steps": 1, "train.batch_size": 1, "train.target_update": 1,
-    "train.hidden_width": 1, "train.trunk_depth": 1, "train.eval_interval": 1,
-    "ope.n_bootstrap": 2, "ope.behavior_fit_steps": 1, "ope.fqe_iterations": 1,
-    "ope.fqe_steps": 1, "ope.fqe_width": 1, "ope.fqe_depth": 0,
-    "cross_eval.snapshot_points": 1, "seed": 0,
-}
-
-
-def _is_integer(x, minimum: int) -> bool:
-    """An int of at least ``minimum``; JSON true/false are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= minimum
-
-
-def _check_types(cfg: dict) -> None:
-    def lookup(path: str):
-        node = cfg
-        for section in path.split("."):
-            node = node[section]
-        return node
-
-    for path in NUMERIC_KEYS:
-        value = lookup(path)
-        if path in NULLABLE_KEYS:
-            _check(value is None or _is_number(value), path, "expected a number or null")
-        else:
-            _check(_is_number(value), path, "expected a number")
-    for path, minimum in INTEGER_KEYS.items():
-        _check(_is_integer(lookup(path), minimum), path,
-               f"expected an integer >= {minimum}")
-    _check(isinstance(cfg["seeds"], list) and cfg["seeds"]
-           and all(_is_integer(x, 0) for x in cfg["seeds"]),
-           "seeds", "expected a nonempty list of integers >= 0")
-    _check(isinstance(cfg["ablate"]["windows"], list)
-           and all(_is_integer(w, 1) for w in cfg["ablate"]["windows"]),
-           "ablate.windows", "expected a list of integers >= 1")
-
-
 def _validate_config(cfg: dict) -> None:
-    _check_types(cfg)
-    d = cfg["dataset"]
-    _check(d["source"] in ("synth", "files"), "dataset.source",
-           "must be 'synth' or 'files'")
-    s = d["synth"]
+    """Range and choice checks; ``_deep_merge`` has checked every type."""
+    s = cfg["dataset"]["synth"]
     _check(0.0 <= s["gamma"] < 1.0, "dataset.synth.gamma", "must be in [0, 1)")
     _check(0.0 < s["behavior_epsilon"] < 1.0, "dataset.synth.behavior_epsilon",
            "must be in (0, 1)")
     fr = s["split_fractions"]
-    _check(isinstance(fr, list) and len(fr) == 3 and
-           abs(sum(fr) - 1.0) < 1e-9 and min(fr) >= 0.0,
+    _check(len(fr) == 3 and abs(sum(fr) - 1.0) < 1e-9 and min(fr) >= 0.0,
            "dataset.synth.split_fractions", "must be 3 fractions summing to 1")
-    if d["source"] == "files":
-        for key in ("structured", "notes", "manifest"):
-            _check(bool(d["files"][key]), f"dataset.files.{key}",
-                   "required when dataset.source is 'files'")
     _check(cfg["modality"] in tr_mod.MODALITIES, "modality",
            f"must be one of {tr_mod.MODALITIES}")
-    e = cfg["encoder"]
-    _check(e["strategy"] in ("raw", "impute", "stack", "context"),
+    _check(cfg["encoder"]["strategy"] in STRATEGY_KINDS,
            "encoder.strategy", "must be raw|impute|stack|context")
     t = cfg["train"]
     _check(t["algorithm"] in tr_mod.ALGORITHMS, "train.algorithm",
@@ -220,8 +194,8 @@ def _validate_config(cfg: dict) -> None:
            "bdesr.alpha", "weights must be nonnegative and sum to 1")
     _check(0.0 < b["p"] < 50.0, "bdesr.p", "must be in (0, 50)")
     for kind in cfg["ablate"]["strategies"]:
-        _check(kind in ("raw", "impute", "stack", "context"),
-               "ablate.strategies", f"unknown strategy {kind!r}")
+        _check(kind in STRATEGY_KINDS, "ablate.strategies", f"unknown strategy {kind!r}")
+    _check(bool(cfg["seeds"]), "seeds", "expected a nonempty list")
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -247,42 +221,22 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def _generator_config(cfg: dict) -> gym_mod.GeneratorConfig:
-    s = cfg["dataset"]["synth"]
-    return gym_mod.GeneratorConfig(
-        n_severity=s["n_severity"], n_context=s["n_context"],
-        n_features=s["n_features"], d_n=s["d_n"], gamma=s["gamma"],
-        term_prob_mid=s["term_prob_mid"], term_prob_edge=s["term_prob_edge"],
-        noise_structured=s["noise_structured"], noise_note=s["noise_note"],
-        note_prob=s["note_prob"], min_gap=s["min_gap"],
-    )
+    fields = {f.name for f in dataclasses.fields(gym_mod.GeneratorConfig)}
+    return gym_mod.GeneratorConfig(**{k: v for k, v in cfg["dataset"]["synth"].items()
+                                      if k in fields})
 
 
-def _encoder_config(cfg: dict, dataset: ds_mod.OfflineDataset,
-                    strategy: str | None = None,
-                    window: int | None = None,
-                    use_attention: bool | None = None) -> EncoderConfig:
+def _encoder_config(cfg: dict, dataset: ds_mod.OfflineDataset) -> EncoderConfig:
     e = cfg["encoder"]
     return EncoderConfig(
         n_features=dataset.n_features, d_n=dataset.d_n, d=e["d"], d_k=e["d_k"],
-        depth=e["depth"],
-        strategy=NoteStrategy(strategy or e["strategy"],
-                              window if window is not None else e["window"]),
-        use_attention=e["use_attention"] if use_attention is None else use_attention,
+        depth=e["depth"], strategy=NoteStrategy(e["strategy"], e["window"]),
+        use_attention=e["use_attention"],
     )
 
 
-def _train_config(cfg: dict, seed: int, algorithm: str | None = None,
-                  total_steps: int | None = None) -> tr_mod.TrainConfig:
-    t = cfg["train"]
-    return tr_mod.TrainConfig(
-        total_steps=total_steps or t["total_steps"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"], gamma=t["gamma"],
-        cql_alpha=t["cql_alpha"], bcq_threshold=t["bcq_threshold"],
-        target_update=t["target_update"], seed=seed,
-        algorithm=algorithm or t["algorithm"], hidden_width=t["hidden_width"],
-        trunk_depth=t["trunk_depth"], eval_interval=t["eval_interval"],
-        grad_clip=t["grad_clip"], freeze_encoders=t["freeze_encoders"],
-    )
+def _train_config(cfg: dict, seed: int) -> tr_mod.TrainConfig:
+    return tr_mod.TrainConfig(**cfg["train"], seed=seed)
 
 
 def _ope_config(cfg: dict, seed: int) -> ope_mod.OpeConfig:
@@ -503,20 +457,21 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
 
 
 def _ablation_variants(cfg: dict):
-    """(section, variant name, overrides) for the three sweeps."""
+    """(section, variant name, config overlay) for the three sweeps."""
+    def components(strategy: str, use_attention: bool) -> dict:
+        return {"train": {"algorithm": "bcq"},
+                "encoder": {"strategy": strategy, "use_attention": use_attention}}
+
     variants = [
-        ("components", "base",
-         {"algorithm": "bcq", "strategy": "impute", "use_attention": False}),
-        ("components", "+attention",
-         {"algorithm": "bcq", "strategy": "impute", "use_attention": True}),
-        ("components", "+attention+gate",
-         {"algorithm": "bcq", "strategy": "context", "use_attention": True}),
+        ("components", "base", components("impute", False)),
+        ("components", "+attention", components("impute", True)),
+        ("components", "+attention+gate", components("context", True)),
     ]
     for kind in cfg["ablate"]["strategies"]:
-        variants.append(("strategies", kind, {"strategy": kind}))
+        variants.append(("strategies", kind, {"encoder": {"strategy": kind}}))
     for window in cfg["ablate"]["windows"]:
         variants.append(("windows", f"W={window}",
-                         {"strategy": "stack", "window": window}))
+                         {"encoder": {"strategy": "stack", "window": window}}))
     return variants
 
 
@@ -532,16 +487,12 @@ def cmd_ablate(args) -> int:
     episodes = _eval_split(dataset)
     metrics = ("opera", "dr", "fqe", "wis")
     rows = []
-    for section, name, overrides in _ablation_variants(cfg):
+    for section, name, overlay in _ablation_variants(cfg):
+        variant = _deep_merge(cfg, overlay)
         per_seed = {metric: [] for metric in metrics}
         for seed in cfg["seeds"]:
-            enc_cfg = _encoder_config(cfg, dataset,
-                                      strategy=overrides.get("strategy"),
-                                      window=overrides.get("window"),
-                                      use_attention=overrides.get("use_attention"))
-            train_cfg = _train_config(cfg, seed,
-                                      algorithm=overrides.get("algorithm"))
-            result = tr_mod.train(dataset, train_cfg, enc_cfg,
+            result = tr_mod.train(dataset, _train_config(variant, seed),
+                                  _encoder_config(variant, dataset),
                                   modality=cfg["modality"])
             report = _ope_report_for(cfg, dataset, result.policy, seed, episodes)
             for metric in metrics:
@@ -601,9 +552,7 @@ def cmd_cross_eval(args) -> int:
     gamma = cfg["ope"]["gamma"]
     curve_lines = ["step,dr"]
     for step, values in result.snapshots:
-        load_param_values(result.policy.all_params(),
-                          {k: v for k, v in values.items()
-                           if k in result.policy.all_params()})
+        load_param_values(result.policy.all_params(), values)
         target = ope_mod.soften(result.policy, cfg["ope"]["eps_soft"])
         batch = ope_mod.eval_batch(eval_ds, target, behavior, episodes=episodes)
         fqe_res = ope_mod.fqe_network(batch, target, gamma, _ope_config(cfg, seed).fqe)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Episode, JointObservation
-from .netcore import Dense, Tensor, concat, init_param, linear
+from .netcore import Dense, Tensor, collect_params, concat, init_param, linear
 
 Array = np.ndarray
 
@@ -172,11 +172,8 @@ class StructuredEncoder:
         return h
 
     def params(self) -> dict[str, Tensor]:
-        merged = dict(self.in_proj.params())
-        for mix, out in self.blocks:
-            merged.update(mix.params())
-            merged.update(out.params())
-        return merged
+        return collect_params(self.in_proj, *(layer for block in self.blocks
+                                              for layer in block))
 
 
 def encode_structured(enc: StructuredEncoder, features: Array | Tensor) -> Tensor:
@@ -300,13 +297,8 @@ class StateEncoder:
         return concat([l, n], axis=1)
 
     def params(self) -> dict[str, Tensor]:
-        merged = dict(self.structured.params())
-        merged.update(self.note_proj.params())
-        if self.gate is not None:
-            merged.update(self.gate.params())
-        if self.attention is not None:
-            merged.update(self.attention.params())
-        return merged
+        return collect_params(self.structured, self.note_proj, self.gate,
+                              self.attention)
 
 
 def build_state(obs_history: Sequence[JointObservation],

@@ -428,12 +428,7 @@ class DuelingQNetwork:
         return v + a - a.mean(axis=1, keepdims=True)
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for layer in self.trunk:
-            out.update(layer.params())
-        out.update(self.value_head.params())
-        out.update(self.advantage_head.params())
-        return out
+        return collect_params(*self.trunk, self.value_head, self.advantage_head)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +584,12 @@ def gradient_check(loss_fn: Callable[[], Tensor],
 
 
 def collect_params(*components) -> dict[str, Tensor]:
-    """Merge the params() dicts of several layers/modules, rejecting clashes."""
+    """Merge the params() dicts of several layers/modules in order, skipping
+    None entries and rejecting clashes."""
     merged: dict[str, Tensor] = {}
     for comp in components:
+        if comp is None:
+            continue
         for key, p in comp.params().items():
             if key in merged:
                 raise ValueError(f"duplicate parameter name {key!r}")

@@ -192,10 +192,7 @@ class FittedBehavior:
 
     def action_dist(self, features: Array) -> Array:
         with no_grad():
-            logits = self._layer(Tensor(np.atleast_2d(features))).data
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        p = e / e.sum(axis=1, keepdims=True)
+            p = self._layer(Tensor(np.atleast_2d(features))).softmax().data
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
     def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:

@@ -433,7 +433,7 @@ def _step_operator(mdp: TabularMDP, pi: Array, gamma: float) -> tuple[Array, Arr
 
 
 def exact_policy_value(mdp: TabularMDP, policy, gamma: float | None = None,
-                       horizon: int | None = None, method: str = "solve",
+                       horizon: int | None = None,
                        initial_dist: Array | None = None) -> float:
     """Initial-distribution-weighted value of a state-indexed policy.
 
@@ -441,20 +441,19 @@ def exact_policy_value(mdp: TabularMDP, policy, gamma: float | None = None,
     With ``horizon`` set, uses backward induction matching rollout
     truncation (the final permitted transition is scored with the outcome
     label of the state it reaches); otherwise solves the infinite-horizon
-    Bellman equations by linear solve (or value iteration to 1e-10 with
-    method="vi").
+    Bellman equations by linear solve.
     """
     gamma = mdp.gamma if gamma is None else float(gamma)
     if gamma >= 1.0 or gamma < 0.0:
         raise GeneratorError(f"gamma must be in [0, 1), got {gamma}")
     pi = _policy_matrix(policy, mdp.n_states, mdp.n_actions)
     p0 = mdp.initial_dist if initial_dist is None else np.asarray(initial_dist, dtype=np.float64)
-    values = state_values(mdp, pi, gamma=gamma, horizon=horizon, method=method)
+    values = state_values(mdp, pi, gamma=gamma, horizon=horizon)
     return float(p0 @ values)
 
 
 def state_values(mdp: TabularMDP, policy, gamma: float | None = None,
-                 horizon: int | None = None, method: str = "solve") -> Array:
+                 horizon: int | None = None) -> Array:
     """Per-state values V(s); absorbing states are 0 by convention."""
     gamma = mdp.gamma if gamma is None else float(gamma)
     pi = _policy_matrix(policy, mdp.n_states, mdp.n_actions)
@@ -472,20 +471,8 @@ def state_values(mdp: TabularMDP, policy, gamma: float | None = None,
         values = values.copy()
         values[~free] = 0.0
         return values
-    if method == "solve":
-        A = np.eye(int(free.sum())) - M[np.ix_(free, free)]
-        v_free = np.linalg.solve(A, b[free])
-    elif method == "vi":
-        v_free = np.zeros(int(free.sum()))
-        Mff, bf = M[np.ix_(free, free)], b[free]
-        while True:
-            nxt = bf + Mff @ v_free
-            if np.abs(nxt - v_free).max() < 1e-10:
-                v_free = nxt
-                break
-            v_free = nxt
-    else:
-        raise GeneratorError(f"unknown method {method!r}")
+    A = np.eye(int(free.sum())) - M[np.ix_(free, free)]
+    v_free = np.linalg.solve(A, b[free])
     values = np.zeros(mdp.n_states)
     values[free] = v_free
     return values

@@ -27,6 +27,7 @@ from .netcore import (
     DuelingQNetwork,
     Tensor,
     clone_param_values,
+    collect_params,
     load_checkpoint,
     load_param_values,
     no_grad,
@@ -176,17 +177,10 @@ class ActionClassifier:
 
     def probs(self, x: Array) -> Array:
         with no_grad():
-            logits = self.logits(Tensor(x)).data
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+            return self.logits(Tensor(x)).softmax().data
 
     def params(self) -> dict[str, Tensor]:
-        merged = {}
-        for layer in self.trunk:
-            merged.update(layer.params())
-        merged.update(self.head.params())
-        return merged
+        return collect_params(*self.trunk, self.head)
 
 
 class QModel:
@@ -220,10 +214,7 @@ class QModel:
         return self.qnet(self.state_tensor(structured, f_c, f_e))
 
     def params(self) -> dict[str, Tensor]:
-        merged = dict(self.qnet.params())
-        if self.encoder is not None:
-            merged.update(self.encoder.params())
-        return merged
+        return collect_params(self.qnet, self.encoder)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +379,7 @@ class LearnedPolicy:
     # -- persistence --------------------------------------------------------
 
     def all_params(self) -> dict[str, Tensor]:
-        merged = dict(self.model.params())
-        if self.behavior_classifier is not None:
-            merged.update(self.behavior_classifier.params())
-        return merged
+        return collect_params(self.model, self.behavior_classifier)
 
     def save(self, path: str | Path) -> None:
         enc = self.model.enc_cfg
@@ -452,8 +440,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     Deterministic given cfg.seed. The log records loss, mean Q and the
     regularizer magnitude at every eval interval. A non-finite loss aborts
     with the last logged parameter snapshot attached to the exception.
-    ``snapshot_interval`` additionally collects (step, parameter values)
-    pairs for evaluation-across-iterations curves.
+    ``snapshot_interval`` additionally collects (step, values of every
+    policy parameter) pairs for evaluation-across-iterations curves.
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
@@ -542,7 +530,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             last_snapshot = clone_param_values(model.params())
         if snapshot_interval is not None and \
                 (step % snapshot_interval == 0 or step == cfg.total_steps):
-            snapshots.append((step, clone_param_values(model.params())))
+            snapshots.append((step, clone_param_values(probe_policy.all_params())))
 
     if best_params is not None:
         load_param_values(model.params(), best_params)

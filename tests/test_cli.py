@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from careql.cli import ConfigError, load_config, main
+from careql.cli import DEFAULT_CONFIG, ConfigError, load_config, main
 from careql.trainer import TrainConfig
 
 TINY_SYNTH = {
@@ -72,6 +75,65 @@ class TestConfig:
                      str(tmp_path / "x")])
         assert code == 2
         assert "train.gamma" in capsys.readouterr().err
+
+
+def config_leaves(node=DEFAULT_CONFIG, prefix=""):
+    """(dotted path, default) of every settable value of the schema."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def wrong_type_values(default):
+    """JSON values whose type is not the type of ``default``."""
+    if isinstance(default, list):
+        return ["x", {}] + [[v] for v in wrong_type_values(default[0])]
+    if isinstance(default, bool):
+        return [1, "true", None]
+    if isinstance(default, str):
+        return [5, True, None, ["x"]]
+    if isinstance(default, int):
+        return [True, 1.5, "1", None, [1]]
+    return [True, "x", [1.0], float("inf")]     # a number, or a nullable one
+
+
+def readme_config_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return re.sub(r"//.*", "", block)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("path, default", list(config_leaves()),
+                             ids=[path for path, _ in config_leaves()])
+    def test_wrong_json_type_names_the_key(self, tmp_path, path, default):
+        for value in wrong_type_values(default):
+            user = value
+            for key in reversed(path.split(".")):
+                user = {key: user}
+            config = tmp_path / "bad.json"
+            config.write_text(json.dumps(user))
+            with pytest.raises(ConfigError) as info:
+                load_config(config)
+            assert str(info.value).startswith(f"{path}: "), (value, str(info.value))
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["defaults", "tiny_synth"])
+    def test_resolved_config_loads_back_unchanged(self, tmp_path, tiny):
+        config = ["--config", str(write_config(tmp_path))] if tiny else []
+        assert main(["synth", *config, "--out", str(tmp_path / "data")]) == 0
+        resolved = tmp_path / "data" / "resolved_config.json"
+        assert load_config(resolved) == json.loads(resolved.read_text())
+
+    def test_documented_configs_load(self, tmp_path):
+        demo = Path(__file__).parents[1] / "configs" / "demo.json"
+        assert load_config(demo)["train"]["total_steps"] == 3000
+        readme = tmp_path / "readme.json"
+        readme.write_text(readme_config_block())
+        cfg = load_config(readme)
+        assert cfg["dataset"]["synth"]["split_fractions"] == [1.0, 0, 0]
 
 
 class TestSynth:
@@ -241,6 +303,22 @@ class TestCrossEval:
             (train_out / "checkpoint.json").read_bytes()
 
 
+    def test_bcq_cross_eval_writes_a_dr_curve(self, tmp_path):
+        cfg = write_config(tmp_path, {"train.algorithm": "bcq",
+                                      "cross_eval.snapshot_points": 2,
+                                      "ope.n_bootstrap": 10,
+                                      "ope.fqe_iterations": 2,
+                                      "ope.fqe_steps": 8,
+                                      "train.total_steps": 40})
+        data = tmp_path / "data"
+        main(["synth", "--config", str(cfg), "--out", str(data)])
+        out = tmp_path / "cross"
+        assert main(["cross-eval", "--config", str(cfg), "--train-data", str(data),
+                     "--eval-data", str(data), "--out", str(out)]) == 0
+        curve = (out / "dr_curve.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in curve] == ["step", "20", "40"]
+
+
 class TestShareBins:
     def test_cross_eval_with_shared_dose_bins(self, tmp_path):
         cfg = write_config(tmp_path, {"dataset.share_bins": True,
@@ -351,6 +429,14 @@ TRAIN_CONFIG_FAULTS = {
     "snapshot_points_zero": ("cross_eval.snapshot_points", 0),
     "seeds_boolean": ("seeds", [True]),
     "windows_boolean": ("ablate.windows", [True]),
+    "strategies_number": ("ablate.strategies", 5),
+    "split_fractions_strings": ("dataset.synth.split_fractions", ["a", 0, 0]),
+    "normalize_string": ("dataset.normalize", "no"),
+    "use_attention_string": ("encoder.use_attention", "false"),
+    "freeze_encoders_integer": ("train.freeze_encoders", 1),
+    "split_fractions_booleans": ("dataset.synth.split_fractions", [True, False, False]),
+    "ground_truth_number": ("dataset.files.ground_truth", 5),
+    "source_removed": ("dataset.source", "synth"),
 }
 # extra arguments of each seeded command whose --seed flag must be >= 0
 SEED_FLAG_ARGS = {"synth": [], "train": ["--data", "{data}"],
