@@ -289,8 +289,12 @@ def _read_cohort(data_dir: str | Path, gt_path: str | Path = ""):
     gt = None
     gt_path = Path(gt_path) if gt_path else data / "ground_truth.json"
     if gt_path.exists():
-        gt = gym_mod.load_ground_truth(gt_path)
-        dataset = gym_mod.attach_ground_truth(dataset, gt)
+        try:
+            gt = gym_mod.load_ground_truth(gt_path)
+            dataset = gym_mod.attach_ground_truth(dataset, gt)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ds_mod.DatasetError(
+                f"ground truth {gt_path}: cannot attach ({type(exc).__name__}: {exc})") from exc
     return dataset, gt
 
 
@@ -313,8 +317,7 @@ def _load_policy(path: str | Path) -> tr_mod.LearnedPolicy:
 
 def _behavior_model(cfg: dict, dataset: ds_mod.OfflineDataset, seed: int):
     mode = cfg["ope"]["behavior"]
-    logged = ds_mod.transition_columns(dataset.episodes).behavior_prob
-    has_logged = not np.isnan(logged).any()
+    has_logged = not np.isnan(dataset.store.behavior_prob).any()
     if mode == "logged" or (mode == "auto" and has_logged):
         if not has_logged:
             raise ds_mod.DatasetError(

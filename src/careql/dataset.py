@@ -7,6 +7,12 @@ plus a presence flag when no note was written in that frame). Decisions are
 zero everywhere except the terminal step, which pays +1 for survival and -1
 otherwise.
 
+A dataset keeps its episodes in one ``EpisodeStore`` of contiguous arrays
+(the flat layout of D4RL, Fu et al. 2020). ``OfflineDataset.episodes`` are
+views of it, whose ``Transition`` and ``JointObservation`` objects are built
+only when ``transitions`` or ``frames()`` is read. Ingest, normalization,
+rediscretization, export and every flattening reader work on the arrays.
+
 File layout (see ``ingest`` / ``export``):
   structured CSV  one row per frame: episode_id, step, f0..f{F-1},
                   iv_dose, vaso_dose, done, survived. The final frame of an
@@ -17,16 +23,18 @@ File layout (see ``ingest`` / ``export``):
   manifest JSON   episode ids with split assignment, F, d_n and the dose
                   bin edges used for level discretization.
 
-Export mirrors ingest byte-for-byte under the canonical (episode_id, step)
-ordering.
+Rows and note lines may come in any order. Export writes them in the
+canonical (episode_id, step) order, so it mirrors ingest byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +48,13 @@ SPLITS = ("train", "val", "test")
 
 class DatasetError(ValueError):
     """Malformed dataset contents or files."""
+
+
+def _built(cls, **fields):
+    """An instance of a frozen dataclass from fields already checked in bulk."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +134,14 @@ class Transition:
 
 @dataclass(frozen=True)
 class Episode:
-    transitions: tuple[Transition, ...]
+    """T transitions over T + 1 frames.
+
+    Either built by hand from ``Transition`` objects, or a view of one
+    episode of an ``EpisodeStore``, whose transitions are built from the
+    arrays on first read.
+    """
+
+    transitions: Sequence[Transition]
     survived: bool
     episode_id: str
     split: str = "train"
@@ -150,7 +172,42 @@ class Episode:
         return [t.obs for t in self.transitions] + [self.transitions[-1].next_obs]
 
     def discounted_return(self, gamma: float) -> float:
-        return sum((gamma ** t) * tr.reward for t, tr in enumerate(self.transitions))
+        # every reward before the terminal one is zero
+        return (gamma ** (len(self) - 1)) * (1.0 if self.survived else -1.0)
+
+    def frame_arrays(self) -> tuple[Array, Array, Array]:
+        """(structured, note_embedding, note_present) of the T + 1 frames,
+        sliced from the episode's store; a hand-built episode is packed into
+        a store of its own on first use."""
+        if "_store" not in self.__dict__:
+            self.__dict__.update(_store=EpisodeStore.pack([self]), _index=0)
+        store, i = self.__dict__["_store"], self.__dict__["_index"]
+        rows = slice(store.frame_offsets[i], store.frame_offsets[i] + len(self) + 1)
+        return store.structured[rows], store.note_embedding[rows], store.note_present[rows]
+
+
+class _StoredTransitions(Sequence):
+    """The transitions of a stored episode, built on first read."""
+
+    def __init__(self, store: "EpisodeStore", index: int):
+        self._store, self._index, self._items = store, index, None
+
+    def __len__(self) -> int:
+        return int(self._store.lengths[self._index])
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def _built(self) -> tuple[Transition, ...]:
+        if self._items is None:
+            self._items = self._store.episode_transitions(self._index)
+        return self._items
 
 
 @dataclass(frozen=True)
@@ -171,36 +228,198 @@ class DoseBins:
     vaso: tuple[float, float, float, float]
 
 
+_FRAME_FIELDS = ("structured", "note_embedding", "note_present", "state_id")
+_TRANSITION_FIELDS = ("action", "iv_dose", "vaso_dose", "behavior_prob")
+_EPISODE_FIELDS = ("lengths", "survived", "episode_id", "split")
+
+
+def _ranges(starts: Array, counts: Array) -> Array:
+    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeStore:
+    """Contiguous arrays of a list of episodes, in order.
+
+    Episode i owns ``lengths[i]`` transition rows from ``offsets[i]`` and
+    ``lengths[i] + 1`` frame rows from ``frame_offsets[i]``; its last frame
+    carries no decision. Rewards and done flags follow from ``lengths`` and
+    ``survived``, and a transition's next state is its next frame's.
+    """
+
+    structured: Array       # (n_frames, F) float64
+    note_embedding: Array   # (n_frames, d_n) float64, zeros where no note
+    note_present: Array     # (n_frames,) bool
+    state_id: Array         # (n_frames,) int64, -1 when unknown
+    action: Array           # (N,) int64 flat action index
+    iv_dose: Array          # (N,) float64
+    vaso_dose: Array        # (N,) float64
+    behavior_prob: Array    # (N,) float64, nan when unknown
+    lengths: Array          # (n,) int64 transitions per episode
+    survived: Array         # (n,) bool
+    episode_id: Array       # (n,) object, str
+    split: Array            # (n,) object, one of SPLITS
+
+    @cached_property
+    def offsets(self) -> Array:
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def frame_offsets(self) -> Array:
+        return self.offsets + np.arange(self.lengths.shape[0])
+
+    @cached_property
+    def decision_frame(self) -> Array:
+        """Frame row of each transition; the row after it is its next frame."""
+        return np.arange(self.action.shape[0]) + np.repeat(
+            np.arange(self.lengths.shape[0]), self.lengths)
+
+    def views(self) -> tuple[Episode, ...]:
+        """One view per episode. The store keeps no reference to them, so
+        dropping a dataset frees its arrays without waiting for the cycle
+        collector."""
+        return tuple(
+            _built(Episode, transitions=_StoredTransitions(self, i), survived=survived,
+                   episode_id=episode_id, split=split, _store=self, _index=i)
+            for i, (survived, episode_id, split) in enumerate(
+                zip(self.survived.tolist(), self.episode_id, self.split)))
+
+    def columns(self) -> "TransitionColumns":
+        ends = np.cumsum(self.lengths)
+        done = np.zeros(self.action.shape[0], dtype=bool)
+        done[ends - 1] = True
+        reward = np.zeros(self.action.shape[0])
+        reward[ends - 1] = np.where(self.survived, 1.0, -1.0)
+        frame = self.decision_frame
+        return TransitionColumns(
+            action=self.action, reward=reward, done=done, behavior_prob=self.behavior_prob,
+            state_id=self.state_id[frame], next_state_id=self.state_id[frame + 1],
+            lengths=self.lengths)
+
+    def take(self, index: Array) -> "EpisodeStore":
+        """The store of episodes ``index``, in that order."""
+        lengths = self.lengths[index]
+        rows = {**dict.fromkeys(_FRAME_FIELDS, _ranges(self.frame_offsets[index], lengths + 1)),
+                **dict.fromkeys(_TRANSITION_FIELDS, _ranges(self.offsets[index], lengths)),
+                **dict.fromkeys(_EPISODE_FIELDS, index)}
+        return EpisodeStore(**{name: getattr(self, name)[r] for name, r in rows.items()})
+
+    def episode_transitions(self, i: int) -> tuple[Transition, ...]:
+        """The transitions of episode ``i``, sharing frame objects; their
+        arrays are views of the store's rows."""
+        length, first = int(self.lengths[i]), int(self.frame_offsets[i])
+        rows, cut = slice(first, first + length + 1), slice(first - i, first - i + length)
+        frames = [_built(JointObservation, structured=x, note_embedding=e, note_present=p)
+                  for x, e, p in zip(self.structured[rows], self.note_embedding[rows],
+                                     self.note_present[rows].tolist())]
+        states = [None if s < 0 else s for s in self.state_id[rows].tolist()]
+        terminal = 1.0 if self.survived[i] else -1.0
+        return tuple(
+            _built(Transition, obs=frames[t], action=ActionIndex.from_flat(a),
+                   reward=terminal if t == length - 1 else 0.0, next_obs=frames[t + 1],
+                   done=t == length - 1, behavior_prob=None if math.isnan(p) else p,
+                   iv_dose=iv, vaso_dose=vaso, state_id=states[t],
+                   next_state_id=states[t + 1])
+            for t, (a, p, iv, vaso) in enumerate(zip(
+                self.action[cut].tolist(), self.behavior_prob[cut].tolist(),
+                self.iv_dose[cut].tolist(), self.vaso_dose[cut].tolist())))
+
+    @classmethod
+    def pack(cls, episodes: Sequence[Episode], n_features: int = 0,
+             d_n: int = 0) -> "EpisodeStore":
+        """The arrays of any episodes, read through their objects; an empty
+        list gives frame widths ``n_features`` and ``d_n``. A frame's state id
+        is its transition's ``state_id``, the final frame's the last
+        ``next_state_id``."""
+        frames = [f for ep in episodes for f in ep.frames()]
+        trs = [tr for ep in episodes for tr in ep.transitions]
+        states = [s for ep in episodes
+                  for s in [tr.state_id for tr in ep.transitions] + [ep.transitions[-1].next_state_id]]
+
+        def stack(rows: list[Array], width: int) -> Array:
+            return np.stack(rows) if rows else np.zeros((0, width))
+
+        return cls(
+            structured=stack([f.structured for f in frames], n_features),
+            note_embedding=stack([f.note_embedding for f in frames], d_n),
+            note_present=np.array([f.note_present for f in frames], dtype=bool),
+            state_id=np.array([-1 if s is None else s for s in states], dtype=np.int64),
+            action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
+            iv_dose=np.array([tr.iv_dose for tr in trs], dtype=np.float64),
+            vaso_dose=np.array([tr.vaso_dose for tr in trs], dtype=np.float64),
+            behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
+                                    for tr in trs], dtype=np.float64),
+            lengths=np.array([len(ep.transitions) for ep in episodes], dtype=np.int64),
+            survived=np.array([ep.survived for ep in episodes], dtype=bool),
+            episode_id=np.array([ep.episode_id for ep in episodes], dtype=object),
+            split=np.array([ep.split for ep in episodes], dtype=object),
+        )
+
+
+def store_of(episodes: Sequence[Episode], n_features: int = 0, d_n: int = 0) -> EpisodeStore:
+    """One store of ``episodes`` in order: their own store when they are all
+    of its episodes in its order, rows gathered from it when they are some of
+    them, and a pack (see ``EpisodeStore.pack``) otherwise."""
+    stores = [ep.__dict__.get("_store") for ep in episodes]
+    store = stores[0] if stores else None
+    if store is None or any(s is not store for s in stores):
+        return EpisodeStore.pack(episodes, n_features, d_n)
+    index = np.fromiter((ep.__dict__["_index"] for ep in episodes), dtype=np.int64,
+                        count=len(episodes))
+    if index.shape == store.lengths.shape and (index == np.arange(index.size)).all():
+        return store
+    return store.take(index)
+
+
+def _frame_widths(ep: Episode) -> tuple[set[int], set[int]]:
+    """Structured and note widths of an episode's frames."""
+    store = ep.__dict__.get("_store")
+    if store is not None:
+        return {store.structured.shape[1]}, {store.note_embedding.shape[1]}
+    frames = ep.frames()
+    return ({f.structured.shape[0] for f in frames},
+            {f.note_embedding.shape[0] for f in frames})
+
+
 @dataclass(frozen=True)
 class OfflineDataset:
+    """A cohort: its episodes, frame widths, feature statistics and dose bins.
+
+    ``store`` holds the arrays of every episode and ``episodes`` are its
+    views; hand-built episodes are packed into a new store.
+    """
+
     episodes: tuple[Episode, ...]
     n_features: int
     d_n: int
     feature_stats: FeatureStats | None = None
     bin_edges: DoseBins | None = None
+    store: EpisodeStore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "episodes", tuple(self.episodes))
-        for ep in self.episodes:
-            for tr in ep.transitions:
-                for obs in (tr.obs, tr.next_obs):
-                    if obs.structured.shape[0] != self.n_features:
-                        raise DatasetError(
-                            f"episode {ep.episode_id!r}: structured width "
-                            f"{obs.structured.shape[0]} != F={self.n_features}"
-                        )
-                    if obs.note_embedding.shape[0] != self.d_n:
-                        raise DatasetError(
-                            f"episode {ep.episode_id!r}: embedding width "
-                            f"{obs.note_embedding.shape[0]} != d_n={self.d_n}"
-                        )
+        episodes = tuple(self.episodes)
+        for ep in episodes:
+            structured, notes = _frame_widths(ep)
+            for width in structured - {self.n_features}:
+                raise DatasetError(f"episode {ep.episode_id!r}: structured width "
+                                   f"{width} != F={self.n_features}")
+            for width in notes - {self.d_n}:
+                raise DatasetError(f"episode {ep.episode_id!r}: embedding width "
+                                   f"{width} != d_n={self.d_n}")
+        store = store_of(episodes, self.n_features, self.d_n)
+        if not episodes or episodes[0].__dict__.get("_store") is not store:
+            episodes = store.views()
+        object.__setattr__(self, "store", store)
+        object.__setattr__(self, "episodes", episodes)
 
     def __len__(self) -> int:
         return len(self.episodes)
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(ep) for ep in self.episodes)
+        return int(self.store.lengths.sum())
 
     def split_episodes(self, split: str) -> list[Episode]:
         return [ep for ep in self.episodes if ep.split == split]
@@ -250,22 +469,10 @@ class TransitionColumns:
 
 
 def transition_columns(episodes: Sequence[Episode]) -> TransitionColumns:
-    """Flatten the scalar fields of every transition into columns (the flat
-    layout of D4RL, Fu et al. 2020); frames are left out, because their note
-    inputs depend on the note strategy."""
-    trs = [tr for ep in episodes for tr in ep.transitions]
-    return TransitionColumns(
-        action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
-        reward=np.array([tr.reward for tr in trs], dtype=np.float64),
-        done=np.array([tr.done for tr in trs], dtype=bool),
-        behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
-                                for tr in trs], dtype=np.float64),
-        state_id=np.array([-1 if tr.state_id is None else tr.state_id for tr in trs],
-                          dtype=np.int64),
-        next_state_id=np.array([-1 if tr.next_state_id is None else tr.next_state_id
-                                for tr in trs], dtype=np.int64),
-        lengths=np.array([len(ep.transitions) for ep in episodes], dtype=np.int64),
-    )
+    """The scalar fields of every transition as columns, sliced from the
+    episodes' store; frames are left out, because their note inputs depend
+    on the note strategy."""
+    return store_of(episodes).columns()
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +490,31 @@ def assign_rewards(episode_raw: Sequence, survived: bool) -> list[float]:
     return rewards
 
 
-def discretize_dose(dose: float, bin_edges: Sequence[float]) -> int:
-    """Map a raw dose to one of 5 levels.
+def discretize_doses(doses, bin_edges: Sequence[float]) -> Array:
+    """Map raw doses to levels 0..4.
 
     Level 0 is the zero dose; positive doses fall into half-open buckets
     [edge_k, edge_{k+1}) over the 4 ascending edges, so a dose equal to an
     edge lands in the higher bucket.
     """
     edges = _validate_edges(bin_edges)
-    dose = float(dose)
-    if np.isnan(dose):
+    doses = np.asarray(doses, dtype=np.float64)
+    if np.isnan(doses).any():
         raise DatasetError("dose is NaN")
-    if dose < 0.0:
-        raise DatasetError(f"dose must be nonnegative, got {dose}")
-    if dose == 0.0:
-        return 0
-    return int(np.sum(dose >= edges))
+    negative = doses < 0.0
+    if negative.any():
+        raise DatasetError(f"dose must be nonnegative, got {doses[negative][0]}")
+    return np.searchsorted(edges, doses, side="right")
+
+
+def discretize_dose(dose: float, bin_edges: Sequence[float]) -> int:
+    """``discretize_doses`` of a single dose."""
+    return int(discretize_doses([float(dose)], bin_edges)[0])
+
+
+def _flat_actions(iv_dose: Array, vaso_dose: Array, bins: DoseBins) -> Array:
+    return (N_DOSE_LEVELS * discretize_doses(iv_dose, bins.iv)
+            + discretize_doses(vaso_dose, bins.vaso))
 
 
 def compute_bin_edges(doses: Iterable[float]) -> tuple[float, float, float, float]:
@@ -338,10 +554,11 @@ def _validate_edges(bin_edges: Sequence[float]) -> Array:
 
 def compute_feature_stats(dataset: OfflineDataset) -> FeatureStats:
     """Population mean/std per structured feature over the training split."""
-    train = dataset.split_episodes("train") or list(dataset.episodes)
-    rows = [frame.structured for ep in train for frame in ep.frames()]
-    mat = np.stack(rows)
-    return FeatureStats(mean=mat.mean(axis=0), std=mat.std(axis=0))
+    store = dataset.store
+    train = store.split == "train"
+    rows = store.structured[np.repeat(train, store.lengths + 1)] if train.any() \
+        else store.structured
+    return FeatureStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
 
 def normalize(dataset: OfflineDataset, recompute_stats: bool = True,
@@ -352,34 +569,21 @@ def normalize(dataset: OfflineDataset, recompute_stats: bool = True,
     data. Pass ``stats`` to normalize against another dataset's training
     statistics (cross-dataset evaluation).
     """
-    for ep in dataset.episodes:
-        for frame in ep.frames():
-            if not np.isfinite(frame.structured).all():
-                bad = int(np.argwhere(~np.isfinite(frame.structured))[0][0])
-                raise DatasetError(
-                    f"non-finite feature {bad} in episode {ep.episode_id!r}")
+    store = dataset.store
+    finite = np.isfinite(store.structured)
+    if not finite.all():
+        frame, feature = np.argwhere(~finite)[0]
+        episode = np.searchsorted(store.frame_offsets, frame, side="right") - 1
+        raise DatasetError(
+            f"non-finite feature {feature} in episode {store.episode_id[episode]!r}")
     if stats is None:
         stats = compute_feature_stats(dataset) \
             if (recompute_stats or dataset.feature_stats is None) \
             else dataset.feature_stats
     safe_std = np.where(stats.std > 0.0, stats.std, 1.0)
-    zero_var = stats.std == 0.0
-
-    def transform(obs: JointObservation) -> JointObservation:
-        z = (obs.structured - stats.mean) / safe_std
-        z[zero_var] = 0.0
-        return replace(obs, structured=z)
-
-    episodes = []
-    for ep in dataset.episodes:
-        transitions = []
-        next_obs = None
-        for tr in ep.transitions:
-            obs = transform(tr.obs) if next_obs is None else next_obs
-            next_obs = transform(tr.next_obs)
-            transitions.append(replace(tr, obs=obs, next_obs=next_obs))
-        episodes.append(replace(ep, transitions=tuple(transitions)))
-    return replace(dataset, episodes=tuple(episodes), feature_stats=stats)
+    z = (store.structured - stats.mean) / safe_std
+    z[:, stats.std == 0.0] = 0.0
+    return replace(dataset, episodes=replace(store, structured=z).views(), feature_stats=stats)
 
 
 def rediscretize(dataset: OfflineDataset, bins: DoseBins) -> OfflineDataset:
@@ -388,16 +592,9 @@ def rediscretize(dataset: OfflineDataset, bins: DoseBins) -> OfflineDataset:
     Used when a cross-evaluation shares the training cohort's dose bins
     instead of the evaluation cohort's own.
     """
-    episodes = []
-    for ep in dataset.episodes:
-        transitions = tuple(
-            replace(tr, action=ActionIndex(
-                iv_level=discretize_dose(tr.iv_dose, bins.iv),
-                vaso_level=discretize_dose(tr.vaso_dose, bins.vaso)))
-            for tr in ep.transitions
-        )
-        episodes.append(replace(ep, transitions=transitions))
-    return replace(dataset, episodes=tuple(episodes), bin_edges=bins)
+    store = dataset.store
+    action = _flat_actions(store.iv_dose, store.vaso_dose, bins)
+    return replace(dataset, episodes=replace(store, action=action).views(), bin_edges=bins)
 
 
 # ---------------------------------------------------------------------------
@@ -405,150 +602,199 @@ def rediscretize(dataset: OfflineDataset, bins: DoseBins) -> OfflineDataset:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    """Shortest decimal that round-trips the float exactly."""
-    return repr(float(x))
-
-
-@dataclass
-class _FrameRow:
-    features: Array
-    iv_dose: float
-    vaso_dose: float
-    done: bool
-    survived: bool
+def _csv_header(n_features: int) -> list[str]:
+    return (["episode_id", "step"] + [f"f{i}" for i in range(n_features)]
+            + ["iv_dose", "vaso_dose", "done", "survived"])
 
 
 def ingest(structured_file: str | Path, notes_file: str | Path,
            manifest: str | Path) -> OfflineDataset:
-    """Build an OfflineDataset from the three canonical files."""
-    manifest_path = Path(manifest)
-    for required in (Path(structured_file), manifest_path):
+    """Build an OfflineDataset from the three canonical files.
+
+    Rows and note lines may come in any order. A malformed file raises a
+    ``DatasetError`` that names it, and the line where there is one.
+    """
+    structured_path, notes_path, manifest_path = map(Path, (structured_file, notes_file,
+                                                            manifest))
+    for required in (structured_path, manifest_path):
         if not required.exists():
             raise DatasetError(f"missing dataset file: {required}")
+    n_features, d_n, splits, bins = _read_manifest(manifest_path)
+    columns = _read_structured(structured_path, n_features, splits)
+    n_frames = columns["structured"].shape[0]
+    store = EpisodeStore(**columns, note_embedding=np.zeros((n_frames, d_n)),
+                         note_present=np.zeros(n_frames, dtype=bool),
+                         action=_flat_actions(columns["iv_dose"], columns["vaso_dose"], bins))
+    _read_notes(notes_path, store)
+    return OfflineDataset(store.views(), n_features=n_features, d_n=d_n, bin_edges=bins)
+
+
+def _read_manifest(path: Path) -> tuple[int, int, dict[str, str], DoseBins]:
+    def error(message: str) -> DatasetError:
+        return DatasetError(f"manifest {path}: {message}")
+
     try:
-        man = json.loads(manifest_path.read_text(encoding="utf-8"))
+        man = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise DatasetError(f"manifest {manifest_path}: invalid JSON ({exc})") from exc
+        raise error(f"invalid JSON ({exc})") from exc
+    if not isinstance(man, dict):
+        raise error("expected a JSON object")
     for key in ("episodes", "n_features", "d_n", "bin_edges"):
         if key not in man:
-            raise DatasetError(f"manifest missing field {key!r}")
-    n_features = int(man["n_features"])
-    d_n = int(man["d_n"])
+            raise error(f"missing field {key!r}")
+    for key in ("n_features", "d_n"):
+        if type(man[key]) is not int or man[key] < 1:
+            raise error(f"{key} must be an integer >= 1, got {man[key]!r}")
+    if not isinstance(man["episodes"], list):
+        raise error("episodes must be a list")
     splits = {}
-    for entry in man["episodes"]:
+    for k, entry in enumerate(man["episodes"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and entry.get("split") in SPLITS):
+            raise error(f"episode entry {k} needs a string id and a split in {SPLITS}, "
+                        f"got {entry!r}")
         if entry["id"] in splits:
-            raise DatasetError(f"manifest lists episode {entry['id']!r} twice")
+            raise error(f"lists episode {entry['id']!r} twice")
         splits[entry["id"]] = entry["split"]
-    bins = DoseBins(iv=tuple(man["bin_edges"]["iv"]), vaso=tuple(man["bin_edges"]["vaso"]))
-
-    frames = _read_structured(Path(structured_file), n_features, splits)
-    notes = _read_notes(Path(notes_file), d_n, frames)
-
-    episodes = []
-    for ep_id in sorted(frames):
-        rows = frames[ep_id]
-        steps = sorted(rows)
-        if steps != list(range(len(steps))):
-            raise DatasetError(f"episode {ep_id!r}: steps {steps} are not contiguous from 0")
-        if len(steps) < 2:
-            raise DatasetError(f"episode {ep_id!r}: needs at least 2 frame rows (1 transition)")
-        done_flags = [rows[s].done for s in steps]
-        if done_flags != [False] * (len(steps) - 1) + [True]:
-            raise DatasetError(f"episode {ep_id!r}: done must mark exactly the final frame")
-        survived_vals = {rows[s].survived for s in steps}
-        if len(survived_vals) != 1:
-            raise DatasetError(f"episode {ep_id!r}: inconsistent survived flags")
-        survived = survived_vals.pop()
-
-        obs_seq = []
-        for s in steps:
-            emb, present = notes.get((ep_id, s), (np.zeros(d_n), False))
-            obs_seq.append(JointObservation(rows[s].features, emb, present))
-        n_trans = len(steps) - 1
-        rewards = assign_rewards(range(n_trans), survived)
-        transitions = []
-        for t in range(n_trans):
-            row = rows[t]
-            action = ActionIndex(
-                iv_level=discretize_dose(row.iv_dose, bins.iv),
-                vaso_level=discretize_dose(row.vaso_dose, bins.vaso),
-            )
-            transitions.append(Transition(
-                obs=obs_seq[t], action=action, reward=rewards[t],
-                next_obs=obs_seq[t + 1], done=(t == n_trans - 1),
-                iv_dose=row.iv_dose, vaso_dose=row.vaso_dose,
-            ))
-        episodes.append(Episode(tuple(transitions), survived, ep_id, split=splits[ep_id]))
-
-    missing = set(splits) - set(frames)
-    if missing:
-        raise DatasetError(f"manifest episodes missing from structured file: {sorted(missing)}")
-    return OfflineDataset(tuple(episodes), n_features=n_features, d_n=d_n, bin_edges=bins)
+    try:
+        edges = {drug: tuple(man["bin_edges"][drug]) for drug in ("iv", "vaso")}
+        for drug_edges in edges.values():
+            _validate_edges(drug_edges)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"bad bin_edges ({exc})") from exc
+    return man["n_features"], man["d_n"], splits, DoseBins(**edges)
 
 
 def _read_structured(path: Path, n_features: int,
-                     splits: Mapping[str, str]) -> dict[str, dict[int, _FrameRow]]:
-    expected_header = (["episode_id", "step"] + [f"f{i}" for i in range(n_features)]
-                       + ["iv_dose", "vaso_dose", "done", "survived"])
+                     splits: Mapping[str, str]) -> dict[str, Array]:
+    """Frame, transition and episode columns of the structured CSV, checked
+    and sorted by (episode_id, step)."""
+    header = _csv_header(n_features)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty structured file")
-    header = lines[0].split(",")
-    if header != expected_header:
+    got = lines[0].split(",")
+    if got != header:
         raise DatasetError(
-            f"{path}: header mismatch (expected {len(expected_header)} columns "
-            f"for F={n_features}, got {len(header)}: {header[:4]}...)"
+            f"{path}: header mismatch (expected {len(header)} columns "
+            f"for F={n_features}, got {len(got)}: {got[:4]}...)"
         )
-    frames: dict[str, dict[int, _FrameRow]] = {}
-    for ln, line in enumerate(lines[1:], start=2):
+    ids = sorted(splits)
+    code = {ep_id: k for k, ep_id in enumerate(ids)}
+    # parsed row by row into one preallocated array: features, then the doses
+    values = np.empty((len(lines) - 1, n_features + 2))
+    codes, steps, flags = [], [], []
+    for r, line in enumerate(lines[1:]):
         cells = line.split(",")
-        if len(cells) != len(expected_header):
-            raise DatasetError(f"{path} line {ln}: expected {len(expected_header)} cells, got {len(cells)}")
-        ep_id, step = cells[0], int(cells[1])
-        if ep_id not in splits:
-            raise DatasetError(f"{path} line {ln}: episode {ep_id!r} not listed in manifest")
+        if len(cells) != len(header):
+            raise DatasetError(f"{path} line {r + 2}: expected {len(header)} cells, "
+                               f"got {len(cells)}")
+        if cells[0] not in code:
+            raise DatasetError(f"{path} line {r + 2}: episode {cells[0]!r} not listed "
+                               f"in manifest")
         try:
-            features = np.array([float(c) for c in cells[2:2 + n_features]])
-            iv_dose = float(cells[2 + n_features])
-            vaso_dose = float(cells[3 + n_features])
+            step = int(cells[1])
+        except ValueError:
+            step = -1
+        # a step past the number of rows could never be contiguous from 0
+        if not 0 <= step < values.shape[0]:
+            raise DatasetError(f"{path} line {r + 2}: step {cells[1]!r} is not an integer "
+                               f"from 0 to {values.shape[0] - 1}")
+        steps.append(step)
+        try:
+            values[r] = [float(c) for c in cells[2:-2]]
         except ValueError as exc:
-            raise DatasetError(f"{path} line {ln}: bad numeric cell ({exc})") from exc
-        done = cells[4 + n_features]
-        survived = cells[5 + n_features]
-        if done not in ("0", "1") or survived not in ("0", "1"):
-            raise DatasetError(f"{path} line {ln}: done/survived must be 0 or 1")
-        per_ep = frames.setdefault(ep_id, {})
-        if step in per_ep:
-            raise DatasetError(f"{path} line {ln}: duplicate (episode, step) key ({ep_id!r}, {step})")
-        per_ep[step] = _FrameRow(features, iv_dose, vaso_dose, done == "1", survived == "1")
-    return frames
+            raise DatasetError(f"{path} line {r + 2}: bad numeric cell ({exc})") from exc
+        if cells[-2] not in ("0", "1") or cells[-1] not in ("0", "1"):
+            raise DatasetError(f"{path} line {r + 2}: done/survived must be 0 or 1")
+        codes.append(code[cells[0]])
+        flags.append((cells[-2] == "1", cells[-1] == "1"))
+
+    bad = ~np.isfinite(values)
+    bad[:, n_features:] |= values[:, n_features:] < 0.0
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DatasetError(f"{path} line {r + 2}: {header[2 + c]} is {float(values[r, c])!r}; "
+                           f"features must be finite and doses finite and nonnegative")
+
+    codes, steps = np.array(codes, dtype=np.int64), np.array(steps, dtype=np.int64)
+    order = np.lexsort((steps, codes))
+    codes, steps, line_of = codes[order], steps[order], order + 2
+    repeat = (codes[1:] == codes[:-1]) & (steps[1:] == steps[:-1])
+    if repeat.any():
+        r = 1 + np.flatnonzero(repeat)[np.argmin(line_of[1:][repeat])]
+        raise DatasetError(f"{path} line {line_of[r]}: duplicate (episode, step) key "
+                           f"({ids[codes[r]]!r}, {steps[r]})")
+    counts = np.bincount(codes, minlength=len(ids))
+    missing = [ids[k] for k in np.flatnonzero(counts == 0)]
+    if missing:
+        raise DatasetError(f"{path}: manifest episodes missing from the structured "
+                           f"file: {missing}")
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(codes.size) - np.repeat(starts, counts)
+    if (steps != rank).any():
+        k = codes[np.argmax(steps != rank)]
+        raise DatasetError(f"{path}: episode {ids[k]!r}: steps {steps[codes == k].tolist()} "
+                           f"are not contiguous from 0")
+    if (counts < 2).any():
+        raise DatasetError(f"{path}: episode {ids[np.argmax(counts < 2)]!r}: needs at least "
+                           f"2 frame rows (1 transition)")
+    done, survived = np.array(flags, dtype=bool).reshape(-1, 2)[order].T
+    final = rank == np.repeat(counts - 1, counts)
+    for wrong, what in ((done != final, "done must mark exactly the final frame"),
+                        (survived != np.repeat(survived[starts], counts),
+                         "inconsistent survived flags")):
+        if wrong.any():
+            r = np.argmax(wrong)
+            raise DatasetError(f"{path} line {line_of[r]}: episode {ids[codes[r]]!r}: {what}")
+
+    decision = order[~final]
+    return dict(structured=np.ascontiguousarray(values[order, :n_features]),
+                state_id=np.full(codes.size, -1, dtype=np.int64),
+                iv_dose=values[decision, n_features], vaso_dose=values[decision, n_features + 1],
+                behavior_prob=np.full(decision.size, np.nan), lengths=counts - 1,
+                survived=survived[starts], episode_id=np.array(ids, dtype=object),
+                split=np.array([splits[ep_id] for ep_id in ids], dtype=object))
 
 
-def _read_notes(path: Path, d_n: int,
-                frames: Mapping[str, Mapping[int, _FrameRow]]) -> dict[tuple[str, int], tuple[Array, bool]]:
-    notes: dict[tuple[str, int], tuple[Array, bool]] = {}
-    text = path.read_text(encoding="utf-8") if path.exists() else ""
-    for ln, line in enumerate(text.splitlines(), start=1):
+def _read_notes(path: Path, store: EpisodeStore) -> None:
+    """Fill the store's note arrays from the notes file, if there is one."""
+    if not path.exists():
+        return
+    code = {ep_id: k for k, ep_id in enumerate(store.episode_id)}
+    d_n = store.note_embedding.shape[1]
+    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path} line {ln}: invalid JSON ({exc})") from exc
-        key = (obj["episode_id"], int(obj["step"]))
-        if key in notes:
-            raise DatasetError(f"{path} line {ln}: duplicate note for {key}")
-        if key[0] not in frames or key[1] not in frames[key[0]]:
+        if not isinstance(obj, dict) or not {"episode_id", "step", "embedding"} <= obj.keys():
+            raise DatasetError(f"{path} line {ln}: expected an object with episode_id, "
+                               f"step and embedding")
+        key = (obj["episode_id"], obj["step"])
+        k = code.get(key[0]) if isinstance(key[0], str) else None
+        if k is None or type(key[1]) is not int or not 0 <= key[1] <= store.lengths[k]:
             raise DatasetError(f"{path} line {ln}: note for unknown frame {key}")
-        emb = np.asarray(obj["embedding"], dtype=np.float64)
+        row = store.frame_offsets[k] + key[1]
+        if store.note_present[row]:
+            raise DatasetError(f"{path} line {ln}: duplicate note for {key}")
+        try:
+            emb = np.asarray(obj["embedding"])
+        except ValueError:       # ragged nesting
+            emb = np.asarray(None)
+        if emb.dtype.kind not in "iuf":
+            raise DatasetError(f"{path} line {ln}: embedding must be a list of numbers")
         if emb.shape != (d_n,):
             raise DatasetError(
                 f"{path} line {ln}: embedding length {emb.shape[0] if emb.ndim == 1 else emb.shape} "
                 f"!= d_n={d_n} for {key}"
             )
-        notes[key] = (emb, True)
-    return notes
+        if not np.isfinite(emb).all():
+            raise DatasetError(f"{path} line {ln}: embedding must be finite")
+        store.note_embedding[row] = emb
+        store.note_present[row] = True
 
 
 def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
@@ -561,30 +807,35 @@ def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
     notes_path = out / "notes.jsonl"
     manifest_path = out / "manifest.json"
 
-    header = (["episode_id", "step"] + [f"f{i}" for i in range(dataset.n_features)]
-              + ["iv_dose", "vaso_dose", "done", "survived"])
-    csv_lines = [",".join(header)]
-    note_lines = []
-    episodes_sorted = sorted(dataset.episodes, key=lambda ep: ep.episode_id)
-    for ep in episodes_sorted:
-        surv = "1" if ep.survived else "0"
-        for step, frame in enumerate(ep.frames()):
-            terminal = step == len(ep.transitions)
-            iv = 0.0 if terminal else ep.transitions[step].iv_dose
-            vaso = 0.0 if terminal else ep.transitions[step].vaso_dose
-            cells = ([ep.episode_id, str(step)] + [_fmt(x) for x in frame.structured]
-                     + [_fmt(iv), _fmt(vaso), "1" if terminal else "0", surv])
-            csv_lines.append(",".join(cells))
-            if frame.note_present:
-                note_lines.append(json.dumps(
-                    {"episode_id": ep.episode_id, "step": step,
-                     "embedding": [float(x) for x in frame.note_embedding]},
-                    sort_keys=True))
-    structured_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    notes_path.write_text(("\n".join(note_lines) + "\n") if note_lines else "", encoding="utf-8")
+    store = store_of(sorted(dataset.episodes, key=lambda ep: ep.episode_id))
+    n_features = dataset.n_features
+    # the final frame of an episode has no decision and writes zero doses
+    values = np.zeros((store.structured.shape[0], n_features + 2))
+    values[:, :n_features] = store.structured
+    values[store.decision_frame, n_features] = store.iv_dose
+    values[store.decision_frame, n_features + 1] = store.vaso_dose
+    rows = iter(values)
+    with structured_path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(_csv_header(n_features)) + "\n")
+        for ep_id, length, survived in zip(store.episode_id, store.lengths.tolist(),
+                                           store.survived.tolist()):
+            for step in range(length + 1):
+                # repr is the shortest decimal that round-trips the float
+                fh.write(f"{ep_id},{step},{','.join(map(repr, next(rows).tolist()))},"
+                         f"{int(step == length)},{int(survived)}\n")
+
+    noted = np.flatnonzero(store.note_present)
+    episode = np.searchsorted(store.frame_offsets, noted, side="right") - 1
+    with notes_path.open("w", encoding="utf-8") as fh:
+        for row, k, step in zip(noted.tolist(), episode.tolist(),
+                                (noted - store.frame_offsets[episode]).tolist()):
+            fh.write(json.dumps({"episode_id": store.episode_id[k], "step": step,
+                                 "embedding": store.note_embedding[row].tolist()},
+                                sort_keys=True) + "\n")
 
     manifest = {
-        "episodes": [{"id": ep.episode_id, "split": ep.split} for ep in episodes_sorted],
+        "episodes": [{"id": ep_id, "split": split}
+                     for ep_id, split in zip(store.episode_id, store.split)],
         "n_features": dataset.n_features,
         "d_n": dataset.d_n,
         "bin_edges": {"iv": list(dataset.bin_edges.iv), "vaso": list(dataset.bin_edges.vaso)},

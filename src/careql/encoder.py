@@ -135,9 +135,7 @@ def resolve_note(embeddings: Array, present: Array,
 def episode_note_inputs(episode: Episode,
                         strategy: NoteStrategy) -> tuple[Array, Array]:
     """(f_c, f_e) over all frames (length T+1) of an episode."""
-    frames = episode.frames()
-    emb = np.stack([f.note_embedding for f in frames])
-    pres = np.array([f.note_present for f in frames])
+    _, emb, pres = episode.frame_arrays()
     return frame_note_inputs(emb, pres, strategy)
 
 

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
-                      transition_columns)
+                      store_of, transition_columns)
 from .netcore import (
     Adam,
     Dense,
@@ -202,7 +202,8 @@ class FittedBehavior:
 
 def _decision_structured(episodes: Sequence[Episode]) -> Array:
     """Structured features of every frame that has a decision, stacked."""
-    return np.stack([f.structured for ep in episodes for f in ep.frames()[:-1]])
+    store = store_of(episodes)
+    return store.structured[store.decision_frame]
 
 
 def fit_behavior(dataset: OfflineDataset, cfg: BehaviorFitConfig | None = None,

@@ -18,6 +18,7 @@ occupancy recursion. ``generate_mdp`` certifies both gaps at generation time.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -27,14 +28,11 @@ import numpy as np
 
 from .dataset import (
     ActionIndex,
-    Episode,
-    JointObservation,
     N_ACTIONS,
     N_DOSE_LEVELS,
     DoseBins,
+    EpisodeStore,
     OfflineDataset,
-    Transition,
-    assign_rewards,
 )
 
 Array = np.ndarray
@@ -586,26 +584,6 @@ def best_note_only(mdp: TabularMDP, gamma: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _emit(mdp: TabularMDP, state: int, first_frame: bool, context_state: int,
-          rng: np.random.Generator) -> JointObservation:
-    structured = mdp.emission_l_mean[state].copy()
-    if mdp.emission_l_noise > 0:
-        structured += mdp.emission_l_noise * rng.standard_normal(mdp.n_features)
-    if first_frame:
-        present = rng.random() < mdp.first_frame_note_prob
-        proto = mdp.context_prototype[context_state]
-    else:
-        present = rng.random() < mdp.note_present_prob[state]
-        proto = mdp.emission_n_proto[state]
-    if present:
-        embedding = proto.copy()
-        if mdp.emission_n_noise > 0:
-            embedding += mdp.emission_n_noise * rng.standard_normal(mdp.d_n)
-    else:
-        embedding = np.zeros(mdp.d_n)
-    return JointObservation(structured, embedding, bool(present))
-
-
 def rollout(mdp: TabularMDP, policy: BehaviorPolicy, n_episodes: int,
             max_len: int = 18, seed: int = 0,
             split_fractions: tuple[float, float, float] = (1.0, 0.0, 0.0),
@@ -615,7 +593,8 @@ def rollout(mdp: TabularMDP, policy: BehaviorPolicy, n_episodes: int,
     Transitions record the behavior probability of the logged action and the
     latent state ids (enabling tabular oracles). Episodes hitting max_len
     are force-terminated and scored with the outcome label of the state
-    reached.
+    reached. Draws are made one frame at a time, in a fixed order, into the
+    dataset's arrays.
     """
     if n_episodes < 1:
         raise GeneratorError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -627,46 +606,68 @@ def rollout(mdp: TabularMDP, policy: BehaviorPolicy, n_episodes: int,
     n_train = int(round(split_fractions[0] * n_episodes))
     n_val = int(round(split_fractions[1] * n_episodes))
 
-    # inverse-CDF sampling; much faster than per-draw choice(p=...)
-    cdf_initial = np.cumsum(mdp.initial_dist)
-    cdf_policy = np.cumsum(policy.probs, axis=1)
-    cdf_transition = np.cumsum(mdp.transition, axis=2)
+    # inverse-CDF sampling on Python lists; bisect_right is searchsorted(side="right")
+    cdf_initial = np.cumsum(mdp.initial_dist).tolist()
+    cdf_policy = np.cumsum(policy.probs, axis=1).tolist()
+    cdf_transition = np.cumsum(mdp.transition, axis=2).tolist()
+    behavior_probs = policy.probs.tolist()
+    note_prob = mdp.note_present_prob.tolist()
+    absorbing = mdp.absorbing.tolist()
 
-    def draw(cdf: Array) -> int:
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return min(idx, len(cdf) - 1)
+    def draw(cdf: list[float]) -> int:
+        return min(bisect.bisect_right(cdf, rng.random()), len(cdf) - 1)
 
-    episodes = []
-    for i in range(n_episodes):
+    states, actions, logged_probs, lengths, survived = [], [], [], [], []
+    present, noise_l, protos, noise_n = [], [], [], []
+
+    def emit(state: int, proto: Array, p_note: float) -> None:
+        """Draw one frame's noise and note presence, in the order of the stream."""
+        states.append(state)
+        if mdp.emission_l_noise > 0:
+            noise_l.append(rng.standard_normal(mdp.n_features))
+        present.append(rng.random() < p_note)
+        if present[-1]:
+            protos.append(proto)
+            if mdp.emission_n_noise > 0:
+                noise_n.append(rng.standard_normal(mdp.d_n))
+
+    for _ in range(n_episodes):
         s = draw(cdf_initial)
-        obs = _emit(mdp, s, True, s, rng)
-        raw_steps = []
+        emit(s, mdp.context_prototype[s], mdp.first_frame_note_prob)
         for step in range(max_len):
             a = draw(cdf_policy[s])
-            s_next = draw(cdf_transition[s, a])
-            next_obs = _emit(mdp, s_next, False, s, rng)
-            done = bool(mdp.absorbing[s_next]) or step == max_len - 1
-            raw_steps.append((s, a, s_next, obs, next_obs))
-            s, obs = s_next, next_obs
-            if done:
+            actions.append(a)
+            logged_probs.append(behavior_probs[s][a])
+            s = draw(cdf_transition[s][a])
+            emit(s, mdp.emission_n_proto[s], note_prob[s])
+            if absorbing[s] or step == max_len - 1:
                 break
-        final_state = raw_steps[-1][2]
-        survived = mdp.reward_terminal[final_state] > 0
-        rewards = assign_rewards(raw_steps, survived)
-        transitions = []
-        for t, (s_t, a, s_n, o_t, o_n) in enumerate(raw_steps):
-            action = ActionIndex.from_flat(a)
-            transitions.append(Transition(
-                obs=o_t, action=action, reward=rewards[t], next_obs=o_n,
-                done=(t == len(raw_steps) - 1),
-                behavior_prob=float(policy.probs[s_t, a]),
-                iv_dose=float(action.iv_level), vaso_dose=float(action.vaso_level),
-                state_id=s_t, next_state_id=s_n,
-            ))
-        split = "train" if i < n_train else ("val" if i < n_train + n_val else "test")
-        episodes.append(Episode(tuple(transitions), bool(survived),
-                                f"{id_prefix}{i:06d}", split=split))
-    return OfflineDataset(tuple(episodes), n_features=mdp.n_features, d_n=mdp.d_n,
+        lengths.append(step + 1)
+        survived.append(mdp.reward_terminal[s] > 0)
+
+    state_id = np.array(states, dtype=np.int64)
+    structured = mdp.emission_l_mean[state_id]
+    if noise_l:
+        structured += mdp.emission_l_noise * np.array(noise_l)
+    note_present = np.array(present, dtype=bool)
+    note_embedding = np.zeros((state_id.size, mdp.d_n))
+    if protos:
+        note_embedding[note_present] = np.array(protos)
+    if noise_n:
+        note_embedding[note_present] += mdp.emission_n_noise * np.array(noise_n)
+    action = np.array(actions, dtype=np.int64)
+    split = np.array(["train" if i < n_train else ("val" if i < n_train + n_val else "test")
+                      for i in range(n_episodes)], dtype=object)
+    store = EpisodeStore(
+        structured=structured, note_embedding=note_embedding, note_present=note_present,
+        state_id=state_id, action=action,
+        iv_dose=(action // N_DOSE_LEVELS).astype(np.float64),
+        vaso_dose=(action % N_DOSE_LEVELS).astype(np.float64),
+        behavior_prob=np.array(logged_probs), lengths=np.array(lengths, dtype=np.int64),
+        survived=np.array(survived, dtype=bool),
+        episode_id=np.array([f"{id_prefix}{i:06d}" for i in range(n_episodes)], dtype=object),
+        split=split)
+    return OfflineDataset(store.views(), n_features=mdp.n_features, d_n=mdp.d_n,
                           bin_edges=DoseBins(LEVEL_BIN_EDGES, LEVEL_BIN_EDGES))
 
 
@@ -730,13 +731,13 @@ def oracle_values(mdp: TabularMDP, behavior: BehaviorPolicy) -> dict:
 
 def write_ground_truth(path: str | Path, mdp: TabularMDP, behavior: BehaviorPolicy,
                        dataset: OfflineDataset) -> None:
-    episode_states = {}
-    for ep in dataset.episodes:
-        seq = [tr.state_id for tr in ep.transitions]
-        seq.append(ep.transitions[-1].next_state_id)
-        if any(s is None for s in seq):
-            raise GeneratorError(f"episode {ep.episode_id!r} lacks state ids")
-        episode_states[ep.episode_id] = [int(s) for s in seq]
+    store = dataset.store
+    unknown = store.state_id < 0
+    if unknown.any():
+        episode = np.searchsorted(store.frame_offsets, np.argmax(unknown), side="right") - 1
+        raise GeneratorError(f"episode {store.episode_id[episode]!r} lacks state ids")
+    episode_states = dict(zip(store.episode_id, (
+        states.tolist() for states in np.split(store.state_id, store.frame_offsets[1:]))))
     payload = {
         "mdp": {
             "transition": mdp.transition.tolist(),
@@ -796,21 +797,22 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
 
 def attach_ground_truth(dataset: OfflineDataset, gt: GroundTruth) -> OfflineDataset:
     """Re-attach latent state ids and behavior probabilities after ingest."""
-    episodes = []
-    for ep in dataset.episodes:
-        seq = gt.episode_states.get(ep.episode_id)
+    store = dataset.store
+    sequences = []
+    for episode_id, length in zip(store.episode_id, store.lengths.tolist()):
+        seq = gt.episode_states.get(episode_id)
         if seq is None:
-            raise GeneratorError(f"no ground-truth states for episode {ep.episode_id!r}")
-        if len(seq) != len(ep.transitions) + 1:
+            raise GeneratorError(f"no ground-truth states for episode {episode_id!r}")
+        if len(seq) != length + 1:
             raise GeneratorError(
-                f"episode {ep.episode_id!r}: ground truth lists {len(seq)} states "
-                f"for {len(ep.transitions)} transitions"
+                f"episode {episode_id!r}: ground truth lists {len(seq)} states "
+                f"for {length} transitions"
             )
-        transitions = []
-        for t, tr in enumerate(ep.transitions):
-            transitions.append(replace(
-                tr, state_id=seq[t], next_state_id=seq[t + 1],
-                behavior_prob=float(gt.behavior.probs[seq[t], tr.action.flat]),
-            ))
-        episodes.append(replace(ep, transitions=tuple(transitions)))
-    return replace(dataset, episodes=tuple(episodes))
+        sequences.append(seq)
+    state_id = np.array([s for seq in sequences for s in seq], dtype=np.int64)
+    n_states = gt.behavior.probs.shape[0]
+    if state_id.size and not 0 <= state_id.min() <= state_id.max() < n_states:
+        raise GeneratorError(f"ground-truth state ids must lie in [0, {n_states})")
+    behavior_prob = gt.behavior.probs[state_id[store.decision_frame], store.action]
+    store = replace(store, state_id=state_id, behavior_prob=behavior_prob)
+    return replace(dataset, episodes=store.views())

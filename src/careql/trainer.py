@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
+from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns, store_of,
                       transition_columns)
 from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
@@ -128,21 +128,21 @@ def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
     """Flatten episodes into per-transition rows.
 
     Transition t of an episode reads frame t as its state and frame t + 1
-    as its next state. Note inputs are sliced from each episode's arrays;
-    structured rows are stacked straight from the frames, because a copy per
-    episode would leave many small freed arrays behind and raise peak memory.
+    as its next state. Structured rows are gathered from the episodes'
+    store; note inputs are sliced from each episode's arrays.
     """
     eps = list(dataset.episodes) if episodes is None else list(episodes)
     if not eps:
         raise TrainerError("no episodes to build a transition table from")
-    frames = [ep.frames() for ep in eps]
-    cols = {"structured": np.stack([f.structured for fr in frames for f in fr[:-1]]),
-            "next_structured": np.stack([f.structured for fr in frames for f in fr[1:]])}
-    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in eps))
+    store = store_of(eps)
+    cols = {"structured": store.structured[store.decision_frame],
+            "next_structured": store.structured[store.decision_frame + 1]}
+    views = store.views()
+    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in views))
     for name, per_episode in (("f_c", f_c), ("f_e", f_e)):
         cols[name] = np.concatenate([x[:-1] for x in per_episode])
         cols[f"next_{name}"] = np.concatenate([x[1:] for x in per_episode])
-    flat = transition_columns(eps)
+    flat = transition_columns(views)
     return TransitionTable(
         **cols, action=flat.action, reward=flat.reward, done=flat.done,
         behavior_prob=flat.behavior_prob, episode_index=flat.episode_index,
@@ -353,8 +353,7 @@ class LearnedPolicy:
     def episode_inputs(self, episode: Episode) -> tuple[Array, Array, Array]:
         """Per-frame (structured, f_c, f_e) arrays, length T+1."""
         f_c, f_e = episode_note_inputs(episode, self.strategy)
-        structured = np.stack([f.structured for f in episode.frames()])
-        return structured, f_c, f_e
+        return episode.frame_arrays()[0], f_c, f_e
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
         return self.greedy_rows([episode])

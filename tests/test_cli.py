@@ -166,6 +166,22 @@ class TestTrainEval:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_behavior_model_reads_the_stored_column(self, synth_dir, monkeypatch):
+        # whether every behaviour probability is logged is read off the
+        # store's column, without flattening the dataset
+        from careql import cli, dataset
+        from careql.ope import LoggedBehavior
+
+        cfg = load_config(None)
+        data, gt = cli._load_bundle(synth_dir, cfg)
+        assert gt is not None
+
+        def flatten(episodes):
+            raise AssertionError(f"flattened {len(episodes)} episodes")
+
+        monkeypatch.setattr(dataset, "transition_columns", flatten)
+        assert isinstance(cli._behavior_model(cfg, data, 0), LoggedBehavior)
+
     def test_two_seeds_two_parseable_logs(self, tmp_path, synth_dir):
         cfg = write_config(tmp_path)
         logs = []
@@ -438,6 +454,91 @@ TRAIN_CONFIG_FAULTS = {
     "ground_truth_number": ("dataset.files.ground_truth", 5),
     "source_removed": ("dataset.source", "synth"),
 }
+def set_cell(line: int, column: int, value: str):
+    """Edit of a CSV text that sets one cell (lines count from 1, the header)."""
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        lines[line - 1] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def edit_line(line: int, change):
+    """Edit of a text that replaces one line with ``change(line text)``."""
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        lines[line - 1] = change(lines[line - 1])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def edit_note(line: int, change):
+    """Edit of a notes file that rewrites one note object in place."""
+    def rewrite(raw: str) -> str:
+        obj = json.loads(raw)
+        change(obj)
+        return json.dumps(obj)
+    return edit_line(line, rewrite)
+
+
+def edit_json(change):
+    """Edit of a JSON file that changes its decoded contents."""
+    def edit(text: str) -> str:
+        obj = json.loads(text)
+        change(obj)
+        return json.dumps(obj)
+    return edit
+
+
+def drop_episode_rows(episode_id: str):
+    def edit(text: str) -> str:
+        return "".join(line + "\n" for line in text.splitlines()
+                       if not line.startswith(episode_id + ","))
+    return edit
+
+
+# TINY_SYNTH files (F=6): CSV columns episode_id, step, f0..f5, iv_dose (8),
+# vaso_dose (9), done (10), survived (11); line 2 is step 0 of ep000000 and
+# so is the first note, since the first frame always has one.
+DATA_FILE_FAULTS = {
+    # (file, edit of its text, line the error must name or None)
+    "dose_inf": ("structured.csv", set_cell(2, 8, "inf"), 2),
+    "dose_negative": ("structured.csv", set_cell(2, 9, "-1.0"), 2),
+    "feature_nan": ("structured.csv", set_cell(2, 3, "nan"), 2),
+    "step_not_integer": ("structured.csv", set_cell(2, 1, "0.5"), 2),
+    "step_out_of_range": ("structured.csv", set_cell(2, 1, "1" + "0" * 20), 2),
+    "float_malformed": ("structured.csv", set_cell(2, 3, "1.2.3"), 2),
+    "cell_count": ("structured.csv", edit_line(2, lambda l: l.rsplit(",", 1)[0]), 2),
+    "done_2": ("structured.csv", set_cell(2, 10, "2"), 2),
+    "step_duplicate": ("structured.csv", edit_line(2, lambda l: l + "\n" + l), 3),
+    "episode_not_in_manifest": ("structured.csv", set_cell(2, 0, "stranger"), 2),
+    "manifest_episode_without_rows": ("structured.csv", drop_episode_rows("ep000000"),
+                                      None),
+    "note_without_episode_id": ("notes.jsonl",
+                                edit_note(1, lambda o: o.pop("episode_id")), 1),
+    "note_json_array": ("notes.jsonl", edit_line(1, lambda l: "[1, 2]"), 1),
+    "note_embedding_not_numeric": ("notes.jsonl", edit_note(
+        1, lambda o: o.update(embedding=["a"] * len(o["embedding"]))), 1),
+    "note_embedding_nan": ("notes.jsonl", edit_line(
+        1, lambda l: re.sub(r"\[[^,]*,", "[NaN,", l, count=1)), 1),
+    "note_embedding_length": ("notes.jsonl",
+                              edit_note(1, lambda o: o.update(embedding=[1.0])), 1),
+    "note_unknown_frame": ("notes.jsonl", edit_note(1, lambda o: o.update(step=999)), 1),
+    "manifest_entry_without_id": ("manifest.json",
+                                  edit_json(lambda m: m["episodes"][0].pop("id")), None),
+    "manifest_n_features_not_integer": ("manifest.json",
+                                        edit_json(lambda m: m.update(n_features="six")),
+                                        None),
+    "manifest_field_missing": ("manifest.json", edit_json(lambda m: m.pop("d_n")), None),
+    "manifest_edges_decreasing": ("manifest.json", edit_json(
+        lambda m: m["bin_edges"].update(iv=[4.0, 3.0, 2.0, 1.0])), None),
+    "ground_truth_not_json": ("ground_truth.json", lambda t: t[:40], None),
+    "ground_truth_lacks_episode": ("ground_truth.json", edit_json(
+        lambda g: g["episode_states"].pop("ep000000")), None),
+}
+
 # extra arguments of each seeded command whose --seed flag must be >= 0
 SEED_FLAG_ARGS = {"synth": [], "train": ["--data", "{data}"],
                   "eval": ["--data", "{data}", "--checkpoint", "{checkpoint}"]}
@@ -500,6 +601,19 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and "--seed" in err
+
+    @pytest.mark.parametrize("name, edit, line", list(DATA_FILE_FAULTS.values()),
+                             ids=list(DATA_FILE_FAULTS))
+    def test_malformed_data_file_exits_3_naming_it(self, synth_dir, capsys, name,
+                                                   edit, line):
+        path = synth_dir / name
+        path.write_text(edit(path.read_text()))
+        code = main(["ingest", "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(path) in err, err
+        if line is not None:
+            assert f"line {line}:" in err, err
 
     @pytest.mark.parametrize("value", [None, 0.5, 2])
     def test_valid_grad_clip_accepted(self, tmp_path, value):

@@ -1,5 +1,7 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from careql.dataset import (
+    SPLITS,
     ActionIndex,
     DatasetError,
     DoseBins,
@@ -203,10 +206,9 @@ class TestNormalize:
                               ep.transitions[1].obs.structured)
 
     def test_non_finite_feature_names_index_and_episode(self):
-        # bypass the constructor check to simulate a corrupted frame
+        # write into the stored array to simulate a corrupted frame
         ds = self.make_dataset([1.0, 2.0, 3.0])
-        bad_obs = ds.episodes[0].transitions[0].obs
-        object.__setattr__(bad_obs, "structured", np.array([np.inf]))
+        ds.store.structured[0, 0] = np.inf
         with pytest.raises(DatasetError, match="feature 0 in episode 'ep0'"):
             normalize(ds)
 
@@ -354,3 +356,189 @@ class TestTransitionColumns:
         first = next((i for i, ep in enumerate(episodes)
                       if any(tr.behavior_prob is None for tr in ep.transitions)), None)
         assert cols.first_episode(missing) == first
+
+
+# ---------------------------------------------------------------------------
+# The episode store
+# ---------------------------------------------------------------------------
+
+STORE_DTYPES = {"structured": np.float64, "note_embedding": np.float64,
+                "note_present": bool, "state_id": np.int64, "action": np.int64,
+                "iv_dose": np.float64, "vaso_dose": np.float64,
+                "behavior_prob": np.float64, "lengths": np.int64, "survived": bool,
+                "episode_id": object, "split": object}
+
+
+def per_transition_store(episodes):
+    """Reference for the store arrays: one Python loop over every transition,
+    plus each episode's final frame."""
+    rows = {name: [] for name in STORE_DTYPES}
+
+    def add_frame(obs, state_id):
+        rows["structured"].append(obs.structured)
+        rows["note_embedding"].append(obs.note_embedding)
+        rows["note_present"].append(obs.note_present)
+        rows["state_id"].append(-1 if state_id is None else state_id)
+
+    for ep in episodes:
+        for tr in ep.transitions:
+            add_frame(tr.obs, tr.state_id)
+            rows["action"].append(tr.action.flat)
+            rows["iv_dose"].append(tr.iv_dose)
+            rows["vaso_dose"].append(tr.vaso_dose)
+            rows["behavior_prob"].append(np.nan if tr.behavior_prob is None
+                                         else tr.behavior_prob)
+        add_frame(ep.transitions[-1].next_obs, ep.transitions[-1].next_state_id)
+        rows["lengths"].append(len(ep.transitions))
+        rows["survived"].append(ep.survived)
+        rows["episode_id"].append(ep.episode_id)
+        rows["split"].append(ep.split)
+    return {name: np.array(values, dtype=STORE_DTYPES[name])
+            for name, values in rows.items()}
+
+
+def assert_store_equals(store, expected):
+    for name, want in expected.items():
+        got = getattr(store, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_frames(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.structured.tobytes() == y.structured.tobytes()
+        assert x.note_embedding.tobytes() == y.note_embedding.tobytes()
+        assert x.note_present == y.note_present
+
+
+def assert_same_episodes(got, want):
+    assert len(got) == len(want)
+    for ep, ref in zip(got, want):
+        assert (ep.episode_id, ep.split, ep.survived, len(ep)) == \
+            (ref.episode_id, ref.split, ref.survived, len(ref))
+        assert_same_frames(ep.frames(), ref.frames())
+        for tr, tr_ref in zip(ep.transitions, ref.transitions):
+            assert_same_frames([tr.obs, tr.next_obs], [tr_ref.obs, tr_ref.next_obs])
+            for name in ("action", "reward", "done", "state_id", "next_state_id"):
+                assert getattr(tr, name) == getattr(tr_ref, name), name
+            for name in ("iv_dose", "vaso_dose", "behavior_prob"):
+                assert repr(getattr(tr, name)) == repr(getattr(tr_ref, name)), name
+
+
+# finite floats, with the awkward ones drawn often: signed zeros, subnormals
+# and values near the largest double
+awkward = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                           1.7976931348623157e308, -1e308, 0.1])
+finite = st.one_of(awkward, st.floats(allow_nan=False, allow_infinity=False))
+dose = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+                 st.floats(min_value=0.0, allow_infinity=False))
+edges = st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def cohorts(draw, with_ground_truth=False):
+    """A hand-built dataset: random F and d_n, episodes of 1-6 transitions,
+    notes on random frames and actions discretized from random doses; with
+    ground truth, state ids and behaviour probabilities on random episodes."""
+    n_features, d_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    bins = DoseBins(tuple(draw(edges)), tuple(draw(edges)))
+    episodes = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        frames = []
+        for _ in range(n + 1):
+            present = draw(st.booleans())
+            note = draw(st.lists(finite, min_size=d_n, max_size=d_n)) if present else [0.0] * d_n
+            features = draw(st.lists(finite, min_size=n_features, max_size=n_features))
+            frames.append(JointObservation(np.array(features), np.array(note), present))
+        known = with_ground_truth and draw(st.booleans())
+        states = draw(st.lists(st.integers(0, 30), min_size=n + 1, max_size=n + 1)) \
+            if known else [None] * (n + 1)
+        survived = draw(st.booleans())
+        rewards = assign_rewards(range(n), survived)
+        transitions = []
+        for t in range(n):
+            iv, vaso = draw(dose), draw(dose)
+            transitions.append(Transition(
+                obs=frames[t], next_obs=frames[t + 1], reward=rewards[t], done=t == n - 1,
+                action=ActionIndex(discretize_dose(iv, bins.iv), discretize_dose(vaso, bins.vaso)),
+                iv_dose=iv, vaso_dose=vaso, state_id=states[t], next_state_id=states[t + 1],
+                behavior_prob=draw(st.floats(1e-6, 1.0)) if known else None))
+        episodes.append(Episode(transitions, survived, f"ep{i:03d}",
+                                split=draw(st.sampled_from(SPLITS))))
+    return OfflineDataset(tuple(episodes), n_features, d_n, bin_edges=bins)
+
+
+def hand_built(dataset):
+    """Fresh hand-built copies of a dataset's episodes."""
+    return [Episode(tuple(ep.transitions), ep.survived, ep.episode_id, ep.split)
+            for ep in dataset.episodes]
+
+
+def read_files(paths):
+    return {key: path.read_bytes() for key, path in paths.items()}
+
+
+class TestEpisodeStore:
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts(with_ground_truth=True))
+    def test_packed_hand_built_episodes_match_the_reference(self, ds):
+        episodes = hand_built(ds)
+        packed = OfflineDataset(tuple(episodes), ds.n_features, ds.d_n, bin_edges=ds.bin_edges)
+        assert_store_equals(packed.store, per_transition_store(episodes))
+        assert_same_episodes(packed.episodes, episodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts())
+    def test_ingested_store_matches_the_reference(self, ds):
+        episodes = hand_built(ds)
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = ingest(*export(ds, tmp).values())
+        assert_store_equals(loaded.store, per_transition_store(episodes))
+        assert_same_episodes(loaded.episodes, episodes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cohorts(with_ground_truth=True), st.data())
+    def test_some_episodes_gather_their_rows(self, ds, data):
+        picked = data.draw(st.lists(st.sampled_from(ds.episodes), min_size=1, max_size=6))
+        sub = OfflineDataset(tuple(picked), ds.n_features, ds.d_n)
+        assert_store_equals(sub.store, per_transition_store(picked))
+        assert_same_episodes(sub.episodes, picked)
+
+
+class TestExportIngestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts(), st.randoms(use_true_random=False))
+    def test_export_of_ingest_is_the_files_in_any_row_order(self, ds, rng):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = export(ds, tmp / "a")
+            files = read_files(paths)
+            assert read_files(export(ingest(*paths.values()), tmp / "b")) == files
+
+            shuffled = tmp / "shuffled"
+            shuffled.mkdir()
+            header, *rows = files["structured"].decode().splitlines()
+            notes = files["notes"].decode().splitlines()
+            rng.shuffle(rows)
+            rng.shuffle(notes)
+            (shuffled / "structured.csv").write_text("\n".join([header] + rows) + "\n")
+            (shuffled / "notes.jsonl").write_text("".join(line + "\n" for line in notes))
+            (shuffled / "manifest.json").write_bytes(files["manifest"])
+            loaded = ingest(shuffled / "structured.csv", shuffled / "notes.jsonl",
+                            shuffled / "manifest.json")
+            assert read_files(export(loaded, tmp / "c")) == files
+
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts())
+    def test_ingest_of_export_has_the_datasets_arrays(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = ingest(*export(ds, tmp).values())
+        assert (loaded.n_features, loaded.d_n, loaded.bin_edges) == \
+            (ds.n_features, ds.d_n, ds.bin_edges)
+        assert_store_equals(loaded.store, {name: getattr(ds.store, name)
+                                           for name in STORE_DTYPES})
