@@ -61,13 +61,6 @@ def _check_weights(alpha: float, beta: float) -> None:
                          f"got alpha={alpha}, beta={beta}")
 
 
-def score_dataset(dataset: OfflineDataset, policy, alpha: float = 0.5,
-                  beta: float = 0.5,
-                  episodes: Sequence[Episode] | None = None) -> list[DiscrepancyScore]:
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    return _score(eps_list, policy, alpha, beta)
-
-
 def _score(episodes: Sequence[Episode], policy, alpha: float,
            beta: float) -> list[DiscrepancyScore]:
     _check_weights(alpha, beta)
@@ -138,10 +131,10 @@ def bdesr_rates(split: CohortSplit,
 
 
 def bdesr_report(dataset: OfflineDataset, policy, alpha: float = 0.5,
-                 beta: float = 0.5, p: float = 20.0,
-                 episodes: Sequence[Episode] | None = None) -> dict:
-    """Per-episode scores, cohort membership, and the two survival rates."""
-    scores = score_dataset(dataset, policy, alpha, beta, episodes=episodes)
+                 beta: float = 0.5, p: float = 20.0) -> dict:
+    """Per-episode scores, cohort membership, and the two survival rates of
+    a dataset, typically one split (``OfflineDataset.split``)."""
+    scores = _score(dataset.episodes, policy, alpha, beta)
     split = cohort_split(scores, p)
     low_rate, high_rate = bdesr_rates(split, dataset.survival())
     return {

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from . import dataset as ds_mod
 from . import ope as ope_mod
 from . import synthgym as gym_mod
 from . import trainer as tr_mod
-from .encoder import STRATEGY_KINDS, EncoderConfig, NoteStrategy
+from .encoder import EncoderConfig, EncoderError, NoteStrategy
 from .netcore import NonFiniteGradientError, load_param_values
 
 EXIT_OK = 0
@@ -158,10 +159,33 @@ def _check(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
+def _build(path: str, make, keys=()):
+    """``make()``, which builds a config dataclass; the range error it raises
+    becomes a ConfigError naming ``path.key`` for the first of ``keys`` the
+    error mentions, or ``path`` when it mentions none."""
+    try:
+        return make()
+    except (gym_mod.GeneratorError, tr_mod.TrainerError, ope_mod.OpeError,
+            EncoderError) as exc:
+        key = next((k for k in keys if re.search(rf"\b{k}\b", str(exc))), None)
+        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from None
+
+
 def _validate_config(cfg: dict) -> None:
-    """Range and choice checks; ``_deep_merge`` has checked every type."""
-    s = cfg["dataset"]["synth"]
-    _check(0.0 <= s["gamma"] < 1.0, "dataset.synth.gamma", "must be in [0, 1)")
+    """Range and choice checks; ``_deep_merge`` has checked every type.
+
+    The ranges of the synthetic generator, training, OPE and note strategy
+    keys are those of the dataclasses they configure, which are built here
+    once; the checks below cover what no dataclass checks.
+    """
+    s, e, o = cfg["dataset"]["synth"], cfg["encoder"], cfg["ope"]
+    _build("dataset.synth", lambda: _generator_config(cfg), s)
+    _build("train", lambda: _train_config(cfg, 0), cfg["train"])
+    _build("ope", lambda: _ope_config(cfg, 0), o)
+    _build("ope.behavior_floor", lambda: ope_mod.BehaviorFitConfig(floor=o["behavior_floor"]))
+    _build("encoder", lambda: NoteStrategy(e["strategy"], e["window"]), ("strategy", "window"))
+    for kind in cfg["ablate"]["strategies"]:
+        _build("ablate.strategies", lambda: NoteStrategy(kind))
     _check(0.0 < s["behavior_epsilon"] < 1.0, "dataset.synth.behavior_epsilon",
            "must be in (0, 1)")
     fr = s["split_fractions"]
@@ -169,32 +193,17 @@ def _validate_config(cfg: dict) -> None:
            "dataset.synth.split_fractions", "must be 3 fractions summing to 1")
     _check(cfg["modality"] in tr_mod.MODALITIES, "modality",
            f"must be one of {tr_mod.MODALITIES}")
-    _check(cfg["encoder"]["strategy"] in STRATEGY_KINDS,
-           "encoder.strategy", "must be raw|impute|stack|context")
-    t = cfg["train"]
-    _check(t["algorithm"] in tr_mod.ALGORITHMS, "train.algorithm",
-           f"must be one of {tr_mod.ALGORITHMS}")
-    _check(0.0 <= t["gamma"] < 1.0, "train.gamma", "must be in [0, 1)")
-    _check(t["cql_alpha"] >= 0.0, "train.cql_alpha", "must be >= 0")
-    _check(0.0 <= t["bcq_threshold"] <= 1.0, "train.bcq_threshold",
-           "must be in [0, 1]")
-    o = cfg["ope"]
-    _check(0.0 <= o["gamma"] < 1.0, "ope.gamma", "must be in [0, 1)")
     _check(0.0 < o["eps_soft"] < 1.0, "ope.eps_soft", "must be in (0, 1)")
     clip = o["clip_percentile"]
     _check(clip is None or 0.0 < clip <= 100.0,
            "ope.clip_percentile", "must be null or a number in (0, 100]")
     _check(o["behavior"] in ("auto", "logged", "fitted"), "ope.behavior",
            "must be auto|logged|fitted")
-    _check(0.0 < o["behavior_floor"] < 1.0 / ds_mod.N_ACTIONS, "ope.behavior_floor",
-           f"must be in (0, 1/{ds_mod.N_ACTIONS})")
     b = cfg["bdesr"]
     _check(b["alpha"] >= 0 and b["beta"] >= 0
            and abs(b["alpha"] + b["beta"] - 1.0) < 1e-9,
            "bdesr.alpha", "weights must be nonnegative and sum to 1")
     _check(0.0 < b["p"] < 50.0, "bdesr.p", "must be in (0, 50)")
-    for kind in cfg["ablate"]["strategies"]:
-        _check(kind in STRATEGY_KINDS, "ablate.strategies", f"unknown strategy {kind!r}")
     _check(bool(cfg["seeds"]), "seeds", "expected a nonempty list")
 
 
@@ -330,9 +339,9 @@ def _behavior_model(cfg: dict, dataset: ds_mod.OfflineDataset, seed: int):
     return ope_mod.fit_behavior(dataset, cfg=fit_cfg)
 
 
-def _eval_split(dataset: ds_mod.OfflineDataset):
-    test = dataset.split_episodes("test")
-    return test if test else list(dataset.episodes)
+def _eval_split(dataset: ds_mod.OfflineDataset) -> ds_mod.OfflineDataset:
+    """The test split, or the whole dataset when it has no test episodes."""
+    return dataset.split("test") or dataset
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +381,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = load_config(args.config)
     dataset, gt = _load_bundle(args.data, cfg)
-    splits = {name: len(dataset.split_episodes(name))
-              for name in ("train", "val", "test")}
+    splits = {name: int((dataset.store.split == name).sum()) for name in ds_mod.SPLITS}
     print(f"episodes: {len(dataset)}  transitions: {dataset.n_transitions}")
     print(f"features: {dataset.n_features}  d_n: {dataset.d_n}")
     print(f"splits: {splits}")
@@ -401,11 +409,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _ope_report_for(cfg: dict, dataset, policy, seed: int, episodes):
+def _ope_report_for(cfg: dict, dataset, test, policy, seed: int):
+    """OPE of ``policy`` on the split ``test``, with a behavior model read
+    or fitted on the whole ``dataset``."""
     behavior = _behavior_model(cfg, dataset, seed)
     target = ope_mod.soften(policy, cfg["ope"]["eps_soft"])
-    return ope_mod.evaluate_policy(dataset, target, behavior,
-                                   _ope_config(cfg, seed), episodes=episodes)
+    return ope_mod.evaluate_policy(test, target, behavior, _ope_config(cfg, seed))
 
 
 def _write_ope_outputs(out: Path, report, variant: str) -> None:
@@ -439,9 +448,9 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     out = _out_dir(args, "eval")
     dataset, _ = _load_bundle(args.data, cfg)
     policy = _load_policy(args.checkpoint)
-    episodes = _eval_split(dataset)
+    test = _eval_split(dataset)
     if not bdesr_only:
-        report = _ope_report_for(cfg, dataset, policy, seed, episodes)
+        report = _ope_report_for(cfg, dataset, test, policy, seed)
         _write_ope_outputs(out, report, variant="policy")
         _write_residuals(out, policy, dataset, cfg["ope"]["gamma"])
         print(f"OPE: opera={report.opera:.4f} dr={report.dr:.4f} "
@@ -449,9 +458,8 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
               f"(n={report.n_episodes}, fqe={report.fqe_mode})")
     if not ope_only:
         b = cfg["bdesr"]
-        report_b = bdesr_mod.bdesr_report(dataset, policy, alpha=b["alpha"],
-                                          beta=b["beta"], p=b["p"],
-                                          episodes=episodes)
+        report_b = bdesr_mod.bdesr_report(test, policy, alpha=b["alpha"],
+                                          beta=b["beta"], p=b["p"])
         _write_bdesr_outputs(out, report_b, variant="policy")
         print(f"BDESR: low={report_b['low_bdesr']:.4f} "
               f"high={report_b['high_bdesr']:.4f} (p={b['p']})")
@@ -487,7 +495,7 @@ def cmd_ablate(args) -> int:
         dataset = _synth_rollout(cfg, cfg["dataset"]["synth"]["seed"])[2]
         if cfg["dataset"]["normalize"]:
             dataset = ds_mod.normalize(dataset)
-    episodes = _eval_split(dataset)
+    test = _eval_split(dataset)
     metrics = ("opera", "dr", "fqe", "wis")
     rows = []
     for section, name, overlay in _ablation_variants(cfg):
@@ -497,7 +505,7 @@ def cmd_ablate(args) -> int:
             result = tr_mod.train(dataset, _train_config(variant, seed),
                                   _encoder_config(variant, dataset),
                                   modality=cfg["modality"])
-            report = _ope_report_for(cfg, dataset, result.policy, seed, episodes)
+            report = _ope_report_for(cfg, dataset, test, result.policy, seed)
             for metric in metrics:
                 per_seed[metric].append(getattr(report, metric))
         rows.append({
@@ -545,8 +553,8 @@ def cmd_cross_eval(args) -> int:
                           snapshot_interval=snapshot_interval)
     result.policy.save(out / "checkpoint.json")
 
-    episodes = _eval_split(eval_ds)
-    report = _ope_report_for(cfg, eval_ds, result.policy, seed, episodes)
+    test = _eval_split(eval_ds)
+    report = _ope_report_for(cfg, eval_ds, test, result.policy, seed)
     _write_ope_outputs(out, report, variant="cross")
     _write_residuals(out, result.policy, eval_ds, cfg["ope"]["gamma"])
 
@@ -557,7 +565,7 @@ def cmd_cross_eval(args) -> int:
     for step, values in result.snapshots:
         load_param_values(result.policy.all_params(), values)
         target = ope_mod.soften(result.policy, cfg["ope"]["eps_soft"])
-        batch = ope_mod.eval_batch(eval_ds, target, behavior, episodes=episodes)
+        batch = ope_mod.eval_batch(test, target, behavior)
         fqe_res = ope_mod.fqe_network(batch, target, gamma, _ope_config(cfg, seed).fqe)
         point = ope_mod.dr(batch, target, behavior, fqe_res.q_model, gamma)
         curve_lines.append(f"{step},{point!r}")

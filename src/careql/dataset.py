@@ -421,8 +421,13 @@ class OfflineDataset:
     def n_transitions(self) -> int:
         return int(self.store.lengths.sum())
 
-    def split_episodes(self, split: str) -> list[Episode]:
-        return [ep for ep in self.episodes if ep.split == split]
+    def split(self, name: str) -> "OfflineDataset":
+        """The episodes of split ``name`` as a dataset on a store gathered
+        from this one; this dataset itself when every episode is in it."""
+        index = np.flatnonzero(self.store.split == name)
+        if index.size == len(self):
+            return self
+        return replace(self, episodes=self.store.take(index).views())
 
     def survival(self) -> dict[str, bool]:
         return {ep.episode_id: ep.survived for ep in self.episodes}
@@ -561,8 +566,7 @@ def compute_feature_stats(dataset: OfflineDataset) -> FeatureStats:
     return FeatureStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
 
-def normalize(dataset: OfflineDataset, recompute_stats: bool = True,
-              stats: FeatureStats | None = None) -> OfflineDataset:
+def normalize(dataset: OfflineDataset, stats: FeatureStats | None = None) -> OfflineDataset:
     """Z-score structured features using training-split statistics.
 
     Zero-variance features map to 0. Idempotent on already-standardized
@@ -577,9 +581,7 @@ def normalize(dataset: OfflineDataset, recompute_stats: bool = True,
         raise DatasetError(
             f"non-finite feature {feature} in episode {store.episode_id[episode]!r}")
     if stats is None:
-        stats = compute_feature_stats(dataset) \
-            if (recompute_stats or dataset.feature_stats is None) \
-            else dataset.feature_stats
+        stats = compute_feature_stats(dataset)
     safe_std = np.where(stats.std > 0.0, stats.std, 1.0)
     z = (store.structured - stats.mean) / safe_std
     z[:, stats.std == 0.0] = 0.0

@@ -206,11 +206,6 @@ class GatedFusion:
         return {self.W.name: self.W, self.b.name: self.b}
 
 
-def gated_fusion(f_c, f_e, gate: GatedFusion) -> Tensor:
-    lift = lambda x: x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
-    return gate(lift(f_c), lift(f_e))
-
-
 class CrossModalAttention:
     """Bidirectional single-token cross-modal attention.
 
@@ -257,11 +252,6 @@ class CrossModalAttention:
         return {p.name: p for p in (self.Wq_l, self.Wk_l, self.Wv_l,
                                     self.Wq_n, self.Wk_n, self.Wv_n,
                                     self.out_l, self.out_n)}
-
-
-def cross_modal_attend(n, l, attn: CrossModalAttention) -> Tensor:
-    lift = lambda x: x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
-    return attn(lift(n), lift(l))
 
 
 class StateEncoder:

@@ -3,8 +3,9 @@
 Everything runs in float64 numpy. A ``Tensor`` records the operation that
 produced it; ``backward()`` on a scalar loss walks the tape and accumulates
 gradients into every reachable parameter. The op set is deliberately small:
-exactly what dense trunks, a dueling Q-head, gated fusion and single-token
-cross-attention need; ``linear`` is an affine map ``x @ W.T + b`` as one node.
+exactly what the one ReLU trunk (``MLP``) of the dueling Q-head and the
+action classifiers, gated fusion and single-token cross-attention need;
+``linear`` is an affine map ``x @ W.T + b`` as one node.
 Analytic gradients are verified against central finite differences (see
 ``gradient_check``), which is the independent oracle for this module.
 
@@ -377,12 +378,11 @@ def init_param(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator,
 class Dense:
     """Affine layer y = x @ W.T + b with W stored as (n_out, n_in)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator,
-                 name: str, bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, name: str):
         self.n_in = n_in
         self.n_out = n_out
         self.W = init_param((n_out, n_in), n_in, rng, f"{name}.W")
-        self.b = init_param((n_out,), n_in, rng, f"{name}.b") if bias else None
+        self.b = init_param((n_out,), n_in, rng, f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.shape[1] != self.n_in:
@@ -393,14 +393,34 @@ class Dense:
         return linear(x, self.W, self.b)
 
     def params(self) -> dict[str, Tensor]:
-        out = {self.W.name: self.W}
-        if self.b is not None:
-            out[self.b.name] = self.b
-        return out
+        return {self.W.name: self.W, self.b.name: self.b}
+
+
+class MLP:
+    """ReLU trunk: ``depth`` dense layers ``{name}.trunk{i}`` of ``width``
+    units, each followed by a ReLU; iterating yields the layers. With depth 0
+    it passes its input through."""
+
+    def __init__(self, n_in: int, width: int, depth: int, rng: np.random.Generator,
+                 name: str):
+        self.layers = [Dense(n_in if i == 0 else width, width, rng, f"{name}.trunk{i}")
+                       for i in range(depth)]
+        self.n_out = width if depth else n_in
+
+    def __call__(self, x: Tensor) -> Tensor:
+        for layer in self.layers:
+            x = layer(x).relu()
+        return x
+
+    def __iter__(self):
+        return iter(self.layers)
+
+    def params(self) -> dict[str, Tensor]:
+        return collect_params(*self.layers)
 
 
 class DuelingQNetwork:
-    """Dense trunk with separate state-value and advantage heads.
+    """ReLU trunk with separate state-value and advantage heads.
 
     Q(s, a) = V(s) + A(s, a) - mean_a A(s, a), so the advantage stream is
     mean-centered and V carries the common level.
@@ -411,24 +431,18 @@ class DuelingQNetwork:
                  name: str = "q"):
         self.input_dim = input_dim
         self.n_actions = n_actions
-        self.trunk: list[Dense] = []
-        d_in = input_dim
-        for i in range(depth):
-            self.trunk.append(Dense(d_in, width, rng, f"{name}.trunk{i}"))
-            d_in = width
-        self.value_head = Dense(d_in, 1, rng, f"{name}.value")
-        self.advantage_head = Dense(d_in, n_actions, rng, f"{name}.advantage")
+        self.trunk = MLP(input_dim, width, depth, rng, name)
+        self.value_head = Dense(self.trunk.n_out, 1, rng, f"{name}.value")
+        self.advantage_head = Dense(self.trunk.n_out, n_actions, rng, f"{name}.advantage")
 
     def __call__(self, state: Tensor) -> Tensor:
-        h = state
-        for layer in self.trunk:
-            h = layer(h).relu()
+        h = self.trunk(state)
         v = self.value_head(h)
         a = self.advantage_head(h)
         return v + a - a.mean(axis=1, keepdims=True)
 
     def params(self) -> dict[str, Tensor]:
-        return collect_params(*self.trunk, self.value_head, self.advantage_head)
+        return collect_params(self.trunk, self.value_head, self.advantage_head)
 
 
 # ---------------------------------------------------------------------------

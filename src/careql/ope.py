@@ -13,9 +13,11 @@ the sense of Voloshin et al. (2021): the episodes' transition columns
 every frame and action distribution at every decision, and the behavior
 probability of every logged action. ``eval_batch`` flattens the episodes
 once and asks each model once; ``evaluate_policy`` builds one batch and runs
-every estimator on it. The public estimators take a dataset (and
-optionally some of its episodes) and build the batch, or take a batch in
-the dataset's place, and then read no other argument the batch holds.
+every estimator on it. The public estimators take a dataset, typically one
+split (``OfflineDataset.split``) or a hand-picked subset
+(``dataclasses.replace(dataset, episodes=...)``), and build the batch, or
+take a batch in the dataset's place, and then read no other argument the
+batch holds.
 
 Target policies, behavior models and Q-models are duck-typed and answer
 with flat arrays, never one array per episode. Decision rows are the N
@@ -41,15 +43,23 @@ from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
                       store_of, transition_columns)
 from .netcore import (
     Adam,
-    Dense,
     DuelingQNetwork,
     Tensor,
     clone_param_values,
     load_param_values,
     no_grad,
 )
+from .trainer import ActionClassifier, cross_entropy_loss
 
 Array = np.ndarray
+
+# fixed settings: the behavior fit's batch, network FQE's Adam batch and
+# rate, and tabular FQE's convergence tolerance and iteration cap
+BEHAVIOR_BATCH_SIZE = 512
+FQE_BATCH_SIZE = 256
+FQE_LEARNING_RATE = 1e-3
+FQE_TABULAR_TOL = 1e-10
+FQE_TABULAR_MAX_ITERS = 100_000
 
 
 class OpeError(ValueError):
@@ -86,23 +96,21 @@ class EvalBatch:
         return self.features[self.decision_frame + 1]
 
 
-def _columns(data: OfflineDataset | EvalBatch, episodes: Sequence[Episode] | None
+def _columns(data: OfflineDataset | EvalBatch
              ) -> tuple[tuple[Episode, ...], TransitionColumns]:
     if isinstance(data, EvalBatch):
         return data.episodes, data.cols
-    eps = tuple(data.episodes if episodes is None else episodes)
-    if not eps:
+    if not data.episodes:
         raise OpeError("no episodes to evaluate on")
-    return eps, transition_columns(eps)
+    return data.episodes, transition_columns(data.episodes)
 
 
-def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None,
-               episodes: Sequence[Episode] | None = None) -> EvalBatch:
-    """The batch of ``episodes`` (default: all of ``data``'s) under a target
-    policy and, when given, a behavior model; a batch passes through."""
+def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalBatch:
+    """The batch of a dataset's episodes under a target policy and, when
+    given, a behavior model; a batch passes through."""
     if isinstance(data, EvalBatch):
         return data
-    eps, cols = _columns(data, episodes)
+    eps, cols = _columns(data)
     features, pi = policy.evaluation_rows(eps, cols)
     beta = None if behavior is None else behavior.logged_probs(eps, cols)
     return EvalBatch(eps, cols, features, pi, beta)
@@ -170,7 +178,6 @@ class LoggedBehavior:
 class BehaviorFitConfig:
     floor: float = 1e-3
     steps: int = 2000
-    batch_size: int = 512
     learning_rate: float = 1e-2
     seed: int = 0
 
@@ -186,47 +193,39 @@ class FittedBehavior:
     action keeps at least ``floor`` mass after renormalization.
     """
 
-    def __init__(self, layer: Dense, floor: float):
-        self._layer = layer
+    def __init__(self, classifier: ActionClassifier, floor: float):
+        self._classifier = classifier
         self.floor = floor
 
     def action_dist(self, features: Array) -> Array:
-        with no_grad():
-            p = self._layer(Tensor(np.atleast_2d(features))).softmax().data
+        p = self._classifier.probs(np.atleast_2d(features))
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
     def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:
-        dist = self.action_dist(_decision_structured(episodes))
+        store = store_of(episodes)
+        dist = self.action_dist(store.structured[store.decision_frame])
         return dist[np.arange(cols.action.shape[0]), cols.action]
 
 
-def _decision_structured(episodes: Sequence[Episode]) -> Array:
-    """Structured features of every frame that has a decision, stacked."""
-    store = store_of(episodes)
-    return store.structured[store.decision_frame]
-
-
-def fit_behavior(dataset: OfflineDataset, cfg: BehaviorFitConfig | None = None,
-                 episodes: Sequence[Episode] | None = None) -> FittedBehavior:
-    """Fit the logging policy as a floored softmax classifier on the raw
-    structured vector of each decision's frame."""
+def fit_behavior(dataset: OfflineDataset,
+                 cfg: BehaviorFitConfig | None = None) -> FittedBehavior:
+    """Fit the logging policy as a floored softmax classifier (an
+    ``ActionClassifier`` of depth 0) on the raw structured vector of each
+    decision's frame."""
     cfg = cfg or BehaviorFitConfig()
-    eps_list = list(episodes) if episodes is not None else list(dataset.episodes)
-    if not eps_list:
+    if not dataset.episodes:
         raise OpeError("no episodes to fit a behavior model on")
-    X = _decision_structured(eps_list)
-    y = transition_columns(eps_list).action
+    store = dataset.store
+    X, y = store.structured[store.decision_frame], store.action
 
     rng = np.random.default_rng([cfg.seed, 31])
-    layer = Dense(X.shape[1], N_ACTIONS, rng, "behavior.out")
-    opt = Adam(layer.params(), lr=cfg.learning_rate)
+    classifier = ActionClassifier(X.shape[1], rng, width=0, depth=0)
+    opt = Adam(classifier.params(), lr=cfg.learning_rate)
     for _ in range(cfg.steps):
-        idx = rng.integers(0, X.shape[0], size=min(cfg.batch_size, X.shape[0]))
-        logits = layer(Tensor(X[idx]))
-        loss = (logits.logsumexp(axis=1) - logits.pick(y[idx])).mean()
-        loss.backward()
+        idx = rng.integers(0, X.shape[0], size=min(BEHAVIOR_BATCH_SIZE, X.shape[0]))
+        cross_entropy_loss(classifier.logits(Tensor(X[idx])), y[idx]).backward()
         opt.step()
-    return FittedBehavior(layer, cfg.floor)
+    return FittedBehavior(classifier, cfg.floor)
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +326,20 @@ class WisResult:
 
 
 def wis(dataset: OfflineDataset | EvalBatch, policy, behavior, gamma: float,
-        clip_percentile: float | None = None,
-        episodes: Sequence[Episode] | None = None) -> WisResult:
+        clip_percentile: float | None = None) -> WisResult:
     """Self-normalized trajectory-weighted return estimate.
 
     A convex combination of logged episode returns, so the estimate always
     lies between the smallest and largest observed return.
     """
-    stats = _prepare_stats(eval_batch(dataset, policy, behavior, episodes), None, gamma)
+    stats = _prepare_stats(eval_batch(dataset, policy, behavior), None, gamma)
     idx = np.arange(stats.returns.shape[0])
     w = _clipped_weights(stats, idx, clip_percentile)
     return WisResult(estimate=_wis_from_stats(stats, idx, clip_percentile),
                      weights=w, returns=stats.returns, effective_sample_size=_ess(w))
 
 
-def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: float,
-       episodes: Sequence[Episode] | None = None) -> float:
+def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: float) -> float:
     """Weighted (self-normalized) per-decision doubly robust estimate.
 
     With q_hat == None (or identically zero) this reduces to self-normalized
@@ -350,7 +347,7 @@ def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: floa
     deterministic process the correction terms telescope and the estimate
     equals the model's initial-state value.
     """
-    stats = _prepare_stats(eval_batch(dataset, policy, behavior, episodes), q_hat, gamma)
+    stats = _prepare_stats(eval_batch(dataset, policy, behavior), q_hat, gamma)
     return _wdr_from_stats(stats, np.arange(stats.returns.shape[0]))
 
 
@@ -382,8 +379,7 @@ class FqeResult:
 
 
 def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma: float,
-                n_states: int, tol: float = 1e-10, max_iters: int = 100_000,
-                episodes: Sequence[Episode] | None = None) -> FqeResult:
+                n_states: int) -> FqeResult:
     """Exact tabular FQE: iterate the empirical Bellman operator to a fixed
     point.
 
@@ -395,7 +391,7 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.shape != (n_states, N_ACTIONS):
         raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    eps_list, cols = _columns(dataset, episodes)
+    eps_list, cols = _columns(dataset)
     bad = cols.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
     if bad is not None:
         raise OpeError(f"episode {eps_list[bad].episode_id!r} lacks state ids")
@@ -407,13 +403,13 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
 
     q = np.zeros((n_states, N_ACTIONS))
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, FQE_TABULAR_MAX_ITERS + 1):
         v = (pi * q).sum(axis=1)
         targets = cols.reward + gamma * not_done * v[cols.next_state_id]
         q_new = np.zeros_like(q)
         np.add.at(q_new, sa, targets)
         q_new /= safe_counts
-        if np.abs(q_new - q).max() < tol:
+        if np.abs(q_new - q).max() < FQE_TABULAR_TOL:
             q = q_new
             break
         q = q_new
@@ -468,8 +464,6 @@ class _TabularFqeBootstrap:
 class FqeNetConfig:
     iterations: int = 25
     steps_per_iteration: int = 120
-    batch_size: int = 256
-    learning_rate: float = 1e-3
     width: int = 64
     depth: int = 2
     seed: int = 0
@@ -490,15 +484,14 @@ class NetworkQ:
 
 
 def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
-                cfg: FqeNetConfig | None = None,
-                episodes: Sequence[Episode] | None = None) -> FqeResult:
+                cfg: FqeNetConfig | None = None) -> FqeResult:
     """Iterated Q regression on the policy's state features.
 
     Each outer iteration regresses r + gamma (1 - done) sum_a pi(a|s') Q_k
     (s', a) onto Q_{k+1}(s, a) with a frozen Q_k; diverging values abort.
     """
     cfg = cfg or FqeNetConfig()
-    batch = eval_batch(dataset, policy, episodes=episodes)
+    batch = eval_batch(dataset, policy)
     cols, pi = batch.cols, batch.pi
     X, X_next = batch.decision_features, batch.next_features
     # policy distribution at the successor state; rows for terminal
@@ -509,13 +502,12 @@ def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
     rng = np.random.default_rng([cfg.seed, 41])
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
                           n_actions=N_ACTIONS, name="fqe")
-    opt = Adam(net.params(), lr=cfg.learning_rate)
-    frozen = clone_param_values(net.params())
+    opt = Adam(net.params(), lr=FQE_LEARNING_RATE)
+    # the same seed gives the frozen network net's initial parameters
     frozen_net = DuelingQNetwork(X.shape[1], np.random.default_rng([cfg.seed, 41]),
                                  width=cfg.width, depth=cfg.depth,
                                  n_actions=N_ACTIONS, name="fqe")
     for it in range(cfg.iterations):
-        load_param_values(frozen_net.params(), frozen)
         with no_grad():
             next_q = frozen_net(Tensor(X_next)).data
         targets = cols.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
@@ -523,12 +515,12 @@ def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
             raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
                            f"non-finite regression targets")
         for _ in range(cfg.steps_per_iteration):
-            idx = rng.integers(0, X.shape[0], size=min(cfg.batch_size, X.shape[0]))
+            idx = rng.integers(0, X.shape[0], size=min(FQE_BATCH_SIZE, X.shape[0]))
             pred = net(Tensor(X[idx])).pick(cols.action[idx])
             loss = (pred - Tensor(targets[idx])).square().mean() * 0.5
             loss.backward()
             opt.step()
-        frozen = clone_param_values(net.params())
+        load_param_values(frozen_net.params(), clone_param_values(net.params()))
     q_model = NetworkQ(net)
     q0 = q_model.q_matrix(X[cols.offsets])
     initial = (pi[cols.offsets] * q0).sum(axis=1)
@@ -661,7 +653,6 @@ class OPEReport:
 
 
 def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
-                    episodes: Sequence[Episode] | None = None,
                     policy_table: Array | None = None,
                     n_states: int | None = None) -> OPEReport:
     """WIS + DR + FQE point estimates, paired bootstrap SEs, and OPERA.
@@ -673,7 +664,7 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     FQE replicate only resamples per-episode initial-state values (the
     network is fit once, so its bootstrap SE understates refit variance).
     """
-    batch = eval_batch(dataset, policy, behavior, episodes)
+    batch = eval_batch(dataset, policy, behavior)
     n = len(batch.episodes)
 
     fqe_boot = None

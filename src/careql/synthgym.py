@@ -39,6 +39,8 @@ Array = np.ndarray
 
 # canonical per-level doses so that discretize(dose) round-trips exactly
 LEVEL_BIN_EDGES = (0.5, 1.5, 2.5, 3.5)
+# derived seeds ``generate_mdp`` tries before giving up on the gap margin
+MAX_GENERATION_ATTEMPTS = 5
 
 
 class GeneratorError(ValueError):
@@ -181,10 +183,6 @@ class BehaviorPolicy:
     def floor(self) -> float:
         return float(self.probs.min())
 
-    @property
-    def has_full_support(self) -> bool:
-        return self.probs.min() > 0.0
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -208,7 +206,6 @@ class GeneratorConfig:
     note_prob: float = 0.7
     first_frame_note_prob: float = 1.0
     min_gap: float = 0.08
-    max_generation_attempts: int = 5
 
     def __post_init__(self):
         if self.n_severity < 1 or self.n_context < 1 or self.n_severity * self.n_context < 2:
@@ -220,14 +217,16 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise GeneratorError(f"{name} must lie in [0, 1], got {value}")
-        if min(self.term_prob_mid, self.term_prob_edge) <= 0.0:
-            raise GeneratorError("termination probabilities must be positive")
+        for name in ("term_prob_mid", "term_prob_edge"):
+            if getattr(self, name) <= 0.0:
+                raise GeneratorError(f"{name} must be positive, got {getattr(self, name)}")
         for hi, lo in ((self.survive_best_healthy, self.survive_worst_healthy),
                        (self.survive_best_sick, self.survive_worst_sick)):
             if not (0.0 < lo < hi < 1.0):
                 raise GeneratorError("survival probabilities must satisfy 0 < worst < best < 1")
-        if self.noise_structured < 0 or self.noise_note < 0:
-            raise GeneratorError("noise scales must be nonnegative")
+        for name in ("noise_structured", "noise_note"):
+            if getattr(self, name) < 0:
+                raise GeneratorError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.q_jitter < 0 or self.q_jitter >= 0.03:
             raise GeneratorError("q_jitter must be in [0, 0.03) to keep the optimal action stable")
         if self.n_features < 1 or self.d_n < 1:
@@ -254,7 +253,7 @@ def generate_mdp(config: GeneratorConfig, seed: int) -> TabularMDP:
     >= 2). Retries with a derived seed if a jittered draw misses the margin.
     """
     last_gaps = None
-    for attempt in range(config.max_generation_attempts):
+    for attempt in range(MAX_GENERATION_ATTEMPTS):
         mdp = _build_mdp(config, seed, attempt)
         gaps = (mdp.oracle["gap_structured_only"], mdp.oracle["gap_note_only"])
         ok = True
@@ -267,7 +266,7 @@ def generate_mdp(config: GeneratorConfig, seed: int) -> TabularMDP:
         last_gaps = gaps
     raise GeneratorError(
         f"could not certify modality gaps >= {config.min_gap} after "
-        f"{config.max_generation_attempts} attempts (last gaps: {last_gaps})"
+        f"{MAX_GENERATION_ATTEMPTS} attempts (last gaps: {last_gaps})"
     )
 
 

@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns, store_of,
-                      transition_columns)
+from .dataset import Episode, N_ACTIONS, OfflineDataset, TransitionColumns, transition_columns
 from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
+    MLP,
     Adam,
     Dense,
     DuelingQNetwork,
@@ -40,6 +40,7 @@ Array = np.ndarray
 
 MODALITIES = ("multimodal", "structured", "notes")
 ALGORITHMS = ("dqn", "cql", "bcq")
+RESIDUAL_BINS = 40
 
 
 class TrainerError(ValueError):
@@ -123,26 +124,23 @@ class TransitionTable:
         return self.action.shape[0]
 
 
-def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
-                           episodes: Sequence[Episode] | None = None) -> TransitionTable:
-    """Flatten episodes into per-transition rows.
+def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy) -> TransitionTable:
+    """Flatten a dataset's episodes into per-transition rows.
 
     Transition t of an episode reads frame t as its state and frame t + 1
-    as its next state. Structured rows are gathered from the episodes'
+    as its next state. Structured rows are gathered from the dataset's
     store; note inputs are sliced from each episode's arrays.
     """
-    eps = list(dataset.episodes) if episodes is None else list(episodes)
-    if not eps:
+    if not dataset.episodes:
         raise TrainerError("no episodes to build a transition table from")
-    store = store_of(eps)
+    store = dataset.store
     cols = {"structured": store.structured[store.decision_frame],
             "next_structured": store.structured[store.decision_frame + 1]}
-    views = store.views()
-    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in views))
+    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in dataset.episodes))
     for name, per_episode in (("f_c", f_c), ("f_e", f_e)):
         cols[name] = np.concatenate([x[:-1] for x in per_episode])
         cols[f"next_{name}"] = np.concatenate([x[1:] for x in per_episode])
-    flat = transition_columns(views)
+    flat = transition_columns(dataset.episodes)
     return TransitionTable(
         **cols, action=flat.action, reward=flat.reward, done=flat.done,
         behavior_prob=flat.behavior_prob, episode_index=flat.episode_index,
@@ -157,30 +155,23 @@ def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
 
 
 class ActionClassifier:
-    """Behavior model for discrete BCQ: dense trunk + 25-way logits."""
+    """Behavior model: a ReLU trunk and 25-way logits. BCQ's has the
+    Q-network's trunk shape; depth 0 is ``ope.fit_behavior``'s linear softmax."""
 
-    def __init__(self, input_dim: int, rng: np.random.Generator,
-                 width: int, depth: int = 3, name: str = "behavior"):
-        self.input_dim = input_dim
-        self.trunk = []
-        d_in = input_dim
-        for i in range(depth):
-            self.trunk.append(Dense(d_in, width, rng, f"{name}.trunk{i}"))
-            d_in = width
-        self.head = Dense(d_in, N_ACTIONS, rng, f"{name}.head")
+    def __init__(self, input_dim: int, rng: np.random.Generator, width: int,
+                 depth: int, name: str = "behavior"):
+        self.trunk = MLP(input_dim, width, depth, rng, name)
+        self.head = Dense(self.trunk.n_out, N_ACTIONS, rng, f"{name}.head")
 
     def logits(self, x: Tensor) -> Tensor:
-        h = x
-        for layer in self.trunk:
-            h = layer(h).relu()
-        return self.head(h)
+        return self.head(self.trunk(x))
 
     def probs(self, x: Array) -> Array:
         with no_grad():
             return self.logits(Tensor(x)).softmax().data
 
     def params(self) -> dict[str, Tensor]:
-        return collect_params(*self.trunk, self.head)
+        return collect_params(self.trunk, self.head)
 
 
 class QModel:
@@ -390,8 +381,8 @@ class LearnedPolicy:
             "encoder": {"n_features": enc.n_features, "d_n": enc.d_n, "d": enc.d,
                         "d_k": enc.d_k, "depth": enc.depth,
                         "use_attention": enc.use_attention},
-            "qnet": {"width": self.model.qnet.trunk[0].n_out,
-                     "depth": len(self.model.qnet.trunk)},
+            "qnet": {"width": self.model.qnet.trunk.n_out,
+                     "depth": len(self.model.qnet.trunk.layers)},
         }
         save_checkpoint(path, self.all_params(), metadata=meta)
 
@@ -408,10 +399,9 @@ class LearnedPolicy:
         model = QModel(meta["modality"], enc_cfg, cfg, rng)
         classifier = None
         if meta["algorithm"] == "bcq":
-            classifier = ActionClassifier(
-                enc_cfg.state_dim if meta["modality"] == "multimodal"
-                else model.qnet.input_dim,
-                rng, width=meta["qnet"]["width"], depth=meta["qnet"]["depth"])
+            classifier = ActionClassifier(model.qnet.input_dim, rng,
+                                          width=meta["qnet"]["width"],
+                                          depth=meta["qnet"]["depth"])
         policy = cls(model=model, algorithm=meta["algorithm"],
                      bcq_threshold=meta["bcq_threshold"], strategy=strategy,
                      behavior_classifier=classifier)
@@ -444,13 +434,11 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
-    train_eps = dataset.split_episodes("train") or list(dataset.episodes)
-    table = build_transition_table(dataset, enc_cfg.strategy, train_eps)
+    table = build_transition_table(dataset.split("train") or dataset, enc_cfg.strategy)
 
-    init_rng = np.random.default_rng([cfg.seed, 11])
-    model = QModel(modality, enc_cfg, cfg, init_rng)
+    # the same seed gives the target network the model's initial parameters
+    model = QModel(modality, enc_cfg, cfg, np.random.default_rng([cfg.seed, 11]))
     target = QModel(modality, enc_cfg, cfg, np.random.default_rng([cfg.seed, 11]))
-    load_param_values(target.params(), clone_param_values(model.params()))
 
     trainable = dict(model.qnet.params()) if cfg.freeze_encoders else model.params()
     for key, p in model.params().items():   # a frozen encoder stays off the tape
@@ -460,8 +448,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     classifier = None
     clf_opt = None
     if cfg.algorithm == "bcq":
-        clf_input = enc_cfg.state_dim if modality == "multimodal" else model.qnet.input_dim
-        classifier = ActionClassifier(clf_input, np.random.default_rng([cfg.seed, 23]),
+        classifier = ActionClassifier(model.qnet.input_dim,
+                                      np.random.default_rng([cfg.seed, 23]),
                                       width=cfg.hidden_width, depth=cfg.trunk_depth)
         clf_opt = Adam(classifier.params(), lr=cfg.learning_rate,
                        grad_clip=cfg.grad_clip)
@@ -470,7 +458,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     log: list[dict] = []
     snapshots: list[tuple[int, dict[str, Array]]] = []
     last_snapshot = clone_param_values(model.params())
-    val_eps = dataset.split_episodes("val") if cfg.select_best_by_val_fqe else []
+    val = dataset.split("val") if cfg.select_best_by_val_fqe else None
     best_val = -np.inf
     best_params: dict[str, Array] | None = None
     probe_policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
@@ -519,9 +507,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             record = {"step": step, "loss": float(loss.data),
                       "mean_q": diag["mean_q"], "reg_term": diag["reg"],
                       "fqe_val": None}
-            if val_eps:
-                record["fqe_val"] = _validation_fqe(probe_policy, dataset,
-                                                    val_eps, cfg)
+            if val:
+                record["fqe_val"] = _validation_fqe(probe_policy, val, cfg)
                 if record["fqe_val"] > best_val:
                     best_val = record["fqe_val"]
                     best_params = clone_param_values(model.params())
@@ -536,16 +523,14 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     return TrainResult(policy=probe_policy, log=log, snapshots=snapshots)
 
 
-def _validation_fqe(policy: LearnedPolicy, dataset: OfflineDataset,
-                    val_eps: list[Episode], cfg: TrainConfig) -> float:
+def _validation_fqe(policy: LearnedPolicy, val: OfflineDataset, cfg: TrainConfig) -> float:
     """Cheap network FQE of the current greedy policy on the val split."""
     from .ope import FqeNetConfig, fqe_network
 
     fqe_cfg = FqeNetConfig(iterations=4, steps_per_iteration=40,
                            width=min(cfg.hidden_width, 32), depth=2,
                            seed=cfg.seed)
-    return fqe_network(dataset, policy, cfg.gamma, fqe_cfg,
-                       episodes=val_eps).estimate
+    return fqe_network(val, policy, cfg.gamma, fqe_cfg).estimate
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +548,13 @@ class BellmanResiduals:
 
 
 def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
-                      gamma: float, bins: int = 40) -> BellmanResiduals:
+                      gamma: float) -> BellmanResiduals:
     """(r + gamma max_a' Q(s',a')) - Q(s,a) per transition (r - Q when done).
 
     The one-step bootstrapped target minus the fitted value: positive mass
     means the bootstrap keeps running above the fitted Q, the signature of
     value overestimation; a well-calibrated Q concentrates the distribution
-    around zero.
+    around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins.
     """
     table = build_transition_table(dataset, policy.strategy)
     q = policy.q_matrix(table.structured, table.f_c, table.f_e)
@@ -577,7 +562,7 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     next_q = policy.q_matrix(table.next_structured, table.next_f_c, table.next_f_e)
     bootstrap = dqn_target(table.reward, table.done, next_q, gamma)
     residuals = bootstrap - q_taken
-    counts, edges = np.histogram(residuals, bins=bins)
+    counts, edges = np.histogram(residuals, bins=RESIDUAL_BINS)
     return BellmanResiduals(samples=residuals, mean=float(residuals.mean()),
                             std=float(residuals.std()),
                             hist_counts=counts, hist_edges=edges)

@@ -182,6 +182,31 @@ class TestTrainEval:
         monkeypatch.setattr(dataset, "transition_columns", flatten)
         assert isinstance(cli._behavior_model(cfg, data, 0), LoggedBehavior)
 
+    @pytest.mark.parametrize("behavior", ["auto", "fitted"])
+    def test_eval_gathers_the_test_split_once(self, tmp_path, synth_dir, monkeypatch,
+                                              behavior):
+        # OPE and BDESR read one test-split dataset, gathered from the cohort once
+        from careql.dataset import EpisodeStore
+
+        cfg = str(write_config(tmp_path, {"train.total_steps": 5, "ope.behavior": behavior,
+                                          "ope.behavior_fit_steps": 5}))
+        checkpoint = tmp_path / "train" / "checkpoint.json"
+        assert main(["train", "--config", cfg, "--data", str(synth_dir),
+                     "--out", str(checkpoint.parent)]) == 0
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        n_test = sum(entry["split"] == "test" for entry in manifest["episodes"])
+        gathered = []
+        take = EpisodeStore.take
+
+        def spy(store, index):
+            gathered.append(len(index))
+            return take(store, index)
+
+        monkeypatch.setattr(EpisodeStore, "take", spy)
+        assert main(["eval", "--config", cfg, "--data", str(synth_dir), "--checkpoint",
+                     str(checkpoint), "--out", str(tmp_path / "eval")]) == 0
+        assert gathered == [n_test]
+
     def test_two_seeds_two_parseable_logs(self, tmp_path, synth_dir):
         cfg = write_config(tmp_path)
         logs = []
@@ -453,6 +478,24 @@ TRAIN_CONFIG_FAULTS = {
     "split_fractions_booleans": ("dataset.synth.split_fractions", [True, False, False]),
     "ground_truth_number": ("dataset.files.ground_truth", 5),
     "source_removed": ("dataset.source", "synth"),
+    # ranges checked by the dataclass a section configures
+    "note_prob_above_one": ("dataset.synth.note_prob", 1.5),
+    "term_prob_mid_zero": ("dataset.synth.term_prob_mid", 0.0),
+    "term_prob_edge_above_one": ("dataset.synth.term_prob_edge", 1.5),
+    "noise_note_negative": ("dataset.synth.noise_note", -0.1),
+    "noise_structured_negative": ("dataset.synth.noise_structured", -1.0),
+    "synth_gamma_one": ("dataset.synth.gamma", 1.0),
+    "algorithm_unknown": ("train.algorithm", "sarsa"),
+    "bcq_threshold_above_one": ("train.bcq_threshold", 1.5),
+    "cql_alpha_negative": ("train.cql_alpha", -1.0),
+    "ope_gamma_one": ("ope.gamma", 1.0),
+    "strategy_unknown": ("encoder.strategy", "bogus"),
+    "ablate_strategy_unknown": ("ablate.strategies", ["raw", "bogus"]),
+}
+# (key, value) pairs that even `careql synth`, which trains nothing, rejects
+SYNTH_CONFIG_FAULTS = {
+    "learning_rate_zero": ("train.learning_rate", 0.0),
+    "grad_clip_negative": ("train.grad_clip", -1.0),
 }
 def set_cell(line: int, column: int, value: str):
     """Edit of a CSV text that sets one cell (lines count from 1, the header)."""
@@ -584,6 +627,16 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error:") and key.split(".")[-1] in err
+
+    @pytest.mark.parametrize("key, value", list(SYNTH_CONFIG_FAULTS.values()),
+                             ids=list(SYNTH_CONFIG_FAULTS))
+    def test_config_range_checked_by_every_command(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {key: value}, name="bad.json")
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"configuration error: {key}: "), err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("command", list(SEED_FLAG_ARGS))
     def test_negative_seed_flag_exits_2_naming_it(self, tmp_path, synth_dir, capsys,

@@ -509,6 +509,19 @@ class TestEpisodeStore:
         assert_store_equals(sub.store, per_transition_store(picked))
         assert_same_episodes(sub.episodes, picked)
 
+    @settings(max_examples=30, deadline=None)
+    @given(cohorts(with_ground_truth=True))
+    def test_a_split_is_the_dataset_of_its_episodes(self, ds):
+        for name in SPLITS:
+            picked = [ep for ep in ds.episodes if ep.split == name]
+            split = ds.split(name)
+            assert (split.n_features, split.d_n, split.bin_edges) == \
+                (ds.n_features, ds.d_n, ds.bin_edges)
+            assert_same_episodes(split.episodes, picked)
+            if picked:
+                assert_store_equals(split.store, per_transition_store(picked))
+            assert (split is ds) == (len(picked) == len(ds))
+
 
 class TestExportIngestProperties:
     @settings(max_examples=60, deadline=None)

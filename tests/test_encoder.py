@@ -11,13 +11,11 @@ from careql.encoder import (
     StateEncoder,
     StructuredEncoder,
     build_state,
-    cross_modal_attend,
     encode_structured,
     frame_note_inputs,
-    gated_fusion,
     resolve_note,
 )
-from careql.netcore import gradient_check
+from careql.netcore import Tensor, gradient_check
 
 
 def obs(features, emb=None, present=False, d_n=4):
@@ -131,7 +129,7 @@ class TestGatedFusion:
         gate.b.data[...] = 0.0
         fc = np.array([[1.0, 2.0, 3.0]])
         fe = np.array([[3.0, 0.0, -1.0]])
-        out = gated_fusion(fc, fe, gate)
+        out = gate(Tensor(fc), Tensor(fe))
         assert np.allclose(out.data, (fc + fe) / 2.0, atol=1e-12)
 
     def test_saturated_gate_returns_context(self):
@@ -140,12 +138,12 @@ class TestGatedFusion:
         gate.b.data[...] = 20.0
         fc = np.array([[1.0, -2.0, 0.5]])
         fe = np.array([[2.0, 0.0, 1.5]])
-        assert np.abs(gated_fusion(fc, fe, gate).data - fc).max() < 1e-8
+        assert np.abs(gate(Tensor(fc), Tensor(fe)).data - fc).max() < 1e-8
 
     def test_equal_inputs_identity(self):
         gate = GatedFusion(4, np.random.default_rng(2))
         v = np.random.default_rng(3).normal(size=(2, 4))
-        assert np.abs(gated_fusion(v, v, gate).data - v).max() < 1e-12
+        assert np.abs(gate(Tensor(v), Tensor(v)).data - v).max() < 1e-12
 
     def test_output_between_inputs_random_draws(self):
         # convexity over 1e4 random parameter/input draws
@@ -156,7 +154,7 @@ class TestGatedFusion:
             gate.b.data[...] = rng.normal(scale=3.0, size=gate.b.data.shape)
             fc = rng.normal(size=(100, 5))
             fe = rng.normal(size=(100, 5))
-            out = gated_fusion(fc, fe, gate).data
+            out = gate(Tensor(fc), Tensor(fe)).data
             lo = np.minimum(fc, fe) - 1e-12
             hi = np.maximum(fc, fe) + 1e-12
             assert np.all((out >= lo) & (out <= hi))
@@ -164,7 +162,7 @@ class TestGatedFusion:
     def test_shape_mismatch_rejected(self):
         gate = GatedFusion(3, np.random.default_rng(5))
         with pytest.raises(EncoderError):
-            gated_fusion(np.zeros((1, 3)), np.zeros((1, 4)), gate)
+            gate(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(6)
@@ -172,7 +170,7 @@ class TestGatedFusion:
         fc, fe = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
 
         def loss():
-            return gated_fusion(fc, fe, gate).square().mean()
+            return gate(Tensor(fc), Tensor(fe)).square().mean()
 
         assert gradient_check(loss, gate.params()) < 1e-4
 
@@ -208,25 +206,25 @@ class TestCrossModalAttention:
         full = np.concatenate(
             [np.concatenate([l, a_note_to_struct], axis=1) @ attn.out_l.data.T,
              np.concatenate([n, a_struct_to_note], axis=1) @ attn.out_n.data.T], axis=1)
-        assert np.array_equal(cross_modal_attend(n, l, attn).data, full)
+        assert np.array_equal(attn(Tensor(n), Tensor(l)).data, full)
 
     def test_zero_parameters_zero_state(self):
         attn = CrossModalAttention(4, 3, np.random.default_rng(1))
         for p in attn.params().values():
             p.data[...] = 0.0
-        out = cross_modal_attend(np.ones((2, 4)), np.ones((2, 4)), attn)
+        out = attn(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))))
         assert np.all(out.data == 0.0)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(2)
         attn = CrossModalAttention(5, 3, rng)
         n, l = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
-        out = cross_modal_attend(n, l, attn).data
+        out = attn(Tensor(n), Tensor(l)).data
         assert np.abs(out - attention_oracle(attn, n, l)).max() < 1e-10
 
     def test_output_width_is_twice_d(self):
         attn = CrossModalAttention(5, 2, np.random.default_rng(3))
-        out = cross_modal_attend(np.zeros((2, 5)), np.zeros((2, 5)), attn)
+        out = attn(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))))
         assert out.data.shape == (2, 10)
 
     def test_gradient_check(self):
@@ -235,7 +233,7 @@ class TestCrossModalAttention:
         n, l = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
 
         def loss():
-            return cross_modal_attend(n, l, attn).square().mean()
+            return attn(Tensor(n), Tensor(l)).square().mean()
 
         assert gradient_check(loss, attn.params()) < 1e-4
 

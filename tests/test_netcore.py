@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from careql.netcore import (
+    MLP,
     Adam,
     Dense,
     DuelingQNetwork,
@@ -77,6 +78,13 @@ class TestForwardQ:
         net = make_net(5)
         with pytest.raises(ValueError):
             net(Tensor(np.zeros((2, 9))))
+
+
+class TestMLP:
+    def test_zero_depth_passes_input_through(self):
+        trunk = MLP(4, 8, 0, np.random.default_rng(0), "t")
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+        assert trunk(x) is x and trunk.n_out == 4 and trunk.params() == {}
 
 
 class TestBackward:

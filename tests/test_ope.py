@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,7 @@ class TestWis:
     def test_single_episode_returns_its_return(self, synth):
         _, _, dataset, target, _ = synth
         ep = dataset.episodes[0]
-        result = wis(dataset, target, LoggedBehavior(), GAMMA, episodes=[ep])
+        result = wis(replace(dataset, episodes=[ep]), target, LoggedBehavior(), GAMMA)
         assert result.estimate == pytest.approx(ep.discounted_return(GAMMA))
 
     def test_estimate_bounded_by_observed_returns(self, synth):
@@ -118,7 +120,7 @@ class TestWis:
         bad = replace(ep, transitions=tuple(
             replace(tr, behavior_prob=None) for tr in ep.transitions))
         with pytest.raises(OpeError, match="behavior"):
-            wis(dataset, target, LoggedBehavior(), GAMMA, episodes=[bad])
+            wis(replace(dataset, episodes=[bad]), target, LoggedBehavior(), GAMMA)
 
 
 class TestFqeTabular:
@@ -152,8 +154,8 @@ class TestFqeTabular:
     def test_matches_independent_linear_solve(self, synth):
         mdp, _, dataset, target, _ = synth
         subset = list(dataset.episodes[:800])
-        result = fqe_tabular(dataset, target.probs, GAMMA, mdp.n_states,
-                             episodes=subset)
+        result = fqe_tabular(replace(dataset, episodes=subset), target.probs, GAMMA,
+                             mdp.n_states)
         expected = self.empirical_dp_value(subset, target.probs, GAMMA,
                                            mdp.n_states)
         assert result.estimate == pytest.approx(expected, abs=1e-6)
@@ -186,8 +188,8 @@ class TestFqeNetwork:
         mdp, _, dataset, target, oracle = synth
         cfg = FqeNetConfig(iterations=15, steps_per_iteration=80, width=32,
                            depth=2, seed=0)
-        result = fqe_network(dataset, target, GAMMA, cfg,
-                             episodes=list(dataset.episodes[:1000]))
+        result = fqe_network(replace(dataset, episodes=dataset.episodes[:1000]), target,
+                             GAMMA, cfg)
         assert abs(result.estimate - oracle) < 0.15
 
     def test_gamma_zero_matches_mean_immediate_reward(self, synth):
@@ -197,9 +199,9 @@ class TestFqeNetwork:
         cfg = FqeNetConfig(iterations=6, steps_per_iteration=120, width=32,
                            seed=0)
         subset = list(dataset.episodes[:500])
-        result = fqe_network(dataset, target, 0.0, cfg, episodes=subset)
-        exact = fqe_tabular(dataset, target.probs, 0.0, mdp.n_states,
-                            episodes=subset)
+        result = fqe_network(replace(dataset, episodes=subset), target, 0.0, cfg)
+        exact = fqe_tabular(replace(dataset, episodes=subset), target.probs, 0.0,
+                            mdp.n_states)
         assert abs(result.estimate - exact.estimate) < 0.05
 
 
@@ -207,8 +209,8 @@ class TestDr:
     def test_zero_model_reduces_to_pdis(self, synth):
         _, _, dataset, target, _ = synth
         subset = list(dataset.episodes[:300])
-        estimate = dr(dataset, target, LoggedBehavior(), None, GAMMA,
-                      episodes=subset)
+        estimate = dr(replace(dataset, episodes=subset), target, LoggedBehavior(), None,
+                      GAMMA)
         # explicit self-normalized per-decision importance sampling
         n = len(subset)
         t_max = max(len(ep) for ep in subset)
@@ -250,8 +252,8 @@ class TestDr:
                 float(target.probs[ep.transitions[0].state_id]
                       @ biased.q[ep.transitions[0].state_id])
                 for ep in ds.episodes])
-            dr_est = dr(ds, target, LoggedBehavior(), biased, GAMMA,
-                        episodes=list(ds.episodes))
+            dr_est = dr(replace(ds, episodes=list(ds.episodes)), target, LoggedBehavior(),
+                        biased, GAMMA)
             if abs(dr_est - oracle_inf) < abs(dm - oracle_inf):
                 wins += 1
         assert wins >= 4
@@ -324,16 +326,16 @@ class TestFitBehavior:
             eps.append(replace(ep, transitions=tuple(
                 replace(tr, action=ActionIndex.from_flat(13))
                 for tr in ep.transitions)))
-        fitted = fit_behavior(dataset, cfg=BehaviorFitConfig(floor=1e-3, steps=600),
-                              episodes=eps)
+        fitted = fit_behavior(replace(dataset, episodes=eps),
+                              cfg=BehaviorFitConfig(floor=1e-3, steps=600))
         dist = fitted.action_dist(eps[0].transitions[0].obs.structured[None, :])[0]
         assert dist.argmax() == 13
         assert dist.min() >= 1e-3 - 1e-15
 
     def test_floor_holds_everywhere(self, synth):
         _, _, dataset, _, _ = synth
-        fitted = fit_behavior(dataset, cfg=BehaviorFitConfig(floor=5e-3, steps=200),
-                              episodes=list(dataset.episodes[:100]))
+        fitted = fit_behavior(replace(dataset, episodes=dataset.episodes[:100]),
+                              cfg=BehaviorFitConfig(floor=5e-3, steps=200))
         rng = np.random.default_rng(0)
         dist = fitted.action_dist(rng.normal(size=(50, 6)))
         assert dist.min() >= 5e-3 - 1e-15
@@ -361,8 +363,8 @@ class TestEvaluatePolicy:
         cfg = OpeConfig(gamma=GAMMA, n_bootstrap=50, seed=0,
                         fqe=FqeNetConfig(iterations=5, steps_per_iteration=40,
                                          width=16))
-        report = evaluate_policy(dataset, target, LoggedBehavior(), cfg,
-                                 episodes=list(dataset.episodes[:300]))
+        report = evaluate_policy(replace(dataset, episodes=dataset.episodes[:300]), target,
+                                 LoggedBehavior(), cfg)
         assert report.fqe_mode == "network"
         assert np.isfinite(report.opera)
 
@@ -391,7 +393,7 @@ class TestMissingDataNamesEpisode:
         eps[2] = strip(eps[2], next_state_id=None)
         eps[3] = strip(eps[3], state_id=None)
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r} lacks state ids"):
-            fqe_tabular(dataset, target.probs, GAMMA, mdp.n_states, episodes=eps)
+            fqe_tabular(replace(dataset, episodes=eps), target.probs, GAMMA, mdp.n_states)
 
     def test_zero_behavior_probability(self, synth):
         _, _, dataset, target, _ = synth
@@ -404,7 +406,7 @@ class TestMissingDataNamesEpisode:
                 return probs
 
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):
-            wis(dataset, target, ZeroOnLaterEpisodes(), GAMMA, episodes=eps)
+            wis(replace(dataset, episodes=eps), target, ZeroOnLaterEpisodes(), GAMMA)
 
 
 @pytest.fixture(scope="module")

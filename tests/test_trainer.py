@@ -9,7 +9,7 @@ from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS
 from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
-from careql.netcore import Tensor
+from careql.netcore import Dense, Tensor
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -28,6 +28,7 @@ from careql.synthgym import (
     rollout,
 )
 from careql.trainer import (
+    ActionClassifier,
     LearnedPolicy,
     TrainConfig,
     TrainerError,
@@ -216,6 +217,29 @@ def per_transition_table(dataset, strategy):
         next_state_id=np.array(next_state_id, dtype=np.int64),
         initial_mask=np.array(initial, dtype=bool))
     return out
+
+
+class TestActionClassifier:
+    def test_zero_depth_classifier_is_one_dense_layer_with_the_same_draws(self):
+        x = np.random.default_rng(2).normal(size=(5, 6))
+        clf = ActionClassifier(6, np.random.default_rng(3), width=0, depth=0)
+        layer = Dense(6, N_ACTIONS, np.random.default_rng(3), "ref")
+        assert list(clf.params()) == ["behavior.head.W", "behavior.head.b"]
+        logits = x @ layer.W.data.T + layer.b.data
+        expected = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.array_equal(clf.probs(x), expected)
+
+    def test_classifier_trunk_matches_relu_oracle(self):
+        clf = ActionClassifier(7, np.random.default_rng(4), width=9, depth=2)
+        x = np.random.default_rng(5).normal(size=(4, 7))
+        h = x
+        for layer in clf.trunk:
+            h = np.maximum(h @ layer.W.data.T + layer.b.data, 0.0)
+        expected = h @ clf.head.W.data.T + clf.head.b.data
+        assert np.abs(clf.logits(Tensor(x)).data - expected).max() < 1e-12
+        assert [name.rsplit(".", 1)[0] for name in clf.params()][::2] == \
+            ["behavior.trunk0", "behavior.trunk1", "behavior.head"]
 
 
 class TestTransitionTableReference:
@@ -481,13 +505,13 @@ class TestBatchedForward:
     def test_network_evaluation_same_wis_and_close_estimates(self, trained_policy):
         policy, ds = trained_policy
         episodes = list(ds.episodes[:80])
-        behavior = fit_behavior(ds, cfg=BehaviorFitConfig(steps=100), episodes=episodes)
+        behavior = fit_behavior(replace(ds, episodes=episodes), cfg=BehaviorFitConfig(steps=100))
         cfg = OpeConfig(gamma=0.9, n_bootstrap=20, seed=0,
                         fqe=FqeNetConfig(iterations=3, steps_per_iteration=20,
                                          width=16))
-        batched = evaluate_policy(ds, soften(policy), behavior, cfg, episodes=episodes)
-        looped = evaluate_policy(ds, soften(OneEpisodeAtATime(policy)), behavior, cfg,
-                                 episodes=episodes)
+        batched = evaluate_policy(replace(ds, episodes=episodes), soften(policy), behavior, cfg)
+        looped = evaluate_policy(replace(ds, episodes=episodes), soften(OneEpisodeAtATime(policy)),
+                                 behavior, cfg)
         assert batched.fqe_mode == looped.fqe_mode == "network"
         assert batched.wis == looped.wis
         assert batched.effective_sample_size == looped.effective_sample_size
@@ -498,7 +522,7 @@ class TestBatchedForward:
                                                              monkeypatch):
         policy, ds = trained_policy
         episodes = list(ds.episodes[:40])
-        behavior = fit_behavior(ds, cfg=BehaviorFitConfig(steps=10), episodes=episodes)
+        behavior = fit_behavior(replace(ds, episodes=episodes), cfg=BehaviorFitConfig(steps=10))
         cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
                         fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
         calls = Counter()
@@ -514,11 +538,11 @@ class TestBatchedForward:
             monkeypatch.setattr(module, "transition_columns", counted("flatten", flatten))
         monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
         encodes = 1 if policy.model.modality == "multimodal" else 0
-        report = evaluate_policy(ds, soften(policy), behavior, cfg, episodes=episodes)
+        report = evaluate_policy(replace(ds, episodes=episodes), soften(policy), behavior, cfg)
         assert report.fqe_mode == "network"
         assert (calls["flatten"], calls["encode"]) == (1, encodes)
         calls.clear()
-        bdesr_report(ds, policy, episodes=episodes)
+        bdesr_report(replace(ds, episodes=episodes), policy)
         assert (calls["flatten"], calls["encode"]) == (1, encodes)
 
 
