@@ -7,11 +7,11 @@ high-discrepancy extremes of the score distribution, and compares survival
 rates between the two cohorts. A policy trained in a beneficial direction
 shows a higher survival rate in the low-discrepancy cohort.
 
-The policy is duck-typed: ``greedy_rows(episodes)`` returns one flat array
-of recommended flat action indices, one per transition in the order of
-``dataset.transition_columns``. A learned policy answers for a whole
-dataset in one batched forward, the episodes are flattened once, and each
-episode's gaps are summed from those two arrays.
+The policy is duck-typed: ``greedy_rows(store)`` returns one flat array of
+recommended flat action indices for a dataset's ``EpisodeStore``, one per
+transition in store order. A learned policy answers for a whole store in
+one batched forward, and each episode's gaps are summed from that array
+and the store's logged actions.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (N_ACTIONS, N_DOSE_LEVELS, DatasetError, Episode, OfflineDataset,
-                      transition_columns)
+from .dataset import (N_ACTIONS, N_DOSE_LEVELS, DatasetError, Episode, EpisodeStore,
+                      OfflineDataset, store_of)
 
 Array = np.ndarray
 
@@ -52,7 +52,7 @@ class CohortSplit:
 def episode_discrepancy(episode: Episode, policy, alpha: float = 0.5,
                         beta: float = 0.5) -> DiscrepancyScore:
     """Mean absolute per-drug level gap between policy and clinician."""
-    return _score([episode], policy, alpha, beta)[0]
+    return _score(store_of([episode]), policy, alpha, beta)[0]
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -61,29 +61,29 @@ def _check_weights(alpha: float, beta: float) -> None:
                          f"got alpha={alpha}, beta={beta}")
 
 
-def _score(episodes: Sequence[Episode], policy, alpha: float,
+def _score(store: EpisodeStore, policy, alpha: float,
            beta: float) -> list[DiscrepancyScore]:
     _check_weights(alpha, beta)
-    if not episodes:
+    if not store.lengths.size:
         return []
-    cols = transition_columns(episodes)
-    rec = np.asarray(policy.greedy_rows(episodes), dtype=np.int64)
-    if rec.shape != cols.action.shape:
+    logged = store.action
+    rec = np.asarray(policy.greedy_rows(store), dtype=np.int64)
+    if rec.shape != logged.shape:
         raise BdesrError(f"policy returned actions of shape {rec.shape} for "
-                         f"{cols.action.shape[0]} decisions")
+                         f"{logged.shape[0]} decisions")
     out_of_range = (rec < 0) | (rec >= N_ACTIONS)
     if out_of_range.any():
         raise DatasetError(f"flat action must be in [0, {N_ACTIONS - 1}], "
                            f"got {rec[out_of_range][0]}")
     # per-drug level gaps summed per episode; integer sums are exact
-    iv_gap = np.add.reduceat(np.abs(rec // N_DOSE_LEVELS - cols.action // N_DOSE_LEVELS),
-                             cols.offsets)
-    vaso_gap = np.add.reduceat(np.abs(rec % N_DOSE_LEVELS - cols.action % N_DOSE_LEVELS),
-                               cols.offsets)
+    iv_gap = np.add.reduceat(np.abs(rec // N_DOSE_LEVELS - logged // N_DOSE_LEVELS),
+                             store.offsets)
+    vaso_gap = np.add.reduceat(np.abs(rec % N_DOSE_LEVELS - logged % N_DOSE_LEVELS),
+                               store.offsets)
     scores = []
-    for episode, iv, vaso, T in zip(episodes, iv_gap, vaso_gap, cols.lengths):
+    for episode_id, iv, vaso, T in zip(store.episode_id, iv_gap, vaso_gap, store.lengths):
         m_iv, m_vaso = float(iv / T), float(vaso / T)
-        scores.append(DiscrepancyScore(episode_id=episode.episode_id, m_iv=m_iv,
+        scores.append(DiscrepancyScore(episode_id=episode_id, m_iv=m_iv,
                                        m_vaso=m_vaso, m=alpha * m_iv + beta * m_vaso))
     return scores
 
@@ -134,7 +134,7 @@ def bdesr_report(dataset: OfflineDataset, policy, alpha: float = 0.5,
                  beta: float = 0.5, p: float = 20.0) -> dict:
     """Per-episode scores, cohort membership, and the two survival rates of
     a dataset, typically one split (``OfflineDataset.split``)."""
-    scores = _score(dataset.episodes, policy, alpha, beta)
+    scores = _score(dataset.store, policy, alpha, beta)
     split = cohort_split(scores, p)
     low_rate, high_rate = bdesr_rates(split, dataset.survival())
     return {

@@ -409,10 +409,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _ope_report_for(cfg: dict, dataset, test, policy, seed: int):
-    """OPE of ``policy`` on the split ``test``, with a behavior model read
-    or fitted on the whole ``dataset``."""
-    behavior = _behavior_model(cfg, dataset, seed)
+def _ope_report_for(cfg: dict, behavior, test, policy, seed: int):
+    """OPE of ``policy`` on the split ``test`` under the behavior model
+    ``behavior`` (see ``_behavior_model``)."""
     target = ope_mod.soften(policy, cfg["ope"]["eps_soft"])
     return ope_mod.evaluate_policy(test, target, behavior, _ope_config(cfg, seed))
 
@@ -450,9 +449,9 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     policy = _load_policy(args.checkpoint)
     test = _eval_split(dataset)
     if not bdesr_only:
-        report = _ope_report_for(cfg, dataset, test, policy, seed)
+        report = _ope_report_for(cfg, _behavior_model(cfg, dataset, seed), test, policy, seed)
         _write_ope_outputs(out, report, variant="policy")
-        _write_residuals(out, policy, dataset, cfg["ope"]["gamma"])
+        _write_residuals(out, policy, test, cfg["ope"]["gamma"])
         print(f"OPE: opera={report.opera:.4f} dr={report.dr:.4f} "
               f"fqe={report.fqe:.4f} wis={report.wis:.4f} "
               f"(n={report.n_episodes}, fqe={report.fqe_mode})")
@@ -496,6 +495,8 @@ def cmd_ablate(args) -> int:
         if cfg["dataset"]["normalize"]:
             dataset = ds_mod.normalize(dataset)
     test = _eval_split(dataset)
+    # the behavior model depends on the seed and the cohort, not the variant
+    behaviors = {seed: _behavior_model(cfg, dataset, seed) for seed in cfg["seeds"]}
     metrics = ("opera", "dr", "fqe", "wis")
     rows = []
     for section, name, overlay in _ablation_variants(cfg):
@@ -505,7 +506,7 @@ def cmd_ablate(args) -> int:
             result = tr_mod.train(dataset, _train_config(variant, seed),
                                   _encoder_config(variant, dataset),
                                   modality=cfg["modality"])
-            report = _ope_report_for(cfg, dataset, test, result.policy, seed)
+            report = _ope_report_for(cfg, behaviors[seed], test, result.policy, seed)
             for metric in metrics:
                 per_seed[metric].append(getattr(report, metric))
         rows.append({
@@ -554,12 +555,12 @@ def cmd_cross_eval(args) -> int:
     result.policy.save(out / "checkpoint.json")
 
     test = _eval_split(eval_ds)
-    report = _ope_report_for(cfg, eval_ds, test, result.policy, seed)
+    behavior = _behavior_model(cfg, eval_ds, seed)
+    report = _ope_report_for(cfg, behavior, test, result.policy, seed)
     _write_ope_outputs(out, report, variant="cross")
-    _write_residuals(out, result.policy, eval_ds, cfg["ope"]["gamma"])
+    _write_residuals(out, result.policy, test, cfg["ope"]["gamma"])
 
     # DR across training iterations on the evaluation cohort, one batch each
-    behavior = _behavior_model(cfg, eval_ds, seed)
     gamma = cfg["ope"]["gamma"]
     curve_lines = ["step,dr"]
     for step, values in result.snapshots:

@@ -271,10 +271,20 @@ class EpisodeStore:
         return self.offsets + np.arange(self.lengths.shape[0])
 
     @cached_property
+    def episode_index(self) -> Array:
+        """Episode of each transition row."""
+        return np.repeat(np.arange(self.lengths.shape[0], dtype=np.int64), self.lengths)
+
+    @cached_property
     def decision_frame(self) -> Array:
-        """Frame row of each transition; the row after it is its next frame."""
-        return np.arange(self.action.shape[0]) + np.repeat(
-            np.arange(self.lengths.shape[0]), self.lengths)
+        """Frame row of each transition, the state its decision reads; the
+        row after it is its next state. Each earlier episode's final frame,
+        which has no decision, shifts it by one."""
+        return np.arange(self.action.shape[0]) + self.episode_index
+
+    def first_episode(self, rows: Array) -> int | None:
+        """Index of the episode that owns the first True transition row, or None."""
+        return int(self.episode_index[rows.argmax()]) if rows.any() else None
 
     def views(self) -> tuple[Episode, ...]:
         """One view per episode. The store keeps no reference to them, so
@@ -296,7 +306,7 @@ class EpisodeStore:
         return TransitionColumns(
             action=self.action, reward=reward, done=done, behavior_prob=self.behavior_prob,
             state_id=self.state_id[frame], next_state_id=self.state_id[frame + 1],
-            lengths=self.lengths)
+            lengths=self.lengths, offsets=self.offsets, episode_index=self.episode_index)
 
     def take(self, index: Array) -> "EpisodeStore":
         """The store of episodes ``index``, in that order."""
@@ -435,7 +445,7 @@ class OfflineDataset:
 
 @dataclass(frozen=True)
 class TransitionColumns:
-    """Scalar per-transition columns of a list of episodes, in episode order.
+    """Scalar per-transition columns of a store (``EpisodeStore.columns``).
 
     Row k is one transition; episode i owns the ``lengths[i]`` consecutive
     rows that start at ``offsets[i]``.
@@ -448,15 +458,8 @@ class TransitionColumns:
     state_id: Array        # (N,) int64, -1 when unknown
     next_state_id: Array   # (N,) int64, -1 when unknown
     lengths: Array         # (n,) int64 transitions per episode
-
-    @property
-    def offsets(self) -> Array:
-        """Row of each episode's first transition."""
-        return np.cumsum(self.lengths) - self.lengths
-
-    @property
-    def episode_index(self) -> Array:
-        return np.repeat(np.arange(self.lengths.shape[0], dtype=np.int64), self.lengths)
+    offsets: Array         # (n,) int64 row of each episode's first transition
+    episode_index: Array   # (N,) int64 episode of each row
 
     @property
     def initial_mask(self) -> Array:
@@ -467,17 +470,6 @@ class TransitionColumns:
     def split(self, rows: Array) -> list[Array]:
         """Per-transition rows cut into one block per episode."""
         return np.split(rows, np.cumsum(self.lengths)[:-1])
-
-    def first_episode(self, rows: Array) -> int | None:
-        """Index of the episode that holds the first True row, or None."""
-        return int(self.episode_index[rows.argmax()]) if rows.any() else None
-
-
-def transition_columns(episodes: Sequence[Episode]) -> TransitionColumns:
-    """The scalar fields of every transition as columns, sliced from the
-    episodes' store; frames are left out, because their note inputs depend
-    on the note strategy."""
-    return store_of(episodes).columns()
 
 
 # ---------------------------------------------------------------------------

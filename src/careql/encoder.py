@@ -9,6 +9,10 @@ psi * f_c + (1 - psi) * f_e. Bidirectional cross-modal attention (one token
 per modality, so each softmax is over a single score) then produces the
 2d-dimensional fused state fed to the Q-network. Everything downstream of
 the raw inputs is differentiable through the netcore tape.
+
+The note strategies run over many histories laid end to end, such as every
+episode of an ``EpisodeStore`` (``store_note_inputs``), as segment operations
+on the whole frame array; one history is the case of a single segment.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, JointObservation
+from .dataset import Episode, EpisodeStore, JointObservation
 from .netcore import Dense, Tensor, collect_params, concat, init_param, linear
 
 Array = np.ndarray
@@ -72,18 +76,24 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 
 
-def frame_note_inputs(embeddings: Array, present: Array,
-                      strategy: NoteStrategy) -> tuple[Array, Array]:
-    """Per-frame (context, event) note inputs for one episode.
+def frame_note_inputs(embeddings: Array, present: Array, strategy: NoteStrategy,
+                      starts: Array = (0,)) -> tuple[Array, Array]:
+    """Per-frame (context, event) note inputs for note histories laid end to
+    end, history i starting at frame row ``starts[i]``.
 
     embeddings: (K, d_n) with all-zeros rows where no note exists;
     present: (K,) bool. Returns (f_c, f_e), each (K, d_n); f_c is all-zeros
     everywhere except under the context strategy, where it is zero until
-    the first present note and frozen to that note afterwards.
+    the history's first present note and frozen to that note afterwards.
+    Every strategy is a segment operation over all K rows at once.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     pres = np.asarray(present, dtype=bool)
     K, d_n = emb.shape
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.diff(np.append(starts, K))
+    start = np.repeat(starts, counts)      # first row of each row's history
+    rows = np.arange(K)
     f_c = np.zeros((K, d_n))
     f_e = np.zeros((K, d_n))
 
@@ -91,31 +101,37 @@ def frame_note_inputs(embeddings: Array, present: Array,
         f_e[pres] = emb[pres]
         return f_c, f_e
 
-    # forward-fill, shared by impute and context
-    filled = np.zeros((K, d_n))
-    last = np.zeros(d_n)
-    for k in range(K):
-        if pres[k]:
-            last = emb[k]
-        filled[k] = last
-
-    if strategy.kind == "impute":
-        return f_c, filled
-
     if strategy.kind == "stack":
-        for k in range(K):
-            lo = max(0, k - strategy.window + 1)
-            mask = pres[lo:k + 1]
-            if mask.any():
-                f_e[k] = emb[lo:k + 1][mask].mean(axis=0)
+        # the present notes of the window added oldest first onto zeros, the
+        # order of a per-frame mean (cumsum differences would round otherwise)
+        total = np.zeros((K, d_n))
+        n_present = np.zeros(K)
+        for lag in range(min(strategy.window, counts.max(initial=0)) - 1, -1, -1):
+            src = rows - lag
+            take = src >= start
+            take[take] = pres[src[take]]
+            total[take] += emb[src[take]]
+            n_present += take
+        some = n_present > 0
+        f_e[some] = total[some] / n_present[some, None]
         return f_c, f_e
 
-    # context: event side forward-fills, context side freezes the first note
-    present_idx = np.flatnonzero(pres)
-    if present_idx.size:
-        first = present_idx[0]
-        f_c[first:] = emb[first]
-    return f_c, filled
+    # forward-fill, shared by impute and context: the latest present row of
+    # the history, if any
+    latest = np.maximum.accumulate(np.where(pres, rows, -1))
+    filled = latest >= start
+    f_e[filled] = emb[latest[filled]]
+    if strategy.kind == "context" and K:
+        first = np.repeat(np.minimum.reduceat(np.where(pres, rows, K), starts), counts)
+        frozen = rows >= first
+        f_c[frozen] = emb[first[frozen]]
+    return f_c, f_e
+
+
+def store_note_inputs(store: EpisodeStore, strategy: NoteStrategy) -> tuple[Array, Array]:
+    """(f_c, f_e) at every frame row of a store, each episode its own history."""
+    return frame_note_inputs(store.note_embedding, store.note_present, strategy,
+                             store.frame_offsets)
 
 
 def resolve_note(embeddings: Array, present: Array,

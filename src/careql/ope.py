@@ -8,27 +8,27 @@ bootstrap-estimated MSE (OPERA). Greedy policies must be softened (see
 ``soften``) before evaluation so importance ratios stay well-defined.
 
 Every estimator reads one ``EvalBatch``, a fixed set of logged arrays in
-the sense of Voloshin et al. (2021): the episodes' transition columns
-(``dataset.transition_columns``), the target policy's state features at
-every frame and action distribution at every decision, and the behavior
-probability of every logged action. ``eval_batch`` flattens the episodes
-once and asks each model once; ``evaluate_policy`` builds one batch and runs
-every estimator on it. The public estimators take a dataset, typically one
-split (``OfflineDataset.split``) or a hand-picked subset
+the sense of Voloshin et al. (2021): the dataset's ``EpisodeStore`` and its
+transition columns (``EpisodeStore.columns``), the target policy's state
+features at every frame and action distribution at every decision, and the
+behavior probability of every logged action. ``eval_batch`` flattens the
+store once and asks each model once; ``evaluate_policy`` builds one batch and
+runs every estimator on it. The public estimators take a dataset, typically
+one split (``OfflineDataset.split``) or a hand-picked subset
 (``dataclasses.replace(dataset, episodes=...)``), and build the batch, or
 take a batch in the dataset's place, and then read no other argument the
 batch holds.
 
-Target policies, behavior models and Q-models are duck-typed and answer
-with flat arrays, never one array per episode. Decision rows are the N
-transitions in the order of ``TransitionColumns``; frame rows are each
-episode's T + 1 frames, episode after episode:
+Target policies, behavior models and Q-models are duck-typed and answer for
+a whole store with flat arrays, never one array per episode. The store owns
+the row layout: decision rows are its N transitions, frame rows its N + n
+frames, and decision k reads its state at frame row ``decision_frame[k]``
+and its next state at the row after:
 
-- target policy: ``evaluation_rows(episodes, cols)`` -> (state features
-  per frame row, action probabilities (N, A));
-- behavior model: ``logged_probs(episodes, cols)`` -> (N,), read off the
-  logged ``behavior_prob`` fields or a fitted 25-way classifier
-  (``fit_behavior``);
+- target policy: ``evaluation_rows(store)`` -> (state features per frame
+  row, action probabilities (N, A));
+- behavior model: ``logged_probs(store)`` -> (N,), read off the logged
+  ``behavior_prob`` column or a fitted 25-way classifier (``fit_behavior``);
 - Q-model: ``q_rows(batch)`` -> (N, A).
 """
 
@@ -39,8 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import (Episode, N_ACTIONS, OfflineDataset, TransitionColumns,
-                      store_of, transition_columns)
+from .dataset import EpisodeStore, N_ACTIONS, OfflineDataset, TransitionColumns
 from .netcore import (
     Adam,
     DuelingQNetwork,
@@ -75,34 +74,27 @@ class OpeError(ValueError):
 class EvalBatch:
     """The arrays every estimator of one evaluation reads, built once."""
 
-    episodes: tuple[Episode, ...]
+    store: EpisodeStore
     cols: TransitionColumns
     features: Array      # (N + n, dim) target policy's state features per frame
     pi: Array            # (N, A) target action probabilities per decision
     beta: Array | None   # (N,) behavior probability of each logged action
 
     @property
-    def decision_frame(self) -> Array:
-        """Frame row of each decision row: each earlier episode's final frame,
-        which has no decision, shifts it by one."""
-        return np.arange(self.cols.action.shape[0]) + self.cols.episode_index
-
-    @property
     def decision_features(self) -> Array:
-        return self.features[self.decision_frame]
+        return self.features[self.store.decision_frame]
 
     @property
     def next_features(self) -> Array:
-        return self.features[self.decision_frame + 1]
+        return self.features[self.store.decision_frame + 1]
 
 
-def _columns(data: OfflineDataset | EvalBatch
-             ) -> tuple[tuple[Episode, ...], TransitionColumns]:
+def _columns(data: OfflineDataset | EvalBatch) -> tuple[EpisodeStore, TransitionColumns]:
     if isinstance(data, EvalBatch):
-        return data.episodes, data.cols
+        return data.store, data.cols
     if not data.episodes:
         raise OpeError("no episodes to evaluate on")
-    return data.episodes, transition_columns(data.episodes)
+    return data.store, data.store.columns()
 
 
 def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalBatch:
@@ -110,10 +102,10 @@ def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalB
     given, a behavior model; a batch passes through."""
     if isinstance(data, EvalBatch):
         return data
-    eps, cols = _columns(data)
-    features, pi = policy.evaluation_rows(eps, cols)
-    beta = None if behavior is None else behavior.logged_probs(eps, cols)
-    return EvalBatch(eps, cols, features, pi, beta)
+    store, cols = _columns(data)
+    features, pi = policy.evaluation_rows(store)
+    beta = None if behavior is None else behavior.logged_probs(store)
+    return EvalBatch(store, cols, features, pi, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +124,16 @@ class TabularPolicy:
         if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-8 or self.probs.min() < 0:
             raise OpeError("policy rows must be distributions")
 
-    def evaluation_rows(self, episodes: Sequence[Episode],
-                        cols: TransitionColumns) -> tuple[Array, Array]:
+    def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """One-hot latent state per frame, and the policy's row per decision."""
-        bad = cols.first_episode((cols.state_id < 0)
-                                 | (cols.done & (cols.next_state_id < 0)))
+        unknown, frame = store.state_id < 0, store.decision_frame
+        bad = store.first_episode(unknown[frame] | unknown[frame + 1])
         if bad is not None:
             raise OpeError(
-                f"episode {episodes[bad].episode_id!r} lacks state ids; tabular "
+                f"episode {store.episode_id[bad]!r} lacks state ids; tabular "
                 f"policies need synthetic ground truth attached"
             )
-        ends = np.cumsum(cols.lengths)
-        frame_ids = np.insert(cols.state_id, ends, cols.next_state_id[ends - 1])
-        return np.eye(self.probs.shape[0])[frame_ids], self.probs[cols.state_id]
+        return np.eye(self.probs.shape[0])[store.state_id], self.probs[store.state_id[frame]]
 
 
 def soften(policy, eps: float = 0.01):
@@ -164,14 +153,14 @@ def soften(policy, eps: float = 0.01):
 class LoggedBehavior:
     """Behavior probabilities read off the dataset (synthetic data)."""
 
-    def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:
-        bad = cols.first_episode(np.isnan(cols.behavior_prob))
+    def logged_probs(self, store: EpisodeStore) -> Array:
+        bad = store.first_episode(np.isnan(store.behavior_prob))
         if bad is not None:
             raise OpeError(
-                f"episode {episodes[bad].episode_id!r} has no logged behavior "
+                f"episode {store.episode_id[bad]!r} has no logged behavior "
                 f"probabilities; fit a behavior model instead"
             )
-        return cols.behavior_prob
+        return store.behavior_prob
 
 
 @dataclass(frozen=True)
@@ -201,10 +190,9 @@ class FittedBehavior:
         p = self._classifier.probs(np.atleast_2d(features))
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
-    def logged_probs(self, episodes: Sequence[Episode], cols: TransitionColumns) -> Array:
-        store = store_of(episodes)
+    def logged_probs(self, store: EpisodeStore) -> Array:
         dist = self.action_dist(store.structured[store.decision_frame])
-        return dist[np.arange(cols.action.shape[0]), cols.action]
+        return dist[np.arange(store.action.shape[0]), store.action]
 
 
 def fit_behavior(dataset: OfflineDataset,
@@ -248,14 +236,14 @@ def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
     cols, pi = batch.cols, batch.pi
     if batch.beta is None:
         raise OpeError("importance weights need a batch built with a behavior model")
-    bad = cols.first_episode(batch.beta <= 0.0)
+    bad = batch.store.first_episode(batch.beta <= 0.0)
     if bad is not None:
         raise OpeError(
-            f"episode {batch.episodes[bad].episode_id!r}: zero behavior probability "
+            f"episode {batch.store.episode_id[bad]!r}: zero behavior probability "
             f"on a logged action violates the support assumption"
         )
     rows = np.arange(cols.action.shape[0])
-    n, t_max = len(batch.episodes), int(cols.lengths.max())
+    n, t_max = cols.lengths.shape[0], int(cols.lengths.max())
     at = (cols.episode_index, rows - cols.offsets[cols.episode_index])
 
     def padded(values: Array, fill: float) -> Array:
@@ -391,10 +379,10 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.shape != (n_states, N_ACTIONS):
         raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    eps_list, cols = _columns(dataset)
-    bad = cols.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
+    store, cols = _columns(dataset)
+    bad = store.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
     if bad is not None:
-        raise OpeError(f"episode {eps_list[bad].episode_id!r} lacks state ids")
+        raise OpeError(f"episode {store.episode_id[bad]!r} lacks state ids")
     sa = (cols.state_id, cols.action)
     not_done = 1.0 - cols.done.astype(np.float64)
     counts = np.zeros((n_states, N_ACTIONS))
@@ -665,7 +653,7 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     network is fit once, so its bootstrap SE understates refit variance).
     """
     batch = eval_batch(dataset, policy, behavior)
-    n = len(batch.episodes)
+    n = batch.cols.lengths.shape[0]
 
     fqe_boot = None
     if policy_table is not None and (batch.cols.state_id >= 0).all():

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, N_ACTIONS, OfflineDataset, TransitionColumns, transition_columns
-from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
+from .dataset import Episode, EpisodeStore, N_ACTIONS, OfflineDataset, store_of
+from .encoder import (EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs,
+                      store_note_inputs)
 from .netcore import (
     MLP,
     Adam,
@@ -127,22 +127,20 @@ class TransitionTable:
 def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy) -> TransitionTable:
     """Flatten a dataset's episodes into per-transition rows.
 
-    Transition t of an episode reads frame t as its state and frame t + 1
-    as its next state. Structured rows are gathered from the dataset's
-    store; note inputs are sliced from each episode's arrays.
+    Each transition reads its state at the store's ``decision_frame`` and
+    its next state at the row after; the note inputs of every frame are
+    computed once for the whole store.
     """
     if not dataset.episodes:
         raise TrainerError("no episodes to build a transition table from")
     store = dataset.store
-    cols = {"structured": store.structured[store.decision_frame],
-            "next_structured": store.structured[store.decision_frame + 1]}
-    f_c, f_e = zip(*(episode_note_inputs(ep, strategy) for ep in dataset.episodes))
-    for name, per_episode in (("f_c", f_c), ("f_e", f_e)):
-        cols[name] = np.concatenate([x[:-1] for x in per_episode])
-        cols[f"next_{name}"] = np.concatenate([x[1:] for x in per_episode])
-    flat = transition_columns(dataset.episodes)
+    f_c, f_e = store_note_inputs(store, strategy)
+    state, after = store.decision_frame, store.decision_frame + 1
+    flat = store.columns()
     return TransitionTable(
-        **cols, action=flat.action, reward=flat.reward, done=flat.done,
+        structured=store.structured[state], f_c=f_c[state], f_e=f_e[state],
+        next_structured=store.structured[after], next_f_c=f_c[after], next_f_e=f_e[after],
+        action=flat.action, reward=flat.reward, done=flat.done,
         behavior_prob=flat.behavior_prob, episode_index=flat.episode_index,
         state_id=flat.state_id, next_state_id=flat.next_state_id,
         initial_mask=flat.initial_mask,
@@ -305,41 +303,26 @@ class LearnedPolicy:
         with no_grad():
             return self._greedy(self.model.state_tensor(structured, f_c, f_e))
 
-    def forward_rows(self, episodes: Sequence[Episode]) -> tuple[Array, Array]:
-        """State features of every frame (T+1 rows per episode) and greedy
-        actions at every decision (T rows per episode), episode after episode.
+    def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
+        """State features at every frame row of a store and greedy actions at
+        every decision, the rows of its ``decision_frame``.
 
-        The frames of all episodes go through the state encoder, the Q-head
-        and, for BCQ, the classifier in one batched no-grad forward.
+        All frames go through the state encoder, the Q-head and, for BCQ,
+        the classifier in one batched no-grad forward.
         """
-        inputs = [self.episode_inputs(ep) for ep in episodes]
-        structured, f_c, f_e = (np.concatenate(column) for column in zip(*inputs))
-        ends = np.cumsum([len(ep) + 1 for ep in episodes])
-        decision = np.ones(ends[-1], dtype=bool)
-        decision[ends - 1] = False      # the final frame of an episode has no decision
+        f_c, f_e = store_note_inputs(store, self.strategy)
         with no_grad():
-            state = self.model.state_tensor(structured, f_c, f_e)
-            greedy = self._greedy(Tensor(state.data[decision]))
+            state = self.model.state_tensor(store.structured, f_c, f_e)
+            greedy = self._greedy(Tensor(state.data[store.decision_frame]))
         return state.data, greedy
 
-    def evaluation_rows(self, episodes: Sequence[Episode],
-                        cols: TransitionColumns) -> tuple[Array, Array]:
+    def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """Per-frame state features and the eps-soft (N, 25) action distribution."""
-        features, greedy = self.forward_rows(episodes)
+        features, greedy = self.forward_rows(store)
         return features, eps_soft_matrix(greedy, N_ACTIONS, self.eps)
 
-    def greedy_rows(self, episodes: Sequence[Episode]) -> Array:
-        return self.forward_rows(episodes)[1]
-
-    def episodes_forward(self, episodes: Sequence[Episode]
-                         ) -> tuple[list[Array], list[Array]]:
-        """``forward_rows`` split by episode."""
-        if not episodes:
-            return [], []
-        features, greedy = self.forward_rows(episodes)
-        ends = np.cumsum([len(ep) for ep in episodes])[:-1]
-        return (np.split(features, ends + np.arange(1, len(episodes))),
-                np.split(greedy, ends))
+    def greedy_rows(self, store: EpisodeStore) -> Array:
+        return self.forward_rows(store)[1]
 
     def episode_inputs(self, episode: Episode) -> tuple[Array, Array, Array]:
         """Per-frame (structured, f_c, f_e) arrays, length T+1."""
@@ -347,13 +330,13 @@ class LearnedPolicy:
         return episode.frame_arrays()[0], f_c, f_e
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
-        return self.greedy_rows([episode])
+        return self.greedy_rows(store_of([episode]))
 
     def episode_action_probs(self, episode: Episode, eps: float = 0.0) -> Array:
         return eps_soft_matrix(self.episode_greedy_actions(episode), N_ACTIONS, eps)
 
     def episode_state_features(self, episode: Episode) -> Array:
-        return self.forward_rows([episode])[0]
+        return self.forward_rows(store_of([episode]))[0]
 
     def action_table(self, canon) -> Array:
         """Greedy actions at canonical per-state observations.
@@ -554,13 +537,16 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     The one-step bootstrapped target minus the fitted value: positive mass
     means the bootstrap keeps running above the fitted Q, the signature of
     value overestimation; a well-calibrated Q concentrates the distribution
-    around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins.
+    around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins. Q
+    is computed in one forward over every frame of the dataset's store.
     """
-    table = build_transition_table(dataset, policy.strategy)
-    q = policy.q_matrix(table.structured, table.f_c, table.f_e)
-    q_taken = q[np.arange(table.size), table.action]
-    next_q = policy.q_matrix(table.next_structured, table.next_f_c, table.next_f_e)
-    bootstrap = dqn_target(table.reward, table.done, next_q, gamma)
+    if not dataset.episodes:
+        raise TrainerError("no episodes to compute Bellman residuals on")
+    store = dataset.store
+    q = policy.q_matrix(store.structured, *store_note_inputs(store, policy.strategy))
+    cols = store.columns()
+    q_taken = q[store.decision_frame, cols.action]
+    bootstrap = dqn_target(cols.reward, cols.done, q[store.decision_frame + 1], gamma)
     residuals = bootstrap - q_taken
     counts, edges = np.histogram(residuals, bins=RESIDUAL_BINS)
     return BellmanResiduals(samples=residuals, mean=float(residuals.mean()),

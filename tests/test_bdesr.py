@@ -20,9 +20,9 @@ class FixedPolicy:
     def __init__(self, actions_by_episode):
         self.actions_by_episode = actions_by_episode
 
-    def greedy_rows(self, episodes):
-        return np.concatenate([np.asarray(self.actions_by_episode[ep.episode_id])
-                               for ep in episodes])
+    def greedy_rows(self, store):
+        return np.concatenate([np.asarray(self.actions_by_episode[episode_id])
+                               for episode_id in store.episode_id])
 
 
 def episode_with_actions(flats, ep_id="e0", survived=True):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from careql.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from careql.dataset import ingest
 from careql.trainer import TrainConfig
 
 TINY_SYNTH = {
@@ -169,17 +170,18 @@ class TestTrainEval:
     def test_behavior_model_reads_the_stored_column(self, synth_dir, monkeypatch):
         # whether every behaviour probability is logged is read off the
         # store's column, without flattening the dataset
-        from careql import cli, dataset
+        from careql import cli
+        from careql.dataset import EpisodeStore
         from careql.ope import LoggedBehavior
 
         cfg = load_config(None)
         data, gt = cli._load_bundle(synth_dir, cfg)
         assert gt is not None
 
-        def flatten(episodes):
-            raise AssertionError(f"flattened {len(episodes)} episodes")
+        def flatten(store):
+            raise AssertionError(f"flattened {len(store.lengths)} episodes")
 
-        monkeypatch.setattr(dataset, "transition_columns", flatten)
+        monkeypatch.setattr(EpisodeStore, "columns", flatten)
         assert isinstance(cli._behavior_model(cfg, data, 0), LoggedBehavior)
 
     @pytest.mark.parametrize("behavior", ["auto", "fitted"])
@@ -254,6 +256,12 @@ class TestTrainEval:
         assert 0.0 <= bdesr["low_bdesr"] <= 1.0
         residuals = json.loads((eval_out / "residuals.json").read_text())
         assert sum(residuals["hist_counts"]) == residuals["n"]
+        # the residuals cover the evaluated split, as the OPE report does
+        cohort = ingest(*(synth_dir / name for name in
+                          ("structured.csv", "notes.jsonl", "manifest.json")))
+        test = cohort.split("test")
+        assert report["n_episodes"] == len(test) < len(cohort)
+        assert residuals["n"] == test.n_transitions
 
     def test_ope_and_bdesr_subcommands(self, tmp_path, synth_dir):
         cfg = write_config(tmp_path)
@@ -301,6 +309,46 @@ class TestAblate:
                 assert np.isfinite(cell["mean"]) and np.isfinite(cell["std"])
         header = (out / "ablation.csv").read_text().splitlines()[0]
         assert header.startswith("section,variant,opera_mean,opera_std")
+
+
+def count_behavior_fits(monkeypatch) -> list:
+    """A list that grows by one on every ``ope.fit_behavior`` call."""
+    from careql import ope
+
+    fits = []
+    fit = ope.fit_behavior
+
+    def spy(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(ope, "fit_behavior", spy)
+    return fits
+
+
+class TestBehaviorFitOnce:
+    def test_ablate_fits_once_per_seed(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {
+            "train.total_steps": 10, "ope.n_bootstrap": 5, "ope.fqe_iterations": 1,
+            "ope.fqe_steps": 5, "ope.behavior": "fitted", "ope.behavior_fit_steps": 5,
+            "dataset.synth.n_episodes": 40, "ablate.strategies": ["raw"],
+            "ablate.windows": [3], "seeds": [0, 1],
+        })
+        fits = count_behavior_fits(monkeypatch)
+        assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert len(fits) == 2   # 5 variants x 2 seeds, one fit per seed
+
+    def test_cross_eval_fits_once(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, {
+            "train.total_steps": 10, "cross_eval.snapshot_points": 2,
+            "ope.n_bootstrap": 5, "ope.fqe_iterations": 1, "ope.fqe_steps": 5,
+            "ope.behavior": "fitted", "ope.behavior_fit_steps": 5})
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        fits = count_behavior_fits(monkeypatch)
+        assert main(["cross-eval", "--config", str(cfg), "--train-data", str(data),
+                     "--eval-data", str(data), "--out", str(tmp_path / "cross")]) == 0
+        assert len(fits) == 1   # OPE and the DR curve share one behavior model
 
 
 class TestCrossEval:

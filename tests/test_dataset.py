@@ -23,7 +23,7 @@ from careql.dataset import (
     export,
     ingest,
     normalize,
-    transition_columns,
+    store_of,
 )
 
 EDGES = (0.5, 1.5, 2.5, 3.5)
@@ -293,7 +293,7 @@ class TestIngestExport:
 
 
 def per_transition_columns(episodes):
-    """Reference for ``transition_columns``: one Python loop per transition."""
+    """Reference for ``EpisodeStore.columns``: one Python loop per transition."""
     rows = {name: [] for name in ("action", "reward", "done", "behavior_prob",
                                   "state_id", "next_state_id", "episode_index",
                                   "initial_mask")}
@@ -343,7 +343,8 @@ class TestTransitionColumns:
     @settings(max_examples=60, deadline=None)
     @given(logged_episodes())
     def test_equals_per_transition_reference(self, episodes):
-        cols = transition_columns(episodes)
+        store = store_of(episodes)
+        cols = store.columns()
         for name, expected in per_transition_columns(episodes).items():
             got = getattr(cols, name)
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
@@ -355,7 +356,7 @@ class TestTransitionColumns:
         missing = np.isnan(cols.behavior_prob)
         first = next((i for i, ep in enumerate(episodes)
                       if any(tr.behavior_prob is None for tr in ep.transitions)), None)
-        assert cols.first_episode(missing) == first
+        assert store.first_episode(missing) == first
 
 
 # ---------------------------------------------------------------------------

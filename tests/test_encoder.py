@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from careql.dataset import JointObservation
 from careql.encoder import (
@@ -23,6 +24,90 @@ def obs(features, emb=None, present=False, d_n=4):
         emb = np.zeros(d_n)
     return JointObservation(np.asarray(features, float), np.asarray(emb, float),
                             present)
+
+
+def loop_note_inputs(embeddings, present, strategy):
+    """Reference for ``frame_note_inputs`` on one note history: a Python loop
+    over its frames."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    pres = np.asarray(present, dtype=bool)
+    K, d_n = emb.shape
+    f_c = np.zeros((K, d_n))
+    f_e = np.zeros((K, d_n))
+
+    if strategy.kind == "raw":
+        f_e[pres] = emb[pres]
+        return f_c, f_e
+
+    # forward-fill, shared by impute and context
+    filled = np.zeros((K, d_n))
+    last = np.zeros(d_n)
+    for k in range(K):
+        if pres[k]:
+            last = emb[k]
+        filled[k] = last
+
+    if strategy.kind == "impute":
+        return f_c, filled
+
+    if strategy.kind == "stack":
+        for k in range(K):
+            lo = max(0, k - strategy.window + 1)
+            mask = pres[lo:k + 1]
+            if mask.any():
+                f_e[k] = emb[lo:k + 1][mask].mean(axis=0)
+        return f_c, f_e
+
+    # context: event side forward-fills, context side freezes the first note
+    present_idx = np.flatnonzero(pres)
+    if present_idx.size:
+        first = present_idx[0]
+        f_c[first:] = emb[first]
+    return f_c, filled
+
+
+def loop_episode_note_inputs(episode, strategy):
+    """The reference loop over an episode's frames, read through its objects."""
+    frames = episode.frames()
+    return loop_note_inputs(np.stack([f.note_embedding for f in frames]),
+                            np.array([f.note_present for f in frames]), strategy)
+
+
+@st.composite
+def note_histories(draw):
+    """Histories of 1-9 frames laid end to end, with notes on random frames.
+    Embedding values are random doubles over six decades, so that the order
+    of a sum shows in its rounding, and about one in five is a signed zero."""
+    d_n = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    K = sum(lengths)
+    present = np.array(draw(st.lists(st.booleans(), min_size=K, max_size=K)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emb = rng.normal(size=(K, d_n)) * 10.0 ** rng.uniform(-3, 3, size=(K, d_n))
+    emb[rng.random((K, d_n)) < 0.2] = rng.choice([0.0, -0.0])
+    emb[~present] = 0.0
+    return emb, present, np.cumsum(lengths) - np.array(lengths)
+
+
+class TestSegmentNoteInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(note_histories(), st.sampled_from(["raw", "impute", "stack", "context"]),
+           st.integers(1, 7))
+    def test_byte_equal_to_the_loop_on_every_history(self, histories, kind, window):
+        emb, present, starts = histories
+        strategy = NoteStrategy(kind, window)
+        f_c, f_e = frame_note_inputs(emb, present, strategy, starts)
+        for lo, hi in zip(starts, [*starts[1:], len(present)]):
+            ref_c, ref_e = loop_note_inputs(emb[lo:hi], present[lo:hi], strategy)
+            assert f_c[lo:hi].tobytes() == ref_c.tobytes()
+            assert f_e[lo:hi].tobytes() == ref_e.tobytes()
+
+    def test_a_history_never_reads_the_one_before(self):
+        emb = np.array([[5.0], [0.0], [0.0], [2.0]])
+        present = np.array([True, False, False, True])
+        for kind in ("impute", "stack", "context"):
+            f_c, f_e = frame_note_inputs(emb, present, NoteStrategy(kind), [0, 2])
+            assert not f_c[2:3].any() and not f_e[2:3].any(), kind
 
 
 class TestNoteStrategies:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from careql.dataset import N_ACTIONS, transition_columns
+from careql.dataset import N_ACTIONS, store_of
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -385,7 +385,7 @@ class TestMissingDataNamesEpisode:
         eps = list(dataset.episodes[:4])
         eps[1], eps[3] = strip(eps[1], behavior_prob=None), strip(eps[3], behavior_prob=None)
         with pytest.raises(OpeError, match=f"episode {eps[1].episode_id!r} has no logged"):
-            LoggedBehavior().logged_probs(eps, transition_columns(eps))
+            LoggedBehavior().logged_probs(store_of(eps))
 
     def test_fqe_tabular_without_state_ids(self, synth):
         mdp, _, dataset, target, _ = synth
@@ -400,9 +400,9 @@ class TestMissingDataNamesEpisode:
         eps = list(dataset.episodes[:4])
 
         class ZeroOnLaterEpisodes:
-            def logged_probs(self, episodes, cols):
-                probs = LoggedBehavior().logged_probs(episodes, cols).copy()
-                probs[np.cumsum(cols.lengths)[2:] - 1] = 0.0   # last step of episodes 2+
+            def logged_probs(self, store):
+                probs = LoggedBehavior().logged_probs(store).copy()
+                probs[np.cumsum(store.lengths)[2:] - 1] = 0.0   # last step of episodes 2+
                 return probs
 
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):

@@ -4,15 +4,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from careql import bdesr as bdesr_mod, dataset as dataset_mod, ope as ope_mod
+from careql import encoder as encoder_mod
 from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
-from careql.dataset import N_ACTIONS
-from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
+from careql.dataset import N_ACTIONS, EpisodeStore
+from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder
 from careql.netcore import Dense, Tensor
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
+    LoggedBehavior,
     OpeConfig,
     evaluate_policy,
     fit_behavior,
@@ -42,6 +43,8 @@ from careql.trainer import (
     dqn_target,
     train,
 )
+
+from test_encoder import loop_episode_note_inputs
 
 
 def small_setup(seed=0, n_episodes=300, n_severity=3, n_context=1, noise=0.15):
@@ -183,13 +186,14 @@ class TestTransitionTable:
 
 
 def per_transition_table(dataset, strategy):
-    """Reference flattening: one append per transition into every column."""
+    """Reference flattening: one append per transition into every column, the
+    note inputs from the per-frame reference loop."""
     cols = {name: [] for name in ("structured", "f_c", "f_e", "next_structured",
                                   "next_f_c", "next_f_e")}
     action, reward, done, bprob, ep_idx = [], [], [], [], []
     state_id, next_state_id, initial = [], [], []
     for e_i, ep in enumerate(dataset.episodes):
-        f_c, f_e = episode_note_inputs(ep, strategy)
+        f_c, f_e = loop_episode_note_inputs(ep, strategy)
         frames = ep.frames()
         for t, tr in enumerate(ep.transitions):
             cols["structured"].append(frames[t].structured)
@@ -453,16 +457,25 @@ class OneEpisodeAtATime:
     policy: LearnedPolicy
     eps: float = 0.0
 
-    def greedy_rows(self, episodes):
-        return np.concatenate([one_episode_forward(self.policy, ep)[0] for ep in episodes])
+    def greedy_rows(self, store):
+        return np.concatenate([one_episode_forward(self.policy, ep)[0]
+                               for ep in store.views()])
 
-    def evaluation_rows(self, episodes, cols):
+    def evaluation_rows(self, store):
         features = np.concatenate([one_episode_forward(self.policy, ep)[1]
-                                   for ep in episodes])
-        greedy = self.greedy_rows(episodes)
+                                   for ep in store.views()])
+        greedy = self.greedy_rows(store)
         probs = np.full((len(greedy), N_ACTIONS), self.eps / (N_ACTIONS - 1))
         probs[np.arange(len(greedy)), greedy] = 1.0 - self.eps
         return features, probs
+
+
+def split_forward(policy, episodes):
+    """``forward_rows`` over the store of some episodes, split by episode."""
+    store = EpisodeStore.pack(episodes)
+    features, greedy = policy.forward_rows(store)
+    return (np.split(features, store.frame_offsets[1:]),
+            np.split(greedy, store.offsets[1:]))
 
 
 @pytest.fixture(scope="module", params=["multimodal_cql", "structured_bcq"])
@@ -479,7 +492,7 @@ class TestBatchedForward:
         policy, ds = trained_policy
         episodes = list(ds.episodes[:60])
         assert len({len(ep) for ep in episodes}) > 1
-        features, actions = policy.episodes_forward(episodes)
+        features, actions = split_forward(policy, episodes)
         assert len(features) == len(actions) == len(episodes)
         for ep, feats, greedy in zip(episodes, features, actions):
             ref_greedy, ref_feats, ref_q = one_episode_forward(policy, ep)
@@ -487,11 +500,10 @@ class TestBatchedForward:
             assert np.abs(feats - ref_feats).max() <= 1e-12
             q = policy.model.qnet(Tensor(feats)).data
             assert np.abs(q - ref_q).max() <= 1e-12
-        assert policy.episodes_forward([]) == ([], [])
 
     def test_one_episode_methods_are_the_batched_forward(self, trained_policy):
         policy, ds = trained_policy
-        features, actions = policy.episodes_forward(list(ds.episodes[:3]))
+        features, actions = split_forward(policy, list(ds.episodes[:3]))
         for i, ep in enumerate(ds.episodes[:3]):
             assert np.array_equal(policy.episode_greedy_actions(ep), actions[i])
             assert np.abs(policy.episode_state_features(ep) - features[i]).max() <= 1e-12
@@ -533,17 +545,43 @@ class TestBatchedForward:
                 return fn(*args, **kwargs)
             return wrapper
 
-        flatten = dataset_mod.transition_columns
-        for module in (dataset_mod, ope_mod, bdesr_mod, trainer_mod):
-            monkeypatch.setattr(module, "transition_columns", counted("flatten", flatten))
+        monkeypatch.setattr(EpisodeStore, "columns",
+                            counted("flatten", EpisodeStore.columns))
         monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
         encodes = 1 if policy.model.modality == "multimodal" else 0
         report = evaluate_policy(replace(ds, episodes=episodes), soften(policy), behavior, cfg)
         assert report.fqe_mode == "network"
         assert (calls["flatten"], calls["encode"]) == (1, encodes)
         calls.clear()
+        # BDESR reads the store's logged actions and flattens nothing
         bdesr_report(replace(ds, episodes=episodes), policy)
-        assert (calls["flatten"], calls["encode"]) == (1, encodes)
+        assert (calls["flatten"], calls["encode"]) == (0, encodes)
+
+    def test_no_per_episode_note_inputs_or_forwards(self, trained_policy, monkeypatch):
+        # training, OPE, BDESR and the residuals read the store's note inputs
+        # once per call, never one episode at a time
+        policy, ds = trained_policy
+        calls = Counter()
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (encoder_mod, trainer_mod):
+            monkeypatch.setattr(module, "episode_note_inputs",
+                                spy("note_inputs", encoder_mod.episode_note_inputs))
+        monkeypatch.setattr(LearnedPolicy, "episode_inputs",
+                            spy("episode_inputs", LearnedPolicy.episode_inputs))
+        train(ds, quick_train_cfg(total_steps=3, algorithm=policy.algorithm),
+              policy.model.enc_cfg, modality=policy.model.modality)
+        cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
+                        fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
+        evaluate_policy(ds, soften(policy), LoggedBehavior(), cfg)
+        bdesr_report(ds, policy)
+        bellman_residuals(policy, ds, gamma=0.9)
+        assert calls == Counter()
 
 
 class _TabularQStub:
@@ -623,6 +661,26 @@ class TestBellmanResiduals:
         inflated[:2] += c
         shifted = bellman_residuals(_TabularQStub(mdp, inflated), ds, gamma=0.9)
         assert shifted.mean == pytest.approx(base.mean - c + 0.9 * c / 2, abs=1e-12)
+
+    def test_one_forward_matches_two_forwards_of_the_table(self, monkeypatch):
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        policy = train(ds, quick_train_cfg(total_steps=50), enc_cfg).policy
+        table = build_transition_table(ds, policy.strategy)
+        q = policy.q_matrix(table.structured, table.f_c, table.f_e)
+        next_q = policy.q_matrix(table.next_structured, table.next_f_c, table.next_f_e)
+        expected = dqn_target(table.reward, table.done, next_q, 0.9) \
+            - q[np.arange(table.size), table.action]
+        forwards = Counter()
+        forward = StateEncoder.forward
+
+        def counted(*args, **kwargs):
+            forwards["encode"] += 1
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(StateEncoder, "forward", counted)
+        res = bellman_residuals(policy, ds, gamma=0.9)
+        assert forwards["encode"] == 1
+        assert np.abs(res.samples - expected).max() <= 1e-12
 
     def test_histogram_counts_sum_to_samples(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
