@@ -282,6 +282,20 @@ class EpisodeStore:
         which has no decision, shifts it by one."""
         return np.arange(self.action.shape[0]) + self.episode_index
 
+    @cached_property
+    def done(self) -> Array:
+        """True on each episode's last transition."""
+        done = np.zeros(self.action.shape[0], dtype=bool)
+        done[np.cumsum(self.lengths) - 1] = True
+        return done
+
+    @cached_property
+    def reward(self) -> Array:
+        """Zero except on each episode's last transition: +1 survived, -1 not."""
+        reward = np.zeros(self.action.shape[0])
+        reward[np.cumsum(self.lengths) - 1] = np.where(self.survived, 1.0, -1.0)
+        return reward
+
     def first_episode(self, rows: Array) -> int | None:
         """Index of the episode that owns the first True transition row, or None."""
         return int(self.episode_index[rows.argmax()]) if rows.any() else None
@@ -295,18 +309,6 @@ class EpisodeStore:
                    episode_id=episode_id, split=split, _store=self, _index=i)
             for i, (survived, episode_id, split) in enumerate(
                 zip(self.survived.tolist(), self.episode_id, self.split)))
-
-    def columns(self) -> "TransitionColumns":
-        ends = np.cumsum(self.lengths)
-        done = np.zeros(self.action.shape[0], dtype=bool)
-        done[ends - 1] = True
-        reward = np.zeros(self.action.shape[0])
-        reward[ends - 1] = np.where(self.survived, 1.0, -1.0)
-        frame = self.decision_frame
-        return TransitionColumns(
-            action=self.action, reward=reward, done=done, behavior_prob=self.behavior_prob,
-            state_id=self.state_id[frame], next_state_id=self.state_id[frame + 1],
-            lengths=self.lengths, offsets=self.offsets, episode_index=self.episode_index)
 
     def take(self, index: Array) -> "EpisodeStore":
         """The store of episodes ``index``, in that order."""
@@ -441,35 +443,6 @@ class OfflineDataset:
 
     def survival(self) -> dict[str, bool]:
         return {ep.episode_id: ep.survived for ep in self.episodes}
-
-
-@dataclass(frozen=True)
-class TransitionColumns:
-    """Scalar per-transition columns of a store (``EpisodeStore.columns``).
-
-    Row k is one transition; episode i owns the ``lengths[i]`` consecutive
-    rows that start at ``offsets[i]``.
-    """
-
-    action: Array          # (N,) int64 flat action index
-    reward: Array          # (N,) float64
-    done: Array            # (N,) bool, True on each episode's last row
-    behavior_prob: Array   # (N,) float64, nan when unknown
-    state_id: Array        # (N,) int64, -1 when unknown
-    next_state_id: Array   # (N,) int64, -1 when unknown
-    lengths: Array         # (n,) int64 transitions per episode
-    offsets: Array         # (n,) int64 row of each episode's first transition
-    episode_index: Array   # (N,) int64 episode of each row
-
-    @property
-    def initial_mask(self) -> Array:
-        mask = np.zeros(self.action.shape[0], dtype=bool)
-        mask[self.offsets] = True
-        return mask
-
-    def split(self, rows: Array) -> list[Array]:
-        """Per-transition rows cut into one block per episode."""
-        return np.split(rows, np.cumsum(self.lengths)[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ per modality, so each softmax is over a single score) then produces the
 the raw inputs is differentiable through the netcore tape.
 
 The note strategies run over many histories laid end to end, such as every
-episode of an ``EpisodeStore`` (``store_note_inputs``), as segment operations
+episode of an ``EpisodeStore`` (``episode_note_inputs``), as segment operations
 on the whole frame array; one history is the case of a single segment.
 """
 
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Episode, EpisodeStore, JointObservation
+from .dataset import EpisodeStore, JointObservation
 from .netcore import Dense, Tensor, collect_params, concat, init_param, linear
 
 Array = np.ndarray
@@ -103,7 +103,9 @@ def frame_note_inputs(embeddings: Array, present: Array, strategy: NoteStrategy,
 
     if strategy.kind == "stack":
         # the present notes of the window added oldest first onto zeros, the
-        # order of a per-frame mean (cumsum differences would round otherwise)
+        # order of a per-frame mean (cumsum differences would round otherwise;
+        # NumPy sums a single column of eight or more values pairwise, so with
+        # d_n = 1 and a window of 8 or more the last bits may differ from it)
         total = np.zeros((K, d_n))
         n_present = np.zeros(K)
         for lag in range(min(strategy.window, counts.max(initial=0)) - 1, -1, -1):
@@ -128,7 +130,8 @@ def frame_note_inputs(embeddings: Array, present: Array, strategy: NoteStrategy,
     return f_c, f_e
 
 
-def store_note_inputs(store: EpisodeStore, strategy: NoteStrategy) -> tuple[Array, Array]:
+def episode_note_inputs(store: EpisodeStore,
+                        strategy: NoteStrategy) -> tuple[Array, Array]:
     """(f_c, f_e) at every frame row of a store, each episode its own history."""
     return frame_note_inputs(store.note_embedding, store.note_present, strategy,
                              store.frame_offsets)
@@ -146,13 +149,6 @@ def resolve_note(embeddings: Array, present: Array,
     if strategy.kind == "context":
         return f_c[-1], f_e[-1]
     return None, f_e[-1]
-
-
-def episode_note_inputs(episode: Episode,
-                        strategy: NoteStrategy) -> tuple[Array, Array]:
-    """(f_c, f_e) over all frames (length T+1) of an episode."""
-    _, emb, pres = episode.frame_arrays()
-    return frame_note_inputs(emb, pres, strategy)
 
 
 # ---------------------------------------------------------------------------

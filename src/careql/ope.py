@@ -8,11 +8,11 @@ bootstrap-estimated MSE (OPERA). Greedy policies must be softened (see
 ``soften``) before evaluation so importance ratios stay well-defined.
 
 Every estimator reads one ``EvalBatch``, a fixed set of logged arrays in
-the sense of Voloshin et al. (2021): the dataset's ``EpisodeStore`` and its
-transition columns (``EpisodeStore.columns``), the target policy's state
-features at every frame and action distribution at every decision, and the
-behavior probability of every logged action. ``eval_batch`` flattens the
-store once and asks each model once; ``evaluate_policy`` builds one batch and
+the sense of Voloshin et al. (2021): the dataset's ``EpisodeStore`` (whose
+action, reward and done columns the estimators read), the target policy's
+state features at every frame and action distribution at every decision,
+and the behavior probability of every logged action. ``eval_batch`` asks
+each model once; ``evaluate_policy`` builds one batch and
 runs every estimator on it. The public estimators take a dataset, typically
 one split (``OfflineDataset.split``) or a hand-picked subset
 (``dataclasses.replace(dataset, episodes=...)``), and build the batch, or
@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import EpisodeStore, N_ACTIONS, OfflineDataset, TransitionColumns
+from .dataset import EpisodeStore, N_ACTIONS, OfflineDataset
 from .netcore import (
     Adam,
     DuelingQNetwork,
@@ -75,7 +75,6 @@ class EvalBatch:
     """The arrays every estimator of one evaluation reads, built once."""
 
     store: EpisodeStore
-    cols: TransitionColumns
     features: Array      # (N + n, dim) target policy's state features per frame
     pi: Array            # (N, A) target action probabilities per decision
     beta: Array | None   # (N,) behavior probability of each logged action
@@ -89,12 +88,10 @@ class EvalBatch:
         return self.features[self.store.decision_frame + 1]
 
 
-def _columns(data: OfflineDataset | EvalBatch) -> tuple[EpisodeStore, TransitionColumns]:
-    if isinstance(data, EvalBatch):
-        return data.store, data.cols
-    if not data.episodes:
+def _store(data: OfflineDataset | EvalBatch) -> EpisodeStore:
+    if isinstance(data, OfflineDataset) and not data.episodes:
         raise OpeError("no episodes to evaluate on")
-    return data.store, data.store.columns()
+    return data.store
 
 
 def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalBatch:
@@ -102,10 +99,10 @@ def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalB
     given, a behavior model; a batch passes through."""
     if isinstance(data, EvalBatch):
         return data
-    store, cols = _columns(data)
+    store = _store(data)
     features, pi = policy.evaluation_rows(store)
     beta = None if behavior is None else behavior.logged_probs(store)
-    return EvalBatch(store, cols, features, pi, beta)
+    return EvalBatch(store, features, pi, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +230,18 @@ class _EpisodeStats:
 
 
 def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
-    cols, pi = batch.cols, batch.pi
+    store, pi = batch.store, batch.pi
     if batch.beta is None:
         raise OpeError("importance weights need a batch built with a behavior model")
-    bad = batch.store.first_episode(batch.beta <= 0.0)
+    bad = store.first_episode(batch.beta <= 0.0)
     if bad is not None:
         raise OpeError(
-            f"episode {batch.store.episode_id[bad]!r}: zero behavior probability "
+            f"episode {store.episode_id[bad]!r}: zero behavior probability "
             f"on a logged action violates the support assumption"
         )
-    rows = np.arange(cols.action.shape[0])
-    n, t_max = cols.lengths.shape[0], int(cols.lengths.max())
-    at = (cols.episode_index, rows - cols.offsets[cols.episode_index])
+    rows = np.arange(store.action.shape[0])
+    n, t_max = store.lengths.shape[0], int(store.lengths.max())
+    at = (store.episode_index, rows - store.offsets[store.episode_index])
 
     def padded(values: Array, fill: float) -> Array:
         """(n, t_max) per-episode rows, filled past each episode's end."""
@@ -253,16 +250,16 @@ def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
         return out
 
     # a ratio of 1 past the end freezes rho at the episode's final weight
-    rho = np.cumprod(padded(pi[rows, cols.action] / batch.beta, 1.0), axis=1)
-    rewards = padded(cols.reward, 0.0)
+    rho = np.cumprod(padded(pi[rows, store.action] / batch.beta, 1.0), axis=1)
+    rewards = padded(store.reward, 0.0)
     q_taken = v_hat = np.zeros((n, t_max))
     if q_hat is not None:
         qm = q_hat.q_rows(batch)
-        q_taken = padded(qm[rows, cols.action], 0.0)
+        q_taken = padded(qm[rows, store.action], 0.0)
         v_hat = padded((pi * qm).sum(axis=1), 0.0)
     return _EpisodeStats(rho=rho, rewards=rewards, q_taken=q_taken, v_hat=v_hat,
                          returns=rewards @ (gamma ** np.arange(t_max)),
-                         traj_weight=rho[np.arange(n), cols.lengths - 1], gamma=gamma)
+                         traj_weight=rho[np.arange(n), store.lengths - 1], gamma=gamma)
 
 
 def _clipped_weights(stats: _EpisodeStats, idx: Array,
@@ -351,7 +348,7 @@ class TabularQ:
     q: Array  # (S, A)
 
     def q_rows(self, batch: EvalBatch) -> Array:
-        state_id = batch.cols.state_id
+        state_id = batch.store.state_id[batch.store.decision_frame]
         if (state_id < 0).any():
             raise OpeError("tabular Q needs state ids on the transitions")
         return self.q[state_id]
@@ -379,12 +376,14 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.shape != (n_states, N_ACTIONS):
         raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    store, cols = _columns(dataset)
-    bad = store.first_episode((cols.state_id < 0) | (cols.next_state_id < 0))
+    store = _store(dataset)
+    frame = store.decision_frame
+    state, next_state = store.state_id[frame], store.state_id[frame + 1]
+    bad = store.first_episode((state < 0) | (next_state < 0))
     if bad is not None:
         raise OpeError(f"episode {store.episode_id[bad]!r} lacks state ids")
-    sa = (cols.state_id, cols.action)
-    not_done = 1.0 - cols.done.astype(np.float64)
+    sa = (state, store.action)
+    not_done = 1.0 - store.done.astype(np.float64)
     counts = np.zeros((n_states, N_ACTIONS))
     np.add.at(counts, sa, 1.0)
     safe_counts = np.maximum(counts, 1.0)
@@ -393,7 +392,7 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
     iterations = 0
     for iterations in range(1, FQE_TABULAR_MAX_ITERS + 1):
         v = (pi * q).sum(axis=1)
-        targets = cols.reward + gamma * not_done * v[cols.next_state_id]
+        targets = store.reward + gamma * not_done * v[next_state]
         q_new = np.zeros_like(q)
         np.add.at(q_new, sa, targets)
         q_new /= safe_counts
@@ -401,7 +400,7 @@ def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma
             q = q_new
             break
         q = q_new
-    initial = np.array([float(pi[s] @ q[s]) for s in cols.state_id[cols.offsets]])
+    initial = np.array([float(pi[s] @ q[s]) for s in store.state_id[store.frame_offsets]])
     uncovered = int(((counts == 0) & (pi.max(axis=0) > 0)[None, :]).sum())
     return FqeResult(estimate=float(initial.mean()), q_model=TabularQ(q),
                      initial_values=initial, iterations=iterations,
@@ -417,16 +416,17 @@ class _TabularFqeBootstrap:
     the FQE bootstrap (initial-state resampling alone badly understates it).
     """
 
-    def __init__(self, cols: TransitionColumns, pi: Array, gamma: float,
+    def __init__(self, store: EpisodeStore, pi: Array, gamma: float,
                  n_states: int):
         self.pi = pi
         self.gamma = gamma
         self.n_states = n_states
-        self.s, self.a, self.r, self.ns = (cols.state_id, cols.action, cols.reward,
-                                           cols.next_state_id)
-        self.not_done = 1.0 - cols.done.astype(np.float64)
-        self.ep_idx = cols.episode_index
-        self.init_state = cols.state_id[cols.offsets]
+        frame = store.decision_frame
+        self.s, self.a, self.r, self.ns = (store.state_id[frame], store.action, store.reward,
+                                           store.state_id[frame + 1])
+        self.not_done = 1.0 - store.done.astype(np.float64)
+        self.ep_idx = store.episode_index
+        self.init_state = store.state_id[store.frame_offsets]
 
     def estimate(self, episode_multiplicity: Array) -> float:
         w_row = episode_multiplicity[self.ep_idx].astype(np.float64)
@@ -480,12 +480,12 @@ def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
     """
     cfg = cfg or FqeNetConfig()
     batch = eval_batch(dataset, policy)
-    cols, pi = batch.cols, batch.pi
+    store, pi = batch.store, batch.pi
     X, X_next = batch.decision_features, batch.next_features
     # policy distribution at the successor state; rows for terminal
     # transitions are masked by (1 - done)
-    pi_next = np.where(cols.done[:, None], 0.0, np.roll(pi, -1, axis=0))
-    not_done = 1.0 - cols.done.astype(np.float64)
+    pi_next = np.where(store.done[:, None], 0.0, np.roll(pi, -1, axis=0))
+    not_done = 1.0 - store.done.astype(np.float64)
 
     rng = np.random.default_rng([cfg.seed, 41])
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
@@ -498,20 +498,20 @@ def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
     for it in range(cfg.iterations):
         with no_grad():
             next_q = frozen_net(Tensor(X_next)).data
-        targets = cols.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
+        targets = store.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
         if not np.isfinite(targets).all():
             raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
                            f"non-finite regression targets")
         for _ in range(cfg.steps_per_iteration):
             idx = rng.integers(0, X.shape[0], size=min(FQE_BATCH_SIZE, X.shape[0]))
-            pred = net(Tensor(X[idx])).pick(cols.action[idx])
+            pred = net(Tensor(X[idx])).pick(store.action[idx])
             loss = (pred - Tensor(targets[idx])).square().mean() * 0.5
             loss.backward()
             opt.step()
         load_param_values(frozen_net.params(), clone_param_values(net.params()))
     q_model = NetworkQ(net)
-    q0 = q_model.q_matrix(X[cols.offsets])
-    initial = (pi[cols.offsets] * q0).sum(axis=1)
+    q0 = q_model.q_matrix(X[store.offsets])
+    initial = (pi[store.offsets] * q0).sum(axis=1)
     return FqeResult(estimate=float(initial.mean()), q_model=q_model,
                      initial_values=initial, iterations=cfg.iterations)
 
@@ -653,14 +653,15 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     network is fit once, so its bootstrap SE understates refit variance).
     """
     batch = eval_batch(dataset, policy, behavior)
-    n = batch.cols.lengths.shape[0]
+    store = batch.store
+    n = store.lengths.shape[0]
 
     fqe_boot = None
-    if policy_table is not None and (batch.cols.state_id >= 0).all():
+    if policy_table is not None and (store.state_id[store.decision_frame] >= 0).all():
         if n_states is None:
             raise OpeError("tabular FQE needs n_states")
         fqe_result = fqe_tabular(batch, policy_table, cfg.gamma, n_states)
-        fqe_boot = _TabularFqeBootstrap(batch.cols, np.asarray(policy_table),
+        fqe_boot = _TabularFqeBootstrap(store, np.asarray(policy_table),
                                         cfg.gamma, n_states)
         fqe_mode = "tabular"
     else:

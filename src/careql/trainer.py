@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Episode, EpisodeStore, N_ACTIONS, OfflineDataset, store_of
-from .encoder import (EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs,
-                      store_note_inputs)
+from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
     MLP,
     Adam,
@@ -102,49 +101,32 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Per-transition training arrays with note strategies pre-applied."""
+    """A store's model inputs at every frame row, the note strategy applied.
 
-    structured: Array      # (N, F)
-    f_c: Array             # (N, d_n)
-    f_e: Array             # (N, d_n)
-    next_structured: Array
-    next_f_c: Array
-    next_f_e: Array
-    action: Array          # (N,) int
-    reward: Array          # (N,)
-    done: Array            # (N,) bool
-    behavior_prob: Array   # (N,), nan when unknown
-    episode_index: Array   # (N,) int
-    state_id: Array        # (N,) int, -1 when unknown
-    next_state_id: Array
-    initial_mask: Array    # (N,) bool, first transition of its episode
+    Transition k reads its state at frame row ``store.decision_frame[k]``
+    and its next state at the row after; its action, reward and done flag
+    are the store's.
+    """
+
+    store: EpisodeStore
+    f_c: Array             # (n_frames, d_n)
+    f_e: Array             # (n_frames, d_n)
 
     @property
     def size(self) -> int:
-        return self.action.shape[0]
+        return self.store.action.shape[0]
+
+    def inputs(self, rows: Array) -> tuple[Array, Array, Array]:
+        """(structured, f_c, f_e) at frame rows ``rows``."""
+        return self.store.structured[rows], self.f_c[rows], self.f_e[rows]
 
 
 def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy) -> TransitionTable:
-    """Flatten a dataset's episodes into per-transition rows.
-
-    Each transition reads its state at the store's ``decision_frame`` and
-    its next state at the row after; the note inputs of every frame are
-    computed once for the whole store.
-    """
+    """The note inputs of every frame of a dataset's store, computed once."""
     if not dataset.episodes:
         raise TrainerError("no episodes to build a transition table from")
     store = dataset.store
-    f_c, f_e = store_note_inputs(store, strategy)
-    state, after = store.decision_frame, store.decision_frame + 1
-    flat = store.columns()
-    return TransitionTable(
-        structured=store.structured[state], f_c=f_c[state], f_e=f_e[state],
-        next_structured=store.structured[after], next_f_c=f_c[after], next_f_e=f_e[after],
-        action=flat.action, reward=flat.reward, done=flat.done,
-        behavior_prob=flat.behavior_prob, episode_index=flat.episode_index,
-        state_id=flat.state_id, next_state_id=flat.next_state_id,
-        initial_mask=flat.initial_mask,
-    )
+    return TransitionTable(store, *episode_note_inputs(store, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +292,8 @@ class LearnedPolicy:
         All frames go through the state encoder, the Q-head and, for BCQ,
         the classifier in one batched no-grad forward.
         """
-        f_c, f_e = store_note_inputs(store, self.strategy)
         with no_grad():
-            state = self.model.state_tensor(store.structured, f_c, f_e)
+            state = self.model.state_tensor(*self.episode_inputs(store))
             greedy = self._greedy(Tensor(state.data[store.decision_frame]))
         return state.data, greedy
 
@@ -324,10 +305,9 @@ class LearnedPolicy:
     def greedy_rows(self, store: EpisodeStore) -> Array:
         return self.forward_rows(store)[1]
 
-    def episode_inputs(self, episode: Episode) -> tuple[Array, Array, Array]:
-        """Per-frame (structured, f_c, f_e) arrays, length T+1."""
-        f_c, f_e = episode_note_inputs(episode, self.strategy)
-        return episode.frame_arrays()[0], f_c, f_e
+    def episode_inputs(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
+        """(structured, f_c, f_e) model inputs at every frame row of a store."""
+        return (store.structured, *episode_note_inputs(store, self.strategy))
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
         return self.greedy_rows(store_of([episode]))
@@ -449,25 +429,25 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
                                  strategy=enc_cfg.strategy,
                                  behavior_classifier=classifier)
 
+    store = table.store
     for step in range(1, cfg.total_steps + 1):
         idx = batch_rng.integers(0, table.size, size=cfg.batch_size)
+        frame = store.decision_frame[idx]
+        state, after = table.inputs(frame), table.inputs(frame + 1)
+        action, reward, done = store.action[idx], store.reward[idx], store.done[idx]
         with no_grad():
-            next_q = target.q_values(table.next_structured[idx], table.next_f_c[idx],
-                                     table.next_f_e[idx]).data
+            next_q = target.q_values(*after).data
         if cfg.algorithm == "bcq":
             with no_grad():
-                next_state = model.state_tensor(table.next_structured[idx],
-                                                table.next_f_c[idx],
-                                                table.next_f_e[idx]).data
+                next_state = model.state_tensor(*after).data
             next_probs = classifier.probs(next_state)
-            y = bcq_target(table.reward[idx], table.done[idx], next_q,
-                           next_probs, cfg.gamma, cfg.bcq_threshold)
+            y = bcq_target(reward, done, next_q, next_probs, cfg.gamma, cfg.bcq_threshold)
         else:
-            y = dqn_target(table.reward[idx], table.done[idx], next_q, cfg.gamma)
+            y = dqn_target(reward, done, next_q, cfg.gamma)
 
-        q = model.q_values(table.structured[idx], table.f_c[idx], table.f_e[idx])
+        q = model.q_values(*state)
         alpha = cfg.cql_alpha if cfg.algorithm == "cql" else 0.0
-        loss, diag = cql_loss(q, table.action[idx], y, alpha)
+        loss, diag = cql_loss(q, action, y, alpha)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at step {step}", last_snapshot, log)
         loss.backward()
@@ -476,10 +456,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
 
         if cfg.algorithm == "bcq":
             with no_grad():
-                state = model.state_tensor(table.structured[idx], table.f_c[idx],
-                                           table.f_e[idx]).data
-            clf_loss = cross_entropy_loss(classifier.logits(Tensor(state)),
-                                          table.action[idx])
+                features = model.state_tensor(*state).data
+            clf_loss = cross_entropy_loss(classifier.logits(Tensor(features)), action)
             clf_loss.backward()
             clf_opt.step()
 
@@ -540,13 +518,11 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins. Q
     is computed in one forward over every frame of the dataset's store.
     """
-    if not dataset.episodes:
-        raise TrainerError("no episodes to compute Bellman residuals on")
-    store = dataset.store
-    q = policy.q_matrix(store.structured, *store_note_inputs(store, policy.strategy))
-    cols = store.columns()
-    q_taken = q[store.decision_frame, cols.action]
-    bootstrap = dqn_target(cols.reward, cols.done, q[store.decision_frame + 1], gamma)
+    table = build_transition_table(dataset, policy.strategy)
+    store = table.store
+    q = policy.q_matrix(store.structured, table.f_c, table.f_e)
+    q_taken = q[store.decision_frame, store.action]
+    bootstrap = dqn_target(store.reward, store.done, q[store.decision_frame + 1], gamma)
     residuals = bootstrap - q_taken
     counts, edges = np.histogram(residuals, bins=RESIDUAL_BINS)
     return BellmanResiduals(samples=residuals, mean=float(residuals.mean()),

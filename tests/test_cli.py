@@ -169,7 +169,7 @@ class TestTrainEval:
 
     def test_behavior_model_reads_the_stored_column(self, synth_dir, monkeypatch):
         # whether every behaviour probability is logged is read off the
-        # store's column, without flattening the dataset
+        # store's column, without building any episode's transitions
         from careql import cli
         from careql.dataset import EpisodeStore
         from careql.ope import LoggedBehavior
@@ -178,10 +178,10 @@ class TestTrainEval:
         data, gt = cli._load_bundle(synth_dir, cfg)
         assert gt is not None
 
-        def flatten(store):
-            raise AssertionError(f"flattened {len(store.lengths)} episodes")
+        def transitions(store, i):
+            raise AssertionError(f"built the transitions of episode {i}")
 
-        monkeypatch.setattr(EpisodeStore, "columns", flatten)
+        monkeypatch.setattr(EpisodeStore, "episode_transitions", transitions)
         assert isinstance(cli._behavior_model(cfg, data, 0), LoggedBehavior)
 
     @pytest.mark.parametrize("behavior", ["auto", "fitted"])

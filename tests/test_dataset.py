@@ -293,10 +293,10 @@ class TestIngestExport:
 
 
 def per_transition_columns(episodes):
-    """Reference for ``EpisodeStore.columns``: one Python loop per transition."""
+    """Reference for the store's per-transition columns: one Python loop per
+    transition."""
     rows = {name: [] for name in ("action", "reward", "done", "behavior_prob",
-                                  "state_id", "next_state_id", "episode_index",
-                                  "initial_mask")}
+                                  "state_id", "next_state_id", "episode_index")}
     for i, ep in enumerate(episodes):
         for t, tr in enumerate(ep.transitions):
             rows["action"].append(tr.action.flat)
@@ -308,9 +308,7 @@ def per_transition_columns(episodes):
             rows["next_state_id"].append(-1 if tr.next_state_id is None
                                          else tr.next_state_id)
             rows["episode_index"].append(i)
-            rows["initial_mask"].append(t == 0)
-    dtypes = {"reward": np.float64, "behavior_prob": np.float64, "done": bool,
-              "initial_mask": bool}
+    dtypes = {"reward": np.float64, "behavior_prob": np.float64, "done": bool}
     out = {name: np.array(values, dtype=dtypes.get(name, np.int64))
            for name, values in rows.items()}
     out["lengths"] = np.array([len(ep.transitions) for ep in episodes], dtype=np.int64)
@@ -344,16 +342,17 @@ class TestTransitionColumns:
     @given(logged_episodes())
     def test_equals_per_transition_reference(self, episodes):
         store = store_of(episodes)
-        cols = store.columns()
+        frame = store.decision_frame
+        cols = {"action": store.action, "reward": store.reward, "done": store.done,
+                "behavior_prob": store.behavior_prob, "state_id": store.state_id[frame],
+                "next_state_id": store.state_id[frame + 1],
+                "episode_index": store.episode_index, "lengths": store.lengths,
+                "offsets": store.offsets}
         for name, expected in per_transition_columns(episodes).items():
-            got = getattr(cols, name)
+            got = cols[name]
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
-        rows = np.arange(cols.action.shape[0])
-        blocks = cols.split(rows)
-        assert [b.tolist() for b in blocks] == [
-            list(range(o, o + n)) for o, n in zip(cols.offsets, cols.lengths)]
-        missing = np.isnan(cols.behavior_prob)
+        missing = np.isnan(store.behavior_prob)
         first = next((i for i, ep in enumerate(episodes)
                       if any(tr.behavior_prob is None for tr in ep.transitions)), None)
         assert store.first_episode(missing) == first

@@ -163,64 +163,55 @@ class TestBcqConstraint:
             assert probs[chosen] / probs.max() >= tau
 
 
+TABLE_COLUMNS = ("structured", "f_c", "f_e", "next_structured", "next_f_c", "next_f_e")
+
+
+def table_rows(table):
+    """A transition table's inputs at each transition's state and next state."""
+    frame = table.store.decision_frame
+    return dict(zip(TABLE_COLUMNS, (*table.inputs(frame), *table.inputs(frame + 1))))
+
+
 class TestTransitionTable:
     def test_table_shapes_and_flags(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=20)
         table = build_transition_table(ds, enc_cfg.strategy)
         assert table.size == ds.n_transitions
-        assert table.structured.shape == (table.size, 6)
-        assert table.f_c.shape == (table.size, 4)
-        # one terminal per episode, one initial per episode
-        assert table.done.sum() == len(ds)
-        assert table.initial_mask.sum() == len(ds)
-        assert (table.state_id >= 0).all()
+        # note inputs at every frame, one more than the transitions per episode
+        assert table.f_c.shape == table.f_e.shape == (table.size + len(ds), 4)
+        rows = table_rows(table)
+        assert rows["structured"].shape == (table.size, 6)
+        assert rows["f_c"].shape == (table.size, 4)
+        # one terminal per episode
+        assert table.store.done.sum() == len(ds)
+        assert (table.store.state_id >= 0).all()
 
     def test_context_inputs_constant_within_episode(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=10)
         table = build_transition_table(ds, NoteStrategy("context"))
+        f_c = table_rows(table)["f_c"]
         for e_i in range(10):
-            rows = table.f_c[table.episode_index == e_i]
+            rows = f_c[table.store.episode_index == e_i]
             first = rows[0]
             if np.any(first != 0.0):
                 assert np.allclose(rows, first[None, :])
 
 
 def per_transition_table(dataset, strategy):
-    """Reference flattening: one append per transition into every column, the
-    note inputs from the per-frame reference loop."""
-    cols = {name: [] for name in ("structured", "f_c", "f_e", "next_structured",
-                                  "next_f_c", "next_f_e")}
-    action, reward, done, bprob, ep_idx = [], [], [], [], []
-    state_id, next_state_id, initial = [], [], []
-    for e_i, ep in enumerate(dataset.episodes):
+    """Reference flattening: one append per transition into every input
+    column, the note inputs from the per-frame reference loop."""
+    cols = {name: [] for name in TABLE_COLUMNS}
+    for ep in dataset.episodes:
         f_c, f_e = loop_episode_note_inputs(ep, strategy)
         frames = ep.frames()
-        for t, tr in enumerate(ep.transitions):
+        for t in range(len(ep)):
             cols["structured"].append(frames[t].structured)
             cols["f_c"].append(f_c[t])
             cols["f_e"].append(f_e[t])
             cols["next_structured"].append(frames[t + 1].structured)
             cols["next_f_c"].append(f_c[t + 1])
             cols["next_f_e"].append(f_e[t + 1])
-            action.append(tr.action.flat)
-            reward.append(tr.reward)
-            done.append(tr.done)
-            bprob.append(np.nan if tr.behavior_prob is None else tr.behavior_prob)
-            ep_idx.append(e_i)
-            state_id.append(-1 if tr.state_id is None else tr.state_id)
-            next_state_id.append(-1 if tr.next_state_id is None else tr.next_state_id)
-            initial.append(t == 0)
-    out = {name: np.stack(rows) for name, rows in cols.items()}
-    out.update(
-        action=np.array(action, dtype=np.int64),
-        reward=np.array(reward, dtype=np.float64),
-        done=np.array(done, dtype=bool),
-        behavior_prob=np.array(bprob, dtype=np.float64),
-        episode_index=np.array(ep_idx, dtype=np.int64),
-        state_id=np.array(state_id, dtype=np.int64),
-        next_state_id=np.array(next_state_id, dtype=np.int64),
-        initial_mask=np.array(initial, dtype=bool))
-    return out
+    return {name: np.stack(rows) for name, rows in cols.items()}
 
 
 class TestActionClassifier:
@@ -256,11 +247,10 @@ class TestTransitionTableReference:
             for tr in ep.transitions]) for i, ep in enumerate(ds.episodes)]
         ds = replace(ds, episodes=episodes)
         strategy = NoteStrategy(kind, window=2)
-        table = build_transition_table(ds, strategy)
+        rows = table_rows(build_transition_table(ds, strategy))
         reference = per_transition_table(ds, strategy)
-        assert set(reference) == set(table.__dataclass_fields__)
         for name, expected in reference.items():
-            got = getattr(table, name)
+            got = rows[name]
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
 
@@ -312,11 +302,10 @@ class TestTrain:
         policy = result.policy
         assert policy.behavior_classifier is not None
         table = build_transition_table(ds, enc_cfg.strategy)
-        state = policy.model.state_tensor(table.structured[:64], table.f_c[:64],
-                                          table.f_e[:64]).data
+        inputs = table.inputs(table.store.decision_frame[:64])
+        state = policy.model.state_tensor(*inputs).data
         probs = policy.behavior_classifier.probs(state)
-        greedy = policy.greedy_actions(table.structured[:64], table.f_c[:64],
-                                       table.f_e[:64])
+        greedy = policy.greedy_actions(*inputs)
         ratio = probs[np.arange(64), greedy] / probs.max(axis=1)
         assert (ratio >= cfg.bcq_threshold - 1e-12).all()
 
@@ -370,12 +359,13 @@ class TestTrain:
         # concentrated behavior policy)
         _, _, ds, enc_cfg = small_setup(n_episodes=150, seed=11)
         table = build_transition_table(ds, enc_cfg.strategy)
+        inputs = table.inputs(table.store.decision_frame)
         mean_q = []
         for alpha in (0.0, 0.5, 2.0, 8.0):
             cfg = quick_train_cfg(total_steps=2500, algorithm="cql",
                                   cql_alpha=alpha, seed=11)
             policy = train(ds, cfg, enc_cfg).policy
-            q = policy.q_matrix(table.structured, table.f_c, table.f_e)
+            q = policy.q_matrix(*inputs)
             mean_q.append(q.mean())
         for lo, hi in zip(mean_q[1:], mean_q[:-1]):
             assert lo <= hi + 1e-6, mean_q
@@ -443,7 +433,8 @@ class TestLearnedPolicy:
 def one_episode_forward(policy, episode):
     """Greedy actions, state features and Q rows of one episode through the
     row-level methods: the per-episode path evaluation took before batching."""
-    structured, f_c, f_e = policy.episode_inputs(episode)
+    structured = episode.frame_arrays()[0]
+    f_c, f_e = loop_episode_note_inputs(episode, policy.strategy)
     T = len(episode)
     return (policy.greedy_actions(structured[:T], f_c[:T], f_e[:T]),
             policy.model.state_tensor(structured, f_c, f_e).data,
@@ -545,43 +536,49 @@ class TestBatchedForward:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(EpisodeStore, "columns",
-                            counted("flatten", EpisodeStore.columns))
+        note_inputs = counted("flatten", encoder_mod.episode_note_inputs)
+        for module in (encoder_mod, trainer_mod):
+            monkeypatch.setattr(module, "episode_note_inputs", note_inputs)
         monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
         encodes = 1 if policy.model.modality == "multimodal" else 0
         report = evaluate_policy(replace(ds, episodes=episodes), soften(policy), behavior, cfg)
         assert report.fqe_mode == "network"
         assert (calls["flatten"], calls["encode"]) == (1, encodes)
         calls.clear()
-        # BDESR reads the store's logged actions and flattens nothing
+        # BDESR computes the store's note inputs once for its one forward
         bdesr_report(replace(ds, episodes=episodes), policy)
-        assert (calls["flatten"], calls["encode"]) == (0, encodes)
+        assert (calls["flatten"], calls["encode"]) == (1, encodes)
 
     def test_no_per_episode_note_inputs_or_forwards(self, trained_policy, monkeypatch):
-        # training, OPE, BDESR and the residuals read the store's note inputs
-        # once per call, never one episode at a time
+        # training, OPE, BDESR and the residuals compute note and model inputs
+        # once per call, for every episode of the store they are given
         policy, ds = trained_policy
-        calls = Counter()
+        episodes = Counter()
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                store = next(a for a in args if isinstance(a, EpisodeStore))
+                episodes[name, store.lengths.size] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
+        note_inputs = spy("note_inputs", encoder_mod.episode_note_inputs)
         for module in (encoder_mod, trainer_mod):
-            monkeypatch.setattr(module, "episode_note_inputs",
-                                spy("note_inputs", encoder_mod.episode_note_inputs))
+            monkeypatch.setattr(module, "episode_note_inputs", note_inputs)
         monkeypatch.setattr(LearnedPolicy, "episode_inputs",
                             spy("episode_inputs", LearnedPolicy.episode_inputs))
-        train(ds, quick_train_cfg(total_steps=3, algorithm=policy.algorithm),
+        train_split = ds.split("train")
+        train(train_split, quick_train_cfg(total_steps=3, algorithm=policy.algorithm),
               policy.model.enc_cfg, modality=policy.model.modality)
+        assert episodes == Counter({("note_inputs", len(train_split)): 1})
+        episodes.clear()
         cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
                         fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
         evaluate_policy(ds, soften(policy), LoggedBehavior(), cfg)
         bdesr_report(ds, policy)
+        # one target-policy forward each for OPE and BDESR, one table for the residuals
         bellman_residuals(policy, ds, gamma=0.9)
-        assert calls == Counter()
+        assert episodes == Counter({("note_inputs", len(ds)): 3, ("episode_inputs", len(ds)): 2})
 
 
 class _TabularQStub:
@@ -666,10 +663,11 @@ class TestBellmanResiduals:
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         policy = train(ds, quick_train_cfg(total_steps=50), enc_cfg).policy
         table = build_transition_table(ds, policy.strategy)
-        q = policy.q_matrix(table.structured, table.f_c, table.f_e)
-        next_q = policy.q_matrix(table.next_structured, table.next_f_c, table.next_f_e)
-        expected = dqn_target(table.reward, table.done, next_q, 0.9) \
-            - q[np.arange(table.size), table.action]
+        store, frame = table.store, table.store.decision_frame
+        q = policy.q_matrix(*table.inputs(frame))
+        next_q = policy.q_matrix(*table.inputs(frame + 1))
+        expected = dqn_target(store.reward, store.done, next_q, 0.9) \
+            - q[np.arange(table.size), store.action]
         forwards = Counter()
         forward = StateEncoder.forward
 
