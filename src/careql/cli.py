@@ -567,8 +567,8 @@ def cmd_cross_eval(args) -> int:
         load_param_values(result.policy.all_params(), values)
         target = ope_mod.soften(result.policy, cfg["ope"]["eps_soft"])
         batch = ope_mod.eval_batch(test, target, behavior)
-        fqe_res = ope_mod.fqe_network(batch, target, gamma, _ope_config(cfg, seed).fqe)
-        point = ope_mod.dr(batch, target, behavior, fqe_res.q_model, gamma)
+        fqe_res = ope_mod.fqe_network(batch, gamma, _ope_config(cfg, seed).fqe)
+        point = ope_mod.dr(batch, fqe_res.q_model, gamma)
         curve_lines.append(f"{step},{point!r}")
     (out / "dr_curve.csv").write_text("\n".join(curve_lines) + "\n",
                                       encoding="utf-8")

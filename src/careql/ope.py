@@ -11,13 +11,11 @@ Every estimator reads one ``EvalBatch``, a fixed set of logged arrays in
 the sense of Voloshin et al. (2021): the dataset's ``EpisodeStore`` (whose
 action, reward and done columns the estimators read), the target policy's
 state features at every frame and action distribution at every decision,
-and the behavior probability of every logged action. ``eval_batch`` asks
-each model once; ``evaluate_policy`` builds one batch and
-runs every estimator on it. The public estimators take a dataset, typically
-one split (``OfflineDataset.split``) or a hand-picked subset
-(``dataclasses.replace(dataset, episodes=...)``), and build the batch, or
-take a batch in the dataset's place, and then read no other argument the
-batch holds.
+and the behavior probability of every logged action. ``eval_batch`` builds
+it from a dataset, typically one split (``OfflineDataset.split``) or a
+hand-picked subset (``dataclasses.replace(dataset, episodes=...)``), asking
+each model once; ``evaluate_policy`` builds one batch and runs every
+estimator and bootstrap replicate on it.
 
 Target policies, behavior models and Q-models are duck-typed and answer for
 a whole store with flat arrays, never one array per episode. The store owns
@@ -52,13 +50,11 @@ from .trainer import ActionClassifier, cross_entropy_loss
 
 Array = np.ndarray
 
-# fixed settings: the behavior fit's batch, network FQE's Adam batch and
-# rate, and tabular FQE's convergence tolerance and iteration cap
+# fixed settings: the behavior fit's batch, and network FQE's Adam batch and
+# rate
 BEHAVIOR_BATCH_SIZE = 512
 FQE_BATCH_SIZE = 256
 FQE_LEARNING_RATE = 1e-3
-FQE_TABULAR_TOL = 1e-10
-FQE_TABULAR_MAX_ITERS = 100_000
 
 
 class OpeError(ValueError):
@@ -88,21 +84,32 @@ class EvalBatch:
         return self.features[self.store.decision_frame + 1]
 
 
-def _store(data: OfflineDataset | EvalBatch) -> EpisodeStore:
-    if isinstance(data, OfflineDataset) and not data.episodes:
-        raise OpeError("no episodes to evaluate on")
-    return data.store
-
-
-def eval_batch(data: OfflineDataset | EvalBatch, policy, behavior=None) -> EvalBatch:
+def eval_batch(dataset: OfflineDataset, policy, behavior=None) -> EvalBatch:
     """The batch of a dataset's episodes under a target policy and, when
-    given, a behavior model; a batch passes through."""
-    if isinstance(data, EvalBatch):
-        return data
-    store = _store(data)
+    given, a behavior model."""
+    if not dataset.episodes:
+        raise OpeError("no episodes to evaluate on")
+    store = dataset.store
     features, pi = policy.evaluation_rows(store)
     beta = None if behavior is None else behavior.logged_probs(store)
     return EvalBatch(store, features, pi, beta)
+
+
+def _state_ids(store: EpisodeStore, n_states: int) -> tuple[Array, Array]:
+    """Each decision's latent state and next state, as rows of a table of
+    ``n_states`` rows; an id that is missing or beyond the table is an
+    ``OpeError`` naming the first episode that holds one."""
+    frame = store.decision_frame
+    state, next_state = store.state_id[frame], store.state_id[frame + 1]
+    bad = store.first_episode((state < 0) | (next_state < 0))
+    if bad is not None:
+        raise OpeError(f"episode {store.episode_id[bad]!r} lacks state ids; tabular "
+                       f"policies need synthetic ground truth attached")
+    bad = store.first_episode((state >= n_states) | (next_state >= n_states))
+    if bad is not None:
+        raise OpeError(f"episode {store.episode_id[bad]!r} has a state id beyond "
+                       f"the table's {n_states} rows")
+    return state, next_state
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +130,8 @@ class TabularPolicy:
 
     def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """One-hot latent state per frame, and the policy's row per decision."""
-        unknown, frame = store.state_id < 0, store.decision_frame
-        bad = store.first_episode(unknown[frame] | unknown[frame + 1])
-        if bad is not None:
-            raise OpeError(
-                f"episode {store.episode_id[bad]!r} lacks state ids; tabular "
-                f"policies need synthetic ground truth attached"
-            )
-        return np.eye(self.probs.shape[0])[store.state_id], self.probs[store.state_id[frame]]
+        state, _ = _state_ids(store, self.probs.shape[0])
+        return np.eye(self.probs.shape[0])[store.state_id], self.probs[state]
 
 
 def soften(policy, eps: float = 0.01):
@@ -310,21 +311,20 @@ class WisResult:
     effective_sample_size: float
 
 
-def wis(dataset: OfflineDataset | EvalBatch, policy, behavior, gamma: float,
-        clip_percentile: float | None = None) -> WisResult:
+def wis(batch: EvalBatch, gamma: float, clip_percentile: float | None = None) -> WisResult:
     """Self-normalized trajectory-weighted return estimate.
 
     A convex combination of logged episode returns, so the estimate always
     lies between the smallest and largest observed return.
     """
-    stats = _prepare_stats(eval_batch(dataset, policy, behavior), None, gamma)
+    stats = _prepare_stats(batch, None, gamma)
     idx = np.arange(stats.returns.shape[0])
     w = _clipped_weights(stats, idx, clip_percentile)
     return WisResult(estimate=_wis_from_stats(stats, idx, clip_percentile),
                      weights=w, returns=stats.returns, effective_sample_size=_ess(w))
 
 
-def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: float) -> float:
+def dr(batch: EvalBatch, q_hat, gamma: float) -> float:
     """Weighted (self-normalized) per-decision doubly robust estimate.
 
     With q_hat == None (or identically zero) this reduces to self-normalized
@@ -332,7 +332,7 @@ def dr(dataset: OfflineDataset | EvalBatch, policy, behavior, q_hat, gamma: floa
     deterministic process the correction terms telescope and the estimate
     equals the model's initial-state value.
     """
-    stats = _prepare_stats(eval_batch(dataset, policy, behavior), q_hat, gamma)
+    stats = _prepare_stats(batch, q_hat, gamma)
     return _wdr_from_stats(stats, np.arange(stats.returns.shape[0]))
 
 
@@ -348,10 +348,7 @@ class TabularQ:
     q: Array  # (S, A)
 
     def q_rows(self, batch: EvalBatch) -> Array:
-        state_id = batch.store.state_id[batch.store.decision_frame]
-        if (state_id < 0).any():
-            raise OpeError("tabular Q needs state ids on the transitions")
-        return self.q[state_id]
+        return self.q[_state_ids(batch.store, self.q.shape[0])[0]]
 
 
 @dataclass(frozen=True)
@@ -359,93 +356,52 @@ class FqeResult:
     estimate: float
     q_model: object
     initial_values: Array   # per evaluated episode
-    iterations: int
-    uncovered_pairs: int = 0
 
 
-def fqe_tabular(dataset: OfflineDataset | EvalBatch, policy_matrix: Array, gamma: float,
-                n_states: int) -> FqeResult:
-    """Exact tabular FQE: iterate the empirical Bellman operator to a fixed
-    point.
+def _tabular_fqe(store: EpisodeStore, pi: Array, gamma: float,
+                 episode_weights: Array) -> tuple[float, Array, Array]:
+    """Exact FQE of ``pi`` on the empirical model of the store's episodes,
+    episode i counted ``episode_weights[i]`` times: (estimate, Q-table,
+    value of each episode's initial state).
 
-    Q(s, a) <- mean over logged (s, a) transitions of r + gamma (1 - done)
-    V(s'), with V = sum_a pi Q. Under full state-action coverage this is the
-    DP solution of the empirical model. Pairs never observed keep Q = 0 and
-    are counted in ``uncovered_pairs``.
+    With r and P each seen (s, a) pair's weighted mean reward and
+    non-terminal transition frequencies, solves
+    (I - gamma sum_a pi P) V = sum_a pi r and sets Q = r + gamma P V (0 on
+    unseen pairs). A bootstrap replicate is the call at its resample's
+    per-episode counts, so it refits the model rather than resampling only
+    initial-state values, which badly understates the variance.
+    """
+    n_states = pi.shape[0]
+    state, next_state = _state_ids(store, n_states)
+    w = episode_weights[store.episode_index].astype(np.float64)
+    pair, n_pairs = state * N_ACTIONS + store.action, n_states * N_ACTIONS
+    counts = np.bincount(pair, w, n_pairs).reshape(n_states, N_ACTIONS)
+    r_sum = np.bincount(pair, w * store.reward, n_pairs).reshape(n_states, N_ACTIONS)
+    flow = np.bincount(pair * n_states + next_state, w * ~store.done,
+                       n_pairs * n_states).reshape(n_states, N_ACTIONS, n_states)
+    inv_counts = np.where(counts > 0, 1.0 / np.maximum(counts, 1.0), 0.0)
+    r_bar, p_bar = r_sum * inv_counts, flow * inv_counts[:, :, None]
+    v = np.linalg.solve(np.eye(n_states) - gamma * np.einsum("sa,sat->st", pi, p_bar),
+                        (pi * r_bar).sum(axis=1))
+    initial = v[store.state_id[store.frame_offsets]]
+    estimate = float((episode_weights * initial).sum() / episode_weights.sum())
+    return estimate, r_bar + gamma * p_bar @ v, initial
+
+
+def fqe_tabular(batch: EvalBatch, policy_matrix: Array, gamma: float) -> FqeResult:
+    """Exact tabular FQE: one linear solve of the empirical Bellman system.
+
+    Q(s, a) is the mean over logged (s, a) transitions of r + gamma (1 -
+    done) V(s'), with V = sum_a pi Q, solved exactly rather than iterated;
+    pairs never observed get Q = 0. The table has one state per row of
+    ``policy_matrix``.
     """
     pi = np.asarray(policy_matrix, dtype=np.float64)
-    if pi.shape != (n_states, N_ACTIONS):
-        raise OpeError(f"policy matrix must be ({n_states}, {N_ACTIONS}), got {pi.shape}")
-    store = _store(dataset)
-    frame = store.decision_frame
-    state, next_state = store.state_id[frame], store.state_id[frame + 1]
-    bad = store.first_episode((state < 0) | (next_state < 0))
-    if bad is not None:
-        raise OpeError(f"episode {store.episode_id[bad]!r} lacks state ids")
-    sa = (state, store.action)
-    not_done = 1.0 - store.done.astype(np.float64)
-    counts = np.zeros((n_states, N_ACTIONS))
-    np.add.at(counts, sa, 1.0)
-    safe_counts = np.maximum(counts, 1.0)
-
-    q = np.zeros((n_states, N_ACTIONS))
-    iterations = 0
-    for iterations in range(1, FQE_TABULAR_MAX_ITERS + 1):
-        v = (pi * q).sum(axis=1)
-        targets = store.reward + gamma * not_done * v[next_state]
-        q_new = np.zeros_like(q)
-        np.add.at(q_new, sa, targets)
-        q_new /= safe_counts
-        if np.abs(q_new - q).max() < FQE_TABULAR_TOL:
-            q = q_new
-            break
-        q = q_new
-    initial = np.array([float(pi[s] @ q[s]) for s in store.state_id[store.frame_offsets]])
-    uncovered = int(((counts == 0) & (pi.max(axis=0) > 0)[None, :]).sum())
-    return FqeResult(estimate=float(initial.mean()), q_model=TabularQ(q),
-                     initial_values=initial, iterations=iterations,
-                     uncovered_pairs=uncovered)
-
-
-class _TabularFqeBootstrap:
-    """Refit tabular FQE on an episode resample via an exact linear solve.
-
-    Resampling is encoded as per-episode multiplicities, so each replicate
-    aggregates the weighted empirical model in O(N) and solves the small
-    policy-value system exactly; this propagates model-refit variance into
-    the FQE bootstrap (initial-state resampling alone badly understates it).
-    """
-
-    def __init__(self, store: EpisodeStore, pi: Array, gamma: float,
-                 n_states: int):
-        self.pi = pi
-        self.gamma = gamma
-        self.n_states = n_states
-        frame = store.decision_frame
-        self.s, self.a, self.r, self.ns = (store.state_id[frame], store.action, store.reward,
-                                           store.state_id[frame + 1])
-        self.not_done = 1.0 - store.done.astype(np.float64)
-        self.ep_idx = store.episode_index
-        self.init_state = store.state_id[store.frame_offsets]
-
-    def estimate(self, episode_multiplicity: Array) -> float:
-        w_row = episode_multiplicity[self.ep_idx].astype(np.float64)
-        S, A = self.n_states, self.pi.shape[1]
-        counts = np.zeros((S, A))
-        np.add.at(counts, (self.s, self.a), w_row)
-        r_sum = np.zeros((S, A))
-        np.add.at(r_sum, (self.s, self.a), w_row * self.r)
-        flow = np.zeros((S, A, S))
-        np.add.at(flow, (self.s, self.a, self.ns), w_row * self.not_done)
-        safe = np.maximum(counts, 1.0)
-        seen = counts > 0
-        # V(s) = sum_a pi Q(s,a), Q from the weighted empirical model
-        c = (self.pi * np.where(seen, r_sum / safe, 0.0)).sum(axis=1)
-        M = self.gamma * np.einsum(
-            "sa,sat->st", self.pi * np.where(seen, 1.0 / safe, 0.0), flow)
-        v = np.linalg.solve(np.eye(S) - M, c)
-        total = episode_multiplicity.sum()
-        return float((episode_multiplicity * v[self.init_state]).sum() / total)
+    if pi.ndim != 2 or pi.shape[1] != N_ACTIONS:
+        raise OpeError(f"policy matrix must be (n_states, {N_ACTIONS}), got {pi.shape}")
+    estimate, q, initial = _tabular_fqe(batch.store, pi, gamma,
+                                        np.ones(batch.store.lengths.shape[0]))
+    return FqeResult(estimate=estimate, q_model=TabularQ(q), initial_values=initial)
 
 
 @dataclass(frozen=True)
@@ -471,15 +427,13 @@ class NetworkQ:
         return self.q_matrix(batch.decision_features)
 
 
-def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
-                cfg: FqeNetConfig | None = None) -> FqeResult:
+def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None) -> FqeResult:
     """Iterated Q regression on the policy's state features.
 
     Each outer iteration regresses r + gamma (1 - done) sum_a pi(a|s') Q_k
     (s', a) onto Q_{k+1}(s, a) with a frozen Q_k; diverging values abort.
     """
     cfg = cfg or FqeNetConfig()
-    batch = eval_batch(dataset, policy)
     store, pi = batch.store, batch.pi
     X, X_next = batch.decision_features, batch.next_features
     # policy distribution at the successor state; rows for terminal
@@ -513,7 +467,7 @@ def fqe_network(dataset: OfflineDataset | EvalBatch, policy, gamma: float,
     q0 = q_model.q_matrix(X[store.offsets])
     initial = (pi[store.offsets] * q0).sum(axis=1)
     return FqeResult(estimate=float(initial.mean()), q_model=q_model,
-                     initial_values=initial, iterations=cfg.iterations)
+                     initial_values=initial)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +610,15 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     store = batch.store
     n = store.lengths.shape[0]
 
-    fqe_boot = None
+    table = None
     if policy_table is not None and (store.state_id[store.decision_frame] >= 0).all():
-        if n_states is None:
-            raise OpeError("tabular FQE needs n_states")
-        fqe_result = fqe_tabular(batch, policy_table, cfg.gamma, n_states)
-        fqe_boot = _TabularFqeBootstrap(store, np.asarray(policy_table),
-                                        cfg.gamma, n_states)
+        table = np.asarray(policy_table, dtype=np.float64)
+        if n_states is None or table.shape[0] != n_states:
+            raise OpeError(f"policy table has {table.shape[0]} rows, n_states is {n_states}")
+        fqe_result = fqe_tabular(batch, table, cfg.gamma)
         fqe_mode = "tabular"
     else:
-        fqe_result = fqe_network(batch, policy, cfg.gamma, cfg.fqe)
+        fqe_result = fqe_network(batch, cfg.gamma, cfg.fqe)
         fqe_mode = "network"
 
     stats = _prepare_stats(batch, fqe_result.q_model, cfg.gamma)
@@ -680,8 +633,9 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
         idx = rng.integers(0, n, size=n)
         reps[b, 0] = _wis_from_stats(stats, idx, cfg.clip_percentile)
         reps[b, 1] = _wdr_from_stats(stats, idx)
-        if fqe_boot is not None:
-            reps[b, 2] = fqe_boot.estimate(np.bincount(idx, minlength=n))
+        if table is not None:
+            reps[b, 2] = _tabular_fqe(store, table, cfg.gamma,
+                                      np.bincount(idx, minlength=n))[0]
         else:
             reps[b, 2] = float(fqe_result.initial_values[idx].mean())
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -728,6 +728,20 @@ def oracle_values(mdp: TabularMDP, behavior: BehaviorPolicy) -> dict:
     return out
 
 
+def _to_json(value):
+    """A ``TabularMDP`` field as JSON: arrays as lists, bool arrays as 0/1."""
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    return value
+
+
+def _from_json(f, value):
+    """The ``TabularMDP`` field ``f`` read back by its annotation."""
+    if f.type == "Array":
+        return np.array(value, dtype=bool if f.name == "absorbing" else None)
+    return {"float": float, "int": int, "dict": dict}[f.type](value)
+
+
 def write_ground_truth(path: str | Path, mdp: TabularMDP, behavior: BehaviorPolicy,
                        dataset: OfflineDataset) -> None:
     store = dataset.store
@@ -738,27 +752,7 @@ def write_ground_truth(path: str | Path, mdp: TabularMDP, behavior: BehaviorPoli
     episode_states = dict(zip(store.episode_id, (
         states.tolist() for states in np.split(store.state_id, store.frame_offsets[1:]))))
     payload = {
-        "mdp": {
-            "transition": mdp.transition.tolist(),
-            "reward_terminal": mdp.reward_terminal.tolist(),
-            "terminal_prob": mdp.terminal_prob.tolist(),
-            "absorbing": mdp.absorbing.astype(int).tolist(),
-            "gamma": mdp.gamma,
-            "initial_dist": mdp.initial_dist.tolist(),
-            "emission_l_mean": mdp.emission_l_mean.tolist(),
-            "emission_l_noise": mdp.emission_l_noise,
-            "emission_n_proto": mdp.emission_n_proto.tolist(),
-            "emission_n_noise": mdp.emission_n_noise,
-            "note_present_prob": mdp.note_present_prob.tolist(),
-            "context_prototype": mdp.context_prototype.tolist(),
-            "first_frame_note_prob": mdp.first_frame_note_prob,
-            "n_severity": mdp.n_severity,
-            "n_context": mdp.n_context,
-            "severity_of": mdp.severity_of.tolist(),
-            "context_of": mdp.context_of.tolist(),
-            "optimal_action": mdp.optimal_action.tolist(),
-            "oracle": mdp.oracle,
-        },
+        "mdp": {f.name: _to_json(getattr(mdp, f.name)) for f in fields(TabularMDP)},
         "behavior_probs": behavior.probs.tolist(),
         "oracle_values": oracle_values(mdp, behavior),
         "episode_states": episode_states,
@@ -769,24 +763,7 @@ def write_ground_truth(path: str | Path, mdp: TabularMDP, behavior: BehaviorPoli
 def load_ground_truth(path: str | Path) -> GroundTruth:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     m = payload["mdp"]
-    mdp = TabularMDP(
-        transition=np.array(m["transition"]),
-        reward_terminal=np.array(m["reward_terminal"]),
-        terminal_prob=np.array(m["terminal_prob"]),
-        absorbing=np.array(m["absorbing"], dtype=bool),
-        gamma=float(m["gamma"]),
-        initial_dist=np.array(m["initial_dist"]),
-        emission_l_mean=np.array(m["emission_l_mean"]),
-        emission_l_noise=float(m["emission_l_noise"]),
-        emission_n_proto=np.array(m["emission_n_proto"]),
-        emission_n_noise=float(m["emission_n_noise"]),
-        note_present_prob=np.array(m["note_present_prob"]),
-        context_prototype=np.array(m["context_prototype"]),
-        first_frame_note_prob=float(m["first_frame_note_prob"]),
-        n_severity=int(m["n_severity"]), n_context=int(m["n_context"]),
-        severity_of=np.array(m["severity_of"]), context_of=np.array(m["context_of"]),
-        optimal_action=np.array(m["optimal_action"]), oracle=dict(m["oracle"]),
-    )
+    mdp = TabularMDP(**{f.name: _from_json(f, m[f.name]) for f in fields(TabularMDP)})
     behavior = BehaviorPolicy(np.array(payload["behavior_probs"]))
     return GroundTruth(mdp=mdp, behavior=behavior,
                        oracle_values=dict(payload["oracle_values"]),

@@ -486,12 +486,12 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
 
 def _validation_fqe(policy: LearnedPolicy, val: OfflineDataset, cfg: TrainConfig) -> float:
     """Cheap network FQE of the current greedy policy on the val split."""
-    from .ope import FqeNetConfig, fqe_network
+    from .ope import FqeNetConfig, eval_batch, fqe_network
 
     fqe_cfg = FqeNetConfig(iterations=4, steps_per_iteration=40,
                            width=min(cfg.hidden_width, 32), depth=2,
                            seed=cfg.seed)
-    return fqe_network(val, policy, cfg.gamma, fqe_cfg).estimate
+    return fqe_network(eval_batch(val, policy), cfg.gamma, fqe_cfg).estimate
 
 
 # ---------------------------------------------------------------------------

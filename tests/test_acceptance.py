@@ -21,6 +21,7 @@ from careql.ope import (
     LoggedBehavior,
     OpeConfig,
     TabularPolicy,
+    eval_batch,
     evaluate_policy,
     fqe_tabular,
 )
@@ -259,9 +260,9 @@ def test_criterion_04_ope_oracle_accuracy(recovery_family):
                                            eps=0.05))
     oracle = exact_policy_value(mdp, target.probs, gamma=GAMMA, horizon=MAX_LEN)
 
-    # tabular FQE (iterated regression) against an independent DP linear
-    # solve of the same empirical model
-    fqe_result = fqe_tabular(dataset, target.probs, GAMMA, mdp.n_states)
+    # tabular FQE against an independent DP linear solve of the same
+    # empirical model
+    fqe_result = fqe_tabular(eval_batch(dataset, target), target.probs, GAMMA)
     dp_same_model = empirical_model_dp_value(dataset.episodes, target.probs,
                                              GAMMA, mdp.n_states)
     fqe_gap = abs(fqe_result.estimate - dp_same_model)

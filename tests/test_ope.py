@@ -14,7 +14,9 @@ from careql.ope import (
     OpeError,
     TabularPolicy,
     TabularQ,
+    _tabular_fqe,
     dr,
+    eval_batch,
     evaluate_policy,
     fit_behavior,
     fqe_network,
@@ -89,7 +91,7 @@ class TestWis:
     def test_behavior_evaluates_to_mean_return(self, synth):
         mdp, behavior, dataset, _, _ = synth
         target = TabularPolicy(behavior.probs)
-        result = wis(dataset, target, LoggedBehavior(), GAMMA)
+        result = wis(eval_batch(dataset, target, LoggedBehavior()), GAMMA)
         returns = np.array([ep.discounted_return(GAMMA) for ep in dataset.episodes])
         assert result.estimate == pytest.approx(returns.mean(), abs=1e-12)
         assert np.allclose(result.weights, 1.0)
@@ -97,18 +99,18 @@ class TestWis:
     def test_single_episode_returns_its_return(self, synth):
         _, _, dataset, target, _ = synth
         ep = dataset.episodes[0]
-        result = wis(replace(dataset, episodes=[ep]), target, LoggedBehavior(), GAMMA)
+        result = wis(eval_batch(replace(dataset, episodes=[ep]), target, LoggedBehavior()), GAMMA)
         assert result.estimate == pytest.approx(ep.discounted_return(GAMMA))
 
     def test_estimate_bounded_by_observed_returns(self, synth):
         _, _, dataset, target, _ = synth
-        result = wis(dataset, target, LoggedBehavior(), GAMMA)
+        result = wis(eval_batch(dataset, target, LoggedBehavior()), GAMMA)
         assert result.returns.min() - 1e-12 <= result.estimate
         assert result.estimate <= result.returns.max() + 1e-12
 
     def test_close_to_oracle_on_synthetic(self, synth):
         _, _, dataset, target, oracle = synth
-        result = wis(dataset, target, LoggedBehavior(), GAMMA)
+        result = wis(eval_batch(dataset, target, LoggedBehavior()), GAMMA)
         # bootstrap SE via report happens elsewhere; coarse bound here
         assert abs(result.estimate - oracle) < 0.1
 
@@ -120,7 +122,7 @@ class TestWis:
         bad = replace(ep, transitions=tuple(
             replace(tr, behavior_prob=None) for tr in ep.transitions))
         with pytest.raises(OpeError, match="behavior"):
-            wis(replace(dataset, episodes=[bad]), target, LoggedBehavior(), GAMMA)
+            wis(eval_batch(replace(dataset, episodes=[bad]), target, LoggedBehavior()), GAMMA)
 
 
 class TestFqeTabular:
@@ -154,15 +156,15 @@ class TestFqeTabular:
     def test_matches_independent_linear_solve(self, synth):
         mdp, _, dataset, target, _ = synth
         subset = list(dataset.episodes[:800])
-        result = fqe_tabular(replace(dataset, episodes=subset), target.probs, GAMMA,
-                             mdp.n_states)
+        result = fqe_tabular(eval_batch(replace(dataset, episodes=subset), target),
+                             target.probs, GAMMA)
         expected = self.empirical_dp_value(subset, target.probs, GAMMA,
                                            mdp.n_states)
         assert result.estimate == pytest.approx(expected, abs=1e-6)
 
     def test_gamma_zero_gives_mean_immediate_reward(self, synth):
         mdp, _, dataset, target, _ = synth
-        result = fqe_tabular(dataset, target.probs, 0.0, mdp.n_states)
+        result = fqe_tabular(eval_batch(dataset, target), target.probs, 0.0)
         # with gamma=0, Q(s,a) is the empirical mean immediate reward
         sums = np.zeros((mdp.n_states, N_ACTIONS))
         counts = np.zeros((mdp.n_states, N_ACTIONS))
@@ -179,7 +181,7 @@ class TestFqeTabular:
 
     def test_close_to_true_dp_value(self, synth):
         mdp, _, dataset, target, oracle = synth
-        result = fqe_tabular(dataset, target.probs, GAMMA, mdp.n_states)
+        result = fqe_tabular(eval_batch(dataset, target), target.probs, GAMMA)
         assert abs(result.estimate - oracle) < 0.1
 
 
@@ -188,8 +190,8 @@ class TestFqeNetwork:
         mdp, _, dataset, target, oracle = synth
         cfg = FqeNetConfig(iterations=15, steps_per_iteration=80, width=32,
                            depth=2, seed=0)
-        result = fqe_network(replace(dataset, episodes=dataset.episodes[:1000]), target,
-                             GAMMA, cfg)
+        result = fqe_network(eval_batch(replace(dataset, episodes=dataset.episodes[:1000]),
+                                        target), GAMMA, cfg)
         assert abs(result.estimate - oracle) < 0.15
 
     def test_gamma_zero_matches_mean_immediate_reward(self, synth):
@@ -199,9 +201,9 @@ class TestFqeNetwork:
         cfg = FqeNetConfig(iterations=6, steps_per_iteration=120, width=32,
                            seed=0)
         subset = list(dataset.episodes[:500])
-        result = fqe_network(replace(dataset, episodes=subset), target, 0.0, cfg)
-        exact = fqe_tabular(replace(dataset, episodes=subset), target.probs, 0.0,
-                            mdp.n_states)
+        batch = eval_batch(replace(dataset, episodes=subset), target)
+        result = fqe_network(batch, 0.0, cfg)
+        exact = fqe_tabular(batch, target.probs, 0.0)
         assert abs(result.estimate - exact.estimate) < 0.05
 
 
@@ -209,8 +211,8 @@ class TestDr:
     def test_zero_model_reduces_to_pdis(self, synth):
         _, _, dataset, target, _ = synth
         subset = list(dataset.episodes[:300])
-        estimate = dr(replace(dataset, episodes=subset), target, LoggedBehavior(), None,
-                      GAMMA)
+        estimate = dr(eval_batch(replace(dataset, episodes=subset), target, LoggedBehavior()),
+                      None, GAMMA)
         # explicit self-normalized per-decision importance sampling
         n = len(subset)
         t_max = max(len(ep) for ep in subset)
@@ -236,7 +238,7 @@ class TestDr:
         target = TabularPolicy(eps_soft_matrix(np.array([4, 9, 0, 0]),
                                                N_ACTIONS, eps=0.2))
         q_model = TabularQ(q_pi_table(mdp, target.probs))
-        estimate = dr(dataset, target, LoggedBehavior(), q_model, GAMMA)
+        estimate = dr(eval_batch(dataset, target, LoggedBehavior()), q_model, GAMMA)
         truth = exact_policy_value(mdp, target.probs, gamma=GAMMA)
         assert estimate == pytest.approx(truth, abs=1e-6)
 
@@ -252,8 +254,8 @@ class TestDr:
                 float(target.probs[ep.transitions[0].state_id]
                       @ biased.q[ep.transitions[0].state_id])
                 for ep in ds.episodes])
-            dr_est = dr(replace(ds, episodes=list(ds.episodes)), target, LoggedBehavior(),
-                        biased, GAMMA)
+            dr_est = dr(eval_batch(replace(ds, episodes=list(ds.episodes)), target,
+                                   LoggedBehavior()), biased, GAMMA)
             if abs(dr_est - oracle_inf) < abs(dm - oracle_inf):
                 wins += 1
         assert wins >= 4
@@ -393,7 +395,7 @@ class TestMissingDataNamesEpisode:
         eps[2] = strip(eps[2], next_state_id=None)
         eps[3] = strip(eps[3], state_id=None)
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r} lacks state ids"):
-            fqe_tabular(replace(dataset, episodes=eps), target.probs, GAMMA, mdp.n_states)
+            fqe_tabular(eval_batch(replace(dataset, episodes=eps), target), target.probs, GAMMA)
 
     def test_zero_behavior_probability(self, synth):
         _, _, dataset, target, _ = synth
@@ -406,7 +408,37 @@ class TestMissingDataNamesEpisode:
                 return probs
 
         with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):
-            wis(replace(dataset, episodes=eps), target, ZeroOnLaterEpisodes(), GAMMA)
+            wis(eval_batch(replace(dataset, episodes=eps), target, ZeroOnLaterEpisodes()), GAMMA)
+
+
+def first_episode_beyond(episodes, n_rows):
+    """The id of the first episode with a state id at or beyond n_rows."""
+    return next(ep.episode_id for ep in episodes
+                if any(max(tr.state_id, tr.next_state_id) >= n_rows
+                       for tr in ep.transitions))
+
+
+class TestStateIdOutsideTable:
+    """A state id beyond the table's rows is a data error naming the first
+    such episode, in every tabular entry point."""
+
+    N_ROWS = 5
+
+    @pytest.mark.parametrize("entry", ["evaluation_rows", "q_rows", "fqe_tabular"])
+    def test_names_first_episode(self, synth, entry):
+        _, _, dataset, target, _ = synth
+        eps = list(dataset.episodes[:40])
+        # every episode ends in an absorbing state beyond the table; the
+        # first two stay in state 0 so that a later one is named
+        eps[0], eps[1] = (strip(ep, state_id=0, next_state_id=0) for ep in eps[:2])
+        small = TabularPolicy(np.full((self.N_ROWS, N_ACTIONS), 1.0 / N_ACTIONS))
+        batch = eval_batch(replace(dataset, episodes=eps), target)
+        call = {"evaluation_rows": lambda: small.evaluation_rows(batch.store),
+                "q_rows": lambda: TabularQ(np.zeros((self.N_ROWS, N_ACTIONS))).q_rows(batch),
+                "fqe_tabular": lambda: fqe_tabular(batch, small.probs, GAMMA)}[entry]
+        expected = first_episode_beyond(eps, self.N_ROWS)
+        with pytest.raises(OpeError, match=f"episode {expected!r} has a state id beyond"):
+            call()
 
 
 @pytest.fixture(scope="module")
@@ -453,14 +485,15 @@ class TestBatchEstimatorProperties:
                                             target_eps, clip):
         data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
         returns = [ep.discounted_return(GAMMA) for ep in data.episodes]
-        estimate = wis(data, target, LoggedBehavior(), GAMMA, clip_percentile=clip).estimate
+        estimate = wis(eval_batch(data, target, LoggedBehavior()), GAMMA,
+                       clip_percentile=clip).estimate
         assert min(returns) - 1e-12 <= estimate <= max(returns) + 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(**rollout_cases)
     def test_dr_without_model_is_pdis(self, tiny_mdp, seed, n_episodes, target_eps):
         data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
-        estimate = dr(data, target, LoggedBehavior(), None, GAMMA)
+        estimate = dr(eval_batch(data, target, LoggedBehavior()), None, GAMMA)
         assert estimate == pytest.approx(pdis_loop(data.episodes, target.probs, GAMMA),
                                          abs=1e-12)
 
@@ -473,3 +506,18 @@ class TestBatchEstimatorProperties:
                                  policy_table=target.probs, n_states=tiny_mdp.n_states)
         w = np.array(list(report.opera_weights.values()))
         assert (w >= -1e-12).all() and w.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**rollout_cases, data=st.data())
+    def test_replicate_is_fqe_of_its_resample(self, tiny_mdp, seed, n_episodes,
+                                              target_eps, data):
+        logged, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
+        idx = np.array(data.draw(st.lists(st.integers(0, n_episodes - 1),
+                                          min_size=n_episodes, max_size=n_episodes)))
+        replicate = _tabular_fqe(logged.store, target.probs, GAMMA,
+                                 np.bincount(idx, minlength=n_episodes))[0]
+        resample = replace(logged, episodes=[logged.episodes[i] for i in idx])
+        refit = fqe_tabular(eval_batch(resample, target), target.probs, GAMMA)
+        assert replicate == pytest.approx(refit.estimate, abs=1e-12)
+        unit = _tabular_fqe(logged.store, target.probs, GAMMA, np.ones(n_episodes))[0]
+        assert unit == fqe_tabular(eval_batch(logged, target), target.probs, GAMMA).estimate

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,14 @@ class TestGroundTruth:
         write_ground_truth(gt_path, mdp, behavior, ds)
         gt = load_ground_truth(gt_path)
         assert np.allclose(gt.mdp.transition, mdp.transition)
+        for f in fields(TabularMDP):
+            written, read = getattr(mdp, f.name), getattr(gt.mdp, f.name)
+            assert type(read) is type(written), f.name
+            assert np.asarray(read).dtype == np.asarray(written).dtype, f.name
+            if isinstance(written, dict):
+                assert read == written, f.name
+            else:
+                assert np.array_equal(read, written), f.name
         assert gt.oracle_values["value_optimal"] == pytest.approx(
             mdp.oracle["value_optimal"])
 
