@@ -1,10 +1,10 @@
 """Command-line entry point for reproducible experiments.
 
 Subcommands: synth (generate a synthetic dataset + ground truth), ingest
-(validate data files), train, eval / ope / bdesr (policy evaluation),
-ablate (component, note-strategy and window sweeps), cross-eval (train
-cohort A, evaluate on cohort B), report (collect run outputs into CSV/JSON
-tables and plot-data files).
+(validate data files and keep their parsed snapshot), train, eval / ope /
+bdesr (policy evaluation), ablate (component, note-strategy and window
+sweeps), cross-eval (train cohort A, evaluate on cohort B), report (collect
+run outputs into CSV/JSON tables and plot-data files).
 
 Every run writes the exact resolved configuration next to its outputs;
 re-running with the same config and seed reproduces every artifact
@@ -215,6 +215,8 @@ def load_config(path: str | Path | None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path}: not UTF-8 text ({exc})")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path}: invalid JSON ({exc})")
         if not isinstance(user, dict):

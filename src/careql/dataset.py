@@ -25,12 +25,20 @@ File layout (see ``ingest`` / ``export``):
 
 Rows and note lines may come in any order. Export writes them in the
 canonical (episode_id, step) order, so it mirrors ingest byte for byte.
+
+Ingest parses the text once per content: it keeps the dataset of a
+successful parse in a snapshot beside the structured CSV (``SNAPSHOT_NAME``),
+keyed by the sha256 of the three files' bytes, and later ingests of the same
+bytes load its arrays instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -574,34 +582,144 @@ def _csv_header(n_features: int) -> list[str]:
             + ["iv_dose", "vaso_dose", "done", "survived"])
 
 
+SNAPSHOT_NAME = ".careql-store.npz"
+# Bump whenever ingest returns something else for the same bytes, so that
+# snapshots written by older code are parsed again instead of served.
+SNAPSHOT_VERSION = 1
+# the store arrays a snapshot holds as they are; ids and splits go in its
+# JSON header, which keeps every character of an id
+_SNAPSHOT_ARRAYS = ("structured", "note_embedding", "note_present", "state_id", "action",
+                    "iv_dose", "vaso_dose", "behavior_prob", "lengths", "survived")
+
+
 def ingest(structured_file: str | Path, notes_file: str | Path,
            manifest: str | Path) -> OfflineDataset:
     """Build an OfflineDataset from the three canonical files.
 
     Rows and note lines may come in any order. A malformed file raises a
-    ``DatasetError`` that names it, and the line where there is one.
+    ``DatasetError`` that names it, and the line where there is one; so does
+    a file that is not UTF-8 text.
+
+    Each file is read once and the three are hashed together (sha256; a
+    missing notes file hashes as absent). The dataset is loaded from the
+    snapshot ``SNAPSHOT_NAME`` in the structured file's directory when that
+    snapshot was written by this ``SNAPSHOT_VERSION`` for the same digest;
+    otherwise the files are parsed and a successful parse replaces the
+    snapshot atomically. A snapshot that cannot be read counts as a miss and
+    one that cannot be written is skipped, so neither changes the result.
     """
-    structured_path, notes_path, manifest_path = map(Path, (structured_file, notes_file,
-                                                            manifest))
+    paths = tuple(map(Path, (structured_file, notes_file, manifest)))
+    structured_path, notes_path, manifest_path = paths
     for required in (structured_path, manifest_path):
         if not required.exists():
             raise DatasetError(f"missing dataset file: {required}")
-    n_features, d_n, splits, bins = _read_manifest(manifest_path)
-    columns = _read_structured(structured_path, n_features, splits)
+    contents = {"structured": _read_bytes(structured_path),
+                "notes": _read_bytes(notes_path) if notes_path.exists() else None,
+                "manifest": _read_bytes(manifest_path)}
+    digest = _digest(contents.values())
+    snapshot = structured_path.parent / SNAPSHOT_NAME
+    dataset = _load_snapshot(snapshot, digest)
+    if dataset is None:
+        dataset = _parse(paths, contents)
+        _write_snapshot(snapshot, digest, dataset)
+    return dataset
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path} ({exc})") from exc
+
+
+def _text(data: bytes, name: str) -> str:
+    """``data`` decoded as ``Path.read_text(encoding="utf-8")`` would,
+    universal newlines included; a decode error names the file."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{name}: not UTF-8 text ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _digest(contents: Iterable[bytes | None]) -> str:
+    """sha256 of the files' bytes, each prefixed by its length or marked absent."""
+    h = hashlib.sha256()
+    for data in contents:
+        if data is None:
+            h.update(b"absent;")
+        else:
+            h.update(b"%d;" % len(data))
+            h.update(data)
+    return h.hexdigest()
+
+
+def _parse(paths: Sequence[Path], contents: dict[str, bytes | None]) -> OfflineDataset:
+    """The dataset of the files' ``contents``. Each file's bytes are taken
+    out of ``contents`` as they are decoded, so they are freed before the
+    next file is parsed."""
+    structured_path, notes_path, manifest_path = paths
+    n_features, d_n, splits, bins = _read_manifest(
+        manifest_path, _text(contents.pop("manifest"), f"manifest {manifest_path}"))
+    columns = _read_structured(
+        structured_path, _text(contents.pop("structured"), str(structured_path)).splitlines(),
+        n_features, splits)
     n_frames = columns["structured"].shape[0]
     store = EpisodeStore(**columns, note_embedding=np.zeros((n_frames, d_n)),
                          note_present=np.zeros(n_frames, dtype=bool),
                          action=_flat_actions(columns["iv_dose"], columns["vaso_dose"], bins))
-    _read_notes(notes_path, store)
+    if contents["notes"] is not None:
+        _read_notes(notes_path, _text(contents.pop("notes"), str(notes_path)).splitlines(), store)
     return OfflineDataset(store.views(), n_features=n_features, d_n=d_n, bin_edges=bins)
 
 
-def _read_manifest(path: Path) -> tuple[int, int, dict[str, str], DoseBins]:
+def _load_snapshot(path: Path, digest: str) -> OfflineDataset | None:
+    """The dataset of the snapshot at ``path`` if it was written by this
+    ``SNAPSHOT_VERSION`` for ``digest``, else None."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            meta = json.loads(str(npz["meta"]))
+            if meta["version"] != SNAPSHOT_VERSION or meta["digest"] != digest:
+                return None
+            arrays = {name: npz[name] for name in _SNAPSHOT_ARRAYS}
+        store = EpisodeStore(**arrays, episode_id=np.array(meta["episode_id"], dtype=object),
+                             split=np.array(meta["split"], dtype=object))
+        return OfflineDataset(store.views(), n_features=meta["n_features"], d_n=meta["d_n"],
+                              bin_edges=DoseBins(**{drug: tuple(edges) for drug, edges
+                                                    in meta["bin_edges"].items()}))
+    except Exception:
+        # The file may hold anything, and NumPy and zipfile raise many
+        # exception types on a malformed archive; every one of them is a
+        # miss, which the parse that follows makes invisible.
+        return None
+
+
+def _write_snapshot(path: Path, digest: str, dataset: OfflineDataset) -> None:
+    """Write ``dataset``'s snapshot to a temporary file beside ``path`` and
+    rename it over ``path``; skipped if the directory cannot be written."""
+    store = dataset.store
+    meta = {"version": SNAPSHOT_VERSION, "digest": digest, "n_features": dataset.n_features,
+            "d_n": dataset.d_n, "bin_edges": {"iv": list(dataset.bin_edges.iv),
+                                              "vaso": list(dataset.bin_edges.vaso)},
+            "episode_id": store.episode_id.tolist(), "split": store.split.tolist()}
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)),
+                     **{name: getattr(store, name) for name in _SNAPSHOT_ARRAYS})
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+
+
+def _read_manifest(path: Path, text: str) -> tuple[int, int, dict[str, str], DoseBins]:
     def error(message: str) -> DatasetError:
         return DatasetError(f"manifest {path}: {message}")
 
     try:
-        man = json.loads(path.read_text(encoding="utf-8"))
+        man = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON ({exc})") from exc
     if not isinstance(man, dict):
@@ -632,12 +750,11 @@ def _read_manifest(path: Path) -> tuple[int, int, dict[str, str], DoseBins]:
     return man["n_features"], man["d_n"], splits, DoseBins(**edges)
 
 
-def _read_structured(path: Path, n_features: int,
+def _read_structured(path: Path, lines: list[str], n_features: int,
                      splits: Mapping[str, str]) -> dict[str, Array]:
-    """Frame, transition and episode columns of the structured CSV, checked
-    and sorted by (episode_id, step)."""
+    """Frame, transition and episode columns of the structured CSV at
+    ``path``, whose lines are ``lines``, checked and sorted by (episode_id, step)."""
     header = _csv_header(n_features)
-    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise DatasetError(f"{path}: empty structured file")
     got = lines[0].split(",")
@@ -724,13 +841,11 @@ def _read_structured(path: Path, n_features: int,
                 split=np.array([splits[ep_id] for ep_id in ids], dtype=object))
 
 
-def _read_notes(path: Path, store: EpisodeStore) -> None:
-    """Fill the store's note arrays from the notes file, if there is one."""
-    if not path.exists():
-        return
+def _read_notes(path: Path, lines: list[str], store: EpisodeStore) -> None:
+    """Fill the store's note arrays from the lines of the notes file at ``path``."""
     code = {ep_id: k for k, ep_id in enumerate(store.episode_id)}
     d_n = store.note_embedding.shape[1]
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

@@ -109,8 +109,8 @@ class TransitionTable:
     """
 
     store: EpisodeStore
-    f_c: Array             # (n_frames, d_n)
-    f_e: Array             # (n_frames, d_n)
+    f_c: Array             # (n_frames, d_n); (n_frames, 0) for a structured-only model
+    f_e: Array             # (n_frames, d_n); (n_frames, 0) for a structured-only model
 
     @property
     def size(self) -> int:
@@ -121,12 +121,24 @@ class TransitionTable:
         return self.store.structured[rows], self.f_c[rows], self.f_e[rows]
 
 
-def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy) -> TransitionTable:
-    """The note inputs of every frame of a dataset's store, computed once."""
+def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
+                           modality: str = "multimodal") -> TransitionTable:
+    """The note inputs a ``modality`` model reads at every frame of a
+    dataset's store, computed once."""
     if not dataset.episodes:
         raise TrainerError("no episodes to build a transition table from")
     store = dataset.store
-    return TransitionTable(store, *episode_note_inputs(store, strategy))
+    return TransitionTable(store, *_note_inputs(store, strategy, modality))
+
+
+def _note_inputs(store: EpisodeStore, strategy: NoteStrategy,
+                modality: str) -> tuple[Array, Array]:
+    """(f_c, f_e) at every frame row of a store: the note strategy's inputs,
+    or zero-width columns for a structured-only model, which reads neither."""
+    if modality == "structured":
+        empty = np.zeros((store.structured.shape[0], 0))
+        return empty, empty
+    return episode_note_inputs(store, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +281,10 @@ class LearnedPolicy:
     behavior_classifier: ActionClassifier | None = None
     eps: float = 0.0
 
+    @property
+    def modality(self) -> str:
+        return self.model.modality
+
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
         with no_grad():
             return self.model.q_values(structured, f_c, f_e).data
@@ -307,7 +323,7 @@ class LearnedPolicy:
 
     def episode_inputs(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
         """(structured, f_c, f_e) model inputs at every frame row of a store."""
-        return (store.structured, *episode_note_inputs(store, self.strategy))
+        return (store.structured, *_note_inputs(store, self.strategy, self.modality))
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
         return self.greedy_rows(store_of([episode]))
@@ -397,7 +413,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
-    table = build_transition_table(dataset.split("train") or dataset, enc_cfg.strategy)
+    table = build_transition_table(dataset.split("train") or dataset, enc_cfg.strategy,
+                                   modality)
 
     # the same seed gives the target network the model's initial parameters
     model = QModel(modality, enc_cfg, cfg, np.random.default_rng([cfg.seed, 11]))
@@ -518,7 +535,7 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins. Q
     is computed in one forward over every frame of the dataset's store.
     """
-    table = build_transition_table(dataset, policy.strategy)
+    table = build_transition_table(dataset, policy.strategy, policy.modality)
     store = table.store
     q = policy.q_matrix(store.structured, table.f_c, table.f_e)
     q_taken = q[store.decision_frame, store.action]

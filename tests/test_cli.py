@@ -1,12 +1,15 @@
 import json
+import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from careql import dataset as dataset_mod
 from careql.cli import DEFAULT_CONFIG, ConfigError, load_config, main
-from careql.dataset import ingest
+from careql.dataset import SNAPSHOT_NAME, ingest
 from careql.trainer import TrainConfig
 
 TINY_SYNTH = {
@@ -630,6 +633,14 @@ DATA_FILE_FAULTS = {
         lambda g: g["episode_states"].pop("ep000000")), None),
 }
 
+# (file, edit of its bytes) that leave a data file no longer UTF-8 text
+DATA_FILE_BYTE_FAULTS = {
+    "structured_trailing_ff": ("structured.csv", lambda data: data + b"\xff"),
+    "notes_trailing_ff": ("notes.jsonl", lambda data: data + b"\xff"),
+    "manifest_latin1_id": ("manifest.json", lambda data: data.replace(
+        b'"ep000000"', '"ep00000\xe9"'.encode("latin-1"), 1)),
+}
+
 # extra arguments of each seeded command whose --seed flag must be >= 0
 SEED_FLAG_ARGS = {"synth": [], "train": ["--data", "{data}"],
                   "eval": ["--data", "{data}", "--checkpoint", "{checkpoint}"]}
@@ -716,8 +727,112 @@ class TestFaultInjection:
         if line is not None:
             assert f"line {line}:" in err, err
 
+    @pytest.mark.parametrize("name, edit, line", list(DATA_FILE_FAULTS.values()),
+                             ids=list(DATA_FILE_FAULTS))
+    def test_malformed_data_file_after_a_snapshot_gives_the_same_error(
+            self, synth_dir, capsys, name, edit, line):
+        # a snapshot of the clean files changes no error of an edited one,
+        # whether it is still there or deleted
+        assert main(["ingest", "--data", str(synth_dir)]) == 0
+        assert (synth_dir / SNAPSHOT_NAME).is_file()
+        capsys.readouterr()
+        path = synth_dir / name
+        path.write_text(edit(path.read_text()))
+        outcomes = []
+        for _ in range(2):
+            code = main(["ingest", "--data", str(synth_dir)])
+            outcomes.append((code, capsys.readouterr().err))
+            (synth_dir / SNAPSHOT_NAME).unlink(missing_ok=True)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3 and str(path) in outcomes[0][1]
+
+    @pytest.mark.parametrize("name, edit", list(DATA_FILE_BYTE_FAULTS.values()),
+                             ids=list(DATA_FILE_BYTE_FAULTS))
+    def test_data_file_not_utf8_exits_3_naming_it(self, synth_dir, capsys, name, edit):
+        path = synth_dir / name
+        path.write_bytes(edit(path.read_bytes()))
+        code = main(["ingest", "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(path) in err and "UTF-8" in err, err
+
+    def test_unreadable_data_file_exits_3_naming_it(self, synth_dir, capsys):
+        path = synth_dir / "notes.jsonl"
+        path.unlink()
+        path.mkdir()
+        code = main(["ingest", "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error: cannot read") and str(path) in err, err
+
+    def test_config_not_utf8_exits_2_naming_it(self, tmp_path, synth_dir, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes() + b"\xff")
+        code = main(["train", "--config", str(cfg), "--data", str(synth_dir),
+                     "--out", str(tmp_path / "train")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error:") and str(cfg) in err, err
+
     @pytest.mark.parametrize("value", [None, 0.5, 2])
     def test_valid_grad_clip_accepted(self, tmp_path, value):
         cfg = load_config(write_config(tmp_path, {"train.grad_clip": value}))
         assert cfg["train"]["grad_clip"] == value
         assert TrainConfig(total_steps=1, grad_clip=value).grad_clip == value
+
+
+class TestSnapshot:
+    def chain(self, tmp_path, root: Path, drop_snapshot: bool) -> dict[str, bytes]:
+        """synth -> ingest -> train -> eval in ``root``; the bytes of every
+        file it writes but the snapshot, keyed by path under ``root``."""
+        cfg = str(write_config(tmp_path, {"train.total_steps": 20, "ope.n_bootstrap": 5}))
+        data, runs = root / "data", root / "runs"
+        steps = [["synth", "--config", cfg, "--out", str(data)],
+                 ["ingest", "--config", cfg, "--data", str(data)],
+                 ["train", "--config", cfg, "--data", str(data), "--out", str(runs / "train")],
+                 ["eval", "--config", cfg, "--data", str(data), "--checkpoint",
+                  str(runs / "train" / "checkpoint.json"), "--out", str(runs / "eval")]]
+        for argv in steps:
+            if drop_snapshot:
+                (data / SNAPSHOT_NAME).unlink(missing_ok=True)
+            assert main(argv) == 0
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != SNAPSHOT_NAME}
+
+    def test_a_chain_parses_its_data_once_and_writes_the_same_files(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        parses = []
+        read = dataset_mod._read_structured
+
+        def spy(*args, **kwargs):
+            parses.append(args[0])
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "_read_structured", spy)
+        root = tmp_path / "chain"
+        kept = self.chain(tmp_path, root, drop_snapshot=False)
+        kept_out = capsys.readouterr()
+        assert len(parses) == 1 and (root / "data" / SNAPSHOT_NAME).is_file()
+        shutil.rmtree(root)
+        parses.clear()
+        dropped = self.chain(tmp_path, root, drop_snapshot=True)
+        assert len(parses) == 3
+        assert capsys.readouterr() == kept_out
+        assert dropped.keys() == kept.keys()
+        for name in kept:
+            assert dropped[name] == kept[name], name
+
+    def test_ingest_exits_0_when_the_snapshot_cannot_be_written(self, synth_dir, capsys,
+                                                                 monkeypatch):
+        files = sorted(p.name for p in synth_dir.iterdir())
+        assert main(["ingest", "--data", str(synth_dir)]) == 0
+        expected = capsys.readouterr()
+        (synth_dir / SNAPSHOT_NAME).unlink()
+
+        def refuse(*args, **kwargs):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["ingest", "--data", str(synth_dir)]) == 0
+        assert capsys.readouterr() == expected
+        assert sorted(p.name for p in synth_dir.iterdir()) == files

@@ -1,14 +1,21 @@
+import hashlib
 import json
+import os
+import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from careql import dataset as dataset_mod
 from careql.dataset import (
+    SNAPSHOT_NAME,
+    SNAPSHOT_VERSION,
     SPLITS,
     ActionIndex,
     DatasetError,
@@ -439,15 +446,27 @@ dose = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
 edges = st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4, unique=True).map(sorted)
 
 
+# episode ids a CSV cell holds whole (no comma, no line break), drawn with
+# non-ASCII letters and trailing NULs often
+id_chars = st.one_of(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                                   blacklist_characters=","), st.just("\x00"))
+awkward_ids = st.builds(lambda stem, tail: stem + tail, st.text(id_chars, max_size=3),
+                        st.sampled_from(["", "\x00", "\x00\x00", "é", "病\x00"]))
+
+
 @st.composite
-def cohorts(draw, with_ground_truth=False):
+def cohorts(draw, with_ground_truth=False, ids=None):
     """A hand-built dataset: random F and d_n, episodes of 1-6 transitions,
     notes on random frames and actions discretized from random doses; with
-    ground truth, state ids and behaviour probabilities on random episodes."""
+    ground truth, state ids and behaviour probabilities on random episodes.
+    Episode ids are ep000, ep001, ... or, given ``ids``, drawn from it."""
     n_features, d_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     bins = DoseBins(tuple(draw(edges)), tuple(draw(edges)))
+    n_episodes = draw(st.integers(1, 4))
+    names = [f"ep{i:03d}" for i in range(n_episodes)] if ids is None else \
+        draw(st.lists(ids, min_size=n_episodes, max_size=n_episodes, unique=True))
     episodes = []
-    for i in range(draw(st.integers(1, 4))):
+    for name in names:
         n = draw(st.integers(1, 6))
         frames = []
         for _ in range(n + 1):
@@ -468,7 +487,7 @@ def cohorts(draw, with_ground_truth=False):
                 action=ActionIndex(discretize_dose(iv, bins.iv), discretize_dose(vaso, bins.vaso)),
                 iv_dose=iv, vaso_dose=vaso, state_id=states[t], next_state_id=states[t + 1],
                 behavior_prob=draw(st.floats(1e-6, 1.0)) if known else None))
-        episodes.append(Episode(transitions, survived, f"ep{i:03d}",
+        episodes.append(Episode(transitions, survived, name,
                                 split=draw(st.sampled_from(SPLITS))))
     return OfflineDataset(tuple(episodes), n_features, d_n, bin_edges=bins)
 
@@ -555,3 +574,144 @@ class TestExportIngestProperties:
             (ds.n_features, ds.d_n, ds.bin_edges)
         assert_store_equals(loaded.store, {name: getattr(ds.store, name)
                                            for name in STORE_DTYPES})
+
+
+# Three hand-written files: rows and notes out of order, a -0.0 feature, an
+# integer bin edge and an episode with no note.
+FIXTURE = {
+    "structured.csv": (
+        "episode_id,step,f0,f1,iv_dose,vaso_dose,done,survived\n"
+        "b,1,0.5,-0.0,0.0,0.0,1,0\n"
+        "a,0,1.25,3.0,0.0,0.05,0,1\n"
+        "c,0,2.0,2.0,1.5,0.0,0,1\n"
+        "a,1,-2.5,1e-3,3.0,0.0,0,1\n"
+        "a,2,0.0,7.5,0.0,0.0,1,1\n"
+        "b,0,4.0,2.0,5.0,0.2,0,0\n"
+        "c,1,2.5,2.0,0.0,0.0,1,1\n"),
+    "notes.jsonl": (
+        '{"episode_id": "a", "step": 2, "embedding": [0.5, -1.0]}\n'
+        '{"episode_id": "b", "step": 0, "embedding": [3, 4.25]}\n'
+        '{"episode_id": "a", "step": 0, "embedding": [0.0, 1e-300]}\n'),
+    "manifest.json": (
+        '{"episodes": [{"id": "b", "split": "test"}, {"id": "a", "split": "train"},\n'
+        '              {"id": "c", "split": "val"}],\n'
+        ' "n_features": 2, "d_n": 2,\n'
+        ' "bin_edges": {"iv": [0.5, 1, 2.5, 4.0], "vaso": [0.01, 0.02, 0.05, 0.1]}}\n'),
+}
+# ``dataset_digest`` of the dataset ingested from FIXTURE's files
+FIXTURE_DIGEST = "6ae1fc25a915c068fbf5e49cd6bc779ee08e005a6eaae92ab9fe1db193353f22"
+
+
+def write_fixture(directory: Path, files=FIXTURE) -> list[Path]:
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return [directory / name for name in ("structured.csv", "notes.jsonl", "manifest.json")]
+
+
+def dataset_digest(ds) -> str:
+    """sha256 of everything ingest returns: widths, bin edges (JSON keeps an
+    integer edge an integer) and every store array's dtype, shape and values."""
+    h = hashlib.sha256(json.dumps([ds.n_features, ds.d_n, ds.bin_edges.iv,
+                                   ds.bin_edges.vaso]).encode())
+    for name in STORE_DTYPES:
+        a = getattr(ds.store, name)
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(json.dumps(a.tolist()).encode() if a.dtype == object else a.tobytes())
+    return h.hexdigest()
+
+
+def count_parses(monkeypatch) -> list:
+    """One entry per parse of a structured file from now on."""
+    parses = []
+    read = dataset_mod._read_structured
+
+    def spy(*args, **kwargs):
+        parses.append(args[0])
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_mod, "_read_structured", spy)
+    return parses
+
+
+def refuse(*args, **kwargs):
+    raise OSError("read-only file system")
+
+
+class TestSnapshot:
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts(ids=awkward_ids))
+    def test_a_hit_returns_the_store_of_the_miss(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = export(ds, tmp / "files")
+            files = read_files(paths)
+            miss = ingest(*paths.values())
+            assert (tmp / "files" / SNAPSHOT_NAME).is_file()
+            with mock.patch.object(dataset_mod, "_read_structured", side_effect=AssertionError):
+                hit = ingest(*paths.values())
+            assert (hit.n_features, hit.d_n, hit.bin_edges) == \
+                (miss.n_features, miss.d_n, miss.bin_edges)
+            assert_store_equals(hit.store, {name: getattr(miss.store, name)
+                                            for name in STORE_DTYPES})
+            assert hit.store.episode_id.tolist() == [ep.episode_id for ep in
+                                                     sorted(ds.episodes,
+                                                            key=lambda ep: ep.episode_id)]
+            assert_same_episodes(hit.episodes, miss.episodes)
+            assert read_files(export(hit, tmp / "hit")) == files
+            assert read_files(export(miss, tmp / "miss")) == files
+
+    def test_the_ingested_store_is_pinned(self, tmp_path):
+        paths = write_fixture(tmp_path)
+        for kind in ("miss", "hit"):
+            assert dataset_digest(ingest(*paths)) == FIXTURE_DIGEST, (
+                f"ingest returns another dataset for the same bytes ({kind}): bump "
+                f"SNAPSHOT_VERSION (now {SNAPSHOT_VERSION}) so that snapshots written "
+                f"before this change are parsed again, then record the new digest")
+
+    @pytest.mark.parametrize("spoil", ["truncated", "garbage", "foreign_npz", "version",
+                                       "other_digest"])
+    def test_an_unusable_snapshot_is_parsed_again(self, tmp_path, monkeypatch, spoil):
+        paths = write_fixture(tmp_path / "a")
+        expected = dataset_digest(ingest(*paths))
+        snapshot = tmp_path / "a" / SNAPSHOT_NAME
+        if spoil == "truncated":
+            snapshot.write_bytes(snapshot.read_bytes()[:snapshot.stat().st_size // 2])
+        elif spoil == "garbage":
+            snapshot.write_bytes(bytes(range(256)) * 4)
+        elif spoil == "foreign_npz":
+            with snapshot.open("wb") as fh:
+                np.savez(fh, meta=np.arange(3))
+        elif spoil == "version":
+            snapshot.unlink()
+            with monkeypatch.context() as m:
+                m.setattr(dataset_mod, "SNAPSHOT_VERSION", SNAPSHOT_VERSION + 1)
+                ingest(*paths)
+        else:
+            other = dict(FIXTURE, **{"notes.jsonl": ""})
+            ingest(*write_fixture(tmp_path / "b", other))
+            shutil.copyfile(tmp_path / "b" / SNAPSHOT_NAME, snapshot)
+        parses = count_parses(monkeypatch)
+        assert dataset_digest(ingest(*paths)) == expected
+        assert len(parses) == 1
+        # the parse replaced the snapshot with one the next ingest uses
+        assert dataset_digest(ingest(*paths)) == expected
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_a_snapshot_that_cannot_be_written_is_skipped(self, tmp_path, monkeypatch, step):
+        paths = write_fixture(tmp_path)
+        monkeypatch.setattr(tempfile if step == "mkstemp" else os, step, refuse)
+        assert dataset_digest(ingest(*paths)) == FIXTURE_DIGEST
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FIXTURE)
+
+    def test_a_missing_notes_file_is_part_of_the_key(self, tmp_path, monkeypatch):
+        # an empty notes file and no notes file give the same dataset, but
+        # each is parsed once and served from its own snapshot after that
+        paths = write_fixture(tmp_path, dict(FIXTURE, **{"notes.jsonl": ""}))
+        parses = count_parses(monkeypatch)
+        with_empty = dataset_digest(ingest(*paths))
+        paths[1].unlink()
+        assert dataset_digest(ingest(*paths)) == with_empty
+        assert dataset_digest(ingest(*paths)) == with_empty
+        assert len(parses) == 2

@@ -541,13 +541,15 @@ class TestBatchedForward:
             monkeypatch.setattr(module, "episode_note_inputs", note_inputs)
         monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
         encodes = 1 if policy.model.modality == "multimodal" else 0
+        # a structured-only model reads no note inputs, so none are computed
+        flattens = 0 if policy.model.modality == "structured" else 1
         report = evaluate_policy(replace(ds, episodes=episodes), soften(policy), behavior, cfg)
         assert report.fqe_mode == "network"
-        assert (calls["flatten"], calls["encode"]) == (1, encodes)
+        assert (calls["flatten"], calls["encode"]) == (flattens, encodes)
         calls.clear()
         # BDESR computes the store's note inputs once for its one forward
         bdesr_report(replace(ds, episodes=episodes), policy)
-        assert (calls["flatten"], calls["encode"]) == (1, encodes)
+        assert (calls["flatten"], calls["encode"]) == (flattens, encodes)
 
     def test_no_per_episode_note_inputs_or_forwards(self, trained_policy, monkeypatch):
         # training, OPE, BDESR and the residuals compute note and model inputs
@@ -567,10 +569,12 @@ class TestBatchedForward:
             monkeypatch.setattr(module, "episode_note_inputs", note_inputs)
         monkeypatch.setattr(LearnedPolicy, "episode_inputs",
                             spy("episode_inputs", LearnedPolicy.episode_inputs))
+        # a structured-only model reads no note inputs, so none are computed
+        notes = 0 if policy.model.modality == "structured" else 1
         train_split = ds.split("train")
         train(train_split, quick_train_cfg(total_steps=3, algorithm=policy.algorithm),
               policy.model.enc_cfg, modality=policy.model.modality)
-        assert episodes == Counter({("note_inputs", len(train_split)): 1})
+        assert episodes == Counter({("note_inputs", len(train_split)): notes})
         episodes.clear()
         cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
                         fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
@@ -578,7 +582,8 @@ class TestBatchedForward:
         bdesr_report(ds, policy)
         # one target-policy forward each for OPE and BDESR, one table for the residuals
         bellman_residuals(policy, ds, gamma=0.9)
-        assert episodes == Counter({("note_inputs", len(ds)): 3, ("episode_inputs", len(ds)): 2})
+        assert episodes == Counter({("note_inputs", len(ds)): 3 * notes,
+                                    ("episode_inputs", len(ds)): 2})
 
 
 class _TabularQStub:
@@ -588,6 +593,7 @@ class _TabularQStub:
         self.mdp = mdp
         self.q_table = q_table
         self.strategy = NoteStrategy("impute")
+        self.modality = "structured"    # q_matrix reads only the structured features
 
     def q_matrix(self, structured, f_c, f_e):
         dists = ((structured[:, None, :] - self.mdp.emission_l_mean[None, :, :]) ** 2
