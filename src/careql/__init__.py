@@ -16,14 +16,12 @@ from .dataset import (
     JointObservation,
     OfflineDataset,
     Transition,
-    assign_rewards,
     compute_bin_edges,
-    discretize_dose,
     export,
     ingest,
     normalize,
 )
-from .encoder import EncoderConfig, NoteStrategy, StateEncoder, build_state
+from .encoder import EncoderConfig, NoteStrategy, StateEncoder
 from .synthgym import (
     BehaviorPolicy,
     GeneratorConfig,

@@ -42,6 +42,8 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 ENV_OUT_ROOT = "CAREQL_OUT"
+# the OPE estimates of a run's summary, in table order
+METRICS = ("opera", "dr", "fqe", "wis")
 
 
 class ConfigError(ValueError):
@@ -272,11 +274,13 @@ def _seed(args, default: int) -> int:
 
 def _out_dir(args, command: str) -> Path:
     if args.out:
-        out = Path(args.out)
+        out, source = Path(args.out), "--out"
     else:
-        root = Path(os.environ.get(ENV_OUT_ROOT, "careql_runs"))
-        out = root / command
-    out.mkdir(parents=True, exist_ok=True)
+        out, source = Path(os.environ.get(ENV_OUT_ROOT, "careql_runs")) / command, ENV_OUT_ROOT
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ConfigError(f"{source}: cannot make the output directory {out} ({exc.strerror})")
     return out
 
 
@@ -317,13 +321,28 @@ def _load_bundle(data_dir: str | Path, cfg: dict):
     return dataset, gt
 
 
-def _load_policy(path: str | Path) -> tr_mod.LearnedPolicy:
-    """The checkpoint's policy; a missing or malformed file is a data error."""
+def _load(what: str, path: str | Path, read):
+    """``read(path)``; a missing or malformed file is a data error naming it."""
     try:
-        return tr_mod.LearnedPolicy.load(path)
+        return read(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ds_mod.DatasetError(
-            f"checkpoint {path}: cannot load ({type(exc).__name__}: {exc})") from exc
+            f"{what} {path}: cannot load ({type(exc).__name__}: {exc})") from exc
+
+
+def _load_run_file(path: Path, read):
+    """``read`` of the JSON in one of a run's output files."""
+    return _load("run file", path, lambda p: read(json.loads(p.read_text(encoding="utf-8"))))
+
+
+def _check_widths(label: str, modality: str, expected, data, also=()) -> None:
+    """A data error unless ``data`` has the ``n_features`` and ``d_n`` of
+    ``expected`` where a ``modality`` model reads them, and those in ``also``."""
+    reads = {"structured": ("n_features",), "notes": ("d_n",)}.get(modality, ("n_features", "d_n"))
+    for name in dict.fromkeys(reads + also):
+        want, got = getattr(expected, name), getattr(data, name)
+        if want != got:
+            raise ds_mod.DatasetError(f"{label}: {name} differs ({want} vs {got})")
 
 
 def _behavior_model(cfg: dict, dataset: ds_mod.OfflineDataset, seed: int):
@@ -421,7 +440,7 @@ def _ope_report_for(cfg: dict, behavior, test, policy, seed: int):
 def _write_ope_outputs(out: Path, report, variant: str) -> None:
     _write_json(out / "ope_report.json", report.to_dict())
     lines = [f"metric,{variant}"]
-    for metric in ("opera", "dr", "fqe", "wis"):
+    for metric in METRICS:
         lines.append(f"{metric},{getattr(report, metric)!r}")
     (out / "ope_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -448,7 +467,9 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     seed = _seed(args, cfg["seed"])
     out = _out_dir(args, "eval")
     dataset, _ = _load_bundle(args.data, cfg)
-    policy = _load_policy(args.checkpoint)
+    policy = _load("checkpoint", args.checkpoint, tr_mod.LearnedPolicy.load)
+    _check_widths(f"checkpoint {args.checkpoint} vs data {args.data}", policy.modality,
+                  policy.model.enc_cfg, dataset)
     test = _eval_split(dataset)
     if not bdesr_only:
         report = _ope_report_for(cfg, _behavior_model(cfg, dataset, seed), test, policy, seed)
@@ -499,30 +520,29 @@ def cmd_ablate(args) -> int:
     test = _eval_split(dataset)
     # the behavior model depends on the seed and the cohort, not the variant
     behaviors = {seed: _behavior_model(cfg, dataset, seed) for seed in cfg["seeds"]}
-    metrics = ("opera", "dr", "fqe", "wis")
     rows = []
     for section, name, overlay in _ablation_variants(cfg):
         variant = _deep_merge(cfg, overlay)
-        per_seed = {metric: [] for metric in metrics}
+        per_seed = {metric: [] for metric in METRICS}
         for seed in cfg["seeds"]:
             result = tr_mod.train(dataset, _train_config(variant, seed),
                                   _encoder_config(variant, dataset),
                                   modality=cfg["modality"])
             report = _ope_report_for(cfg, behaviors[seed], test, result.policy, seed)
-            for metric in metrics:
+            for metric in METRICS:
                 per_seed[metric].append(getattr(report, metric))
         rows.append({
             "section": section, "variant": name,
             "metrics": {metric: {"mean": float(np.mean(per_seed[metric])),
                                  "std": float(np.std(per_seed[metric]))}
-                        for metric in metrics},
+                        for metric in METRICS},
         })
     _write_json(out / "ablation.json", {"seeds": cfg["seeds"], "rows": rows})
     lines = ["section,variant," + ",".join(
-        f"{m}_mean,{m}_std" for m in metrics)]
+        f"{m}_mean,{m}_std" for m in METRICS)]
     for row in rows:
         cells = [row["section"], row["variant"]]
-        for metric in metrics:
+        for metric in METRICS:
             cells.append(repr(row["metrics"][metric]["mean"]))
             cells.append(repr(row["metrics"][metric]["std"]))
         lines.append(",".join(cells))
@@ -538,6 +558,10 @@ def cmd_cross_eval(args) -> int:
     out = _out_dir(args, "cross_eval")
     train_ds_raw, _ = _read_cohort(args.train_data)
     eval_ds_raw, _ = _read_cohort(args.eval_data)
+    # the evaluation cohort is normalized with the training cohort's statistics
+    scaled = ("n_features",) if cfg["dataset"]["normalize"] else ()
+    _check_widths(f"cohort {args.train_data} vs cohort {args.eval_data}", cfg["modality"],
+                  train_ds_raw, eval_ds_raw, scaled)
     if cfg["dataset"]["share_bins"]:
         eval_ds_raw = ds_mod.rediscretize(eval_ds_raw, train_ds_raw.bin_edges)
     if cfg["dataset"]["normalize"]:
@@ -583,35 +607,32 @@ def cmd_cross_eval(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    if not run_dir.exists():
-        raise ds_mod.DatasetError(f"run directory not found: {run_dir}")
+    if not run_dir.is_dir():
+        raise ds_mod.DatasetError(f"run directory {run_dir}: "
+                                  + ("not a directory" if run_dir.exists() else "not found"))
     ope_files = sorted(run_dir.rglob("ope_report.json"))
     variants = {}
     for path in ope_files:
         rel = path.parent.relative_to(run_dir)
         name = str(rel) if str(rel) != "." else "policy"
-        variants[name] = json.loads(path.read_text(encoding="utf-8"))["estimates"]
+        variants[name] = _load_run_file(path, lambda p: {m: p["estimates"][m] for m in METRICS})
     out = run_dir / "report"
     out.mkdir(exist_ok=True)
     if variants:
         names = sorted(variants)
         lines = ["metric," + ",".join(names)]
-        for metric in ("opera", "dr", "fqe", "wis"):
+        for metric in METRICS:
             cells = [repr(variants[n][metric]) for n in names]
             lines.append(f"{metric}," + ",".join(cells))
         (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_json(out / "radar.json",
-                    {name: {m: variants[name][m]
-                            for m in ("opera", "dr", "fqe", "wis")}
-                     for name in names})
+        _write_json(out / "radar.json", variants)
     hist_rows = ["variant,bin_left,bin_right,count"]
     for path in sorted(run_dir.rglob("residuals.json")):
         rel = path.parent.relative_to(run_dir)
         name = str(rel) if str(rel) != "." else "policy"
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        edges = payload["hist_edges"]
-        for left, right, count in zip(edges[:-1], edges[1:],
-                                      payload["hist_counts"]):
+        bins = _load_run_file(path, lambda p: list(zip(
+            p["hist_edges"][:-1], p["hist_edges"][1:], p["hist_counts"])))
+        for left, right, count in bins:
             hist_rows.append(f"{name},{left!r},{right!r},{count}")
     if len(hist_rows) > 1:
         (out / "residual_hist.csv").write_text("\n".join(hist_rows) + "\n",

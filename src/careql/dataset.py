@@ -183,16 +183,6 @@ class Episode:
         # every reward before the terminal one is zero
         return (gamma ** (len(self) - 1)) * (1.0 if self.survived else -1.0)
 
-    def frame_arrays(self) -> tuple[Array, Array, Array]:
-        """(structured, note_embedding, note_present) of the T + 1 frames,
-        sliced from the episode's store; a hand-built episode is packed into
-        a store of its own on first use."""
-        if "_store" not in self.__dict__:
-            self.__dict__.update(_store=EpisodeStore.pack([self]), _index=0)
-        store, i = self.__dict__["_store"], self.__dict__["_index"]
-        rows = slice(store.frame_offsets[i], store.frame_offsets[i] + len(self) + 1)
-        return store.structured[rows], store.note_embedding[rows], store.note_present[rows]
-
 
 class _StoredTransitions(Sequence):
     """The transitions of a stored episode, built on first read."""
@@ -458,16 +448,6 @@ class OfflineDataset:
 # ---------------------------------------------------------------------------
 
 
-def assign_rewards(episode_raw: Sequence, survived: bool) -> list[float]:
-    """Sparse terminal reward: zeros everywhere, +/-1 at the last step."""
-    n = len(episode_raw)
-    if n == 0:
-        raise DatasetError("cannot assign rewards to an empty episode")
-    rewards = [0.0] * n
-    rewards[-1] = 1.0 if survived else -1.0
-    return rewards
-
-
 def discretize_doses(doses, bin_edges: Sequence[float]) -> Array:
     """Map raw doses to levels 0..4.
 
@@ -483,11 +463,6 @@ def discretize_doses(doses, bin_edges: Sequence[float]) -> Array:
     if negative.any():
         raise DatasetError(f"dose must be nonnegative, got {doses[negative][0]}")
     return np.searchsorted(edges, doses, side="right")
-
-
-def discretize_dose(dose: float, bin_edges: Sequence[float]) -> int:
-    """``discretize_doses`` of a single dose."""
-    return int(discretize_doses([float(dose)], bin_edges)[0])
 
 
 def _flat_actions(iv_dose: Array, vaso_dose: Array, bins: DoseBins) -> Array:

@@ -18,11 +18,10 @@ on the whole frame array; one history is the case of a single segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import EpisodeStore, JointObservation
+from .dataset import EpisodeStore
 from .netcore import Dense, Tensor, collect_params, concat, init_param, linear
 
 Array = np.ndarray
@@ -137,20 +136,6 @@ def episode_note_inputs(store: EpisodeStore,
                              store.frame_offsets)
 
 
-def resolve_note(embeddings: Array, present: Array,
-                 strategy: NoteStrategy) -> tuple[Array | None, Array]:
-    """(f_c, f_e) for the latest frame of a note history.
-
-    f_c is None for every strategy except context.
-    """
-    if len(embeddings) == 0:
-        raise EncoderError("note history must be nonempty")
-    f_c, f_e = frame_note_inputs(embeddings, present, strategy)
-    if strategy.kind == "context":
-        return f_c[-1], f_e[-1]
-    return None, f_e[-1]
-
-
 # ---------------------------------------------------------------------------
 # Modules
 # ---------------------------------------------------------------------------
@@ -184,13 +169,6 @@ class StructuredEncoder:
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.in_proj, *(layer for block in self.blocks
                                               for layer in block))
-
-
-def encode_structured(enc: StructuredEncoder, features: Array | Tensor) -> Tensor:
-    x = features if isinstance(features, Tensor) else Tensor(np.atleast_2d(features))
-    if x.data.shape[1] != enc.n_features:
-        raise EncoderError(f"expected {enc.n_features} features, got {x.data.shape}")
-    return enc(x)
 
 
 class GatedFusion:
@@ -299,15 +277,3 @@ class StateEncoder:
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.structured, self.note_proj, self.gate,
                               self.attention)
-
-
-def build_state(obs_history: Sequence[JointObservation],
-                encoder: StateEncoder) -> Tensor:
-    """Fused state for the last frame of an observation history."""
-    if not obs_history:
-        raise EncoderError("observation history must be nonempty")
-    emb = np.stack([o.note_embedding for o in obs_history])
-    pres = np.array([o.note_present for o in obs_history])
-    f_c, f_e = frame_note_inputs(emb, pres, encoder.config.strategy)
-    return encoder.forward(obs_history[-1].structured[None, :],
-                           f_c[-1][None, :], f_e[-1][None, :])

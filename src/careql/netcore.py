@@ -29,6 +29,8 @@ import numpy as np
 Array = np.ndarray
 
 CHECKPOINT_FORMAT_VERSION = 1
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -460,13 +462,9 @@ class Adam:
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  grad_clip: float | None = None):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.grad_clip = grad_clip
         self.step_count = 0
         sizes = [p.data.size for p in self.params.values()]
@@ -491,14 +489,14 @@ class Adam:
                     part *= self.grad_clip / norm
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         for p, sl in zip(self.params.values(), self._slices):
             p.data -= update[sl].reshape(p.data.shape)
         zero_grads(self.params)
@@ -566,9 +564,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
 # ---------------------------------------------------------------------------
 
 
+GRADIENT_CHECK_STEP = 1e-5
+
+
 def gradient_check(loss_fn: Callable[[], Tensor],
-                   params: Mapping[str, Tensor],
-                   h: float = 1e-5) -> float:
+                   params: Mapping[str, Tensor]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` must rebuild the graph from the current parameter values on
@@ -584,12 +584,12 @@ def gradient_check(loss_fn: Callable[[], Tensor],
         flat = p.data.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + GRADIENT_CHECK_STEP
             up = loss_fn().item()
-            flat[i] = orig - h
+            flat[i] = orig - GRADIENT_CHECK_STEP
             down = loss_fn().item()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
             a = analytic[key].ravel()[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
             worst = max(worst, rel)

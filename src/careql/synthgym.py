@@ -41,6 +41,18 @@ Array = np.ndarray
 LEVEL_BIN_EDGES = (0.5, 1.5, 2.5, 3.5)
 # derived seeds ``generate_mdp`` tries before giving up on the gap margin
 MAX_GENERATION_ATTEMPTS = 5
+# survival probability at resolution, (healthy u=0, sick u=max), for the
+# optimal action and for the farthest one; then the jitter on each entry,
+# kept below 0.03 so that the optimal action stays optimal
+SURVIVE_BEST = (0.95, 0.60)
+SURVIVE_WORST = (0.45, 0.10)
+Q_JITTER = 0.01
+# severity drift: probability of staying put, and the jitter added to each entry
+DRIFT_STAY = 0.5
+DRIFT_JITTER = 0.05
+# norm of the structured emission means; note probability of an episode's first frame
+STRUCT_SCALE = 2.0
+FIRST_FRAME_NOTE_PROB = 1.0
 
 
 class GeneratorError(ValueError):
@@ -193,18 +205,9 @@ class GeneratorConfig:
     gamma: float = 0.95
     term_prob_mid: float = 0.25
     term_prob_edge: float = 0.55
-    survive_best_healthy: float = 0.95   # q at (u=0, optimal action)
-    survive_best_sick: float = 0.60      # q at (u=max, optimal action)
-    survive_worst_healthy: float = 0.45
-    survive_worst_sick: float = 0.10
-    q_jitter: float = 0.01
-    drift_stay: float = 0.5
-    drift_jitter: float = 0.05
-    struct_scale: float = 2.0
     noise_structured: float = 0.3
     noise_note: float = 0.1
     note_prob: float = 0.7
-    first_frame_note_prob: float = 1.0
     min_gap: float = 0.08
 
     def __post_init__(self):
@@ -212,23 +215,16 @@ class GeneratorConfig:
             raise GeneratorError("need at least 2 latent states (n_severity * n_context >= 2)")
         if not (0.0 <= self.gamma < 1.0):
             raise GeneratorError(f"gamma must be in [0, 1), got {self.gamma}")
-        for name in ("term_prob_mid", "term_prob_edge", "note_prob",
-                     "first_frame_note_prob", "drift_stay"):
+        for name in ("term_prob_mid", "term_prob_edge", "note_prob"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise GeneratorError(f"{name} must lie in [0, 1], got {value}")
         for name in ("term_prob_mid", "term_prob_edge"):
             if getattr(self, name) <= 0.0:
                 raise GeneratorError(f"{name} must be positive, got {getattr(self, name)}")
-        for hi, lo in ((self.survive_best_healthy, self.survive_worst_healthy),
-                       (self.survive_best_sick, self.survive_worst_sick)):
-            if not (0.0 < lo < hi < 1.0):
-                raise GeneratorError("survival probabilities must satisfy 0 < worst < best < 1")
         for name in ("noise_structured", "noise_note"):
             if getattr(self, name) < 0:
                 raise GeneratorError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.q_jitter < 0 or self.q_jitter >= 0.03:
-            raise GeneratorError("q_jitter must be in [0, 0.03) to keep the optimal action stable")
         if self.n_features < 1 or self.d_n < 1:
             raise GeneratorError("n_features and d_n must be >= 1")
 
@@ -294,15 +290,16 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
 
     # survival probability at resolution, best for the optimal action
     frac = (np.arange(n_u) / max(n_u - 1, 1))
-    q_best = config.survive_best_healthy - frac * (config.survive_best_healthy - config.survive_best_sick)
-    q_worst = config.survive_worst_healthy - frac * (config.survive_worst_healthy - config.survive_worst_sick)
+    (best_h, best_s), (worst_h, worst_s) = SURVIVE_BEST, SURVIVE_WORST
+    q_best = best_h - frac * (best_h - best_s)
+    q_worst = worst_h - frac * (worst_h - worst_s)
     q = np.zeros((n_ord, N_ACTIONS))
     for s in range(n_ord):
         u = severity_of[s]
         for a in range(N_ACTIONS):
             closeness = 1.0 - _level_gap(a, int(optimal[s])) / 4.0
             q[s, a] = q_worst[u] + (q_best[u] - q_worst[u]) * closeness
-    q += config.q_jitter * rng.uniform(-1.0, 1.0, size=q.shape)
+    q += Q_JITTER * rng.uniform(-1.0, 1.0, size=q.shape)
     q = np.clip(q, 0.02, 0.98)
 
     # severity-keyed termination, action-independent
@@ -313,12 +310,11 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
     # action-independent severity drift (reflecting random walk + jitter)
     drift = np.zeros((n_u, n_u))
     for u in range(n_u):
-        stay = config.drift_stay
-        down, up = (1.0 - stay) / 2.0, (1.0 - stay) / 2.0
-        drift[u, u] += stay
+        down, up = (1.0 - DRIFT_STAY) / 2.0, (1.0 - DRIFT_STAY) / 2.0
+        drift[u, u] += DRIFT_STAY
         drift[u, max(u - 1, 0)] += down
         drift[u, min(u + 1, n_u - 1)] += up
-    drift += config.drift_jitter * rng.uniform(0.0, 1.0, size=drift.shape)
+    drift += DRIFT_JITTER * rng.uniform(0.0, 1.0, size=drift.shape)
     drift /= drift.sum(axis=1, keepdims=True)
 
     transition = np.zeros((S, N_ACTIONS, S))
@@ -357,7 +353,7 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
     for s in range(S):
         u = severity_of[s] if s < n_ord else n_u + (s - n_ord)
         v = context_of[s] if s < n_ord else n_v + (s - n_ord)
-        emission_l[s] = config.struct_scale * pseudo_embed(int(u), "severity", config.n_features, seed)
+        emission_l[s] = STRUCT_SCALE * pseudo_embed(int(u), "severity", config.n_features, seed)
         emission_n[s] = pseudo_embed(int(v), "event", config.d_n, seed)
         if s < n_ord:
             context_proto[s] = pseudo_embed(int(v), "context", config.d_n, seed)
@@ -372,7 +368,7 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
         emission_l_noise=config.noise_structured, emission_n_proto=emission_n,
         emission_n_noise=config.noise_note, note_present_prob=note_prob,
         context_prototype=context_proto,
-        first_frame_note_prob=config.first_frame_note_prob,
+        first_frame_note_prob=FIRST_FRAME_NOTE_PROB,
         n_severity=n_u, n_context=n_v, severity_of=severity_of,
         context_of=context_of, optimal_action=optimal,
     )
@@ -430,8 +426,7 @@ def _step_operator(mdp: TabularMDP, pi: Array, gamma: float) -> tuple[Array, Arr
 
 
 def exact_policy_value(mdp: TabularMDP, policy, gamma: float | None = None,
-                       horizon: int | None = None,
-                       initial_dist: Array | None = None) -> float:
+                       horizon: int | None = None) -> float:
     """Initial-distribution-weighted value of a state-indexed policy.
 
     ``policy`` is an (S,) action array or an (S, A) stochastic matrix.
@@ -444,9 +439,8 @@ def exact_policy_value(mdp: TabularMDP, policy, gamma: float | None = None,
     if gamma >= 1.0 or gamma < 0.0:
         raise GeneratorError(f"gamma must be in [0, 1), got {gamma}")
     pi = _policy_matrix(policy, mdp.n_states, mdp.n_actions)
-    p0 = mdp.initial_dist if initial_dist is None else np.asarray(initial_dist, dtype=np.float64)
     values = state_values(mdp, pi, gamma=gamma, horizon=horizon)
-    return float(p0 @ values)
+    return float(mdp.initial_dist @ values)
 
 
 def state_values(mdp: TabularMDP, policy, gamma: float | None = None,
@@ -475,19 +469,17 @@ def state_values(mdp: TabularMDP, policy, gamma: float | None = None,
     return values
 
 
-def optimal_values(mdp: TabularMDP, gamma: float | None = None,
-                   tol: float = 1e-12) -> tuple[Array, Array]:
+def optimal_values(mdp: TabularMDP) -> tuple[Array, Array]:
     """Value iteration over all actions; returns (V*, greedy policy)."""
-    gamma = mdp.gamma if gamma is None else float(gamma)
     term = mdp.absorbing.astype(np.float64)
     payoff = mdp.transition @ (term * mdp.reward_terminal)          # (S, A)
-    cont = gamma * mdp.transition * (1.0 - term)[None, None, :]     # (S, A, S)
+    cont = mdp.gamma * mdp.transition * (1.0 - term)[None, None, :]  # (S, A, S)
     v = np.zeros(mdp.n_states)
     while True:
         q = payoff + cont @ v
         nxt = q.max(axis=1)
         nxt[mdp.absorbing] = 0.0
-        if np.abs(nxt - v).max() < tol:
+        if np.abs(nxt - v).max() < 1e-12:
             break
         v = nxt
     greedy = (payoff + cont @ v).argmax(axis=1)
@@ -530,21 +522,20 @@ def _factor_structure(mdp: TabularMDP):
     return t_u, q, drift, p_u, p_v
 
 
-def best_structured_only(mdp: TabularMDP, gamma: float | None = None) -> tuple[float, Array]:
+def best_structured_only(mdp: TabularMDP) -> tuple[float, Array]:
     """Exact value of the best severity-conditioned policy.
 
     A structured-only observer learns nothing about the context factor
     within an episode, so its best value is the DP optimum of the
     severity-aggregated chain with survival averaged over the context prior.
     """
-    gamma = mdp.gamma if gamma is None else float(gamma)
     t_u, q, drift, p_u, p_v = _factor_structure(mdp)
     q_bar = np.einsum("v,uva->ua", p_v, q)  # (n_u, A)
     n_u = mdp.n_severity
     v = np.zeros(n_u)
     while True:
         q_values = (t_u[:, None] * (2.0 * q_bar - 1.0)
-                    + ((1.0 - t_u) * gamma)[:, None] * (drift @ v)[:, None])
+                    + ((1.0 - t_u) * mdp.gamma)[:, None] * (drift @ v)[:, None])
         nxt = q_values.max(axis=1)
         if np.abs(nxt - v).max() < 1e-13:
             break
@@ -553,8 +544,7 @@ def best_structured_only(mdp: TabularMDP, gamma: float | None = None) -> tuple[f
     return float(p_u @ v), policy_u
 
 
-def best_note_only(mdp: TabularMDP, gamma: float | None = None,
-                   tol: float = 1e-13) -> float:
+def best_note_only(mdp: TabularMDP) -> float:
     """Exact value of the best context-conditioned (note-only) policy.
 
     Actions never move the severity chain, so the optimal note-only agent
@@ -563,18 +553,17 @@ def best_note_only(mdp: TabularMDP, gamma: float | None = None,
     autonomously. Upper-bounds every policy that reads only the note
     modality, including history-dependent ones.
     """
-    gamma = mdp.gamma if gamma is None else float(gamma)
     t_u, q, drift, p_u, p_v = _factor_structure(mdp)
     value = 0.0
     beta = p_u.copy()          # P(severity = u, alive at t)
     discount = 1.0
-    while beta.sum() * discount > tol:
+    while beta.sum() * discount > 1e-13:
         resolve = beta * t_u   # (n_u,) mass resolving now
         # per context: best action against the current severity occupancy
         gain = np.einsum("u,uva->va", resolve, 2.0 * q - 1.0)  # (n_v, A)
         value += discount * float(p_v @ gain.max(axis=1))
         beta = (beta * (1.0 - t_u)) @ drift
-        discount *= gamma
+        discount *= mdp.gamma
     return value
 
 

@@ -71,7 +71,6 @@ class TrainConfig:
     eval_interval: int = 500
     grad_clip: float | None = None
     freeze_encoders: bool = False
-    select_best_by_val_fqe: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -220,18 +219,15 @@ def bcq_allowed_mask(behavior_probs: Array, tau: float) -> Array:
     return ratio >= tau
 
 
-def bcq_constrained_argmax(q_values: Array, behavior_probs: Array, tau: float) -> int:
-    """Greedy action over the behavior-supported subset."""
-    q = np.asarray(q_values, dtype=np.float64)
-    mask = bcq_allowed_mask(behavior_probs, tau)[0]
-    masked = np.where(mask, q, -np.inf)
-    return int(masked.argmax())
+def bcq_masked_q(q: Array, behavior_probs: Array, tau: float) -> Array:
+    """Q with the actions outside the behavior-supported subset at -inf, so
+    its row maxima and argmaxima are those of BCQ's constrained action rule."""
+    return np.where(bcq_allowed_mask(behavior_probs, tau), q, -np.inf)
 
 
 def bcq_target(reward: Array, done: Array, next_q: Array,
                next_behavior_probs: Array, gamma: float, tau: float) -> Array:
-    mask = bcq_allowed_mask(next_behavior_probs, tau)
-    masked = np.where(mask, next_q, -np.inf)
+    masked = bcq_masked_q(next_q, next_behavior_probs, tau)
     return reward + gamma * (1.0 - done.astype(np.float64)) * masked.max(axis=1)
 
 
@@ -294,7 +290,7 @@ class LearnedPolicy:
         q = self.model.qnet(state).data
         if self.algorithm == "bcq":
             probs = self.behavior_classifier.probs(state.data)
-            q = np.where(bcq_allowed_mask(probs, self.bcq_threshold), q, -np.inf)
+            q = bcq_masked_q(q, probs, self.bcq_threshold)
         return q.argmax(axis=1)
 
     def greedy_actions(self, structured: Array, f_c: Array, f_e: Array) -> Array:
@@ -438,13 +434,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     log: list[dict] = []
     snapshots: list[tuple[int, dict[str, Array]]] = []
     last_snapshot = clone_param_values(model.params())
-    val = dataset.split("val") if cfg.select_best_by_val_fqe else None
-    best_val = -np.inf
-    best_params: dict[str, Array] | None = None
-    probe_policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
-                                 bcq_threshold=cfg.bcq_threshold,
-                                 strategy=enc_cfg.strategy,
-                                 behavior_classifier=classifier)
+    policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
+                           bcq_threshold=cfg.bcq_threshold, strategy=enc_cfg.strategy,
+                           behavior_classifier=classifier)
 
     store = table.store
     for step in range(1, cfg.total_steps + 1):
@@ -482,33 +474,14 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             load_param_values(target.params(), clone_param_values(model.params()))
 
         if step % cfg.eval_interval == 0 or step == cfg.total_steps:
-            record = {"step": step, "loss": float(loss.data),
-                      "mean_q": diag["mean_q"], "reg_term": diag["reg"],
-                      "fqe_val": None}
-            if val:
-                record["fqe_val"] = _validation_fqe(probe_policy, val, cfg)
-                if record["fqe_val"] > best_val:
-                    best_val = record["fqe_val"]
-                    best_params = clone_param_values(model.params())
-            log.append(record)
+            log.append({"step": step, "loss": float(loss.data),
+                        "mean_q": diag["mean_q"], "reg_term": diag["reg"]})
             last_snapshot = clone_param_values(model.params())
         if snapshot_interval is not None and \
                 (step % snapshot_interval == 0 or step == cfg.total_steps):
-            snapshots.append((step, clone_param_values(probe_policy.all_params())))
+            snapshots.append((step, clone_param_values(policy.all_params())))
 
-    if best_params is not None:
-        load_param_values(model.params(), best_params)
-    return TrainResult(policy=probe_policy, log=log, snapshots=snapshots)
-
-
-def _validation_fqe(policy: LearnedPolicy, val: OfflineDataset, cfg: TrainConfig) -> float:
-    """Cheap network FQE of the current greedy policy on the val split."""
-    from .ope import FqeNetConfig, eval_batch, fqe_network
-
-    fqe_cfg = FqeNetConfig(iterations=4, steps_per_iteration=40,
-                           width=min(cfg.hidden_width, 32), depth=2,
-                           seed=cfg.seed)
-    return fqe_network(eval_batch(val, policy), cfg.gamma, fqe_cfg).estimate
+    return TrainResult(policy=policy, log=log, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------

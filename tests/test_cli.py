@@ -222,7 +222,7 @@ class TestTrainEval:
                          str(seed)]) == 0
             records = [json.loads(line) for line in
                        (out / "train_log.jsonl").read_text().splitlines()]
-            assert all({"step", "loss", "mean_q", "reg_term", "fqe_val"}
+            assert all({"step", "loss", "mean_q", "reg_term"}
                        == set(r) for r in records)
             logs.append(records)
         assert logs[0] != logs[1]
@@ -644,6 +644,25 @@ DATA_FILE_BYTE_FAULTS = {
 # extra arguments of each seeded command whose --seed flag must be >= 0
 SEED_FLAG_ARGS = {"synth": [], "train": ["--data", "{data}"],
                   "eval": ["--data", "{data}", "--checkpoint", "{checkpoint}"]}
+# (file under the run directory, its bytes) that `careql report` must reject
+# with exit 3 naming the file; an empty name makes the run directory a file
+REPORT_FAULTS = {
+    "ope_report_not_json": ("eval/ope_report.json", b'{"estimates": '),
+    "ope_report_not_utf8": ("eval/ope_report.json", b'{"estimates": "\xff"}'),
+    "ope_report_without_estimates": ("eval/ope_report.json", b'{"n_episodes": 3}'),
+    "residuals_without_hist_counts": ("eval/residuals.json", b'{"hist_edges": [0.0, 1.0]}'),
+    "run_dir_is_a_file": ("", b"{}"),
+}
+# (command, modality of the checkpoint, synth keys of the data it is run on,
+# the width named): a checkpoint trained on TINY_SYNTH (F=6, d_n=8) and data
+# of another width that the model reads
+WIDTH_FAULTS = {
+    "eval_multimodal_F": ("eval", "multimodal", {"dataset.synth.n_features": 8}, "n_features"),
+    "ope_structured_F": ("ope", "structured", {"dataset.synth.n_features": 8}, "n_features"),
+    "bdesr_multimodal_F": ("bdesr", "multimodal", {"dataset.synth.n_features": 8}, "n_features"),
+    "eval_multimodal_d_n": ("eval", "multimodal", {"dataset.synth.d_n": 4}, "d_n"),
+    "eval_notes_d_n": ("eval", "notes", {"dataset.synth.d_n": 4}, "d_n"),
+}
 
 
 class TestFaultInjection:
@@ -779,6 +798,87 @@ class TestFaultInjection:
         cfg = load_config(write_config(tmp_path, {"train.grad_clip": value}))
         assert cfg["train"]["grad_clip"] == value
         assert TrainConfig(total_steps=1, grad_clip=value).grad_clip == value
+
+    @pytest.mark.parametrize("name, contents", list(REPORT_FAULTS.values()),
+                             ids=list(REPORT_FAULTS))
+    def test_malformed_run_file_exits_3_naming_it(self, tmp_path, capsys, name, contents):
+        run_dir = tmp_path / "run"
+        path = run_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(contents)
+        code = main(["report", "--run-dir", str(run_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(path) in err, err
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, synth_dir, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        args = [a.format(data=synth_dir) for a in SEED_FLAG_ARGS[command]]
+        code = main([command, "--config", str(write_config(tmp_path)), *args,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error: --out:") and str(out) in err, err
+        assert out.read_text() == ""
+
+    def test_out_root_naming_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "taken"
+        root.write_text("")
+        monkeypatch.setenv("CAREQL_OUT", str(root))
+        code = main(["synth", "--config", str(write_config(tmp_path))])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error: CAREQL_OUT:") and str(root) in err, err
+
+    @pytest.mark.parametrize("command, modality, synth, width", list(WIDTH_FAULTS.values()),
+                             ids=list(WIDTH_FAULTS))
+    def test_checkpoint_width_mismatch_exits_3_naming_both(self, tmp_path, synth_dir, capsys,
+                                                           command, modality, synth, width):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, modality)
+        cfg = write_config(tmp_path, {**synth, "modality": modality}, name="other.json")
+        other = tmp_path / "other"
+        assert main(["synth", "--config", str(cfg), "--out", str(other)]) == 0
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg), "--data", str(other),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(checkpoint) in err, err
+        assert f"{width} differs" in err and str(other) in err, err
+
+    def test_structured_checkpoint_ignores_the_note_width(self, tmp_path, synth_dir):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "structured")
+        cfg = write_config(tmp_path, {"dataset.synth.d_n": 4, "modality": "structured",
+                                      "ope.n_bootstrap": 5}, name="other.json")
+        other = tmp_path / "other"
+        assert main(["synth", "--config", str(cfg), "--out", str(other)]) == 0
+        assert main(["eval", "--config", str(cfg), "--data", str(other),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]) == 0
+
+    @staticmethod
+    def short_checkpoint(tmp_path, data, modality):
+        cfg = write_config(tmp_path, {"train.total_steps": 5, "modality": modality},
+                           name="short.json")
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(out)]) == 0
+        return out / "checkpoint.json"
+
+    def test_cross_eval_cohort_width_mismatch_exits_3_naming_both(self, tmp_path, synth_dir,
+                                                                  capsys):
+        cfg = write_config(tmp_path, {"dataset.synth.n_features": 8}, name="wide.json")
+        wide = tmp_path / "wide"
+        assert main(["synth", "--config", str(cfg), "--out", str(wide)]) == 0
+        capsys.readouterr()
+        code = main(["cross-eval", "--config", str(write_config(tmp_path)),
+                     "--train-data", str(synth_dir), "--eval-data", str(wide),
+                     "--out", str(tmp_path / "cross")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and "n_features differs (6 vs 8)" in err, err
+        assert str(synth_dir) in err and str(wide) in err, err
 
 
 class TestSnapshot:

@@ -24,9 +24,8 @@ from careql.dataset import (
     JointObservation,
     OfflineDataset,
     Transition,
-    assign_rewards,
     compute_bin_edges,
-    discretize_dose,
+    discretize_doses,
     export,
     ingest,
     normalize,
@@ -47,7 +46,6 @@ def make_episode(feature_cols, survived=True, ep_id="ep0", split="train",
                  actions=None, embeddings=None):
     """feature_cols: list of frame feature vectors (length T+1)."""
     n = len(feature_cols) - 1
-    rewards = assign_rewards(range(n), survived)
     frames = []
     for i, f in enumerate(feature_cols):
         if embeddings is not None and embeddings[i] is not None:
@@ -58,43 +56,54 @@ def make_episode(feature_cols, survived=True, ep_id="ep0", split="train",
     for t in range(n):
         a = actions[t] if actions else ActionIndex(1, 2)
         transitions.append(Transition(
-            obs=frames[t], action=a, reward=rewards[t], next_obs=frames[t + 1],
+            obs=frames[t], action=a, reward=terminal_reward(t, n, survived),
+            next_obs=frames[t + 1],
             done=(t == n - 1), iv_dose=float(a.iv_level), vaso_dose=float(a.vaso_level),
         ))
     return Episode(tuple(transitions), survived, ep_id, split=split)
 
 
-class TestAssignRewards:
+def terminal_reward(t, n, survived):
+    """Reward of transition t of n: +/-1 on the last, zero before it."""
+    return (1.0 if survived else -1.0) if t == n - 1 else 0.0
+
+
+class TestStoreReward:
+    """``EpisodeStore.reward``, the reward rule ingest and training read."""
+
+    def rewards(self, n, survived):
+        return store_of([make_episode([[0.0]] * (n + 1), survived)]).reward.tolist()
+
     def test_survivor_five_steps(self):
-        assert assign_rewards(range(5), True) == [0, 0, 0, 0, 1]
+        assert self.rewards(5, True) == [0, 0, 0, 0, 1]
 
     def test_single_step_death(self):
-        assert assign_rewards(range(1), False) == [-1]
+        assert self.rewards(1, False) == [-1]
 
     def test_three_step_death(self):
-        assert assign_rewards(range(3), False) == [0, 0, -1]
+        assert self.rewards(3, False) == [0, 0, -1]
 
-    def test_empty_rejected(self):
-        with pytest.raises(DatasetError, match="empty"):
-            assign_rewards([], True)
+    def test_empty_episode_rejected(self):
+        with pytest.raises(DatasetError, match="no transitions"):
+            Episode((), True, "ep0")
 
 
 class TestDiscretizeDose:
     def test_zero_dose_is_level_zero(self):
-        assert discretize_dose(0.0, EDGES) == 0
+        assert discretize_doses([0.0], EDGES)[0] == 0
 
     def test_edge_goes_to_higher_bucket(self):
-        assert discretize_dose(1.5, EDGES) == 2
-        assert discretize_dose(3.5, EDGES) == 4
+        assert discretize_doses([1.5], EDGES)[0] == 2
+        assert discretize_doses([3.5], EDGES)[0] == 4
 
     def test_below_minimal_cut_is_level_zero(self):
-        assert discretize_dose(0.25, EDGES) == 0
+        assert discretize_doses([0.25], EDGES)[0] == 0
 
     def test_negative_and_nan_rejected(self):
         with pytest.raises(DatasetError):
-            discretize_dose(-0.1, EDGES)
+            discretize_doses([-0.1], EDGES)
         with pytest.raises(DatasetError):
-            discretize_dose(float("nan"), EDGES)
+            discretize_doses([float("nan")], EDGES)
 
     def test_uniform_doses_hit_quartiles(self):
         # Uniform(0, 1] doses against empirical quartile edges: levels 1..4
@@ -102,7 +111,7 @@ class TestDiscretizeDose:
         rng = np.random.default_rng(0)
         doses = 1.0 - rng.random(100_000)  # (0, 1]
         edges = compute_bin_edges(doses)
-        levels = np.array([discretize_dose(d, edges) for d in doses])
+        levels = discretize_doses(doses, edges)
         freqs = np.bincount(levels, minlength=5) / levels.size
         assert np.all(np.abs(freqs[1:] - 0.25) < 0.02)
 
@@ -478,13 +487,14 @@ def cohorts(draw, with_ground_truth=False, ids=None):
         states = draw(st.lists(st.integers(0, 30), min_size=n + 1, max_size=n + 1)) \
             if known else [None] * (n + 1)
         survived = draw(st.booleans())
-        rewards = assign_rewards(range(n), survived)
         transitions = []
         for t in range(n):
             iv, vaso = draw(dose), draw(dose)
             transitions.append(Transition(
-                obs=frames[t], next_obs=frames[t + 1], reward=rewards[t], done=t == n - 1,
-                action=ActionIndex(discretize_dose(iv, bins.iv), discretize_dose(vaso, bins.vaso)),
+                obs=frames[t], next_obs=frames[t + 1], reward=terminal_reward(t, n, survived),
+                done=t == n - 1,
+                action=ActionIndex(int(discretize_doses([iv], bins.iv)[0]),
+                                   int(discretize_doses([vaso], bins.vaso)[0])),
                 iv_dose=iv, vaso_dose=vaso, state_id=states[t], next_state_id=states[t + 1],
                 behavior_prob=draw(st.floats(1e-6, 1.0)) if known else None))
         episodes.append(Episode(transitions, survived, name,

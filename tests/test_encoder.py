@@ -11,10 +11,7 @@ from careql.encoder import (
     NoteStrategy,
     StateEncoder,
     StructuredEncoder,
-    build_state,
-    encode_structured,
     frame_note_inputs,
-    resolve_note,
 )
 from careql.netcore import Tensor, gradient_check
 
@@ -24,6 +21,19 @@ def obs(features, emb=None, present=False, d_n=4):
         emb = np.zeros(d_n)
     return JointObservation(np.asarray(features, float), np.asarray(emb, float),
                             present)
+
+
+def last_note_inputs(embeddings, present, strategy):
+    """(f_c, f_e) of ``frame_note_inputs`` at a note history's latest frame."""
+    f_c, f_e = frame_note_inputs(embeddings, present, strategy)
+    return f_c[-1], f_e[-1]
+
+
+def history_state(history, encoder):
+    """The fused state at the last frame of an observation history."""
+    emb = np.stack([o.note_embedding for o in history])
+    f_c, f_e = frame_note_inputs(emb, [o.note_present for o in history], encoder.config.strategy)
+    return encoder.forward(history[-1].structured, f_c[-1], f_e[-1])
 
 
 def loop_note_inputs(embeddings, present, strategy):
@@ -138,37 +148,37 @@ class TestNoteStrategies:
 
     def test_impute_forward_fills(self):
         emb, present = self.history()
-        _, fe = resolve_note(emb[:3], present[:3], NoteStrategy("impute"))
+        _, fe = last_note_inputs(emb[:3], present[:3], NoteStrategy("impute"))
         assert np.array_equal(fe, emb[0])
 
     def test_raw_uses_current_frame_or_zeros(self):
         emb, present = self.history()
-        _, fe = resolve_note(emb[:2], present[:2], NoteStrategy("raw"))
+        _, fe = last_note_inputs(emb[:2], present[:2], NoteStrategy("raw"))
         assert np.array_equal(fe, np.zeros(2))
-        _, fe0 = resolve_note(emb[:1], present[:1], NoteStrategy("raw"))
+        _, fe0 = last_note_inputs(emb[:1], present[:1], NoteStrategy("raw"))
         assert np.array_equal(fe0, emb[0])
 
     def test_stack_singleton_is_identity(self):
         emb, present = self.history()
-        _, fe = resolve_note(emb[:3], present[:3], NoteStrategy("stack", window=3))
+        _, fe = last_note_inputs(emb[:3], present[:3], NoteStrategy("stack", window=3))
         assert np.array_equal(fe, emb[0])  # only frame 0 present in window
 
     def test_stack_means_present_notes(self):
         emb = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
         present = np.array([True, True, False])
-        _, fe = resolve_note(emb, present, NoteStrategy("stack", window=3))
+        _, fe = last_note_inputs(emb, present, NoteStrategy("stack", window=3))
         assert np.allclose(fe, [1.0, 2.0])
 
     def test_stack_window_limits_lookback(self):
         emb = np.array([[2.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
         present = np.array([True, True, False])
-        _, fe = resolve_note(emb, present, NoteStrategy("stack", window=2))
+        _, fe = last_note_inputs(emb, present, NoteStrategy("stack", window=2))
         assert np.allclose(fe, [0.0, 4.0])  # frame 0 fell out of the window
 
     def test_context_pins_first_note(self):
         emb, present = self.history()
         for k in range(1, 5):
-            fc, fe = resolve_note(emb[:k], present[:k], NoteStrategy("context"))
+            fc, fe = last_note_inputs(emb[:k], present[:k], NoteStrategy("context"))
             assert np.array_equal(fc, emb[0])
         # event side forward-fills like impute
         assert np.array_equal(fe, emb[3])
@@ -184,8 +194,8 @@ class TestNoteStrategies:
     def test_non_context_strategies_return_no_context(self):
         emb, present = self.history()
         for kind in ("raw", "impute", "stack"):
-            fc, _ = resolve_note(emb, present, NoteStrategy(kind))
-            assert fc is None
+            fc, _ = last_note_inputs(emb, present, NoteStrategy(kind))
+            assert not fc.any()
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(EncoderError):
@@ -199,7 +209,7 @@ class TestStructuredEncoder:
         enc = StructuredEncoder(5, 3, depth=2, rng=np.random.default_rng(0))
         for p in enc.params().values():
             p.data[...] = 0.0
-        out = encode_structured(enc, np.random.default_rng(1).normal(size=(4, 5)))
+        out = enc(Tensor(np.random.default_rng(1).normal(size=(4, 5))))
         assert np.all(out.data == 0.0)
 
     def test_zero_blocks_reduce_to_affine_map(self):
@@ -209,7 +219,7 @@ class TestStructuredEncoder:
                 p.data[...] = 0.0
         x = np.random.default_rng(3).normal(size=(6, 4))
         expected = x @ enc.in_proj.W.data.T + enc.in_proj.b.data
-        assert np.abs(encode_structured(enc, x).data - expected).max() < 1e-12
+        assert np.abs(enc(Tensor(x)).data - expected).max() < 1e-12
 
     def test_gradient_check(self):
         rng = np.random.default_rng(4)
@@ -217,14 +227,9 @@ class TestStructuredEncoder:
         x = rng.normal(size=(5, 4))
 
         def loss():
-            return encode_structured(enc, x).square().mean()
+            return enc(Tensor(x)).square().mean()
 
         assert gradient_check(loss, enc.params()) < 1e-4
-
-    def test_dimension_mismatch(self):
-        enc = StructuredEncoder(4, 3, depth=0, rng=np.random.default_rng(0))
-        with pytest.raises(EncoderError):
-            encode_structured(enc, np.zeros((2, 7)))
 
 
 class TestGatedFusion:
@@ -354,8 +359,8 @@ class TestStateEncoder:
         enc = StateEncoder(small_config("raw"), np.random.default_rng(0))
         hist_a = [obs([1.0, 0.0, 0.0, 0.0], d_n=3), obs([0.5, 1.0, 0.0, 0.0], d_n=3)]
         hist_b = [obs([1.0, 0.0, 0.0, 0.0], d_n=3), obs([-2.0, 1.0, 3.0, 0.0], d_n=3)]
-        sa = build_state(hist_a, enc).data
-        sb = build_state(hist_b, enc).data
+        sa = history_state(hist_a, enc).data
+        sb = history_state(hist_b, enc).data
         assert np.isfinite(sa).all()
         assert not np.allclose(sa, sb)
 
@@ -374,26 +379,26 @@ class TestStateEncoder:
         hist = [obs([0.1, -0.2, 0.3, 0.0], emb=[1.0, 0.0, 2.0], present=True, d_n=3),
                 obs([0.5, 0.5, 0.5, 0.5], d_n=3)]
         ctx_enc.gate.b.data[...] = -20.0
-        close = build_state(hist, ctx_enc).data
-        assert np.abs(close - build_state(hist, imp_enc).data).max() < 1e-7
+        close = history_state(hist, ctx_enc).data
+        assert np.abs(close - history_state(hist, imp_enc).data).max() < 1e-7
         # float64 sigmoid underflows to exactly zero here: bit-for-bit equal
         ctx_enc.gate.b.data[...] = -1000.0
-        exact = build_state(hist, ctx_enc).data
-        assert np.array_equal(exact, build_state(hist, imp_enc).data)
+        exact = history_state(hist, ctx_enc).data
+        assert np.array_equal(exact, history_state(hist, imp_enc).data)
 
     def test_stack_window_one_matches_raw_when_present(self):
         rng_a = np.random.default_rng(2)
         stack_enc = StateEncoder(small_config("stack", window=1), rng_a)
         raw_enc = StateEncoder(small_config("raw"), np.random.default_rng(2))
         hist = [obs([0.1, 0.2, 0.3, 0.4], emb=[1.0, -1.0, 0.5], present=True, d_n=3)]
-        assert np.array_equal(build_state(hist, stack_enc).data,
-                              build_state(hist, raw_enc).data)
+        assert np.array_equal(history_state(hist, stack_enc).data,
+                              history_state(hist, raw_enc).data)
 
     def test_no_attention_concatenates(self):
         enc = StateEncoder(small_config("impute", use_attention=False),
                            np.random.default_rng(3))
         hist = [obs([1.0, 2.0, 3.0, 4.0], emb=[1.0, 1.0, 1.0], present=True, d_n=3)]
-        s = build_state(hist, enc)
+        s = history_state(hist, enc)
         assert s.data.shape == (1, 10)
 
     @pytest.mark.parametrize("kind,use_attention", [
@@ -410,8 +415,3 @@ class TestStateEncoder:
             return enc.forward(structured, f_c, f_e).square().mean()
 
         assert gradient_check(loss, enc.params()) < 1e-4
-
-    def test_empty_history_rejected(self):
-        enc = StateEncoder(small_config(), np.random.default_rng(6))
-        with pytest.raises(EncoderError):
-            build_state([], enc)

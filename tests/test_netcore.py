@@ -411,7 +411,7 @@ class TestAdam:
         rng = np.random.default_rng(7)
         p = Tensor(rng.normal(size=(3,)), requires_grad=True, name="p")
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        opt = Adam({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam({"p": p}, lr=lr)
 
         ref = p.data.copy()
         m = np.zeros(3)

@@ -35,7 +35,7 @@ from careql.trainer import (
     TrainerError,
     TrainingDiverged,
     bcq_allowed_mask,
-    bcq_constrained_argmax,
+    bcq_masked_q,
     bellman_residuals,
     build_transition_table,
     cql_loss,
@@ -131,26 +131,31 @@ class TestCqlLoss:
         assert np.abs(q_param.grad).max() > 0
 
 
+def constrained_argmax(q, probs, tau):
+    """The action BCQ's rule picks: the argmax of its masked Q row."""
+    return int(bcq_masked_q(q[None, :], probs, tau).argmax(axis=1)[0])
+
+
 class TestBcqConstraint:
     def test_tau_zero_unconstrained(self):
         rng = np.random.default_rng(0)
         q = rng.normal(size=N_ACTIONS)
         probs = rng.dirichlet(np.ones(N_ACTIONS))
-        assert bcq_constrained_argmax(q, probs, tau=0.0) == int(q.argmax())
+        assert constrained_argmax(q, probs, tau=0.0) == int(q.argmax())
 
     def test_tau_one_only_modal_actions(self):
         q = np.zeros(N_ACTIONS)
         q[3] = 10.0
         probs = np.full(N_ACTIONS, 0.01)
         probs[7] = 1.0 - 0.01 * 24
-        assert bcq_constrained_argmax(q, probs, tau=1.0) == 7
+        assert constrained_argmax(q, probs, tau=1.0) == 7
 
     def test_uniform_probs_any_tau_unconstrained(self):
         rng = np.random.default_rng(1)
         q = rng.normal(size=N_ACTIONS)
         probs = np.full(N_ACTIONS, 1.0 / N_ACTIONS)
         for tau in (0.1, 0.5, 1.0):
-            assert bcq_constrained_argmax(q, probs, tau) == int(q.argmax())
+            assert constrained_argmax(q, probs, tau) == int(q.argmax())
 
     def test_mask_never_empty_and_respects_threshold(self):
         rng = np.random.default_rng(2)
@@ -159,7 +164,7 @@ class TestBcqConstraint:
             tau = rng.uniform(0.0, 1.0)
             mask = bcq_allowed_mask(probs, tau)[0]
             assert mask.any()
-            chosen = bcq_constrained_argmax(rng.normal(size=N_ACTIONS), probs, tau)
+            chosen = constrained_argmax(rng.normal(size=N_ACTIONS), probs, tau)
             assert probs[chosen] / probs.max() >= tau
 
 
@@ -271,7 +276,7 @@ class TestTrain:
         result = train(ds, quick_train_cfg(total_steps=120, eval_interval=40), enc_cfg)
         assert [r["step"] for r in result.log] == [40, 80, 120]
         for record in result.log:
-            assert set(record) == {"step", "loss", "mean_q", "reg_term", "fqe_val"}
+            assert set(record) == {"step", "loss", "mean_q", "reg_term"}
 
     def test_cql_suppresses_ood_q_values(self):
         mdp, behavior, ds, enc_cfg = small_setup(n_episodes=200)
@@ -334,24 +339,6 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "zero_grads", spy)
         train(ds, quick_train_cfg(total_steps=3, freeze_encoders=True), enc_cfg)
         assert zeroed == [0.0, 0.0, 0.0]
-
-    def test_validation_fqe_selection_logs_values(self):
-        cfg_gen = GeneratorConfig(n_severity=3, n_context=1, n_features=6,
-                                  d_n=4, min_gap=0.0, gamma=0.9)
-        from careql.synthgym import generate_mdp as gen
-        mdp = gen(cfg_gen, seed=9)
-        behavior = near_clinician_behavior(mdp, 0.3)
-        ds = rollout(mdp, behavior, n_episodes=120, seed=10,
-                     split_fractions=(0.8, 0.2, 0.0))
-        enc_cfg = EncoderConfig(n_features=6, d_n=4, d=8, d_k=4, depth=1,
-                                strategy=NoteStrategy("context"))
-        cfg = quick_train_cfg(total_steps=80, eval_interval=40,
-                              select_best_by_val_fqe=True)
-        result = train(ds, cfg, enc_cfg)
-        assert all(np.isfinite(r["fqe_val"]) for r in result.log)
-        # deterministic under the flag too
-        again = train(ds, cfg, enc_cfg)
-        assert result.log == again.log
 
     def test_conservatism_monotone_in_alpha(self):
         # stronger regularization weakly lowers the mean Q over the full
@@ -433,7 +420,7 @@ class TestLearnedPolicy:
 def one_episode_forward(policy, episode):
     """Greedy actions, state features and Q rows of one episode through the
     row-level methods: the per-episode path evaluation took before batching."""
-    structured = episode.frame_arrays()[0]
+    structured = np.stack([frame.structured for frame in episode.frames()])
     f_c, f_e = loop_episode_note_inputs(episode, policy.strategy)
     T = len(episode)
     return (policy.greedy_actions(structured[:T], f_c[:T], f_e[:T]),
