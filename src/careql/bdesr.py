@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,17 +111,15 @@ def cohort_split(scores: Sequence[DiscrepancyScore], p: float = 20.0) -> CohortS
     return CohortSplit(low_ids=low, high_ids=high, p=p, q_low=q_low, q_high=q_high)
 
 
-def bdesr_rates(split: CohortSplit,
-                survival: Mapping[str, bool] | Callable[[str], bool]) -> tuple[float, float]:
+def bdesr_rates(split: CohortSplit, survival: Mapping[str, bool]) -> tuple[float, float]:
     """(low-cohort survival rate, high-cohort survival rate)."""
-    lookup = survival.get if isinstance(survival, Mapping) else survival
     if not split.low_ids or not split.high_ids:
         raise BdesrError("both cohorts must be nonempty")
 
     def rate(ids: tuple[str, ...]) -> float:
         flags = []
         for ep_id in ids:
-            flag = lookup(ep_id)
+            flag = survival.get(ep_id)
             if flag is None:
                 raise BdesrError(f"no survival label for episode {ep_id!r}")
             flags.append(bool(flag))

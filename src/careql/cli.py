@@ -105,34 +105,27 @@ INTEGER_MINIMA = {"seed": 0, "seeds": 0, "dataset.synth.seed": 0,
                   "encoder.depth": 0, "ope.fqe_depth": 0, "ope.n_bootstrap": 2}
 
 
-def _conforms(value, default, path: str) -> bool:
-    """Whether ``value`` has the JSON type of ``default``: the same bool or
-    string type, an integer >= its least value, a finite number, or a list
-    of items of the default items' type. true/false are never numbers."""
+def _expected(value, default, path: str) -> str | None:
+    """None when ``value`` has the JSON type of ``default``, else that type in
+    words: the same bool or string type, an integer >= its least value, a
+    finite number, or a list of items of the default items' type. true/false
+    are never numbers, and null is a number at ``NULLABLE_KEYS``."""
     if value is None and path in NULLABLE_KEYS:
-        return True
+        return None
+    if isinstance(default, list):
+        items = value if isinstance(value, list) else [object()]   # object() fits no type
+        wrong = [w for w in (_expected(v, default[0], path) for v in items) if w]
+        return f"a list, each item {wrong[0]}" if wrong else None
     if isinstance(default, (bool, str)):
-        return type(value) is type(default)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(
-            _conforms(item, default[0], path) for item in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+        return None if type(value) is type(default) else \
+            ("a boolean" if isinstance(default, bool) else "a string")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, int):
-        return isinstance(value, int) and value >= INTEGER_MINIMA.get(path, 1)
-    return isinstance(value, int) or math.isfinite(value)
-
-
-def _expected(default, path: str) -> str:
-    """The type rule of ``_conforms``, in words."""
-    if isinstance(default, list):
-        return f"a list, each item {_expected(default[0], path)}"
-    if isinstance(default, bool):
-        return "a boolean"
-    if isinstance(default, str):
-        return "a string"
-    if isinstance(default, int):
-        return f"an integer >= {INTEGER_MINIMA.get(path, 1)}"
+        least = INTEGER_MINIMA.get(path, 1)
+        return None if number and isinstance(value, int) and value >= least \
+            else f"an integer >= {least}"
+    if number and (isinstance(value, int) or math.isfinite(value)):
+        return None
     return "a number or null" if path in NULLABLE_KEYS else "a number"
 
 
@@ -150,8 +143,8 @@ def _deep_merge(base: dict, override: dict, path: str = "",
                 raise ConfigError(f"{here}: expected an object")
             merged[key] = _deep_merge(base[key], value, here, schema[key])
         else:
-            _check(_conforms(value, schema[key], here), here,
-                   f"expected {_expected(schema[key], here)}")
+            wanted = _expected(value, schema[key], here)
+            _check(wanted is None, here, f"expected {wanted}")
             merged[key] = value
     return merged
 
@@ -196,9 +189,6 @@ def _validate_config(cfg: dict) -> None:
     _check(cfg["modality"] in tr_mod.MODALITIES, "modality",
            f"must be one of {tr_mod.MODALITIES}")
     _check(0.0 < o["eps_soft"] < 1.0, "ope.eps_soft", "must be in (0, 1)")
-    clip = o["clip_percentile"]
-    _check(clip is None or 0.0 < clip <= 100.0,
-           "ope.clip_percentile", "must be null or a number in (0, 100]")
     _check(o["behavior"] in ("auto", "logged", "fitted"), "ope.behavior",
            "must be auto|logged|fitted")
     b = cfg["bdesr"]
@@ -338,8 +328,7 @@ def _load_run_file(path: Path, read):
 def _check_widths(label: str, modality: str, expected, data, also=()) -> None:
     """A data error unless ``data`` has the ``n_features`` and ``d_n`` of
     ``expected`` where a ``modality`` model reads them, and those in ``also``."""
-    reads = {"structured": ("n_features",), "notes": ("d_n",)}.get(modality, ("n_features", "d_n"))
-    for name in dict.fromkeys(reads + also):
+    for name in dict.fromkeys(tr_mod.MODALITY_WIDTHS[modality] + also):
         want, got = getattr(expected, name), getattr(data, name)
         if want != got:
             raise ds_mod.DatasetError(f"{label}: {name} differs ({want} vs {got})")
@@ -617,7 +606,10 @@ def cmd_report(args) -> int:
         name = str(rel) if str(rel) != "." else "policy"
         variants[name] = _load_run_file(path, lambda p: {m: p["estimates"][m] for m in METRICS})
     out = run_dir / "report"
-    out.mkdir(exist_ok=True)
+    try:
+        out.mkdir(exist_ok=True)
+    except OSError as exc:   # a file in the way, or no permission
+        raise ds_mod.DatasetError(f"report directory {out}: cannot make it ({exc.strerror})")
     if variants:
         names = sorted(variants)
         lines = ["metric," + ",".join(names)]

@@ -217,6 +217,12 @@ class FeatureStats:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
 
+    def standardize(self, x: Array) -> Array:
+        """Z-scores of the rows of ``x``; a zero-variance feature maps to 0."""
+        z = (x - self.mean) / np.where(self.std > 0.0, self.std, 1.0)
+        z[:, self.std == 0.0] = 0.0
+        return z
+
 
 @dataclass(frozen=True)
 class DoseBins:
@@ -530,9 +536,7 @@ def normalize(dataset: OfflineDataset, stats: FeatureStats | None = None) -> Off
             f"non-finite feature {feature} in episode {store.episode_id[episode]!r}")
     if stats is None:
         stats = compute_feature_stats(dataset)
-    safe_std = np.where(stats.std > 0.0, stats.std, 1.0)
-    z = (store.structured - stats.mean) / safe_std
-    z[:, stats.std == 0.0] = 0.0
+    z = stats.standardize(store.structured)
     return replace(dataset, episodes=replace(store, structured=z).views(), feature_stats=stats)
 
 

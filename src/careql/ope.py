@@ -46,6 +46,7 @@ from .netcore import (
     load_param_values,
     no_grad,
 )
+from .synthgym import rows_are_distributions
 from .trainer import ActionClassifier, cross_entropy_loss
 
 Array = np.ndarray
@@ -125,7 +126,7 @@ class TabularPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
-        if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-8 or self.probs.min() < 0:
+        if not rows_are_distributions(self.probs):
             raise OpeError("policy rows must be distributions")
 
     def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
@@ -566,6 +567,9 @@ class OpeConfig:
             raise OpeError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.n_bootstrap < 2:
             raise OpeError("need at least 2 bootstrap replicates")
+        clip = self.clip_percentile
+        if clip is not None and not 0.0 < clip <= 100.0:
+            raise OpeError(f"clip_percentile must be null or a number in (0, 100], got {clip}")
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,12 @@ class GeneratorError(ValueError):
     """Invalid generator configuration or failed gap certification."""
 
 
+def rows_are_distributions(probs: Array) -> bool:
+    """Whether ``probs`` is 2-D with nonnegative rows each summing to 1 within 1e-9."""
+    return probs.ndim == 2 and bool((probs >= 0.0).all()) \
+        and bool((np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all())
+
+
 # ---------------------------------------------------------------------------
 # Pseudo note embeddings
 # ---------------------------------------------------------------------------
@@ -175,9 +181,9 @@ class TabularMDP:
 class BehaviorPolicy:
     """Logging policy over latent states.
 
-    Importance-sampling estimators require full support (floor > 0);
-    degenerate rows are admitted at construction for deterministic rollout
-    sanity cases and rejected where a ratio would divide by zero.
+    Importance-sampling estimators require full support (every probability
+    > 0); degenerate rows are admitted at construction for deterministic
+    rollout sanity cases and rejected where a ratio would divide by zero.
     """
 
     probs: Array  # (S, A)
@@ -186,14 +192,9 @@ class BehaviorPolicy:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64))
         if self.probs.ndim != 2:
             raise GeneratorError(f"behavior probs must be 2-d, got {self.probs.shape}")
-        if np.abs(self.probs.sum(axis=1) - 1.0).max() > 1e-9:
-            raise GeneratorError("behavior rows must sum to 1 within 1e-9")
-        if self.probs.min() < 0.0:
-            raise GeneratorError("behavior probabilities must be nonnegative")
-
-    @property
-    def floor(self) -> float:
-        return float(self.probs.min())
+        if not rows_are_distributions(self.probs):
+            raise GeneratorError("behavior probabilities must be nonnegative" if self.probs.min() < 0
+                                 else "behavior rows must sum to 1 within 1e-9")
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,7 @@ def _policy_matrix(policy, n_states: int, n_actions: int) -> Array:
         return mat
     if pi.shape != (n_states, n_actions):
         raise GeneratorError(f"policy matrix has bad shape {pi.shape}")
-    if np.abs(pi.sum(axis=1) - 1.0).max() > 1e-8 or (pi < 0).any():
+    if not rows_are_distributions(pi):
         raise GeneratorError("policy rows must be distributions")
     return pi.astype(np.float64)
 
@@ -677,11 +678,8 @@ class CanonicalInputs:
 def canonical_inputs(mdp: TabularMDP, feature_stats=None) -> CanonicalInputs:
     """Per-state prototypes; pass the dataset's feature_stats when the
     policy was trained on normalized features."""
-    structured = mdp.emission_l_mean.copy()
-    if feature_stats is not None:
-        safe = np.where(feature_stats.std > 0.0, feature_stats.std, 1.0)
-        structured = (structured - feature_stats.mean) / safe
-        structured[:, feature_stats.std == 0.0] = 0.0
+    structured = mdp.emission_l_mean.copy() if feature_stats is None \
+        else feature_stats.standardize(mdp.emission_l_mean)
     return CanonicalInputs(
         structured=structured,
         event_note=mdp.emission_n_proto.copy(),

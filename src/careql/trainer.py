@@ -12,7 +12,7 @@ variants are plain dueling networks on the raw inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,24 @@ from .synthgym import eps_soft_matrix
 
 Array = np.ndarray
 
-MODALITIES = ("multimodal", "structured", "notes")
+# The dataset widths that a model of each modality reads
+MODALITY_WIDTHS = {"multimodal": ("n_features", "d_n"), "structured": ("n_features",),
+                   "notes": ("d_n",)}
+MODALITIES = tuple(MODALITY_WIDTHS)
 ALGORITHMS = ("dqn", "cql", "bcq")
 RESIDUAL_BINS = 40
 
 
 class TrainerError(ValueError):
     pass
+
+
+def _check_action_rule(algorithm: str, bcq_threshold: float) -> None:
+    """The range checks of a policy's action rule, in a config or a checkpoint."""
+    if algorithm not in ALGORITHMS:
+        raise TrainerError(f"unknown algorithm {algorithm!r}")
+    if not (0.0 <= bcq_threshold <= 1.0):
+        raise TrainerError("bcq_threshold must be in [0, 1]")
 
 
 class TrainingDiverged(RuntimeError):
@@ -73,8 +84,7 @@ class TrainConfig:
     freeze_encoders: bool = False
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise TrainerError(f"unknown algorithm {self.algorithm!r}")
+        _check_action_rule(self.algorithm, self.bcq_threshold)
         for name in ("total_steps", "batch_size", "target_update",
                      "hidden_width", "trunk_depth", "eval_interval"):
             if getattr(self, name) < 1:
@@ -85,8 +95,6 @@ class TrainConfig:
             raise TrainerError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.cql_alpha < 0:
             raise TrainerError("cql_alpha must be >= 0")
-        if not (0.0 <= self.bcq_threshold <= 1.0):
-            raise TrainerError("bcq_threshold must be in [0, 1]")
         clip = self.grad_clip
         if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))
                                  or not clip > 0):
@@ -94,50 +102,25 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Flattened transition table
+# Model inputs
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionTable:
-    """A store's model inputs at every frame row, the note strategy applied.
+def build_transition_table(store: EpisodeStore, strategy: NoteStrategy,
+                           modality: str) -> tuple[Array, Array, Array]:
+    """(structured, f_c, f_e): a ``modality`` model's inputs at every frame
+    row of a store, the note strategy applied once over all its episodes.
 
     Transition k reads its state at frame row ``store.decision_frame[k]``
-    and its next state at the row after; its action, reward and done flag
-    are the store's.
+    and its next state at the row after. A model that reads no notes gets
+    (n_frames, 0) note inputs.
     """
-
-    store: EpisodeStore
-    f_c: Array             # (n_frames, d_n); (n_frames, 0) for a structured-only model
-    f_e: Array             # (n_frames, d_n); (n_frames, 0) for a structured-only model
-
-    @property
-    def size(self) -> int:
-        return self.store.action.shape[0]
-
-    def inputs(self, rows: Array) -> tuple[Array, Array, Array]:
-        """(structured, f_c, f_e) at frame rows ``rows``."""
-        return self.store.structured[rows], self.f_c[rows], self.f_e[rows]
-
-
-def build_transition_table(dataset: OfflineDataset, strategy: NoteStrategy,
-                           modality: str = "multimodal") -> TransitionTable:
-    """The note inputs a ``modality`` model reads at every frame of a
-    dataset's store, computed once."""
-    if not dataset.episodes:
+    if not store.lengths.size:
         raise TrainerError("no episodes to build a transition table from")
-    store = dataset.store
-    return TransitionTable(store, *_note_inputs(store, strategy, modality))
-
-
-def _note_inputs(store: EpisodeStore, strategy: NoteStrategy,
-                modality: str) -> tuple[Array, Array]:
-    """(f_c, f_e) at every frame row of a store: the note strategy's inputs,
-    or zero-width columns for a structured-only model, which reads neither."""
-    if modality == "structured":
+    if "d_n" not in MODALITY_WIDTHS[modality]:
         empty = np.zeros((store.structured.shape[0], 0))
-        return empty, empty
-    return episode_note_inputs(store, strategy)
+        return store.structured, empty, empty
+    return (store.structured, *episode_note_inputs(store, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +151,12 @@ class ActionClassifier:
 class QModel:
     """Dueling Q-network over one of the three input modalities."""
 
-    def __init__(self, modality: str, enc_cfg: EncoderConfig, cfg: TrainConfig,
-                 rng: np.random.Generator):
+    def __init__(self, modality: str, enc_cfg: EncoderConfig, rng: np.random.Generator,
+                 width: int, depth: int):
         if modality not in MODALITIES:
             raise TrainerError(f"unknown modality {modality!r}")
+        if min(width, depth) < 1:
+            raise TrainerError(f"qnet width and depth must be >= 1, got {width} and {depth}")
         self.modality = modality
         self.enc_cfg = enc_cfg
         self.encoder = None
@@ -182,8 +167,8 @@ class QModel:
             input_dim = enc_cfg.n_features
         else:
             input_dim = 2 * enc_cfg.d_n
-        self.qnet = DuelingQNetwork(input_dim, rng, width=cfg.hidden_width,
-                                    depth=cfg.trunk_depth, n_actions=N_ACTIONS)
+        self.qnet = DuelingQNetwork(input_dim, rng, width=width, depth=depth,
+                                    n_actions=N_ACTIONS)
 
     def state_tensor(self, structured: Array, f_c: Array, f_e: Array) -> Tensor:
         if self.modality == "multimodal":
@@ -273,13 +258,16 @@ class LearnedPolicy:
     model: QModel
     algorithm: str
     bcq_threshold: float
-    strategy: NoteStrategy
     behavior_classifier: ActionClassifier | None = None
     eps: float = 0.0
 
     @property
     def modality(self) -> str:
         return self.model.modality
+
+    @property
+    def strategy(self) -> NoteStrategy:
+        return self.model.enc_cfg.strategy
 
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
         with no_grad():
@@ -319,7 +307,7 @@ class LearnedPolicy:
 
     def episode_inputs(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
         """(structured, f_c, f_e) model inputs at every frame row of a store."""
-        return (store.structured, *_note_inputs(store, self.strategy, self.modality))
+        return build_transition_table(store, self.strategy, self.modality)
 
     def episode_greedy_actions(self, episode: Episode) -> Array:
         return self.greedy_rows(store_of([episode]))
@@ -347,15 +335,13 @@ class LearnedPolicy:
         return collect_params(self.model, self.behavior_classifier)
 
     def save(self, path: str | Path) -> None:
-        enc = self.model.enc_cfg
+        encoder = asdict(self.model.enc_cfg)
         meta = {
             "modality": self.model.modality,
             "algorithm": self.algorithm,
             "bcq_threshold": self.bcq_threshold,
-            "strategy": {"kind": self.strategy.kind, "window": self.strategy.window},
-            "encoder": {"n_features": enc.n_features, "d_n": enc.d_n, "d": enc.d,
-                        "d_k": enc.d_k, "depth": enc.depth,
-                        "use_attention": enc.use_attention},
+            "strategy": encoder.pop("strategy"),
+            "encoder": encoder,
             "qnet": {"width": self.model.qnet.trunk.n_out,
                      "depth": len(self.model.qnet.trunk.layers)},
         }
@@ -364,22 +350,16 @@ class LearnedPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "LearnedPolicy":
         values, meta = load_checkpoint(path)
-        strategy = NoteStrategy(meta["strategy"]["kind"], meta["strategy"]["window"])
-        enc_cfg = EncoderConfig(strategy=strategy, **meta["encoder"])
-        cfg = TrainConfig(total_steps=1, hidden_width=meta["qnet"]["width"],
-                          trunk_depth=meta["qnet"]["depth"],
-                          algorithm=meta["algorithm"],
-                          bcq_threshold=meta["bcq_threshold"])
+        _check_action_rule(meta["algorithm"], meta["bcq_threshold"])
+        enc_cfg = EncoderConfig(strategy=NoteStrategy(**meta["strategy"]), **meta["encoder"])
+        width, depth = meta["qnet"]["width"], meta["qnet"]["depth"]
         rng = np.random.default_rng(0)
-        model = QModel(meta["modality"], enc_cfg, cfg, rng)
+        model = QModel(meta["modality"], enc_cfg, rng, width, depth)
         classifier = None
         if meta["algorithm"] == "bcq":
-            classifier = ActionClassifier(model.qnet.input_dim, rng,
-                                          width=meta["qnet"]["width"],
-                                          depth=meta["qnet"]["depth"])
+            classifier = ActionClassifier(model.qnet.input_dim, rng, width=width, depth=depth)
         policy = cls(model=model, algorithm=meta["algorithm"],
-                     bcq_threshold=meta["bcq_threshold"], strategy=strategy,
-                     behavior_classifier=classifier)
+                     bcq_threshold=meta["bcq_threshold"], behavior_classifier=classifier)
         load_param_values(policy.all_params(), values)
         return policy
 
@@ -409,12 +389,11 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
-    table = build_transition_table(dataset.split("train") or dataset, enc_cfg.strategy,
-                                   modality)
-
     # the same seed gives the target network the model's initial parameters
-    model = QModel(modality, enc_cfg, cfg, np.random.default_rng([cfg.seed, 11]))
-    target = QModel(modality, enc_cfg, cfg, np.random.default_rng([cfg.seed, 11]))
+    model, target = (QModel(modality, enc_cfg, np.random.default_rng([cfg.seed, 11]),
+                            cfg.hidden_width, cfg.trunk_depth) for _ in range(2))
+    store = (dataset.split("train") or dataset).store
+    inputs = build_transition_table(store, enc_cfg.strategy, modality)
 
     trainable = dict(model.qnet.params()) if cfg.freeze_encoders else model.params()
     for key, p in model.params().items():   # a frozen encoder stays off the tape
@@ -435,14 +414,13 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     snapshots: list[tuple[int, dict[str, Array]]] = []
     last_snapshot = clone_param_values(model.params())
     policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
-                           bcq_threshold=cfg.bcq_threshold, strategy=enc_cfg.strategy,
-                           behavior_classifier=classifier)
+                           bcq_threshold=cfg.bcq_threshold, behavior_classifier=classifier)
 
-    store = table.store
     for step in range(1, cfg.total_steps + 1):
-        idx = batch_rng.integers(0, table.size, size=cfg.batch_size)
+        idx = batch_rng.integers(0, store.action.shape[0], size=cfg.batch_size)
         frame = store.decision_frame[idx]
-        state, after = table.inputs(frame), table.inputs(frame + 1)
+        state = tuple(x[frame] for x in inputs)
+        after = tuple(x[frame + 1] for x in inputs)
         action, reward, done = store.action[idx], store.reward[idx], store.done[idx]
         with no_grad():
             next_q = target.q_values(*after).data
@@ -508,9 +486,8 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins. Q
     is computed in one forward over every frame of the dataset's store.
     """
-    table = build_transition_table(dataset, policy.strategy, policy.modality)
-    store = table.store
-    q = policy.q_matrix(store.structured, table.f_c, table.f_e)
+    store = dataset.store
+    q = policy.q_matrix(*policy.episode_inputs(store))
     q_taken = q[store.decision_frame, store.action]
     bootstrap = dqn_target(store.reward, store.done, q[store.decision_frame + 1], gamma)
     residuals = bootstrap - q_taken

@@ -652,6 +652,7 @@ REPORT_FAULTS = {
     "ope_report_without_estimates": ("eval/ope_report.json", b'{"n_episodes": 3}'),
     "residuals_without_hist_counts": ("eval/residuals.json", b'{"hist_edges": [0.0, 1.0]}'),
     "run_dir_is_a_file": ("", b"{}"),
+    "report_dir_is_a_file": ("report", b""),
 }
 # (command, modality of the checkpoint, synth keys of the data it is run on,
 # the width named): a checkpoint trained on TINY_SYNTH (F=6, d_n=8) and data

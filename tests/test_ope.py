@@ -27,6 +27,7 @@ from careql.ope import (
 from careql.synthgym import (
     BehaviorPolicy,
     GeneratorConfig,
+    GeneratorError,
     TabularMDP,
     eps_soft_matrix,
     exact_policy_value,
@@ -369,6 +370,42 @@ class TestEvaluatePolicy:
                                  LoggedBehavior(), cfg)
         assert report.fqe_mode == "network"
         assert np.isfinite(report.opera)
+
+
+class TestPolicyRows:
+    """The policy types share one rows-are-distributions rule, each raising
+    its own error."""
+
+    def test_one_dimensional_tabular_policy_is_an_ope_error(self):
+        with pytest.raises(OpeError, match="policy rows must be distributions"):
+            TabularPolicy(np.full(N_ACTIONS, 1.0 / N_ACTIONS))
+
+    def test_rows_off_by_more_than_1e_9_rejected_everywhere(self, synth):
+        mdp = synth[0]
+        probs = np.full((mdp.n_states, N_ACTIONS), 1.0 / N_ACTIONS)
+        probs[0, 0] += 5e-9
+        makers = ((TabularPolicy, OpeError), (BehaviorPolicy, GeneratorError),
+                  (lambda p: exact_policy_value(mdp, p), GeneratorError))
+        for make, error in makers:
+            with pytest.raises(error):
+                make(probs)
+        probs[0, 0] -= 5e-9
+        for make, _ in makers:
+            make(probs)
+
+    @pytest.mark.parametrize("probs, message", [
+        ([0.5, 0.5], r"behavior probs must be 2-d, got \(2,\)"),
+        ([[0.5, 0.6]], "behavior rows must sum to 1 within 1e-9"),
+        ([[1.5, -0.5]], "behavior probabilities must be nonnegative"),
+    ])
+    def test_behavior_policy_keeps_its_messages(self, probs, message):
+        with pytest.raises(GeneratorError, match=message):
+            BehaviorPolicy(np.array(probs))
+
+    @pytest.mark.parametrize("clip", [150.0, 100.5, 0.0, -5.0])
+    def test_clip_percentile_outside_0_100_rejected(self, clip):
+        with pytest.raises(OpeError, match="clip_percentile"):
+            OpeConfig(clip_percentile=clip)
 
 
 def strip(episode, **fields):

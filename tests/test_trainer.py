@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -171,32 +172,42 @@ class TestBcqConstraint:
 TABLE_COLUMNS = ("structured", "f_c", "f_e", "next_structured", "next_f_c", "next_f_e")
 
 
-def table_rows(table):
-    """A transition table's inputs at each transition's state and next state."""
-    frame = table.store.decision_frame
-    return dict(zip(TABLE_COLUMNS, (*table.inputs(frame), *table.inputs(frame + 1))))
+def table_rows(store, inputs):
+    """Per-frame model inputs at each transition's state and next state."""
+    frame = store.decision_frame
+    return dict(zip(TABLE_COLUMNS, (*(x[frame] for x in inputs),
+                                    *(x[frame + 1] for x in inputs))))
 
 
 class TestTransitionTable:
     def test_table_shapes_and_flags(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=20)
-        table = build_transition_table(ds, enc_cfg.strategy)
-        assert table.size == ds.n_transitions
-        # note inputs at every frame, one more than the transitions per episode
-        assert table.f_c.shape == table.f_e.shape == (table.size + len(ds), 4)
-        rows = table_rows(table)
-        assert rows["structured"].shape == (table.size, 6)
-        assert rows["f_c"].shape == (table.size, 4)
+        store = ds.store
+        inputs = build_transition_table(store, enc_cfg.strategy, "multimodal")
+        n = store.action.shape[0]
+        assert n == ds.n_transitions
+        # inputs at every frame, one more than the transitions per episode
+        assert inputs[0] is store.structured
+        assert inputs[1].shape == inputs[2].shape == (n + len(ds), 4)
+        rows = table_rows(store, inputs)
+        assert rows["structured"].shape == (n, 6)
+        assert rows["f_c"].shape == (n, 4)
         # one terminal per episode
-        assert table.store.done.sum() == len(ds)
-        assert (table.store.state_id >= 0).all()
+        assert store.done.sum() == len(ds)
+        assert (store.state_id >= 0).all()
+
+    def test_structured_only_model_gets_zero_width_notes(self):
+        _, _, ds, enc_cfg = small_setup(n_episodes=5)
+        n_frames = ds.store.structured.shape[0]
+        _, f_c, f_e = build_transition_table(ds.store, enc_cfg.strategy, "structured")
+        assert f_c.shape == f_e.shape == (n_frames, 0)
 
     def test_context_inputs_constant_within_episode(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=10)
-        table = build_transition_table(ds, NoteStrategy("context"))
-        f_c = table_rows(table)["f_c"]
+        inputs = build_transition_table(ds.store, NoteStrategy("context"), "multimodal")
+        f_c = table_rows(ds.store, inputs)["f_c"]
         for e_i in range(10):
-            rows = f_c[table.store.episode_index == e_i]
+            rows = f_c[ds.store.episode_index == e_i]
             first = rows[0]
             if np.any(first != 0.0):
                 assert np.allclose(rows, first[None, :])
@@ -252,7 +263,7 @@ class TestTransitionTableReference:
             for tr in ep.transitions]) for i, ep in enumerate(ds.episodes)]
         ds = replace(ds, episodes=episodes)
         strategy = NoteStrategy(kind, window=2)
-        rows = table_rows(build_transition_table(ds, strategy))
+        rows = table_rows(ds.store, build_transition_table(ds.store, strategy, "multimodal"))
         reference = per_transition_table(ds, strategy)
         for name, expected in reference.items():
             got = rows[name]
@@ -306,8 +317,9 @@ class TestTrain:
         result = train(ds, cfg, enc_cfg)
         policy = result.policy
         assert policy.behavior_classifier is not None
-        table = build_transition_table(ds, enc_cfg.strategy)
-        inputs = table.inputs(table.store.decision_frame[:64])
+        frame = ds.store.decision_frame[:64]
+        inputs = [x[frame] for x in build_transition_table(ds.store, enc_cfg.strategy,
+                                                             "multimodal")]
         state = policy.model.state_tensor(*inputs).data
         probs = policy.behavior_classifier.probs(state)
         greedy = policy.greedy_actions(*inputs)
@@ -345,8 +357,9 @@ class TestTrain:
         # action set (almost all of it out-of-distribution under the
         # concentrated behavior policy)
         _, _, ds, enc_cfg = small_setup(n_episodes=150, seed=11)
-        table = build_transition_table(ds, enc_cfg.strategy)
-        inputs = table.inputs(table.store.decision_frame)
+        frame = ds.store.decision_frame
+        inputs = [x[frame] for x in build_transition_table(ds.store, enc_cfg.strategy,
+                                                             "multimodal")]
         mean_q = []
         for alpha in (0.0, 0.5, 2.0, 8.0):
             cfg = quick_train_cfg(total_steps=2500, algorithm="cql",
@@ -394,6 +407,22 @@ class TestTrain:
 
 
 class TestLearnedPolicy:
+    @pytest.mark.parametrize("key, value, message", [
+        ("algorithm", "sarsa", "unknown algorithm 'sarsa'"),
+        ("bcq_threshold", 5.0, "bcq_threshold must be in"),
+        ("qnet", {"width": 0, "depth": 1}, "qnet width and depth must be >= 1, got 0 and 1"),
+        ("qnet", {"width": 16, "depth": 0}, "qnet width and depth must be >= 1, got 16 and 0"),
+    ])
+    def test_checkpoint_out_of_range_rejected(self, tmp_path, key, value, message):
+        _, _, ds, enc_cfg = small_setup(n_episodes=10)
+        path = tmp_path / "policy.json"
+        train(ds, quick_train_cfg(total_steps=2, algorithm="bcq"), enc_cfg).policy.save(path)
+        payload = json.loads(path.read_text())
+        payload["metadata"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainerError, match=message):
+            LearnedPolicy.load(path)
+
     def test_save_load_round_trip(self, tmp_path):
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         result = train(ds, quick_train_cfg(total_steps=80, algorithm="bcq"), enc_cfg)
@@ -567,10 +596,10 @@ class TestBatchedForward:
                         fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
         evaluate_policy(ds, soften(policy), LoggedBehavior(), cfg)
         bdesr_report(ds, policy)
-        # one target-policy forward each for OPE and BDESR, one table for the residuals
+        # one policy forward each for OPE, BDESR and the residuals
         bellman_residuals(policy, ds, gamma=0.9)
         assert episodes == Counter({("note_inputs", len(ds)): 3 * notes,
-                                    ("episode_inputs", len(ds)): 2})
+                                    ("episode_inputs", len(ds)): 3})
 
 
 class _TabularQStub:
@@ -579,8 +608,10 @@ class _TabularQStub:
     def __init__(self, mdp, q_table):
         self.mdp = mdp
         self.q_table = q_table
-        self.strategy = NoteStrategy("impute")
-        self.modality = "structured"    # q_matrix reads only the structured features
+
+    def episode_inputs(self, store):
+        # q_matrix reads only the structured features
+        return build_transition_table(store, NoteStrategy("impute"), "structured")
 
     def q_matrix(self, structured, f_c, f_e):
         dists = ((structured[:, None, :] - self.mdp.emission_l_mean[None, :, :]) ** 2
@@ -655,12 +686,12 @@ class TestBellmanResiduals:
     def test_one_forward_matches_two_forwards_of_the_table(self, monkeypatch):
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         policy = train(ds, quick_train_cfg(total_steps=50), enc_cfg).policy
-        table = build_transition_table(ds, policy.strategy)
-        store, frame = table.store, table.store.decision_frame
-        q = policy.q_matrix(*table.inputs(frame))
-        next_q = policy.q_matrix(*table.inputs(frame + 1))
+        store, frame = ds.store, ds.store.decision_frame
+        inputs = build_transition_table(store, policy.strategy, "multimodal")
+        q = policy.q_matrix(*(x[frame] for x in inputs))
+        next_q = policy.q_matrix(*(x[frame + 1] for x in inputs))
         expected = dqn_target(store.reward, store.done, next_q, 0.9) \
-            - q[np.arange(table.size), store.action]
+            - q[np.arange(frame.size), store.action]
         forwards = Counter()
         forward = StateEncoder.forward
 

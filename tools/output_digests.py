@@ -1,0 +1,99 @@
+"""Print sha256 digests of careql's outputs, to show that a change keeps them.
+
+For each seed it prints one line per item:
+
+- every file that a ``synth -> ingest -> train -> eval -> report`` chain
+  writes through ``cli.main``, with the benchmark's ``pipeline_cli`` config
+  at 200 episodes (the ingest snapshot is digested by its arrays, because
+  the zip archive records its write time);
+- the trained parameters of 50-step multimodal CQL and BCQ runs at the
+  acceptance config;
+- the outputs of one ``eval_ope_network`` pass: behaviour fit, network OPE,
+  BDESR, Bellman residuals and tabular OPE.
+
+Run it from the repository root on two revisions and compare the outputs::
+
+    PYTHONPATH=src python3 tools/output_digests.py > after.txt
+    PYTHONPATH=/path/to/other/src python3 tools/output_digests.py > before.txt
+    diff before.txt after.txt
+
+The second form digests another checkout's ``careql`` with this script and
+this checkout's ``perfbench`` configs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
+
+from careql import dataset, trainer  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+PIPELINE_EPISODES = 200
+TRAIN_EPISODES = 500
+TRAIN_STEPS = 50
+SEEDS = (1, 3)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_digest(path: Path) -> str:
+    if path.name == dataset.SNAPSHOT_NAME:
+        h = hashlib.sha256()
+        with np.load(path) as arrays:
+            for name in sorted(arrays.files):
+                h.update(name.encode())
+                h.update(arrays[name].tobytes())
+        return h.hexdigest()
+    return _sha(path.read_bytes())
+
+
+def pipeline_lines(seed: int, work: Path) -> list[str]:
+    config = workloads.write_pipeline_config(work / "config.json", seed, PIPELINE_EPISODES)
+    out = work / "chain"
+    codes = workloads.PipelineCli.chain(config, out)
+    lines = [f"seed {seed} pipeline exit codes {codes}"]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"seed {seed} pipeline {path.relative_to(out)} {file_digest(path)}")
+    return lines
+
+
+def train_lines(seed: int) -> list[str]:
+    mdp, _, data = workloads.make_task(seed, TRAIN_EPISODES)
+    enc = workloads.acceptance_encoder(mdp.n_features, mdp.d_n)
+    lines = []
+    for algorithm in ("cql", "bcq"):
+        cfg = replace(workloads.acceptance_train_config(seed, TRAIN_STEPS), algorithm=algorithm)
+        policy = trainer.train(data, cfg, enc).policy
+        lines.append(f"seed {seed} params {algorithm}_multimodal "
+                     f"{workloads.params_digest(policy)}")
+    return lines
+
+
+def eval_lines(seed: int, work: Path) -> list[str]:
+    task = workloads.EvalOpeNetwork(seed, work / "eval")
+    out = task.run(0)
+    return [f"seed {seed} eval_pass {_sha(json.dumps(out, sort_keys=True).encode())}"]
+
+
+def main() -> int:
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for line in pipeline_lines(seed, work) + train_lines(seed) + eval_lines(seed, work):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
