@@ -8,7 +8,9 @@ strategies: raw, impute, stack, context), projects them from d_n to d, and
 psi * f_c + (1 - psi) * f_e. Bidirectional cross-modal attention (one token
 per modality, so each softmax is over a single score) then produces the
 2d-dimensional fused state fed to the Q-network. Everything downstream of
-the raw inputs is differentiable through the netcore tape.
+the raw inputs is differentiable through the netcore tape: the structured
+encoder, the gate and the attention are one node each, whose values and
+gradients equal those of the same modules built from ``Tensor`` ops.
 
 The note strategies run over many histories laid end to end, such as every
 episode of an ``EpisodeStore`` (``episode_note_inputs``), as segment operations
@@ -22,7 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EpisodeStore
-from .netcore import Dense, Tensor, collect_params, concat, init_param, linear
+from .netcore import (
+    Dense,
+    Tensor,
+    _affine,
+    _affine_backward,
+    _relu,
+    _sigmoid,
+    collect_params,
+    concat,
+    init_param,
+)
 
 Array = np.ndarray
 
@@ -161,10 +173,27 @@ class StructuredEncoder:
         ]
 
     def __call__(self, features: Tensor) -> Tensor:
-        h = self.in_proj(features)
+        self.in_proj.check_input(features)
+        x, inW = features.data, self.in_proj.W.data
+        h = _affine(x, inW, self.in_proj.b.data)
+        saved = []
         for mix, out in self.blocks:
-            h = h + out(mix(h).relu())
-        return h
+            r = _affine(h, mix.W.data, mix.b.data)
+            mask = _relu(r)
+            saved.append((h, mix.W.data, r, out.W.data, mask))
+            h = h + _affine(r, out.W.data, out.b.data)
+
+        def backward(g: Array) -> None:
+            for (mix, out), (h_in, mixW, r, outW, mask) in zip(reversed(self.blocks),
+                                                               reversed(saved)):
+                g_r = _affine_backward(g, r, outW, out.W, out.b, True)
+                g = g + _affine_backward(g_r * mask, h_in, mixW, mix.W, mix.b, True)
+            gx = _affine_backward(g, x, inW, self.in_proj.W, self.in_proj.b,
+                                  features.requires_grad)
+            if gx is not None:
+                features._accumulate(gx)
+
+        return Tensor._node(h, (features, *self.params().values()), backward)
 
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.in_proj, *(layer for block in self.blocks
@@ -189,8 +218,22 @@ class GatedFusion:
                 f"gate expects matching (B, {self.d}) inputs, got "
                 f"{f_c.data.shape} and {f_e.data.shape}"
             )
-        psi = linear(concat([f_c, f_e], axis=1), self.W, self.b).sigmoid()
-        return psi * f_c + (1.0 - psi) * f_e
+        fc, fe, W = f_c.data, f_e.data, self.W.data
+        both = np.concatenate([fc, fe], axis=1)
+        psi = _sigmoid(_affine(both, W, self.b.data))
+        rest = 1.0 - psi
+        out = psi * fc + rest * fe
+
+        def backward(g: Array) -> None:
+            g_z = (g * fc + (g * fe) * -1.0) * psi * rest
+            want = f_c.requires_grad or f_e.requires_grad
+            g_both = _affine_backward(g_z, both, W, self.W, self.b, want)
+            if f_c.requires_grad:
+                f_c._accumulate(g * psi + g_both[:, :self.d])
+            if f_e.requires_grad:
+                f_e._accumulate(g * rest + g_both[:, self.d:])
+
+        return Tensor._node(out, (f_c, f_e, self.W, self.b), backward)
 
     def params(self) -> dict[str, Tensor]:
         return {self.W.name: self.W, self.b.name: self.b}
@@ -232,11 +275,29 @@ class CrossModalAttention:
                 f"attention expects (B, {self.d}) inputs, got "
                 f"{n.data.shape} and {l.data.shape}"
             )
-        a_struct_to_note = linear(n, self.Wv_n)     # the attended note values
-        a_note_to_struct = linear(l, self.Wv_l)
-        l_tilde = linear(concat([l, a_note_to_struct], axis=1), self.out_l)
-        n_tilde = linear(concat([n, a_struct_to_note], axis=1), self.out_n)
-        return concat([l_tilde, n_tilde], axis=1)
+        # l~ = out_l [l; Wv_l l], then n~ = out_n [n; Wv_n n]: each modality's
+        # vector beside its attended value projection, mapped back to d
+        sides = []
+        for src, Wv, out in ((l, self.Wv_l, self.out_l), (n, self.Wv_n, self.out_n)):
+            both = np.concatenate([src.data, _affine(src.data, Wv.data, None)], axis=1)
+            sides.append((src, Wv, Wv.data, out, out.data, both))
+        state = np.concatenate([_affine(both, outd, None) for *_, outd, both in sides],
+                               axis=1)
+        d = self.d
+
+        def backward(g: Array) -> None:
+            for i, (src, Wv, Wvd, out, outd, both) in enumerate(sides):
+                want = src.requires_grad or Wv.requires_grad
+                g_both = _affine_backward(g[:, i * d:(i + 1) * d], both, outd, out, None,
+                                          want)
+                if want:
+                    g_src = _affine_backward(g_both[:, d:], src.data, Wvd, Wv, None,
+                                             src.requires_grad)
+                    if g_src is not None:
+                        src._accumulate(g_both[:, :d] + g_src)
+
+        return Tensor._node(state, (n, l, self.Wv_n, self.Wv_l, self.out_l, self.out_n),
+                            backward)
 
     def params(self) -> dict[str, Tensor]:
         return {p.name: p for p in (self.Wq_l, self.Wk_l, self.Wv_l,

@@ -4,10 +4,18 @@ Everything runs in float64 numpy. A ``Tensor`` records the operation that
 produced it; ``backward()`` on a scalar loss walks the tape and accumulates
 gradients into every reachable parameter. The op set is deliberately small:
 exactly what the one ReLU trunk (``MLP``) of the dueling Q-head and the
-action classifiers, gated fusion and single-token cross-attention need;
-``linear`` is an affine map ``x @ W.T + b`` as one node.
-Analytic gradients are verified against central finite differences (see
-``gradient_check``), which is the independent oracle for this module.
+action classifiers, gated fusion and single-token cross-attention need.
+
+Each network module is one node with a hand-written backward: an ``MLP``
+call (the whole ReLU stack), a ``DuelingQNetwork`` call (trunk, both heads
+and the mean-centring), and ``linear``, an affine map ``x @ W.T + b``; the
+encoder's modules and the trainer's losses are built the same way from the
+shared rules below. Such a node runs the numpy expressions of the same
+module built from ``Tensor`` ops, in the same order, so its values and
+gradients equal that op-by-op graph's bit for bit; the ops stay as the
+reference that the tests build every node from. Analytic gradients are
+verified against central finite differences (see ``gradient_check``),
+which is the independent oracle for this module.
 
 A node is recorded only when one of its parents requires a gradient: a
 parameter (``requires_grad=True``) or a node recorded before it. Inputs and
@@ -197,9 +205,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         a = self
-        # exp(-|x|) never overflows; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-        e = np.exp(-np.abs(a.data))
-        out_data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out_data = _sigmoid(a.data)
 
         def backward(g: Array) -> None:
             a._accumulate(g * out_data * (1.0 - out_data))
@@ -235,11 +241,7 @@ class Tensor:
 
     def logsumexp(self, axis: int = 1, keepdims: bool = False) -> "Tensor":
         a = self
-        m = a.data.max(axis=axis, keepdims=True)
-        exps = np.exp(a.data - m)
-        total = exps.sum(axis=axis, keepdims=True)
-        soft = exps / total
-        out_data = m + np.log(total)
+        out_data, soft = _logsumexp(a.data, axis)
         if not keepdims:
             out_data = np.squeeze(out_data, axis=axis)
 
@@ -266,18 +268,10 @@ class Tensor:
     def pick(self, indices: Array) -> "Tensor":
         """Select one column per row of a 2-d tensor; returns shape (B,)."""
         a = self
-        idx = np.asarray(indices, dtype=np.intp)
-        if a.data.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
-            raise ValueError(
-                f"pick expects (B, m) tensor and (B,) indices, got "
-                f"{a.data.shape} and {idx.shape}"
-            )
-        rows = np.arange(a.data.shape[0])
+        rows, idx = _pick_index(a.data, indices)
 
         def backward(g: Array) -> None:
-            full = np.zeros_like(a.data)
-            full[rows, idx] = g         # one entry per row: no index repeats
-            a._accumulate(full)
+            a._accumulate(_pick_backward(g, a.data, rows, idx))
 
         return Tensor._node(a.data[rows, idx], (a,), backward)
 
@@ -342,24 +336,102 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
                         tuple(parts), backward)
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ W.T + b as one node, with W stored as (n_out, n_in).
+# ---------------------------------------------------------------------------
+# Shared forward and backward rules of the module nodes
+# ---------------------------------------------------------------------------
+
+
+def _sigmoid(x: Array) -> Array:
+    # exp(-|x|) never overflows; 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _logsumexp(x: Array, axis: int) -> tuple[Array, Array]:
+    """(log sum exp of x along axis, kept as a size-1 axis; softmax of x)."""
+    m = x.max(axis=axis, keepdims=True)
+    exps = np.exp(x - m)
+    total = exps.sum(axis=axis, keepdims=True)
+    return m + np.log(total), exps / total
+
+
+def _pick_index(x: Array, indices) -> tuple[Array, Array]:
+    """Row and column indices that select one column per row of a 2-d x."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if x.ndim != 2 or idx.ndim != 1 or idx.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"pick expects (B, m) tensor and (B,) indices, got "
+            f"{x.shape} and {idx.shape}"
+        )
+    return np.arange(x.shape[0]), idx
+
+
+def _pick_backward(g: Array, x: Array, rows: Array, idx: Array) -> Array:
+    """The gradient of a pick: g scattered into zeros shaped like x."""
+    full = np.zeros_like(x)
+    full[rows, idx] = g         # one entry per row: no index repeats
+    return full
+
+
+def _affine(x: Array, W: Array, b: Array | None) -> Array:
+    """x @ W.T + b, with W stored as (n_out, n_in).
 
     The products keep the orientation of a transpose node followed by a
-    matmul, so the values equal ``x @ W.T + b`` bit for bit.
+    matmul, so the values equal ``x @ W.T + b`` of ``Tensor`` ops bit for bit.
     """
-    xd, Wd = x.data, W.data
-    out = xd @ Wd.T
+    out = x @ W.T
     if b is not None:
-        out += b.data
+        out += b
+    return out
+
+
+def _affine_backward(g: Array, x: Array, Wd: Array, W: "Tensor", b: "Tensor | None",
+                     want_x: bool) -> Array | None:
+    """Accumulate the gradients of W and b of ``_affine(x, Wd, b)`` given the
+    output gradient g; returns the input gradient when ``want_x``."""
+    if W.requires_grad:
+        W._accumulate((x.T @ g).T)
+    if b is not None and b.requires_grad:
+        b._accumulate(g.sum(axis=0))
+    return g @ Wd if want_x else None
+
+
+def _relu(z: Array) -> Array:
+    """ReLU of z in place, as ``z * (z > 0)``; returns the mask."""
+    mask = z > 0.0
+    np.multiply(z, mask, out=z)
+    return mask
+
+
+def _relu_stack(x: Array, layers: Sequence["Dense"]) -> tuple[Array, list]:
+    """Dense layers each followed by a ReLU; returns the output and, per
+    layer, the (input, weights, ReLU mask) that its backward reads."""
+    saved = []
+    for layer in layers:
+        z = _affine(x, layer.W.data, layer.b.data)
+        saved.append((x, layer.W.data, _relu(z)))
+        x = z
+    return x, saved
+
+
+def _relu_stack_backward(g: Array, layers: Sequence["Dense"], saved: list,
+                         want_x: bool) -> Array | None:
+    """Backward of ``_relu_stack``; returns the input gradient when ``want_x``."""
+    for i in range(len(layers) - 1, -1, -1):
+        x, Wd, mask = saved[i]
+        g = _affine_backward(g * mask, x, Wd, layers[i].W, layers[i].b, want_x or i > 0)
+    return g
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ W.T + b as one node, with W stored as (n_out, n_in)."""
+    xd, Wd = x.data, W.data
+    out = _affine(xd, Wd, None if b is None else b.data)
 
     def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g @ Wd)
-        if W.requires_grad:
-            W._accumulate((xd.T @ g).T)
-        if b is not None and b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+        gx = _affine_backward(g, xd, Wd, W, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
     return Tensor._node(out, (x, W) if b is None else (x, W, b), backward)
 
@@ -386,12 +458,15 @@ class Dense:
         self.W = init_param((n_out, n_in), n_in, rng, f"{name}.W")
         self.b = init_param((n_out,), n_in, rng, f"{name}.b")
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def check_input(self, x: Tensor) -> None:
         if x.data.shape[1] != self.n_in:
             raise ValueError(
                 f"{self.W.name}: expected input width {self.n_in}, "
                 f"got {x.data.shape}"
             )
+
+    def __call__(self, x: Tensor) -> Tensor:
+        self.check_input(x)
         return linear(x, self.W, self.b)
 
     def params(self) -> dict[str, Tensor]:
@@ -410,9 +485,18 @@ class MLP:
         self.n_out = width if depth else n_in
 
     def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x).relu()
-        return x
+        """The whole ReLU stack as one node."""
+        if not self.layers:
+            return x
+        self.layers[0].check_input(x)
+        out, saved = _relu_stack(x.data, self.layers)
+
+        def backward(g: Array) -> None:
+            gx = _relu_stack_backward(g, self.layers, saved, x.requires_grad)
+            if gx is not None:
+                x._accumulate(gx)
+
+        return Tensor._node(out, (x, *self.params().values()), backward)
 
     def __iter__(self):
         return iter(self.layers)
@@ -438,10 +522,27 @@ class DuelingQNetwork:
         self.advantage_head = Dense(self.trunk.n_out, n_actions, rng, f"{name}.advantage")
 
     def __call__(self, state: Tensor) -> Tensor:
-        h = self.trunk(state)
-        v = self.value_head(h)
-        a = self.advantage_head(h)
-        return v + a - a.mean(axis=1, keepdims=True)
+        """Trunk, both heads and the mean-centring as one node."""
+        layers, vh, ah = self.trunk.layers, self.value_head, self.advantage_head
+        (layers[0] if layers else vh).check_input(state)
+        h, saved = _relu_stack(state.data, layers)
+        vW, aW = vh.W.data, ah.W.data
+        v, a = _affine(h, vW, vh.b.data), _affine(h, aW, ah.b.data)
+        q = v + a - a.sum(axis=1, keepdims=True) * (1.0 / a.shape[1])
+
+        def backward(g: Array) -> None:
+            # the op graph's chain: v + a, minus the mean as a sum times 1/n
+            g_v = _unbroadcast(g, v.shape)
+            g_a = g + (g_v * -1.0) * (1.0 / a.shape[1])
+            want_h = bool(layers) or state.requires_grad
+            g_hv = _affine_backward(g_v, h, vW, vh.W, vh.b, want_h)
+            g_ha = _affine_backward(g_a, h, aW, ah.W, ah.b, want_h)
+            if want_h:
+                gx = _relu_stack_backward(g_hv + g_ha, layers, saved, state.requires_grad)
+                if gx is not None:
+                    state._accumulate(gx)
+
+        return Tensor._node(q, (state, *self.params().values()), backward)
 
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.trunk, self.value_head, self.advantage_head)

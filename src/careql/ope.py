@@ -47,7 +47,7 @@ from .netcore import (
     no_grad,
 )
 from .synthgym import rows_are_distributions
-from .trainer import ActionClassifier, cross_entropy_loss
+from .trainer import ActionClassifier, cross_entropy_loss, dqn_loss
 
 Array = np.ndarray
 
@@ -459,8 +459,7 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
                            f"non-finite regression targets")
         for _ in range(cfg.steps_per_iteration):
             idx = rng.integers(0, X.shape[0], size=min(FQE_BATCH_SIZE, X.shape[0]))
-            pred = net(Tensor(X[idx])).pick(store.action[idx])
-            loss = (pred - Tensor(targets[idx])).square().mean() * 0.5
+            loss = dqn_loss(net(Tensor(X[idx])), store.action[idx], targets[idx])[0]
             loss.backward()
             opt.step()
         load_param_values(frozen_net.params(), clone_param_values(net.params()))

@@ -25,6 +25,9 @@ from .netcore import (
     Dense,
     DuelingQNetwork,
     Tensor,
+    _logsumexp,
+    _pick_backward,
+    _pick_index,
     clone_param_values,
     collect_params,
     load_checkpoint,
@@ -221,17 +224,36 @@ def cql_loss(q: Tensor, actions: Array, targets: Array,
     """Half mean-squared Bellman error plus the conservative regularizer.
 
     With alpha = 0 this is exactly the DQN objective; the regularizer is
-    mean(logsumexp_a Q(s, a)) - mean(Q(s, a_data)).
+    mean(logsumexp_a Q(s, a)) - mean(Q(s, a_data)). The loss is one node whose
+    value and gradient equal those of the same expression in ``Tensor`` ops.
     """
-    q_taken = q.pick(actions)
-    bellman = (q_taken - Tensor(targets)).square().mean() * 0.5
-    diag = {"bellman": float(bellman.data), "mean_q": float(q.data.mean())}
-    if alpha == 0.0:
-        diag["reg"] = 0.0
-        return bellman, diag
-    reg = q.logsumexp(axis=1).mean() - q_taken.mean()
-    diag["reg"] = float(reg.data)
-    return bellman + alpha * reg, diag
+    qd = q.data
+    rows, idx = _pick_index(qd, actions)
+    q_taken = qd[rows, idx]
+    inv_b = 1.0 / q_taken.size
+    d = q_taken - targets
+    bellman = (d * d).sum() * inv_b * 0.5
+    diag = {"bellman": float(bellman), "mean_q": float(qd.mean()), "reg": 0.0}
+    loss = bellman
+    if alpha != 0.0:
+        lse, soft = _logsumexp(qd, 1)
+        reg = lse[:, 0].sum() * inv_b - q_taken.sum() * inv_b
+        diag["reg"] = float(reg)
+        loss = bellman + reg * alpha
+
+    def backward(g: Array) -> None:
+        # the chain of the Tensor-op graph: the mean as a sum times 1/B, the
+        # square's derivative as 2 * d
+        g_taken = g * 0.5 * inv_b * 2.0 * d
+        g_q = None
+        if alpha != 0.0:
+            g_reg = g * alpha
+            g_taken = g_taken + g_reg * -1.0 * inv_b
+            g_q = g_reg * inv_b * soft
+        full = _pick_backward(g_taken, qd, rows, idx)
+        q._accumulate(full if g_q is None else g_q + full)
+
+    return Tensor._node(np.asarray(loss), (q,), backward), diag
 
 
 def dqn_loss(q: Tensor, actions: Array, targets: Array) -> tuple[Tensor, dict]:
@@ -239,7 +261,19 @@ def dqn_loss(q: Tensor, actions: Array, targets: Array) -> tuple[Tensor, dict]:
 
 
 def cross_entropy_loss(logits: Tensor, actions: Array) -> Tensor:
-    return (logits.logsumexp(axis=1) - logits.pick(actions)).mean()
+    """mean(logsumexp(logits) - logits at the actions) as one node, equal to
+    the same expression in ``Tensor`` ops."""
+    x = logits.data
+    rows, idx = _pick_index(x, actions)
+    lse, soft = _logsumexp(x, 1)
+    inv_b = 1.0 / idx.size
+    loss = (lse[:, 0] - x[rows, idx]).sum() * inv_b
+
+    def backward(g: Array) -> None:
+        g_each = g * inv_b
+        logits._accumulate(g_each * soft + _pick_backward(g_each * -1.0, x, rows, idx))
+
+    return Tensor._node(np.asarray(loss), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +403,26 @@ class LearnedPolicy:
 # ---------------------------------------------------------------------------
 
 
+def target_q_table(target: QModel, inputs: tuple[Array, Array, Array],
+                   batch_size: int) -> Array:
+    """The target network's Q at every frame row of ``inputs``.
+
+    Every forward has exactly ``batch_size`` rows, the last one wrapping
+    around to the first rows, because BLAS rounds a row's product by the
+    number of rows in the batch. On the OpenBLAS kernels measured, a batch
+    size that is a multiple of 4 (as in every config of this repository)
+    then gives each row the Q, bit for bit, that a per-step forward of a
+    minibatch gives it; another size also rounds a row by its place in the
+    batch, so values may differ from per-step forwards in the last bits.
+    """
+    n = inputs[0].shape[0]
+    rows = np.arange(-(-n // batch_size) * batch_size) % n
+    with no_grad():
+        chunks = [target.q_values(*(x[chunk] for x in inputs)).data
+                  for chunk in rows.reshape(-1, batch_size)]
+    return np.concatenate(chunks)[:n]
+
+
 @dataclass
 class TrainResult:
     policy: LearnedPolicy
@@ -386,6 +440,12 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     with the last logged parameter snapshot attached to the exception.
     ``snapshot_interval`` additionally collects (step, values of every
     policy parameter) pairs for evaluation-across-iterations curves.
+
+    The target network is frozen between refreshes, so its Q at every frame
+    row of the store is computed once per refresh (``target_q_table``) and
+    each step reads its next-state rows from that table. A refresh costs
+    ceil(n_frames / batch_size) forwards of batch_size rows; per-step target
+    forwards would cost ``target_update`` forwards over the same interval.
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
@@ -395,8 +455,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     store = (dataset.split("train") or dataset).store
     inputs = build_transition_table(store, enc_cfg.strategy, modality)
 
-    trainable = dict(model.qnet.params()) if cfg.freeze_encoders else model.params()
-    for key, p in model.params().items():   # a frozen encoder stays off the tape
+    params = model.params()
+    trainable = dict(model.qnet.params()) if cfg.freeze_encoders else params
+    for key, p in params.items():   # a frozen encoder stays off the tape
         p.requires_grad = key in trainable
     opt = Adam(trainable, lr=cfg.learning_rate, grad_clip=cfg.grad_clip)
 
@@ -412,21 +473,22 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     batch_rng = np.random.default_rng([cfg.seed, 77])
     log: list[dict] = []
     snapshots: list[tuple[int, dict[str, Array]]] = []
-    last_snapshot = clone_param_values(model.params())
+    last_snapshot = clone_param_values(params)
     policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
                            bcq_threshold=cfg.bcq_threshold, behavior_classifier=classifier)
+    table = None
 
     for step in range(1, cfg.total_steps + 1):
+        if table is None:
+            table = target_q_table(target, inputs, cfg.batch_size)
         idx = batch_rng.integers(0, store.action.shape[0], size=cfg.batch_size)
         frame = store.decision_frame[idx]
         state = tuple(x[frame] for x in inputs)
-        after = tuple(x[frame + 1] for x in inputs)
         action, reward, done = store.action[idx], store.reward[idx], store.done[idx]
-        with no_grad():
-            next_q = target.q_values(*after).data
+        next_q = table[frame + 1]
         if cfg.algorithm == "bcq":
             with no_grad():
-                next_state = model.state_tensor(*after).data
+                next_state = model.state_tensor(*(x[frame + 1] for x in inputs)).data
             next_probs = classifier.probs(next_state)
             y = bcq_target(reward, done, next_q, next_probs, cfg.gamma, cfg.bcq_threshold)
         else:
@@ -439,7 +501,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             raise TrainingDiverged(f"non-finite loss at step {step}", last_snapshot, log)
         loss.backward()
         opt.step()
-        zero_grads(model.params())
+        zero_grads(params)
 
         if cfg.algorithm == "bcq":
             with no_grad():
@@ -449,12 +511,13 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             clf_opt.step()
 
         if step % cfg.target_update == 0:
-            load_param_values(target.params(), clone_param_values(model.params()))
+            load_param_values(target.params(), clone_param_values(params))
+            table = None
 
         if step % cfg.eval_interval == 0 or step == cfg.total_steps:
             log.append({"step": step, "loss": float(loss.data),
                         "mean_q": diag["mean_q"], "reg_term": diag["reg"]})
-            last_snapshot = clone_param_values(model.params())
+            last_snapshot = clone_param_values(params)
         if snapshot_interval is not None and \
                 (step % snapshot_interval == 0 or step == cfg.total_steps):
             snapshots.append((step, clone_param_values(policy.all_params())))

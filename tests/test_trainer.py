@@ -406,6 +406,46 @@ class TestTrain:
             TrainConfig(total_steps=0)
 
 
+class TestTargetTable:
+    @pytest.mark.parametrize("n_episodes, batch_size, algorithm", [
+        (30, 16, "cql"), (30, 16, "bcq"), (2, 64, "cql"),
+    ])
+    def test_one_table_of_full_batches_per_refresh(self, monkeypatch, n_episodes,
+                                                   batch_size, algorithm):
+        _, _, ds, enc_cfg = small_setup(n_episodes=n_episodes)
+        calls = []
+        real = trainer_mod.QModel.q_values
+
+        def spy(model, *inputs):
+            calls.append((model, inputs[0].shape[0]))
+            return real(model, *inputs)
+
+        monkeypatch.setattr(trainer_mod.QModel, "q_values", spy)
+        # refreshes after steps 3 and 6: tables for steps 1-3, 4-6 and 7
+        cfg = quick_train_cfg(total_steps=7, target_update=3, batch_size=batch_size,
+                              algorithm=algorithm)
+        result = train(ds, cfg, enc_cfg)
+        n_frames = (ds.split("train") or ds).store.structured.shape[0]
+        if n_episodes == 2:
+            assert n_frames < batch_size
+        target_rows = [rows for model, rows in calls if model is not result.policy.model]
+        assert len(target_rows) == 3 * -(-n_frames // batch_size)
+        assert set(target_rows) == {batch_size}
+
+    def test_rows_equal_minibatch_forwards(self):
+        # a batch of 64 rows, like every batch size the repository's configs
+        # use, rounds each row's product the same wherever the row sits in it
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        model = trainer_mod.QModel("multimodal", enc_cfg, np.random.default_rng(4), 16, 2)
+        inputs = build_transition_table(ds.store, enc_cfg.strategy, "multimodal")
+        table = trainer_mod.target_q_table(model, inputs, 64)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            frame = rng.integers(0, ds.store.structured.shape[0], size=64)
+            q = model.q_values(*(x[frame] for x in inputs)).data
+            assert q.tobytes() == table[frame].tobytes()
+
+
 class TestLearnedPolicy:
     @pytest.mark.parametrize("key, value, message", [
         ("algorithm", "sarsa", "unknown algorithm 'sarsa'"),

@@ -7,7 +7,9 @@ For each seed it prints one line per item:
   at 200 episodes (the ingest snapshot is digested by its arrays, because
   the zip archive records its write time);
 - the trained parameters of 50-step multimodal CQL and BCQ runs at the
-  acceptance config;
+  acceptance config, and of variants of it (`TRAIN_VARIANTS`): target
+  refreshes within the run, frozen encoders, the structured and notes
+  modalities, the other note strategies, no attention and encoder depth 0;
 - the outputs of one ``eval_ope_network`` pass: behaviour fit, network OPE,
   BDESR, Bellman residuals and tabular OPE.
 
@@ -35,12 +37,27 @@ import numpy as np
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 from careql import dataset, trainer  # noqa: E402
+from careql.encoder import NoteStrategy  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 PIPELINE_EPISODES = 200
 TRAIN_EPISODES = 500
 TRAIN_STEPS = 50
 SEEDS = (1, 3)
+# (name, TrainConfig changes, EncoderConfig changes, modality) of each
+# training run beside the acceptance config's CQL and BCQ
+TRAIN_VARIANTS = [
+    ("cql_refresh20", {"target_update": 20}, {}, "multimodal"),
+    ("bcq_refresh20", {"algorithm": "bcq", "target_update": 20}, {}, "multimodal"),
+    ("cql_frozen_encoders", {"freeze_encoders": True, "target_update": 20}, {}, "multimodal"),
+    ("cql_structured", {}, {}, "structured"),
+    ("cql_notes", {}, {}, "notes"),
+    ("cql_raw", {}, {"strategy": NoteStrategy("raw")}, "multimodal"),
+    ("cql_impute", {}, {"strategy": NoteStrategy("impute")}, "multimodal"),
+    ("cql_stack", {}, {"strategy": NoteStrategy("stack")}, "multimodal"),
+    ("cql_no_attention", {}, {"use_attention": False}, "multimodal"),
+    ("cql_encoder_depth0", {}, {"depth": 0}, "multimodal"),
+]
 
 
 def _sha(data: bytes) -> str:
@@ -71,12 +88,13 @@ def pipeline_lines(seed: int, work: Path) -> list[str]:
 def train_lines(seed: int) -> list[str]:
     mdp, _, data = workloads.make_task(seed, TRAIN_EPISODES)
     enc = workloads.acceptance_encoder(mdp.n_features, mdp.d_n)
+    runs = [(f"{algorithm}_multimodal", {"algorithm": algorithm}, {}, "multimodal")
+            for algorithm in ("cql", "bcq")] + TRAIN_VARIANTS
     lines = []
-    for algorithm in ("cql", "bcq"):
-        cfg = replace(workloads.acceptance_train_config(seed, TRAIN_STEPS), algorithm=algorithm)
-        policy = trainer.train(data, cfg, enc).policy
-        lines.append(f"seed {seed} params {algorithm}_multimodal "
-                     f"{workloads.params_digest(policy)}")
+    for name, train_changes, enc_changes, modality in runs:
+        cfg = replace(workloads.acceptance_train_config(seed, TRAIN_STEPS), **train_changes)
+        policy = trainer.train(data, cfg, replace(enc, **enc_changes), modality).policy
+        lines.append(f"seed {seed} params {name} {workloads.params_digest(policy)}")
     return lines
 
 
