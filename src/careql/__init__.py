@@ -48,6 +48,6 @@ from .ope import (
     soften,
     wis,
 )
-from .bdesr import bdesr_rates, bdesr_report, cohort_split, episode_discrepancy
+from .bdesr import bdesr_report, cohort_split, discrepancy
 
 __version__ = "0.1.0"

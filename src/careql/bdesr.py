@@ -11,19 +11,18 @@ The policy is duck-typed: ``greedy_rows(store)`` returns one flat array of
 recommended flat action indices for a dataset's ``EpisodeStore``, one per
 transition in store order. A learned policy answers for a whole store in
 one batched forward, and each episode's gaps are summed from that array
-and the store's logged actions.
+and the store's logged actions. Scores and cohorts are arrays over the
+store's episodes (``discrepancy``, ``cohort_split``), and the report reads
+each cohort's survival flags and ids off the store.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (N_ACTIONS, N_DOSE_LEVELS, DatasetError, Episode, EpisodeStore,
-                      OfflineDataset, store_of)
+from .dataset import N_ACTIONS, N_DOSE_LEVELS, DatasetError, EpisodeStore, OfflineDataset
 
 Array = np.ndarray
 
@@ -32,40 +31,16 @@ class BdesrError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DiscrepancyScore:
-    episode_id: str
-    m_iv: float
-    m_vaso: float
-    m: float
-
-
-@dataclass(frozen=True)
-class CohortSplit:
-    low_ids: tuple[str, ...]
-    high_ids: tuple[str, ...]
-    p: float
-    q_low: float
-    q_high: float
-
-
-def episode_discrepancy(episode: Episode, policy, alpha: float = 0.5,
-                        beta: float = 0.5) -> DiscrepancyScore:
-    """Mean absolute per-drug level gap between policy and clinician."""
-    return _score(store_of([episode]), policy, alpha, beta)[0]
-
-
-def _check_weights(alpha: float, beta: float) -> None:
+def discrepancy(store: EpisodeStore, policy, alpha: float = 0.5,
+                beta: float = 0.5) -> tuple[Array, Array, Array]:
+    """Mean absolute per-drug level gap between policy and clinician in each
+    episode of the store: (m_iv, m_vaso, m = alpha m_iv + beta m_vaso), each
+    of shape (n,)."""
     if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-9:
         raise BdesrError(f"weights must be nonnegative with alpha + beta = 1, "
                          f"got alpha={alpha}, beta={beta}")
-
-
-def _score(store: EpisodeStore, policy, alpha: float,
-           beta: float) -> list[DiscrepancyScore]:
-    _check_weights(alpha, beta)
     if not store.lengths.size:
-        return []
+        return (np.zeros(0),) * 3
     logged = store.action
     rec = np.asarray(policy.greedy_rows(store), dtype=np.int64)
     if rec.shape != logged.shape:
@@ -80,72 +55,51 @@ def _score(store: EpisodeStore, policy, alpha: float,
                              store.offsets)
     vaso_gap = np.add.reduceat(np.abs(rec % N_DOSE_LEVELS - logged % N_DOSE_LEVELS),
                                store.offsets)
-    scores = []
-    for episode_id, iv, vaso, T in zip(store.episode_id, iv_gap, vaso_gap, store.lengths):
-        m_iv, m_vaso = float(iv / T), float(vaso / T)
-        scores.append(DiscrepancyScore(episode_id=episode_id, m_iv=m_iv,
-                                       m_vaso=m_vaso, m=alpha * m_iv + beta * m_vaso))
-    return scores
+    m_iv, m_vaso = iv_gap / store.lengths, vaso_gap / store.lengths
+    return m_iv, m_vaso, alpha * m_iv + beta * m_vaso
 
 
-def cohort_split(scores: Sequence[DiscrepancyScore], p: float = 20.0) -> CohortSplit:
-    """Extreme cohorts of the discrepancy distribution.
+def cohort_split(m: Array, p: float = 20.0) -> tuple[Array, Array, float, float]:
+    """Extreme cohorts of the discrepancy scores ``m``: (low mask, high mask,
+    q_low, q_high).
 
     Low = scores at or below the p-th percentile, high = scores at or above
     the (100 - p)-th (linear-interpolation percentiles, ties included on
     both sides). Identical scores put every episode in both cohorts, with a
     warning.
     """
-    if not scores:
+    m = np.asarray(m, dtype=np.float64)
+    if not m.size:
         raise BdesrError("no discrepancy scores to split")
     if not (0.0 < p < 50.0):
         raise BdesrError(f"p must be in (0, 50), got {p}")
-    values = np.array([s.m for s in scores])
-    q_low = float(np.percentile(values, p))
-    q_high = float(np.percentile(values, 100.0 - p))
-    if values.min() == values.max():
+    q_low = float(np.percentile(m, p))
+    q_high = float(np.percentile(m, 100.0 - p))
+    if m.min() == m.max():
         warnings.warn("all discrepancy scores identical; low and high "
                       "cohorts both contain every episode", stacklevel=2)
-    low = tuple(s.episode_id for s in scores if s.m <= q_low)
-    high = tuple(s.episode_id for s in scores if s.m >= q_high)
-    return CohortSplit(low_ids=low, high_ids=high, p=p, q_low=q_low, q_high=q_high)
-
-
-def bdesr_rates(split: CohortSplit, survival: Mapping[str, bool]) -> tuple[float, float]:
-    """(low-cohort survival rate, high-cohort survival rate)."""
-    if not split.low_ids or not split.high_ids:
-        raise BdesrError("both cohorts must be nonempty")
-
-    def rate(ids: tuple[str, ...]) -> float:
-        flags = []
-        for ep_id in ids:
-            flag = survival.get(ep_id)
-            if flag is None:
-                raise BdesrError(f"no survival label for episode {ep_id!r}")
-            flags.append(bool(flag))
-        return float(np.mean(flags))
-
-    return rate(split.low_ids), rate(split.high_ids)
+    return m <= q_low, m >= q_high, q_low, q_high
 
 
 def bdesr_report(dataset: OfflineDataset, policy, alpha: float = 0.5,
                  beta: float = 0.5, p: float = 20.0) -> dict:
     """Per-episode scores, cohort membership, and the two survival rates of
     a dataset, typically one split (``OfflineDataset.split``)."""
-    scores = _score(dataset.store, policy, alpha, beta)
-    split = cohort_split(scores, p)
-    low_rate, high_rate = bdesr_rates(split, dataset.survival())
+    store = dataset.store
+    m_iv, m_vaso, m = discrepancy(store, policy, alpha, beta)
+    low, high, q_low, q_high = cohort_split(m, p)
     return {
         "alpha": alpha,
         "beta": beta,
         "p": p,
-        "thresholds": {"q_low": split.q_low, "q_high": split.q_high},
-        "low_bdesr": low_rate,
-        "high_bdesr": high_rate,
-        "cohorts": {"low": list(split.low_ids), "high": list(split.high_ids)},
+        "thresholds": {"q_low": q_low, "q_high": q_high},
+        "low_bdesr": float(store.survived[low].mean()),
+        "high_bdesr": float(store.survived[high].mean()),
+        "cohorts": {"low": store.episode_id[low].tolist(),
+                    "high": store.episode_id[high].tolist()},
         "scores": [
-            {"episode_id": s.episode_id, "m_iv": s.m_iv, "m_vaso": s.m_vaso,
-             "m": s.m}
-            for s in scores
+            {"episode_id": episode_id, "m_iv": iv, "m_vaso": vaso, "m": score}
+            for episode_id, iv, vaso, score in zip(store.episode_id, m_iv.tolist(),
+                                                   m_vaso.tolist(), m.tolist())
         ],
     }

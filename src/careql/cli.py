@@ -583,7 +583,7 @@ def cmd_cross_eval(args) -> int:
         target = ope_mod.soften(result.policy, cfg["ope"]["eps_soft"])
         batch = ope_mod.eval_batch(test, target, behavior)
         fqe_res = ope_mod.fqe_network(batch, gamma, _ope_config(cfg, seed).fqe)
-        point = ope_mod.dr(batch, fqe_res.q_model, gamma)
+        point = ope_mod.dr(batch, fqe_res.q_rows, gamma)
         curve_lines.append(f"{step},{point!r}")
     (out / "dr_curve.csv").write_text("\n".join(curve_lines) + "\n",
                                       encoding="utf-8")
@@ -645,12 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "off-policy evaluation, and reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **flags):
+    def add(name, func, seed=True, out=True, **flags):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default ${ENV_OUT_ROOT}/{name})")
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
+        if out:
+            p.add_argument("--out", default=None,
+                           help=f"output directory (default ${ENV_OUT_ROOT}/{name})")
         for flag, required in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
                            required=required)
@@ -658,13 +660,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("synth", cmd_synth)
-    add("ingest", cmd_ingest, data=True)
+    add("ingest", cmd_ingest, seed=False, out=False, data=True)
     add("train", cmd_train, data=True)
     add("eval", cmd_eval, data=True, checkpoint=True)
     add("ope", lambda a: cmd_eval(a, ope_only=True), data=True, checkpoint=True)
     add("bdesr", lambda a: cmd_eval(a, bdesr_only=True), data=True,
         checkpoint=True)
-    ablate_p = add("ablate", cmd_ablate)
+    ablate_p = add("ablate", cmd_ablate, seed=False)
     ablate_p.add_argument("--data", default=None)
     add("cross-eval", cmd_cross_eval, train_data=True, eval_data=True)
     report_p = sub.add_parser("report")

@@ -445,9 +445,6 @@ class OfflineDataset:
             return self
         return replace(self, episodes=self.store.take(index).views())
 
-    def survival(self) -> dict[str, bool]:
-        return {ep.episode_id: ep.survived for ep in self.episodes}
-
 
 # ---------------------------------------------------------------------------
 # Operations

@@ -17,17 +17,19 @@ hand-picked subset (``dataclasses.replace(dataset, episodes=...)``), asking
 each model once; ``evaluate_policy`` builds one batch and runs every
 estimator and bootstrap replicate on it.
 
-Target policies, behavior models and Q-models are duck-typed and answer for
-a whole store with flat arrays, never one array per episode. The store owns
-the row layout: decision rows are its N transitions, frame rows its N + n
-frames, and decision k reads its state at frame row ``decision_frame[k]``
-and its next state at the row after:
+Target policies and behavior models are duck-typed and answer for a whole
+store with flat arrays, never one array per episode. The store owns the row
+layout: decision rows are its N transitions, frame rows its N + n frames,
+and decision k reads its state at frame row ``decision_frame[k]`` and its
+next state at the row after:
 
 - target policy: ``evaluation_rows(store)`` -> (state features per frame
   row, action probabilities (N, A));
 - behavior model: ``logged_probs(store)`` -> (N,), read off the logged
-  ``behavior_prob`` column or a fitted 25-way classifier (``fit_behavior``);
-- Q-model: ``q_rows(batch)`` -> (N, A).
+  ``behavior_prob`` column or a fitted 25-way classifier (``fit_behavior``).
+
+A fitted Q is an array too: FQE returns its (N, A) values at every decision
+of the batch (``FqeResult.q_rows``), and DR reads that array.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ class _EpisodeStats:
     gamma: float
 
 
-def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
+def _prepare_stats(batch: EvalBatch, q_rows: Array | None, gamma: float) -> _EpisodeStats:
     store, pi = batch.store, batch.pi
     if batch.beta is None:
         raise OpeError("importance weights need a batch built with a behavior model")
@@ -255,10 +257,9 @@ def _prepare_stats(batch: EvalBatch, q_hat, gamma: float) -> _EpisodeStats:
     rho = np.cumprod(padded(pi[rows, store.action] / batch.beta, 1.0), axis=1)
     rewards = padded(store.reward, 0.0)
     q_taken = v_hat = np.zeros((n, t_max))
-    if q_hat is not None:
-        qm = q_hat.q_rows(batch)
-        q_taken = padded(qm[rows, store.action], 0.0)
-        v_hat = padded((pi * qm).sum(axis=1), 0.0)
+    if q_rows is not None:
+        q_taken = padded(q_rows[rows, store.action], 0.0)
+        v_hat = padded((pi * q_rows).sum(axis=1), 0.0)
     return _EpisodeStats(rho=rho, rewards=rewards, q_taken=q_taken, v_hat=v_hat,
                          returns=rewards @ (gamma ** np.arange(t_max)),
                          traj_weight=rho[np.arange(n), store.lengths - 1], gamma=gamma)
@@ -325,15 +326,15 @@ def wis(batch: EvalBatch, gamma: float, clip_percentile: float | None = None) ->
                      weights=w, returns=stats.returns, effective_sample_size=_ess(w))
 
 
-def dr(batch: EvalBatch, q_hat, gamma: float) -> float:
+def dr(batch: EvalBatch, q_rows: Array | None, gamma: float) -> float:
     """Weighted (self-normalized) per-decision doubly robust estimate.
 
-    With q_hat == None (or identically zero) this reduces to self-normalized
-    per-decision importance sampling; with an exact Q-model on a
-    deterministic process the correction terms telescope and the estimate
-    equals the model's initial-state value.
+    ``q_rows`` is a fitted Q at every decision of the batch, (N, A). With
+    None (or zeros) this reduces to self-normalized per-decision importance
+    sampling; with the exact Q on a deterministic process the correction
+    terms telescope and the estimate equals its initial-state value.
     """
-    stats = _prepare_stats(batch, q_hat, gamma)
+    stats = _prepare_stats(batch, q_rows, gamma)
     return _wdr_from_stats(stats, np.arange(stats.returns.shape[0]))
 
 
@@ -343,19 +344,9 @@ def dr(batch: EvalBatch, q_hat, gamma: float) -> float:
 
 
 @dataclass(frozen=True)
-class TabularQ:
-    """Q-table over latent state ids."""
-
-    q: Array  # (S, A)
-
-    def q_rows(self, batch: EvalBatch) -> Array:
-        return self.q[_state_ids(batch.store, self.q.shape[0])[0]]
-
-
-@dataclass(frozen=True)
 class FqeResult:
     estimate: float
-    q_model: object
+    q_rows: Array           # (N, A) fitted Q at every decision of the batch
     initial_values: Array   # per evaluated episode
 
 
@@ -400,9 +391,10 @@ def fqe_tabular(batch: EvalBatch, policy_matrix: Array, gamma: float) -> FqeResu
     pi = np.asarray(policy_matrix, dtype=np.float64)
     if pi.ndim != 2 or pi.shape[1] != N_ACTIONS:
         raise OpeError(f"policy matrix must be (n_states, {N_ACTIONS}), got {pi.shape}")
-    estimate, q, initial = _tabular_fqe(batch.store, pi, gamma,
-                                        np.ones(batch.store.lengths.shape[0]))
-    return FqeResult(estimate=estimate, q_model=TabularQ(q), initial_values=initial)
+    store = batch.store
+    estimate, q, initial = _tabular_fqe(store, pi, gamma, np.ones(store.lengths.shape[0]))
+    return FqeResult(estimate=estimate, q_rows=q[store.state_id[store.decision_frame]],
+                     initial_values=initial)
 
 
 @dataclass(frozen=True)
@@ -412,20 +404,6 @@ class FqeNetConfig:
     width: int = 64
     depth: int = 2
     seed: int = 0
-
-
-class NetworkQ:
-    """Fitted Q-network over the target policy's state features."""
-
-    def __init__(self, net: DuelingQNetwork):
-        self.net = net
-
-    def q_matrix(self, features: Array) -> Array:
-        with no_grad():
-            return self.net(Tensor(np.atleast_2d(features))).data
-
-    def q_rows(self, batch: EvalBatch) -> Array:
-        return self.q_matrix(batch.decision_features)
 
 
 def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None) -> FqeResult:
@@ -463,10 +441,11 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
             loss.backward()
             opt.step()
         load_param_values(frozen_net.params(), clone_param_values(net.params()))
-    q_model = NetworkQ(net)
-    q0 = q_model.q_matrix(X[store.offsets])
+    with no_grad():
+        q_rows = net(Tensor(X)).data
+        q0 = net(Tensor(X[store.offsets])).data
     initial = (pi[store.offsets] * q0).sum(axis=1)
-    return FqeResult(estimate=float(initial.mean()), q_model=q_model,
+    return FqeResult(estimate=float(initial.mean()), q_rows=q_rows,
                      initial_values=initial)
 
 
@@ -624,7 +603,7 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
         fqe_result = fqe_network(batch, cfg.gamma, cfg.fqe)
         fqe_mode = "network"
 
-    stats = _prepare_stats(batch, fqe_result.q_model, cfg.gamma)
+    stats = _prepare_stats(batch, fqe_result.q_rows, cfg.gamma)
     full_idx = np.arange(n)
     wis_point = _wis_from_stats(stats, full_idx, cfg.clip_percentile)
     dr_point = _wdr_from_stats(stats, full_idx)

@@ -53,6 +53,12 @@ DRIFT_JITTER = 0.05
 # norm of the structured emission means; note probability of an episode's first frame
 STRUCT_SCALE = 2.0
 FIRST_FRAME_NOTE_PROB = 1.0
+# the axes of each array field of ``TabularMDP`` beside ``transition`` (S, A, S):
+# S states, A actions, F features and D note dimensions (d_n)
+FIELD_AXES = {"reward_terminal": "S", "terminal_prob": "SA", "absorbing": "S",
+              "initial_dist": "S", "emission_l_mean": "SF", "emission_n_proto": "SD",
+              "note_present_prob": "S", "context_prototype": "SD", "severity_of": "S",
+              "context_of": "S", "optimal_action": "S"}
 
 
 class GeneratorError(ValueError):
@@ -141,6 +147,14 @@ class TabularMDP:
         t = self.transition
         if t.ndim != 3 or t.shape[0] != t.shape[2] or t.shape[1] != N_ACTIONS:
             raise GeneratorError(f"transition tensor has bad shape {t.shape}")
+        # F and D are the widths of the first field that has them
+        dims = {"S": t.shape[0], "A": N_ACTIONS}
+        for name, axes in FIELD_AXES.items():
+            shape = np.shape(getattr(self, name))
+            if len(shape) != len(axes) or \
+                    shape != tuple(dims.setdefault(a, n) for a, n in zip(axes, shape)):
+                raise GeneratorError(f"{name} has shape {shape}, expected "
+                                     f"{tuple(dims.get(a, a) for a in axes)} ({', '.join(axes)})")
         rows = t.sum(axis=2)
         if np.abs(rows - 1.0).max() > 1e-9:
             raise GeneratorError("transition rows must sum to 1 within 1e-9")
@@ -391,10 +405,8 @@ def near_clinician_behavior(mdp: TabularMDP, epsilon: float = 0.3) -> BehaviorPo
     """Optimal action with probability 1 - eps, the rest uniform (full support)."""
     if not (0.0 < epsilon < 1.0):
         raise GeneratorError(f"epsilon must be in (0, 1), got {epsilon}")
-    S, A = mdp.n_states, mdp.n_actions
-    probs = np.full((S, A), epsilon / (A - 1))
-    probs[np.arange(S), mdp.optimal_action] = 1.0 - epsilon
-    probs[mdp.absorbing] = 1.0 / A
+    probs = eps_soft_matrix(mdp.optimal_action, mdp.n_actions, epsilon)
+    probs[mdp.absorbing] = 1.0 / mdp.n_actions
     return BehaviorPolicy(probs)
 
 
@@ -436,18 +448,15 @@ def exact_policy_value(mdp: TabularMDP, policy, gamma: float | None = None,
     label of the state it reaches); otherwise solves the infinite-horizon
     Bellman equations by linear solve.
     """
-    gamma = mdp.gamma if gamma is None else float(gamma)
-    if gamma >= 1.0 or gamma < 0.0:
-        raise GeneratorError(f"gamma must be in [0, 1), got {gamma}")
-    pi = _policy_matrix(policy, mdp.n_states, mdp.n_actions)
-    values = state_values(mdp, pi, gamma=gamma, horizon=horizon)
-    return float(mdp.initial_dist @ values)
+    return float(mdp.initial_dist @ state_values(mdp, policy, gamma, horizon))
 
 
 def state_values(mdp: TabularMDP, policy, gamma: float | None = None,
                  horizon: int | None = None) -> Array:
     """Per-state values V(s); absorbing states are 0 by convention."""
     gamma = mdp.gamma if gamma is None else float(gamma)
+    if gamma >= 1.0 or gamma < 0.0:
+        raise GeneratorError(f"gamma must be in [0, 1), got {gamma}")
     pi = _policy_matrix(policy, mdp.n_states, mdp.n_actions)
     M, b = _step_operator(mdp, pi, gamma)
     free = ~mdp.absorbing
@@ -751,8 +760,11 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     m = payload["mdp"]
     mdp = TabularMDP(**{f.name: _from_json(f, m[f.name]) for f in fields(TabularMDP)})
-    behavior = BehaviorPolicy(np.array(payload["behavior_probs"]))
-    return GroundTruth(mdp=mdp, behavior=behavior,
+    probs = np.array(payload["behavior_probs"])
+    if probs.shape != (mdp.n_states, mdp.n_actions):
+        raise GeneratorError(f"behavior_probs has shape {probs.shape}, expected "
+                             f"{(mdp.n_states, mdp.n_actions)} (S, A)")
+    return GroundTruth(mdp=mdp, behavior=BehaviorPolicy(probs),
                        oracle_values=dict(payload["oracle_values"]),
                        episode_states={k: list(map(int, v))
                                        for k, v in payload["episode_states"].items()})

@@ -34,7 +34,6 @@ from .netcore import (
     load_param_values,
     no_grad,
     save_checkpoint,
-    zero_grads,
 )
 from .synthgym import eps_soft_matrix
 
@@ -501,7 +500,6 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             raise TrainingDiverged(f"non-finite loss at step {step}", last_snapshot, log)
         loss.backward()
         opt.step()
-        zero_grads(params)
 
         if cfg.algorithm == "bcq":
             with no_grad():

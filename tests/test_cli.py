@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from careql import dataset as dataset_mod
-from careql.cli import DEFAULT_CONFIG, ConfigError, load_config, main
+from careql.cli import DEFAULT_CONFIG, ConfigError, build_parser, load_config, main
 from careql.dataset import SNAPSHOT_NAME, ingest
 from careql.trainer import TrainConfig
 
@@ -631,6 +631,31 @@ DATA_FILE_FAULTS = {
     "ground_truth_not_json": ("ground_truth.json", lambda t: t[:40], None),
     "ground_truth_lacks_episode": ("ground_truth.json", edit_json(
         lambda g: g["episode_states"].pop("ep000000")), None),
+    "ground_truth_absorbing_short": ("ground_truth.json", edit_json(
+        lambda g: g["mdp"]["absorbing"].pop()), None),
+    "ground_truth_initial_dist_short": ("ground_truth.json", edit_json(
+        lambda g: g["mdp"]["initial_dist"].pop()), None),
+    "ground_truth_reward_terminal_short": ("ground_truth.json", edit_json(
+        lambda g: g["mdp"]["reward_terminal"].pop()), None),
+    "ground_truth_terminal_prob_one_entry": ("ground_truth.json", edit_json(
+        lambda g: g["mdp"].update(terminal_prob=[0.5])), None),
+    "ground_truth_behavior_probs_column_short": ("ground_truth.json", edit_json(
+        lambda g: [row.pop() for row in g["behavior_probs"]]), None),
+    "ground_truth_episode_states_short": ("ground_truth.json", edit_json(
+        lambda g: g["episode_states"]["ep000000"].pop()), None),
+    "ground_truth_state_id_beyond_S": ("ground_truth.json", edit_json(
+        lambda g: g["episode_states"]["ep000000"].__setitem__(
+            0, len(g["mdp"]["absorbing"]))), None),
+}
+# what the message of each ground-truth fault must name beside the file
+GROUND_TRUTH_FAULT_NAMES = {
+    "ground_truth_absorbing_short": "absorbing",
+    "ground_truth_initial_dist_short": "initial_dist",
+    "ground_truth_reward_terminal_short": "reward_terminal",
+    "ground_truth_terminal_prob_one_entry": "terminal_prob",
+    "ground_truth_behavior_probs_column_short": "behavior_probs",
+    "ground_truth_episode_states_short": "'ep000000'",
+    "ground_truth_state_id_beyond_S": "state ids must lie in [0, 8)",
 }
 
 # (file, edit of its bytes) that leave a data file no longer UTF-8 text
@@ -747,6 +772,16 @@ class TestFaultInjection:
         if line is not None:
             assert f"line {line}:" in err, err
 
+    @pytest.mark.parametrize("fault", list(GROUND_TRUTH_FAULT_NAMES))
+    def test_malformed_ground_truth_names_the_field(self, synth_dir, capsys, fault):
+        name, edit, _ = DATA_FILE_FAULTS[fault]
+        path = synth_dir / name
+        path.write_text(edit(path.read_text()))
+        code = main(["ingest", "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(path) in err and GROUND_TRUTH_FAULT_NAMES[fault] in err, err
+
     @pytest.mark.parametrize("name, edit, line", list(DATA_FILE_FAULTS.values()),
                              ids=list(DATA_FILE_FAULTS))
     def test_malformed_data_file_after_a_snapshot_gives_the_same_error(
@@ -823,6 +858,24 @@ class TestFaultInjection:
         assert code == 2, err
         assert err.startswith("configuration error: --out:") and str(out) in err, err
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("argv", [["ingest", "--data", "d", "--seed", "5"],
+                                      ["ingest", "--data", "d", "--out", "o"],
+                                      ["ablate", "--seed", "5"]])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        # parsed only, so that a command which took the flag would not run
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_uncertifiable_gap_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dataset.synth.min_gap": 0.9})
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("configuration error: could not certify modality gaps "
+                              ">= 0.9 after 5 attempts"), err
 
     def test_out_root_naming_a_file_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
         root = tmp_path / "taken"

@@ -13,7 +13,6 @@ from careql.ope import (
     OpeConfig,
     OpeError,
     TabularPolicy,
-    TabularQ,
     _tabular_fqe,
     dr,
     eval_batch,
@@ -79,6 +78,11 @@ def deterministic_chain_mdp():
         severity_of=np.array([0, 1, -1, -1]), context_of=np.array([0, 0, -1, -1]),
         optimal_action=np.zeros(S, dtype=np.int64),
     )
+
+
+def decision_states(batch):
+    """The latent state of every decision of a batch."""
+    return batch.store.state_id[batch.store.decision_frame]
 
 
 def q_pi_table(mdp, pi):
@@ -165,7 +169,8 @@ class TestFqeTabular:
 
     def test_gamma_zero_gives_mean_immediate_reward(self, synth):
         mdp, _, dataset, target, _ = synth
-        result = fqe_tabular(eval_batch(dataset, target), target.probs, 0.0)
+        batch = eval_batch(dataset, target)
+        result = fqe_tabular(batch, target.probs, 0.0)
         # with gamma=0, Q(s,a) is the empirical mean immediate reward
         sums = np.zeros((mdp.n_states, N_ACTIONS))
         counts = np.zeros((mdp.n_states, N_ACTIONS))
@@ -179,6 +184,7 @@ class TestFqeTabular:
                   @ q[ep.transitions[0].state_id])
             for ep in dataset.episodes])
         assert result.estimate == pytest.approx(expected, abs=1e-9)
+        np.testing.assert_allclose(result.q_rows, q[decision_states(batch)], atol=1e-12)
 
     def test_close_to_true_dp_value(self, synth):
         mdp, _, dataset, target, oracle = synth
@@ -206,6 +212,11 @@ class TestFqeNetwork:
         result = fqe_network(batch, 0.0, cfg)
         exact = fqe_tabular(batch, target.probs, 0.0)
         assert abs(result.estimate - exact.estimate) < 0.05
+        # q_rows is the fitted Q at every decision, initial ones included
+        first = batch.store.offsets
+        assert result.q_rows.shape == batch.pi.shape
+        np.testing.assert_allclose((batch.pi[first] * result.q_rows[first]).sum(axis=1),
+                                   result.initial_values, atol=1e-12)
 
 
 class TestDr:
@@ -238,8 +249,9 @@ class TestDr:
         dataset = rollout(mdp, behavior, n_episodes=60, seed=3)
         target = TabularPolicy(eps_soft_matrix(np.array([4, 9, 0, 0]),
                                                N_ACTIONS, eps=0.2))
-        q_model = TabularQ(q_pi_table(mdp, target.probs))
-        estimate = dr(eval_batch(dataset, target, LoggedBehavior()), q_model, GAMMA)
+        batch = eval_batch(dataset, target, LoggedBehavior())
+        q_rows = q_pi_table(mdp, target.probs)[decision_states(batch)]
+        estimate = dr(batch, q_rows, GAMMA)
         truth = exact_policy_value(mdp, target.probs, gamma=GAMMA)
         assert estimate == pytest.approx(truth, abs=1e-6)
 
@@ -250,13 +262,14 @@ class TestDr:
         for seed in range(5):
             ds = rollout(mdp, behavior, n_episodes=1500, max_len=MAX_LEN,
                          seed=100 + seed)
-            biased = TabularQ(q_pi_table(mdp, target.probs) + 0.2)
+            biased = q_pi_table(mdp, target.probs) + 0.2
             dm = np.mean([
                 float(target.probs[ep.transitions[0].state_id]
-                      @ biased.q[ep.transitions[0].state_id])
+                      @ biased[ep.transitions[0].state_id])
                 for ep in ds.episodes])
-            dr_est = dr(eval_batch(replace(ds, episodes=list(ds.episodes)), target,
-                                   LoggedBehavior()), biased, GAMMA)
+            batch = eval_batch(replace(ds, episodes=list(ds.episodes)), target,
+                               LoggedBehavior())
+            dr_est = dr(batch, biased[decision_states(batch)], GAMMA)
             if abs(dr_est - oracle_inf) < abs(dm - oracle_inf):
                 wins += 1
         assert wins >= 4
@@ -461,7 +474,7 @@ class TestStateIdOutsideTable:
 
     N_ROWS = 5
 
-    @pytest.mark.parametrize("entry", ["evaluation_rows", "q_rows", "fqe_tabular"])
+    @pytest.mark.parametrize("entry", ["evaluation_rows", "fqe_tabular"])
     def test_names_first_episode(self, synth, entry):
         _, _, dataset, target, _ = synth
         eps = list(dataset.episodes[:40])
@@ -471,7 +484,6 @@ class TestStateIdOutsideTable:
         small = TabularPolicy(np.full((self.N_ROWS, N_ACTIONS), 1.0 / N_ACTIONS))
         batch = eval_batch(replace(dataset, episodes=eps), target)
         call = {"evaluation_rows": lambda: small.evaluation_rows(batch.store),
-                "q_rows": lambda: TabularQ(np.zeros((self.N_ROWS, N_ACTIONS))).q_rows(batch),
                 "fqe_tabular": lambda: fqe_tabular(batch, small.probs, GAMMA)}[entry]
         expected = first_episode_beyond(eps, self.N_ROWS)
         with pytest.raises(OpeError, match=f"episode {expected!r} has a state id beyond"):

@@ -336,21 +336,15 @@ class TestTrain:
         for key in enc_after:
             assert np.array_equal(enc_after[key], enc_init[key]), key
 
-    def test_frozen_encoder_gets_no_gradient(self, monkeypatch):
-        import careql.trainer as trainer_mod
-
+    def test_frozen_encoder_gets_no_gradient(self):
+        # nothing zeroes a frozen parameter's gradient, so a gradient that
+        # reached one in any step would still be there after training
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
-        zeroed = []
-        real_zero_grads = trainer_mod.zero_grads
-
-        def spy(params):
-            zeroed.append(sum(float(np.abs(p.grad).sum()) for key, p in params.items()
-                              if key.startswith("state.") and p.grad is not None))
-            real_zero_grads(params)
-
-        monkeypatch.setattr(trainer_mod, "zero_grads", spy)
-        train(ds, quick_train_cfg(total_steps=3, freeze_encoders=True), enc_cfg)
-        assert zeroed == [0.0, 0.0, 0.0]
+        result = train(ds, quick_train_cfg(total_steps=3, freeze_encoders=True), enc_cfg)
+        frozen = [p for key, p in result.policy.model.params().items()
+                  if key.startswith("state.")]
+        assert frozen
+        assert all(p.grad is None or not p.grad.any() for p in frozen)
 
     def test_conservatism_monotone_in_alpha(self):
         # stronger regularization weakly lowers the mean Q over the full

@@ -11,7 +11,11 @@ For each seed it prints one line per item:
   refreshes within the run, frozen encoders, the structured and notes
   modalities, the other note strategies, no attention and encoder depth 0;
 - the outputs of one ``eval_ope_network`` pass: behaviour fit, network OPE,
-  BDESR, Bellman residuals and tabular OPE.
+  BDESR, Bellman residuals and tabular OPE;
+- every file that a small multimodal ``synth -> train -> eval ->
+  cross-eval`` chain writes through ``cli.main`` with a fitted behaviour
+  model (``MULTIMODAL_CONFIG``): BDESR, network OPE and the DR curve of
+  each FQE snapshot.
 
 Run it from the repository root on two revisions and compare the outputs::
 
@@ -25,7 +29,9 @@ this checkout's ``perfbench`` configs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -36,7 +42,7 @@ import numpy as np
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
-from careql import dataset, trainer  # noqa: E402
+from careql import cli, dataset, trainer  # noqa: E402
 from careql.encoder import NoteStrategy  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -58,6 +64,19 @@ TRAIN_VARIANTS = [
     ("cql_no_attention", {}, {"use_attention": False}, "multimodal"),
     ("cql_encoder_depth0", {}, {"depth": 0}, "multimodal"),
 ]
+# the multimodal chain's config; its seed is each digest seed, and its
+# evaluation cohort for cross-eval is synthesized at seed + 100
+MULTIMODAL_CONFIG = {
+    "dataset": {"synth": {"n_features": 6, "d_n": 8, "n_episodes": 120, "max_len": 10,
+                          "min_gap": 0.0, "split_fractions": [0.8, 0.0, 0.2]}},
+    "modality": "multimodal",
+    "encoder": {"d": 8, "d_k": 4, "depth": 1},
+    "train": {"total_steps": 60, "batch_size": 64, "hidden_width": 16, "trunk_depth": 2,
+              "eval_interval": 20, "target_update": 20, "learning_rate": 1e-3},
+    "ope": {"behavior": "fitted", "behavior_fit_steps": 100, "n_bootstrap": 25,
+            "fqe_iterations": 3, "fqe_steps": 20, "fqe_width": 16},
+    "cross_eval": {"snapshot_points": 3},
+}
 
 
 def _sha(data: bytes) -> str:
@@ -104,11 +123,38 @@ def eval_lines(seed: int, work: Path) -> list[str]:
     return [f"seed {seed} eval_pass {_sha(json.dumps(out, sort_keys=True).encode())}"]
 
 
+def multimodal_lines(seed: int, work: Path) -> list[str]:
+    config = work / "multimodal.json"
+    config.write_text(json.dumps({**MULTIMODAL_CONFIG, "seed": seed}), encoding="utf-8")
+    out = work / "multimodal"
+    cohort_a, cohort_b, runs = (str(out / name) for name in ("data_a", "data_b", "runs"))
+    steps = [
+        ["synth", "--seed", str(seed), "--out", cohort_a],
+        ["synth", "--seed", str(seed + 100), "--out", cohort_b],
+        ["train", "--data", cohort_a, "--out", f"{runs}/train"],
+        ["eval", "--data", cohort_a, "--checkpoint", f"{runs}/train/checkpoint.json",
+         "--out", f"{runs}/eval"],
+        ["cross-eval", "--train-data", cohort_a, "--eval-data", cohort_b,
+         "--out", f"{runs}/cross"],
+    ]
+    codes = []
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in steps:
+            codes.append(cli.main([argv[0], "--config", str(config), *argv[1:]]))
+            if codes[-1] != 0:
+                break
+    lines = [f"seed {seed} multimodal exit codes {codes}"]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        lines.append(f"seed {seed} multimodal {path.relative_to(out)} {file_digest(path)}")
+    return lines
+
+
 def main() -> int:
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            for line in pipeline_lines(seed, work) + train_lines(seed) + eval_lines(seed, work):
+            for line in (pipeline_lines(seed, work) + train_lines(seed)
+                         + eval_lines(seed, work) + multimodal_lines(seed, work)):
                 print(line, flush=True)
     return 0
 
