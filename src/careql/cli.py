@@ -286,18 +286,21 @@ def _write_provenance(out: Path, cfg: dict, seed: int) -> None:
 
 
 def _read_cohort(data_dir: str | Path, gt_path: str | Path = ""):
-    """A directory's dataset files, with the ground truth at ``gt_path`` (by
-    default the directory's ``ground_truth.json``) attached when present."""
+    """A directory's dataset files, with the ground truth attached: that at
+    ``gt_path``, which must exist when given, or else the directory's
+    ``ground_truth.json`` when present."""
     data = Path(data_dir)
     dataset = ds_mod.ingest(data / "structured.csv", data / "notes.jsonl",
                             data / "manifest.json")
+    if gt_path and not Path(gt_path).exists():
+        raise ds_mod.DatasetError(f"ground truth {gt_path}: no such file")
     gt = None
     gt_path = Path(gt_path) if gt_path else data / "ground_truth.json"
     if gt_path.exists():
         try:
             gt = gym_mod.load_ground_truth(gt_path)
             dataset = gym_mod.attach_ground_truth(dataset, gt)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ds_mod.DatasetError(
                 f"ground truth {gt_path}: cannot attach ({type(exc).__name__}: {exc})") from exc
     return dataset, gt

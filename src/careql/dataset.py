@@ -583,6 +583,8 @@ def ingest(structured_file: str | Path, notes_file: str | Path,
     otherwise the files are parsed and a successful parse replaces the
     snapshot atomically. A snapshot that cannot be read counts as a miss and
     one that cannot be written is skipped, so neither changes the result.
+    Files that list no episodes are an error, whether parsed or read from a
+    snapshot, and leave no snapshot.
     """
     paths = tuple(map(Path, (structured_file, notes_file, manifest)))
     structured_path, notes_path, manifest_path = paths
@@ -595,8 +597,12 @@ def ingest(structured_file: str | Path, notes_file: str | Path,
     digest = _digest(contents.values())
     snapshot = structured_path.parent / SNAPSHOT_NAME
     dataset = _load_snapshot(snapshot, digest)
-    if dataset is None:
+    parsed = dataset is None
+    if parsed:
         dataset = _parse(paths, contents)
+    if not len(dataset):
+        raise DatasetError(f"manifest {manifest_path}: lists no episodes")
+    if parsed:
         _write_snapshot(snapshot, digest, dataset)
     return dataset
 

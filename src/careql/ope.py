@@ -40,14 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import EpisodeStore, N_ACTIONS, OfflineDataset
-from .netcore import (
-    Adam,
-    DuelingQNetwork,
-    Tensor,
-    clone_param_values,
-    load_param_values,
-    no_grad,
-)
+from .netcore import Adam, DuelingQNetwork, Tensor, no_grad
 from .synthgym import rows_are_distributions
 from .trainer import ActionClassifier, cross_entropy_loss, dqn_loss
 
@@ -410,7 +403,8 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
     """Iterated Q regression on the policy's state features.
 
     Each outer iteration regresses r + gamma (1 - done) sum_a pi(a|s') Q_k
-    (s', a) onto Q_{k+1}(s, a) with a frozen Q_k; diverging values abort.
+    (s', a) onto Q_{k+1}(s, a), with Q_k the network as the iteration starts;
+    diverging values abort.
     """
     cfg = cfg or FqeNetConfig()
     store, pi = batch.store, batch.pi
@@ -424,13 +418,9 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
                           n_actions=N_ACTIONS, name="fqe")
     opt = Adam(net.params(), lr=FQE_LEARNING_RATE)
-    # the same seed gives the frozen network net's initial parameters
-    frozen_net = DuelingQNetwork(X.shape[1], np.random.default_rng([cfg.seed, 41]),
-                                 width=cfg.width, depth=cfg.depth,
-                                 n_actions=N_ACTIONS, name="fqe")
     for it in range(cfg.iterations):
         with no_grad():
-            next_q = frozen_net(Tensor(X_next)).data
+            next_q = net(Tensor(X_next)).data
         targets = store.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
         if not np.isfinite(targets).all():
             raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
@@ -440,7 +430,6 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
             loss = dqn_loss(net(Tensor(X[idx])), store.action[idx], targets[idx])[0]
             loss.backward()
             opt.step()
-        load_param_values(frozen_net.params(), clone_param_values(net.params()))
     with no_grad():
         q_rows = net(Tensor(X)).data
         q0 = net(Tensor(X[store.offsets])).data

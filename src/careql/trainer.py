@@ -212,12 +212,6 @@ def bcq_masked_q(q: Array, behavior_probs: Array, tau: float) -> Array:
     return np.where(bcq_allowed_mask(behavior_probs, tau), q, -np.inf)
 
 
-def bcq_target(reward: Array, done: Array, next_q: Array,
-               next_behavior_probs: Array, gamma: float, tau: float) -> Array:
-    masked = bcq_masked_q(next_q, next_behavior_probs, tau)
-    return reward + gamma * (1.0 - done.astype(np.float64)) * masked.max(axis=1)
-
-
 def cql_loss(q: Tensor, actions: Array, targets: Array,
              alpha: float) -> tuple[Tensor, dict]:
     """Half mean-squared Bellman error plus the conservative regularizer.
@@ -402,9 +396,10 @@ class LearnedPolicy:
 # ---------------------------------------------------------------------------
 
 
-def target_q_table(target: QModel, inputs: tuple[Array, Array, Array],
+def target_q_table(model: QModel, inputs: tuple[Array, Array, Array],
                    batch_size: int) -> Array:
-    """The target network's Q at every frame row of ``inputs``.
+    """``model``'s Q at every frame row of ``inputs``: in training, the
+    target, taken at the last refresh.
 
     Every forward has exactly ``batch_size`` rows, the last one wrapping
     around to the first rows, because BLAS rounds a row's product by the
@@ -417,7 +412,7 @@ def target_q_table(target: QModel, inputs: tuple[Array, Array, Array],
     n = inputs[0].shape[0]
     rows = np.arange(-(-n // batch_size) * batch_size) % n
     with no_grad():
-        chunks = [target.q_values(*(x[chunk] for x in inputs)).data
+        chunks = [model.q_values(*(x[chunk] for x in inputs)).data
                   for chunk in rows.reshape(-1, batch_size)]
     return np.concatenate(chunks)[:n]
 
@@ -440,17 +435,17 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     ``snapshot_interval`` additionally collects (step, values of every
     policy parameter) pairs for evaluation-across-iterations curves.
 
-    The target network is frozen between refreshes, so its Q at every frame
-    row of the store is computed once per refresh (``target_q_table``) and
-    each step reads its next-state rows from that table. A refresh costs
-    ceil(n_frames / batch_size) forwards of batch_size rows; per-step target
-    forwards would cost ``target_update`` forwards over the same interval.
+    The target is the model's Q at every frame row of the store as it was
+    at the last refresh (at step 1, its initial parameters), computed once
+    per refresh (``target_q_table``); each step reads its next-state rows
+    from that table. A refresh costs ceil(n_frames / batch_size) forwards of
+    batch_size rows; per-step target forwards would cost ``target_update``
+    forwards over the same interval.
     """
     if len(dataset) == 0:
         raise TrainerError("dataset is empty")
-    # the same seed gives the target network the model's initial parameters
-    model, target = (QModel(modality, enc_cfg, np.random.default_rng([cfg.seed, 11]),
-                            cfg.hidden_width, cfg.trunk_depth) for _ in range(2))
+    model = QModel(modality, enc_cfg, np.random.default_rng([cfg.seed, 11]),
+                   cfg.hidden_width, cfg.trunk_depth)
     store = (dataset.split("train") or dataset).store
     inputs = build_transition_table(store, enc_cfg.strategy, modality)
 
@@ -479,7 +474,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
 
     for step in range(1, cfg.total_steps + 1):
         if table is None:
-            table = target_q_table(target, inputs, cfg.batch_size)
+            table = target_q_table(model, inputs, cfg.batch_size)
         idx = batch_rng.integers(0, store.action.shape[0], size=cfg.batch_size)
         frame = store.decision_frame[idx]
         state = tuple(x[frame] for x in inputs)
@@ -488,10 +483,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         if cfg.algorithm == "bcq":
             with no_grad():
                 next_state = model.state_tensor(*(x[frame + 1] for x in inputs)).data
-            next_probs = classifier.probs(next_state)
-            y = bcq_target(reward, done, next_q, next_probs, cfg.gamma, cfg.bcq_threshold)
-        else:
-            y = dqn_target(reward, done, next_q, cfg.gamma)
+            next_q = bcq_masked_q(next_q, classifier.probs(next_state), cfg.bcq_threshold)
+        y = dqn_target(reward, done, next_q, cfg.gamma)
 
         q = model.q_values(*state)
         alpha = cfg.cql_alpha if cfg.algorithm == "cql" else 0.0
@@ -509,7 +502,6 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             clf_opt.step()
 
         if step % cfg.target_update == 0:
-            load_param_values(target.params(), clone_param_values(params))
             table = None
 
         if step % cfg.eval_interval == 0 or step == cfg.total_steps:

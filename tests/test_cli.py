@@ -691,6 +691,17 @@ WIDTH_FAULTS = {
 }
 
 
+def empty_cohort(data: Path) -> None:
+    """Rewrite a cohort's files to list no episodes: a header-only
+    structured.csv, an empty notes.jsonl and a manifest with ``"episodes": []``."""
+    structured = data / "structured.csv"
+    structured.write_text(structured.read_text().splitlines(keepends=True)[0])
+    (data / "notes.jsonl").write_text("")
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(json.dumps({**manifest, "episodes": []}))
+    (data / "ground_truth.json").unlink()
+
+
 class TestFaultInjection:
     @pytest.mark.parametrize("contents", list(CHECKPOINT_FAULTS.values()),
                              ids=list(CHECKPOINT_FAULTS))
@@ -810,6 +821,55 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 3, err
         assert err.startswith("data error:") and str(path) in err and "UTF-8" in err, err
+
+    def test_cohort_with_no_episodes_exits_3_naming_the_manifest(self, tmp_path, synth_dir,
+                                                                 capsys):
+        empty_cohort(synth_dir)
+        cfg = str(write_config(tmp_path))
+        message = f"data error: manifest {synth_dir / 'manifest.json'}: lists no episodes"
+        for command, *args in (["ingest"], ["train", "--out", str(tmp_path / "train")],
+                               ["eval", "--checkpoint", str(tmp_path / "checkpoint.json"),
+                                "--out", str(tmp_path / "eval")]):
+            code = main([command, "--config", cfg, "--data", str(synth_dir), *args])
+            err = capsys.readouterr().err
+            assert code == 3, (command, err)
+            assert err.startswith(message), (command, err)
+            assert not (synth_dir / SNAPSHOT_NAME).exists()
+
+    def test_snapshot_of_a_cohort_with_no_episodes_is_refused(self, synth_dir, capsys,
+                                                              monkeypatch):
+        # a snapshot that earlier code wrote for such files is read, not
+        # parsed, and refused like the files themselves
+        empty_cohort(synth_dir)
+        paths = [synth_dir / name for name in ("structured.csv", "notes.jsonl", "manifest.json")]
+        contents = {key: path.read_bytes()
+                    for key, path in zip(("structured", "notes", "manifest"), paths)}
+        dataset_mod._write_snapshot(synth_dir / SNAPSHOT_NAME,
+                                    dataset_mod._digest(contents.values()),
+                                    dataset_mod._parse(paths, dict(contents)))
+
+        def parse(*args):
+            raise AssertionError("the snapshot was not read")
+
+        monkeypatch.setattr(dataset_mod, "_parse", parse)
+        code = main(["ingest", "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert f"manifest {paths[2]}: lists no episodes" in err, err
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    def test_configured_ground_truth_that_cannot_be_read_exits_3(self, tmp_path, synth_dir,
+                                                                 capsys, command, fault):
+        path = tmp_path / "nowhere" / "gt.json"
+        if fault == "directory":
+            path.mkdir(parents=True)
+        cfg = str(write_config(tmp_path, {"dataset.files.ground_truth": str(path)}))
+        out = [] if command == "ingest" else ["--out", str(tmp_path / "train")]
+        code = main([command, "--config", cfg, "--data", str(synth_dir), *out])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(path) in err, err
 
     def test_unreadable_data_file_exits_3_naming_it(self, synth_dir, capsys):
         path = synth_dir / "notes.jsonl"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from careql import ope as ope_mod
 from careql.dataset import N_ACTIONS, store_of
+from careql.netcore import DuelingQNetwork, Tensor, clone_param_values, load_param_values, no_grad
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -217,6 +219,63 @@ class TestFqeNetwork:
         assert result.q_rows.shape == batch.pi.shape
         np.testing.assert_allclose((batch.pi[first] * result.q_rows[first]).sum(axis=1),
                                    result.initial_values, atol=1e-12)
+
+    def test_iteration_k_regresses_on_its_own_iterate(self, synth, monkeypatch):
+        # iteration k's regression targets are r + gamma (1 - d) sum_a
+        # pi(a|s') Q_k(s', a), with Q_k the network as iteration k starts:
+        # at k = 0 a network freshly drawn from the seed. Random features make
+        # every decision's row unique, so a minibatch's rows name its decisions.
+        _, _, dataset, target, _ = synth
+        batch = eval_batch(replace(dataset, episodes=dataset.episodes[:60]), target)
+        batch = replace(batch, features=np.random.default_rng(7).normal(
+            size=(batch.features.shape[0], 5)))
+        cfg = FqeNetConfig(iterations=3, steps_per_iteration=4, width=16, depth=1, seed=2)
+        store, X, X_next = batch.store, batch.decision_features, batch.next_features
+        decision_of = {row.tobytes(): k for k, row in enumerate(X)}
+        assert len(decision_of) == X.shape[0]
+        forwards, iterates, regressions = [], [], []
+        real_call, real_loss = DuelingQNetwork.__call__, ope_mod.dqn_loss
+
+        def call(net, x):
+            forwards.append((net, x.data))
+            return real_call(net, x)
+
+        def loss(q, actions, targets):
+            net, x = forwards[-1]
+            if len(regressions) % cfg.steps_per_iteration == 0:
+                iterates.append(clone_param_values(net.params()))
+            regressions.append((len(iterates) - 1, [decision_of[r.tobytes()] for r in x],
+                                targets))
+            return real_loss(q, actions, targets)
+
+        monkeypatch.setattr(DuelingQNetwork, "__call__", call)
+        monkeypatch.setattr(ope_mod, "dqn_loss", loss)
+        fqe_network(batch, GAMMA, cfg)
+
+        def network(values=None):
+            net = DuelingQNetwork(X.shape[1], np.random.default_rng([cfg.seed, 41]),
+                                  width=cfg.width, depth=cfg.depth, n_actions=N_ACTIONS,
+                                  name="fqe")
+            if values is not None:
+                load_param_values(net.params(), values)
+            return net
+
+        assert len(iterates) == cfg.iterations
+        assert len(regressions) == cfg.iterations * cfg.steps_per_iteration
+        for key, p in network().params().items():
+            assert p.data.tobytes() == iterates[0][key].tobytes(), key
+        assert any(not np.array_equal(iterates[0][k], iterates[1][k]) for k in iterates[0])
+        expected = []
+        for values in iterates:
+            with no_grad():
+                next_q = network(values)(Tensor(X_next)).data
+            y = store.reward.copy()
+            for i in np.flatnonzero(~store.done):
+                assert store.episode_index[i + 1] == store.episode_index[i]
+                y[i] += GAMMA * (batch.pi[i + 1] * next_q[i]).sum()
+            expected.append(y)
+        for k, decisions, targets in regressions:
+            np.testing.assert_allclose(targets, expected[k][decisions], rtol=1e-12, atol=1e-12)
 
 
 class TestDr:

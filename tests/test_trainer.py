@@ -10,7 +10,7 @@ from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS, EpisodeStore
 from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder
-from careql.netcore import Dense, Tensor
+from careql.netcore import Dense, Tensor, clone_param_values
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -400,6 +400,31 @@ class TestTrain:
             TrainConfig(total_steps=0)
 
 
+def spy_tables(monkeypatch) -> list[tuple[dict, list[int]]]:
+    """Wrap ``trainer.target_q_table``; each call appends the values of the
+    model parameters it was given and the row count of each ``q_values``
+    forward it ran."""
+    calls, open_calls = [], []
+    real_table, real_q = trainer_mod.target_q_table, trainer_mod.QModel.q_values
+
+    def table(model, inputs, batch_size):
+        calls.append((clone_param_values(model.params()), []))
+        open_calls.append(calls[-1][1])
+        try:
+            return real_table(model, inputs, batch_size)
+        finally:
+            open_calls.pop()
+
+    def q_values(model, *inputs):
+        if open_calls:
+            open_calls[-1].append(inputs[0].shape[0])
+        return real_q(model, *inputs)
+
+    monkeypatch.setattr(trainer_mod, "target_q_table", table)
+    monkeypatch.setattr(trainer_mod.QModel, "q_values", q_values)
+    return calls
+
+
 class TestTargetTable:
     @pytest.mark.parametrize("n_episodes, batch_size, algorithm", [
         (30, 16, "cql"), (30, 16, "bcq"), (2, 64, "cql"),
@@ -407,24 +432,98 @@ class TestTargetTable:
     def test_one_table_of_full_batches_per_refresh(self, monkeypatch, n_episodes,
                                                    batch_size, algorithm):
         _, _, ds, enc_cfg = small_setup(n_episodes=n_episodes)
-        calls = []
-        real = trainer_mod.QModel.q_values
-
-        def spy(model, *inputs):
-            calls.append((model, inputs[0].shape[0]))
-            return real(model, *inputs)
-
-        monkeypatch.setattr(trainer_mod.QModel, "q_values", spy)
+        calls = spy_tables(monkeypatch)
         # refreshes after steps 3 and 6: tables for steps 1-3, 4-6 and 7
         cfg = quick_train_cfg(total_steps=7, target_update=3, batch_size=batch_size,
                               algorithm=algorithm)
-        result = train(ds, cfg, enc_cfg)
+        train(ds, cfg, enc_cfg)
         n_frames = (ds.split("train") or ds).store.structured.shape[0]
         if n_episodes == 2:
             assert n_frames < batch_size
-        target_rows = [rows for model, rows in calls if model is not result.policy.model]
+        target_rows = [rows for _, forwards in calls for rows in forwards]
         assert len(target_rows) == 3 * -(-n_frames // batch_size)
         assert set(target_rows) == {batch_size}
+
+    @pytest.mark.parametrize("algorithm, freeze", [("cql", False), ("bcq", False),
+                                                   ("cql", True)])
+    def test_each_table_is_the_model_at_its_refresh(self, monkeypatch, algorithm, freeze):
+        # the table of steps 1-3 is the initial model's Q, that of steps 4-6
+        # the model's after step 3, and that of step 7 the model's after step 6
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        calls = spy_tables(monkeypatch)
+        cfg = quick_train_cfg(total_steps=7, target_update=3, batch_size=16,
+                              algorithm=algorithm, freeze_encoders=freeze)
+        result = train(ds, cfg, enc_cfg, snapshot_interval=cfg.target_update)
+        initial = trainer_mod.QModel("multimodal", enc_cfg,
+                                     np.random.default_rng([cfg.seed, 11]),
+                                     cfg.hidden_width, cfg.trunk_depth).params()
+        assert [step for step, _ in result.snapshots] == [3, 6, 7]
+        expected = [{k: p.data for k, p in initial.items()}] + \
+            [values for _, values in result.snapshots[:2]]
+        assert len(calls) == len(expected)
+        for (given, _), values in zip(calls, expected):
+            assert set(given) <= set(values)
+            for key, value in given.items():
+                assert value.tobytes() == values[key].tobytes(), key
+        # the model moved between refreshes, so the tables differ
+        assert any(not np.array_equal(calls[0][0][k], calls[1][0][k]) for k in calls[0][0])
+
+    def test_bcq_target_is_the_max_over_supported_actions(self, monkeypatch):
+        # each step's regression target, against a loop over the batch: the
+        # reward plus gamma times the largest target-table Q among the
+        # actions whose behaviour-probability ratio to the modal action is
+        # at least tau (no bootstrap when done). The structured model's next
+        # state is the raw next frame, which names the transition.
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        store = (ds.split("train") or ds).store
+        events = []
+        real_table = trainer_mod.target_q_table
+        real_probs = trainer_mod.ActionClassifier.probs
+        real_loss = trainer_mod.cql_loss
+
+        def table(model, inputs, batch_size):
+            events.append(("table", real_table(model, inputs, batch_size)))
+            return events[-1][1]
+
+        def probs(classifier, x):
+            events.append(("probs", (x, real_probs(classifier, x))))
+            return events[-1][1][1]
+
+        def loss(q, actions, targets, alpha):
+            events.append(("y", targets))
+            return real_loss(q, actions, targets, alpha)
+
+        monkeypatch.setattr(trainer_mod, "target_q_table", table)
+        monkeypatch.setattr(trainer_mod.ActionClassifier, "probs", probs)
+        monkeypatch.setattr(trainer_mod, "cql_loss", loss)
+        tau, gamma = 0.95, 0.9
+        cfg = quick_train_cfg(total_steps=5, target_update=2, batch_size=32,
+                              algorithm="bcq", bcq_threshold=tau, gamma=gamma)
+        train(ds, cfg, enc_cfg, modality="structured")
+
+        frame_of = {row.tobytes(): f for f, row in enumerate(store.structured)}
+        assert len(frame_of) == store.structured.shape[0]
+        transition_of = {f + 1: k for k, f in enumerate(store.decision_frame)}
+        current, next_states, n_steps, n_masked, n_done = None, None, 0, 0, 0
+        for kind, value in events:
+            if kind == "table":
+                current = value
+            elif kind == "probs":
+                next_states = value
+            else:
+                x, p = next_states
+                for i in range(x.shape[0]):
+                    f = frame_of[x[i].tobytes()]
+                    k = transition_of[f]
+                    allowed = [a for a in range(N_ACTIONS) if p[i, a] / p[i].max() >= tau]
+                    best = max(current[f, a] for a in allowed)
+                    n_masked += best < current[f].max()
+                    n_done += bool(store.done[k])
+                    bootstrap = 0.0 if store.done[k] else 1.0
+                    assert value[i] == store.reward[k] + gamma * bootstrap * best
+                n_steps += 1
+        assert n_steps == cfg.total_steps
+        assert n_masked and n_done
 
     def test_rows_equal_minibatch_forwards(self):
         # a batch of 64 rows, like every batch size the repository's configs

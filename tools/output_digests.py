@@ -7,11 +7,15 @@ For each seed it prints one line per item:
   at 200 episodes (the ingest snapshot is digested by its arrays, because
   the zip archive records its write time);
 - the trained parameters of 50-step multimodal CQL and BCQ runs at the
-  acceptance config, and of variants of it (`TRAIN_VARIANTS`): target
-  refreshes within the run, frozen encoders, the structured and notes
-  modalities, the other note strategies, no attention and encoder depth 0;
+  acceptance config, and of variants of it (`TRAIN_VARIANTS`): DQN, target
+  refreshes within the run (every step, every 20 steps, and every 15 steps,
+  which leaves a partial last interval), frozen encoders, the structured and
+  notes modalities, the other note strategies, no attention and encoder
+  depth 0;
 - the outputs of one ``eval_ope_network`` pass: behaviour fit, network OPE,
   BDESR, Bellman residuals and tabular OPE;
+- one network FQE fit of a single iteration on that pass's batch: its
+  ``q_rows`` and its estimate;
 - every file that a small multimodal ``synth -> train -> eval ->
   cross-eval`` chain writes through ``cli.main`` with a fitted behaviour
   model (``MULTIMODAL_CONFIG``): BDESR, network OPE and the DR curve of
@@ -42,7 +46,7 @@ import numpy as np
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
-from careql import cli, dataset, trainer  # noqa: E402
+from careql import cli, dataset, ope, trainer  # noqa: E402
 from careql.encoder import NoteStrategy  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -53,9 +57,14 @@ SEEDS = (1, 3)
 # (name, TrainConfig changes, EncoderConfig changes, modality) of each
 # training run beside the acceptance config's CQL and BCQ
 TRAIN_VARIANTS = [
+    ("dqn_multimodal", {"algorithm": "dqn"}, {}, "multimodal"),
+    ("cql_refresh1", {"target_update": 1}, {}, "multimodal"),
     ("cql_refresh20", {"target_update": 20}, {}, "multimodal"),
+    ("bcq_refresh15", {"algorithm": "bcq", "target_update": 15}, {}, "multimodal"),
     ("bcq_refresh20", {"algorithm": "bcq", "target_update": 20}, {}, "multimodal"),
     ("cql_frozen_encoders", {"freeze_encoders": True, "target_update": 20}, {}, "multimodal"),
+    ("bcq_frozen_encoders", {"algorithm": "bcq", "freeze_encoders": True,
+                             "target_update": 20}, {}, "multimodal"),
     ("cql_structured", {}, {}, "structured"),
     ("cql_notes", {}, {}, "notes"),
     ("cql_raw", {}, {"strategy": NoteStrategy("raw")}, "multimodal"),
@@ -120,7 +129,11 @@ def train_lines(seed: int) -> list[str]:
 def eval_lines(seed: int, work: Path) -> list[str]:
     task = workloads.EvalOpeNetwork(seed, work / "eval")
     out = task.run(0)
-    return [f"seed {seed} eval_pass {_sha(json.dumps(out, sort_keys=True).encode())}"]
+    batch = ope.eval_batch(task.held, ope.soften(task.policy, workloads.EPS_SOFT))
+    fqe = ope.fqe_network(batch, workloads.GAMMA, replace(task.net_cfg.fqe, iterations=1))
+    return [f"seed {seed} eval_pass {_sha(json.dumps(out, sort_keys=True).encode())}",
+            f"seed {seed} fqe_network_1 q_rows {_sha(fqe.q_rows.tobytes())} "
+            f"estimate {fqe.estimate!r}"]
 
 
 def multimodal_lines(seed: int, work: Path) -> list[str]:
