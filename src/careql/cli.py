@@ -207,6 +207,8 @@ def load_config(path: str | Path | None) -> dict:
             user = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:      # a directory, or no permission
+            raise ConfigError(f"config {path}: cannot read ({exc.strerror})")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config {path}: not UTF-8 text ({exc})")
         except json.JSONDecodeError as exc:
@@ -277,6 +279,10 @@ def _out_dir(args, command: str) -> Path:
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+
+
+def _write_csv(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_provenance(out: Path, cfg: dict, seed: int) -> None:
@@ -434,7 +440,7 @@ def _write_ope_outputs(out: Path, report, variant: str) -> None:
     lines = [f"metric,{variant}"]
     for metric in METRICS:
         lines.append(f"{metric},{getattr(report, metric)!r}")
-    (out / "ope_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / "ope_report.csv", lines)
 
 
 def _write_bdesr_outputs(out: Path, report: dict, variant: str) -> None:
@@ -442,7 +448,7 @@ def _write_bdesr_outputs(out: Path, report: dict, variant: str) -> None:
     lines = [f"cohort,{variant}",
              f"low_bdesr,{report['low_bdesr']!r}",
              f"high_bdesr,{report['high_bdesr']!r}"]
-    (out / "bdesr_report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / "bdesr_report.csv", lines)
 
 
 def _write_residuals(out: Path, policy, dataset, gamma: float) -> None:
@@ -538,7 +544,7 @@ def cmd_ablate(args) -> int:
             cells.append(repr(row["metrics"][metric]["mean"]))
             cells.append(repr(row["metrics"][metric]["std"]))
         lines.append(",".join(cells))
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / "ablation.csv", lines)
     _write_provenance(out, cfg, cfg["seed"])
     print(f"wrote {len(rows)} ablation rows over seeds {cfg['seeds']} to {out}")
     return EXIT_OK
@@ -588,8 +594,7 @@ def cmd_cross_eval(args) -> int:
         fqe_res = ope_mod.fqe_network(batch, gamma, _ope_config(cfg, seed).fqe)
         point = ope_mod.dr(batch, fqe_res.q_rows, gamma)
         curve_lines.append(f"{step},{point!r}")
-    (out / "dr_curve.csv").write_text("\n".join(curve_lines) + "\n",
-                                      encoding="utf-8")
+    _write_csv(out / "dr_curve.csv", curve_lines)
     _write_provenance(out, cfg, seed)
     print(f"cross-eval: opera={report.opera:.4f} dr={report.dr:.4f} "
           f"fqe={report.fqe:.4f} wis={report.wis:.4f}")
@@ -602,12 +607,16 @@ def cmd_report(args) -> int:
     if not run_dir.is_dir():
         raise ds_mod.DatasetError(f"run directory {run_dir}: "
                                   + ("not a directory" if run_dir.exists() else "not found"))
-    ope_files = sorted(run_dir.rglob("ope_report.json"))
+
+    def variant(path: Path) -> str:
+        """The run-relative directory of a run file, "policy" for the run itself."""
+        rel = str(path.parent.relative_to(run_dir))
+        return rel if rel != "." else "policy"
+
     variants = {}
-    for path in ope_files:
-        rel = path.parent.relative_to(run_dir)
-        name = str(rel) if str(rel) != "." else "policy"
-        variants[name] = _load_run_file(path, lambda p: {m: p["estimates"][m] for m in METRICS})
+    for path in sorted(run_dir.rglob("ope_report.json")):
+        variants[variant(path)] = _load_run_file(
+            path, lambda p: {m: p["estimates"][m] for m in METRICS})
     out = run_dir / "report"
     try:
         out.mkdir(exist_ok=True)
@@ -619,19 +628,17 @@ def cmd_report(args) -> int:
         for metric in METRICS:
             cells = [repr(variants[n][metric]) for n in names]
             lines.append(f"{metric}," + ",".join(cells))
-        (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out / "summary.csv", lines)
         _write_json(out / "radar.json", variants)
     hist_rows = ["variant,bin_left,bin_right,count"]
     for path in sorted(run_dir.rglob("residuals.json")):
-        rel = path.parent.relative_to(run_dir)
-        name = str(rel) if str(rel) != "." else "policy"
+        name = variant(path)
         bins = _load_run_file(path, lambda p: list(zip(
             p["hist_edges"][:-1], p["hist_edges"][1:], p["hist_counts"])))
         for left, right, count in bins:
             hist_rows.append(f"{name},{left!r},{right!r},{count}")
     if len(hist_rows) > 1:
-        (out / "residual_hist.csv").write_text("\n".join(hist_rows) + "\n",
-                                               encoding="utf-8")
+        _write_csv(out / "residual_hist.csv", hist_rows)
     print(f"report written to {out} ({len(variants)} variant(s))")
     return EXIT_OK
 

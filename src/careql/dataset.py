@@ -9,9 +9,9 @@ otherwise.
 
 A dataset keeps its episodes in one ``EpisodeStore`` of contiguous arrays
 (the flat layout of D4RL, Fu et al. 2020). ``OfflineDataset.episodes`` are
-views of it, whose ``Transition`` and ``JointObservation`` objects are built
-only when ``transitions`` or ``frames()`` is read. Ingest, normalization,
-rediscretization, export and every flattening reader work on the arrays.
+read-only views of it, whose ``Transition`` and ``JointObservation`` objects
+are built from its rows when read. Ingest, normalization, rediscretization,
+export and every flattening reader work on the arrays.
 
 File layout (see ``ingest`` / ``export``):
   structured CSV  one row per frame: episode_id, step, f0..f{F-1},
@@ -58,13 +58,6 @@ class DatasetError(ValueError):
     """Malformed dataset contents or files."""
 
 
-def _built(cls, **fields):
-    """An instance of a frozen dataclass from fields already checked in bulk."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -77,20 +70,6 @@ class JointObservation:
     structured: Array
     note_embedding: Array
     note_present: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "structured", np.asarray(self.structured, dtype=np.float64))
-        object.__setattr__(self, "note_embedding", np.asarray(self.note_embedding, dtype=np.float64))
-        if self.structured.ndim != 1:
-            raise DatasetError(f"structured must be 1-d, got shape {self.structured.shape}")
-        if self.note_embedding.ndim != 1:
-            raise DatasetError(f"note_embedding must be 1-d, got shape {self.note_embedding.shape}")
-        if not np.isfinite(self.structured).all():
-            raise DatasetError("structured features must be finite")
-        if not np.isfinite(self.note_embedding).all():
-            raise DatasetError("note embedding must be finite")
-        if not self.note_present and np.any(self.note_embedding != 0.0):
-            raise DatasetError("absent note must use the all-zeros embedding")
 
 
 @dataclass(frozen=True)
@@ -118,104 +97,76 @@ class ActionIndex:
 
 @dataclass(frozen=True)
 class Transition:
+    """One decision, the frames before and after it and its logged values."""
+
     obs: JointObservation
     action: ActionIndex
     reward: float
     next_obs: JointObservation
     done: bool
-    behavior_prob: float | None = None
+    behavior_prob: float | None    # None when unknown
     # raw doses preserved for file round-trips
-    iv_dose: float = 0.0
-    vaso_dose: float = 0.0
+    iv_dose: float
+    vaso_dose: float
     # latent state ids, known for synthetic data only; enable tabular oracles
-    state_id: int | None = None
-    next_state_id: int | None = None
-
-    def __post_init__(self):
-        if self.reward not in (-1.0, 0.0, 1.0):
-            raise DatasetError(f"reward must be in {{-1, 0, +1}}, got {self.reward}")
-        if not self.done and self.reward != 0.0:
-            raise DatasetError("nonzero reward on a non-terminal transition")
-        if self.behavior_prob is not None and not (0.0 < self.behavior_prob <= 1.0):
-            raise DatasetError(f"behavior_prob must be in (0, 1], got {self.behavior_prob}")
+    state_id: int | None
+    next_state_id: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Episode:
-    """T transitions over T + 1 frames.
+    """Episode ``index`` of ``store``, read-only: the sequence of its T
+    transitions over T + 1 frames (also read as ``transitions``), each built
+    from the store's rows when indexed or iterated."""
 
-    Either built by hand from ``Transition`` objects, or a view of one
-    episode of an ``EpisodeStore``, whose transitions are built from the
-    arrays on first read.
-    """
+    store: "EpisodeStore" = field(repr=False)
+    index: int
 
-    transitions: Sequence[Transition]
-    survived: bool
-    episode_id: str
-    split: str = "train"
+    @property
+    def episode_id(self) -> str:
+        return self.store.episode_id[self.index]
 
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        if len(self.transitions) < 1:
-            raise DatasetError(f"episode {self.episode_id!r} has no transitions")
-        if self.split not in SPLITS:
-            raise DatasetError(f"unknown split {self.split!r}")
-        done_flags = [t.done for t in self.transitions]
-        if done_flags != [False] * (len(done_flags) - 1) + [True]:
-            raise DatasetError(
-                f"episode {self.episode_id!r}: exactly the last transition must have done=True"
-            )
-        expected = 1.0 if self.survived else -1.0
-        if self.transitions[-1].reward != expected:
-            raise DatasetError(
-                f"episode {self.episode_id!r}: terminal reward {self.transitions[-1].reward} "
-                f"inconsistent with survived={self.survived}"
-            )
+    @property
+    def survived(self) -> bool:
+        return bool(self.store.survived[self.index])
+
+    @property
+    def split(self) -> str:
+        return self.store.split[self.index]
+
+    @property
+    def transitions(self) -> "Episode":
+        return self
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return int(self.store.lengths[self.index])
+
+    def __getitem__(self, t: int) -> Transition:
+        store = self.store
+        row = int(store.offsets[self.index]) + range(len(self))[t]
+        frame, prob = row + self.index, float(store.behavior_prob[row])
+        state, next_state = (None if s < 0 else s for s in store.state_id[frame:frame + 2].tolist())
+        return Transition(
+            obs=store.frame(frame), action=ActionIndex.from_flat(int(store.action[row])),
+            reward=float(store.reward[row]), next_obs=store.frame(frame + 1),
+            done=bool(store.done[row]), behavior_prob=None if math.isnan(prob) else prob,
+            iv_dose=float(store.iv_dose[row]), vaso_dose=float(store.vaso_dose[row]),
+            state_id=state, next_state_id=next_state)
 
     def frames(self) -> list[JointObservation]:
         """All distinct observation frames, in time order (length T+1)."""
-        return [t.obs for t in self.transitions] + [self.transitions[-1].next_obs]
+        first = int(self.store.frame_offsets[self.index])
+        return [self.store.frame(k) for k in range(first, first + len(self) + 1)]
 
     def discounted_return(self, gamma: float) -> float:
         # every reward before the terminal one is zero
         return (gamma ** (len(self) - 1)) * (1.0 if self.survived else -1.0)
 
 
-class _StoredTransitions(Sequence):
-    """The transitions of a stored episode, built on first read."""
-
-    def __init__(self, store: "EpisodeStore", index: int):
-        self._store, self._index, self._items = store, index, None
-
-    def __len__(self) -> int:
-        return int(self._store.lengths[self._index])
-
-    def __getitem__(self, key):
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-    def _built(self) -> tuple[Transition, ...]:
-        if self._items is None:
-            self._items = self._store.episode_transitions(self._index)
-        return self._items
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     mean: Array
     std: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=np.float64))
-        object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
 
     def standardize(self, x: Array) -> Array:
         """Z-scores of the rows of ``x``; a zero-variance feature maps to 0."""
@@ -300,19 +251,24 @@ class EpisodeStore:
         reward[np.cumsum(self.lengths) - 1] = np.where(self.survived, 1.0, -1.0)
         return reward
 
+    @cached_property
+    def frame_episode(self) -> Array:
+        """Episode of each frame row."""
+        return np.repeat(np.arange(self.lengths.shape[0], dtype=np.int64), self.lengths + 1)
+
     def first_episode(self, rows: Array) -> int | None:
         """Index of the episode that owns the first True transition row, or None."""
         return int(self.episode_index[rows.argmax()]) if rows.any() else None
 
+    def frame(self, row: int) -> JointObservation:
+        """Frame row ``row``; its arrays are views of the store's."""
+        return JointObservation(self.structured[row], self.note_embedding[row],
+                                bool(self.note_present[row]))
+
     def views(self) -> tuple[Episode, ...]:
         """One view per episode. The store keeps no reference to them, so
-        dropping a dataset frees its arrays without waiting for the cycle
-        collector."""
-        return tuple(
-            _built(Episode, transitions=_StoredTransitions(self, i), survived=survived,
-                   episode_id=episode_id, split=split, _store=self, _index=i)
-            for i, (survived, episode_id, split) in enumerate(
-                zip(self.survived.tolist(), self.episode_id, self.split)))
+        dropping a dataset frees its arrays without waiting for the collector."""
+        return tuple(Episode(self, i) for i in range(self.lengths.shape[0]))
 
     def take(self, index: Array) -> "EpisodeStore":
         """The store of episodes ``index``, in that order."""
@@ -322,89 +278,52 @@ class EpisodeStore:
                 **dict.fromkeys(_EPISODE_FIELDS, index)}
         return EpisodeStore(**{name: getattr(self, name)[r] for name, r in rows.items()})
 
-    def episode_transitions(self, i: int) -> tuple[Transition, ...]:
-        """The transitions of episode ``i``, sharing frame objects; their
-        arrays are views of the store's rows."""
-        length, first = int(self.lengths[i]), int(self.frame_offsets[i])
-        rows, cut = slice(first, first + length + 1), slice(first - i, first - i + length)
-        frames = [_built(JointObservation, structured=x, note_embedding=e, note_present=p)
-                  for x, e, p in zip(self.structured[rows], self.note_embedding[rows],
-                                     self.note_present[rows].tolist())]
-        states = [None if s < 0 else s for s in self.state_id[rows].tolist()]
-        terminal = 1.0 if self.survived[i] else -1.0
-        return tuple(
-            _built(Transition, obs=frames[t], action=ActionIndex.from_flat(a),
-                   reward=terminal if t == length - 1 else 0.0, next_obs=frames[t + 1],
-                   done=t == length - 1, behavior_prob=None if math.isnan(p) else p,
-                   iv_dose=iv, vaso_dose=vaso, state_id=states[t],
-                   next_state_id=states[t + 1])
-            for t, (a, p, iv, vaso) in enumerate(zip(
-                self.action[cut].tolist(), self.behavior_prob[cut].tolist(),
-                self.iv_dose[cut].tolist(), self.vaso_dose[cut].tolist())))
-
     @classmethod
-    def pack(cls, episodes: Sequence[Episode], n_features: int = 0,
-             d_n: int = 0) -> "EpisodeStore":
-        """The arrays of any episodes, read through their objects; an empty
-        list gives frame widths ``n_features`` and ``d_n``. A frame's state id
-        is its transition's ``state_id``, the final frame's the last
-        ``next_state_id``."""
-        frames = [f for ep in episodes for f in ep.frames()]
-        trs = [tr for ep in episodes for tr in ep.transitions]
-        states = [s for ep in episodes
-                  for s in [tr.state_id for tr in ep.transitions] + [ep.transitions[-1].next_state_id]]
+    def empty(cls, n_features: int, d_n: int) -> "EpisodeStore":
+        """The store of no episodes, whose frames are ``n_features`` and ``d_n`` wide."""
+        ints, floats, flags, names = (np.zeros(0, t) for t in (np.int64, np.float64, bool, object))
+        return cls(np.zeros((0, n_features)), np.zeros((0, d_n)), flags, ints,
+                   ints, floats, floats, floats, ints, flags, names, names)
 
-        def stack(rows: list[Array], width: int) -> Array:
-            return np.stack(rows) if rows else np.zeros((0, width))
-
-        return cls(
-            structured=stack([f.structured for f in frames], n_features),
-            note_embedding=stack([f.note_embedding for f in frames], d_n),
-            note_present=np.array([f.note_present for f in frames], dtype=bool),
-            state_id=np.array([-1 if s is None else s for s in states], dtype=np.int64),
-            action=np.array([tr.action.flat for tr in trs], dtype=np.int64),
-            iv_dose=np.array([tr.iv_dose for tr in trs], dtype=np.float64),
-            vaso_dose=np.array([tr.vaso_dose for tr in trs], dtype=np.float64),
-            behavior_prob=np.array([np.nan if tr.behavior_prob is None else tr.behavior_prob
-                                    for tr in trs], dtype=np.float64),
-            lengths=np.array([len(ep.transitions) for ep in episodes], dtype=np.int64),
-            survived=np.array([ep.survived for ep in episodes], dtype=bool),
-            episode_id=np.array([ep.episode_id for ep in episodes], dtype=object),
-            split=np.array([ep.split for ep in episodes], dtype=object),
-        )
+    def check(self, n_features: int, d_n: int) -> None:
+        """Raise a ``DatasetError`` unless every array has the shape that
+        ``lengths`` and the frame widths ``n_features`` and ``d_n`` give it,
+        and every episode has a transition and a split in ``SPLITS``."""
+        n, n_frames = int(self.lengths.sum()), int(self.lengths.sum()) + self.lengths.size
+        shapes = {**dict.fromkeys(_FRAME_FIELDS, (n_frames,)),
+                  **dict.fromkeys(_TRANSITION_FIELDS, (n,)),
+                  **dict.fromkeys(_EPISODE_FIELDS, self.lengths.shape),
+                  "structured": (n_frames, n_features), "note_embedding": (n_frames, d_n)}
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise DatasetError(f"store {name} has shape {np.shape(getattr(self, name))}, "
+                                   f"but lengths and widths give {shape}")
+        for bad, what in ((self.lengths < 1, "has no transitions"),
+                          (~np.isin(self.split, SPLITS), f"has a split outside {SPLITS}")):
+            if bad.any():
+                raise DatasetError(f"episode {self.episode_id[bad.argmax()]!r} {what}")
 
 
-def store_of(episodes: Sequence[Episode], n_features: int = 0, d_n: int = 0) -> EpisodeStore:
-    """One store of ``episodes`` in order: their own store when they are all
-    of its episodes in its order, rows gathered from it when they are some of
-    them, and a pack (see ``EpisodeStore.pack``) otherwise."""
-    stores = [ep.__dict__.get("_store") for ep in episodes]
-    store = stores[0] if stores else None
-    if store is None or any(s is not store for s in stores):
-        return EpisodeStore.pack(episodes, n_features, d_n)
-    index = np.fromiter((ep.__dict__["_index"] for ep in episodes), dtype=np.int64,
-                        count=len(episodes))
+def store_of(episodes: Sequence[Episode]) -> EpisodeStore:
+    """The store of some views of one store, in order: that store when they
+    are all of its episodes in its order, rows gathered from it otherwise."""
+    store = episodes[0].store
+    if any(ep.store is not store for ep in episodes):
+        raise DatasetError("the episodes of a dataset must be views of one store")
+    index = np.fromiter((ep.index for ep in episodes), dtype=np.int64, count=len(episodes))
     if index.shape == store.lengths.shape and (index == np.arange(index.size)).all():
         return store
     return store.take(index)
-
-
-def _frame_widths(ep: Episode) -> tuple[set[int], set[int]]:
-    """Structured and note widths of an episode's frames."""
-    store = ep.__dict__.get("_store")
-    if store is not None:
-        return {store.structured.shape[1]}, {store.note_embedding.shape[1]}
-    frames = ep.frames()
-    return ({f.structured.shape[0] for f in frames},
-            {f.note_embedding.shape[0] for f in frames})
 
 
 @dataclass(frozen=True)
 class OfflineDataset:
     """A cohort: its episodes, frame widths, feature statistics and dose bins.
 
-    ``store`` holds the arrays of every episode and ``episodes`` are its
-    views; hand-built episodes are packed into a new store.
+    ``episodes`` are views of one ``EpisodeStore`` (see ``store_of``), which
+    is checked (see ``EpisodeStore.check``); ``store`` holds the arrays of
+    exactly these episodes, and is an empty store of the frame widths when
+    there are none.
     """
 
     episodes: tuple[Episode, ...]
@@ -416,17 +335,13 @@ class OfflineDataset:
 
     def __post_init__(self):
         episodes = tuple(self.episodes)
-        for ep in episodes:
-            structured, notes = _frame_widths(ep)
-            for width in structured - {self.n_features}:
-                raise DatasetError(f"episode {ep.episode_id!r}: structured width "
-                                   f"{width} != F={self.n_features}")
-            for width in notes - {self.d_n}:
-                raise DatasetError(f"episode {ep.episode_id!r}: embedding width "
-                                   f"{width} != d_n={self.d_n}")
-        store = store_of(episodes, self.n_features, self.d_n)
-        if not episodes or episodes[0].__dict__.get("_store") is not store:
-            episodes = store.views()
+        if episodes:
+            episodes[0].store.check(self.n_features, self.d_n)
+            store = store_of(episodes)
+            if store is not episodes[0].store:
+                episodes = store.views()
+        else:
+            store = EpisodeStore.empty(self.n_features, self.d_n)
         object.__setattr__(self, "store", store)
         object.__setattr__(self, "episodes", episodes)
 
@@ -512,8 +427,7 @@ def compute_feature_stats(dataset: OfflineDataset) -> FeatureStats:
     """Population mean/std per structured feature over the training split."""
     store = dataset.store
     train = store.split == "train"
-    rows = store.structured[np.repeat(train, store.lengths + 1)] if train.any() \
-        else store.structured
+    rows = store.structured[train[store.frame_episode]] if train.any() else store.structured
     return FeatureStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
 
 
@@ -528,9 +442,8 @@ def normalize(dataset: OfflineDataset, stats: FeatureStats | None = None) -> Off
     finite = np.isfinite(store.structured)
     if not finite.all():
         frame, feature = np.argwhere(~finite)[0]
-        episode = np.searchsorted(store.frame_offsets, frame, side="right") - 1
-        raise DatasetError(
-            f"non-finite feature {feature} in episode {store.episode_id[episode]!r}")
+        raise DatasetError(f"non-finite feature {feature} in episode "
+                           f"{store.episode_id[store.frame_episode[frame]]!r}")
     if stats is None:
         stats = compute_feature_stats(dataset)
     z = stats.standardize(store.structured)
@@ -657,7 +570,7 @@ def _parse(paths: Sequence[Path], contents: dict[str, bytes | None]) -> OfflineD
 
 def _load_snapshot(path: Path, digest: str) -> OfflineDataset | None:
     """The dataset of the snapshot at ``path`` if it was written by this
-    ``SNAPSHOT_VERSION`` for ``digest``, else None."""
+    ``SNAPSHOT_VERSION`` for ``digest`` with bin edges a manifest may hold, else None."""
     try:
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"]))
@@ -667,8 +580,7 @@ def _load_snapshot(path: Path, digest: str) -> OfflineDataset | None:
         store = EpisodeStore(**arrays, episode_id=np.array(meta["episode_id"], dtype=object),
                              split=np.array(meta["split"], dtype=object))
         return OfflineDataset(store.views(), n_features=meta["n_features"], d_n=meta["d_n"],
-                              bin_edges=DoseBins(**{drug: tuple(edges) for drug, edges
-                                                    in meta["bin_edges"].items()}))
+                              bin_edges=_dose_bins(meta["bin_edges"]))
     except Exception:
         # The file may hold anything, and NumPy and zipfile raise many
         # exception types on a malformed archive; every one of them is a
@@ -724,12 +636,21 @@ def _read_manifest(path: Path, text: str) -> tuple[int, int, dict[str, str], Dos
             raise error(f"lists episode {entry['id']!r} twice")
         splits[entry["id"]] = entry["split"]
     try:
-        edges = {drug: tuple(man["bin_edges"][drug]) for drug in ("iv", "vaso")}
-        for drug_edges in edges.values():
-            _validate_edges(drug_edges)
+        bins = _dose_bins(man["bin_edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"bad bin_edges ({exc})") from exc
-    return man["n_features"], man["d_n"], splits, DoseBins(**edges)
+    return man["n_features"], man["d_n"], splits, bins
+
+
+def _dose_bins(edges: Mapping) -> DoseBins:
+    """The dose bins of the JSON ``bin_edges`` of a manifest or a snapshot:
+    4 ascending positive numbers per drug, each an int or a float."""
+    bins = {drug: tuple(edges[drug]) for drug in ("iv", "vaso")}
+    for drug, drug_edges in bins.items():
+        if any(type(edge) not in (int, float) for edge in drug_edges):
+            raise DatasetError(f"{drug} edges must be numbers, got {list(drug_edges)}")
+        _validate_edges(drug_edges)
+    return DoseBins(**bins)
 
 
 def _read_structured(path: Path, lines: list[str], n_features: int,
@@ -889,7 +810,7 @@ def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
                          f"{int(step == length)},{int(survived)}\n")
 
     noted = np.flatnonzero(store.note_present)
-    episode = np.searchsorted(store.frame_offsets, noted, side="right") - 1
+    episode = store.frame_episode[noted]
     with notes_path.open("w", encoding="utf-8") as fh:
         for row, k, step in zip(noted.tolist(), episode.tolist(),
                                 (noted - store.frame_offsets[episode]).tolist()):

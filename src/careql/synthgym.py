@@ -743,7 +743,7 @@ def write_ground_truth(path: str | Path, mdp: TabularMDP, behavior: BehaviorPoli
     store = dataset.store
     unknown = store.state_id < 0
     if unknown.any():
-        episode = np.searchsorted(store.frame_offsets, np.argmax(unknown), side="right") - 1
+        episode = store.frame_episode[np.argmax(unknown)]
         raise GeneratorError(f"episode {store.episode_id[episode]!r} lacks state ids")
     episode_states = dict(zip(store.episode_id, (
         states.tolist() for states in np.split(store.state_id, store.frame_offsets[1:]))))

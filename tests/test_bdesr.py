@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from careql.bdesr import BdesrError, bdesr_report, cohort_split, discrepancy
-from careql.dataset import (ActionIndex, DatasetError, DoseBins, OfflineDataset,
-                            store_of)
+from careql.dataset import ActionIndex, DatasetError
 
-from test_dataset import make_episode
+from stores import make_dataset, make_store
 
 
 class FixedPolicy:
@@ -20,19 +19,14 @@ class FixedPolicy:
 
 
 def episode_with_actions(flats, ep_id="e0", survived=True):
-    actions = [ActionIndex.from_flat(f) for f in flats]
-    features = [[float(i)] for i in range(len(flats) + 1)]
-    return make_episode(features, survived=survived, ep_id=ep_id, actions=actions)
-
-
-def dataset_of(episodes):
-    return OfflineDataset(tuple(episodes), n_features=1, d_n=4,
-                          bin_edges=DoseBins((0.5, 1.5, 2.5, 3.5), (0.5, 1.5, 2.5, 3.5)))
+    """The rows of an episode that takes the flat actions ``flats``."""
+    return {"structured": [[float(i)] for i in range(len(flats) + 1)], "action": flats,
+            "episode_id": ep_id, "survived": survived}
 
 
 def score_one(ep, policy, alpha=0.5, beta=0.5):
     """(m_iv, m_vaso, m) of a one-episode store."""
-    return tuple(float(x[0]) for x in discrepancy(store_of([ep]), policy, alpha, beta))
+    return tuple(float(x[0]) for x in discrepancy(make_store([ep]), policy, alpha, beta))
 
 
 class TestEpisodeDiscrepancy:
@@ -100,7 +94,7 @@ class TestEpisodeDiscrepancy:
                for i in range(3)]
         policy = FixedPolicy({f"e{i}": [ActionIndex(i, 0).flat] * (i + 1)
                               for i in range(3)})
-        m_iv, m_vaso, m = discrepancy(store_of(eps), policy)
+        m_iv, m_vaso, m = discrepancy(make_store(eps), policy)
         assert m_iv.tolist() == [0.0, 1.0, 2.0]
         assert m_vaso.tolist() == [0.0, 0.0, 0.0]
         assert m.tolist() == [0.0, 0.5, 1.0]
@@ -135,7 +129,7 @@ class TestCohortSplit:
 
 def graded_dataset(survived):
     """One-step episodes e0..e4 whose scores under ``GRADED`` are 0..4."""
-    return dataset_of([episode_with_actions([ActionIndex(0, 0).flat], ep_id=f"e{i}",
+    return make_dataset([episode_with_actions([ActionIndex(0, 0).flat], ep_id=f"e{i}",
                                             survived=flag)
                        for i, flag in enumerate(survived)])
 
@@ -167,7 +161,7 @@ class TestReport:
             ep = episode_with_actions(flats, ep_id=f"e{i}", survived=bool(i % 2))
             episodes.append(ep)
             actions[f"e{i}"] = list(rng.integers(0, 25, size=3))
-        report = bdesr_report(dataset_of(episodes), FixedPolicy(actions), p=20.0)
+        report = bdesr_report(make_dataset(episodes), FixedPolicy(actions), p=20.0)
         assert set(report) == {"alpha", "beta", "p", "thresholds", "low_bdesr",
                                "high_bdesr", "cohorts", "scores"}
         assert len(report["scores"]) == 10

@@ -174,17 +174,17 @@ class TestTrainEval:
         # whether every behaviour probability is logged is read off the
         # store's column, without building any episode's transitions
         from careql import cli
-        from careql.dataset import EpisodeStore
+        from careql.dataset import Episode
         from careql.ope import LoggedBehavior
 
         cfg = load_config(None)
         data, gt = cli._load_bundle(synth_dir, cfg)
         assert gt is not None
 
-        def transitions(store, i):
-            raise AssertionError(f"built the transitions of episode {i}")
+        def transition(episode, t):
+            raise AssertionError(f"built transition {t} of episode {episode.index}")
 
-        monkeypatch.setattr(EpisodeStore, "episode_transitions", transitions)
+        monkeypatch.setattr(Episode, "__getitem__", transition)
         assert isinstance(cli._behavior_model(cfg, data, 0), LoggedBehavior)
 
     @pytest.mark.parametrize("behavior", ["auto", "fitted"])
@@ -628,6 +628,9 @@ DATA_FILE_FAULTS = {
     "manifest_field_missing": ("manifest.json", edit_json(lambda m: m.pop("d_n")), None),
     "manifest_edges_decreasing": ("manifest.json", edit_json(
         lambda m: m["bin_edges"].update(iv=[4.0, 3.0, 2.0, 1.0])), None),
+    "manifest_edges_not_numbers": ("manifest.json", edit_json(
+        lambda m: m["bin_edges"].update(iv=[str(edge) for edge in m["bin_edges"]["iv"]])),
+                                   None),
     "ground_truth_not_json": ("ground_truth.json", lambda t: t[:40], None),
     "ground_truth_lacks_episode": ("ground_truth.json", edit_json(
         lambda g: g["episode_states"].pop("ep000000")), None),
@@ -888,6 +891,22 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("configuration error:") and str(cfg) in err, err
+
+    @pytest.mark.parametrize("fault", ["directory", "permission"])
+    def test_config_that_cannot_be_read_exits_2_naming_it(self, tmp_path, synth_dir, capsys,
+                                                          monkeypatch, fault):
+        cfg = write_config(tmp_path)
+        if fault == "directory":
+            cfg.unlink()
+            cfg.mkdir()
+        else:   # chmod cannot keep a file from a superuser, so the read is refused here
+            def refuse(path, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(path))
+            monkeypatch.setattr(Path, "read_text", refuse)
+        code = main(["ingest", "--config", str(cfg), "--data", str(synth_dir)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"configuration error: config {cfg}: cannot read ("), err
 
     @pytest.mark.parametrize("value", [None, 0.5, 2])
     def test_valid_grad_clip_accepted(self, tmp_path, value):

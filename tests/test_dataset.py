@@ -14,53 +14,22 @@ from hypothesis import strategies as st
 
 from careql import dataset as dataset_mod
 from careql.dataset import (
+    N_DOSE_LEVELS,
     SNAPSHOT_NAME,
     SNAPSHOT_VERSION,
     SPLITS,
     ActionIndex,
     DatasetError,
     DoseBins,
-    Episode,
-    JointObservation,
     OfflineDataset,
-    Transition,
     compute_bin_edges,
     discretize_doses,
     export,
     ingest,
     normalize,
-    store_of,
 )
 
-EDGES = (0.5, 1.5, 2.5, 3.5)
-
-
-def obs(features, emb=None, present=False):
-    d_n = 4
-    if emb is None:
-        emb = np.zeros(d_n)
-    return JointObservation(np.asarray(features, float), np.asarray(emb, float), present)
-
-
-def make_episode(feature_cols, survived=True, ep_id="ep0", split="train",
-                 actions=None, embeddings=None):
-    """feature_cols: list of frame feature vectors (length T+1)."""
-    n = len(feature_cols) - 1
-    frames = []
-    for i, f in enumerate(feature_cols):
-        if embeddings is not None and embeddings[i] is not None:
-            frames.append(obs(f, embeddings[i], present=True))
-        else:
-            frames.append(obs(f))
-    transitions = []
-    for t in range(n):
-        a = actions[t] if actions else ActionIndex(1, 2)
-        transitions.append(Transition(
-            obs=frames[t], action=a, reward=terminal_reward(t, n, survived),
-            next_obs=frames[t + 1],
-            done=(t == n - 1), iv_dose=float(a.iv_level), vaso_dose=float(a.vaso_level),
-        ))
-    return Episode(tuple(transitions), survived, ep_id, split=split)
+from stores import DTYPES, EDGES, make_dataset, make_store
 
 
 def terminal_reward(t, n, survived):
@@ -72,7 +41,8 @@ class TestStoreReward:
     """``EpisodeStore.reward``, the reward rule ingest and training read."""
 
     def rewards(self, n, survived):
-        return store_of([make_episode([[0.0]] * (n + 1), survived)]).reward.tolist()
+        store = make_store([{"structured": [[0.0]] * (n + 1), "survived": survived}])
+        return store.reward.tolist()
 
     def test_survivor_five_steps(self):
         assert self.rewards(5, True) == [0, 0, 0, 0, 1]
@@ -84,9 +54,10 @@ class TestStoreReward:
         assert self.rewards(3, False) == [0, 0, -1]
 
     def test_empty_episode_rejected(self):
-        with pytest.raises(DatasetError, match="no transitions"):
-            Episode((), True, "ep0")
-
+        store = make_store([{"structured": [[0.0], [1.0]]},
+                            {"structured": [[2.0]], "episode_id": "lone frame"}])
+        with pytest.raises(DatasetError, match="episode 'lone frame' has no transitions"):
+            OfflineDataset(store.views(), 1, 4)
 
 class TestDiscretizeDose:
     def test_zero_dose_is_level_zero(self):
@@ -154,36 +125,65 @@ class TestActionIndex:
             ActionIndex.from_flat(25)
 
 
+
 class TestEpisodeInvariants:
     def test_reward_sparsity(self):
-        ep = make_episode([[0.0], [1.0], [2.0], [3.0]], survived=False)
+        ep = make_dataset([{"structured": [[0.0], [1.0], [2.0], [3.0]],
+                            "survived": False}]).episodes[0]
         rewards = [t.reward for t in ep.transitions]
         assert sum(abs(r) for r in rewards) == 1.0
         assert rewards[-1] == -1.0
 
-    def test_done_must_be_last_only(self):
-        f = [[0.0], [1.0], [2.0]]
-        ep = make_episode(f, survived=True)
-        bad = list(ep.transitions)
-        bad[0] = Transition(bad[0].obs, bad[0].action, 1.0, bad[0].next_obs, True)
-        with pytest.raises(DatasetError):
-            Episode(tuple(bad), True, "bad")
+    def test_a_view_indexes_like_a_tuple(self):
+        ep = make_dataset([{"structured": [[0.0], [1.0], [2.0]], "action": [3, 4]}]).episodes[0]
+        assert len(ep.transitions) == 2
+        assert [tr.action.flat for tr in ep.transitions] == [3, 4]
+        assert ep.transitions[-1].action.flat == ep.transitions[1].action.flat == 4
+        with pytest.raises(IndexError):
+            ep.transitions[2]
 
-    def test_terminal_reward_matches_survival(self):
-        with pytest.raises(DatasetError, match="survived"):
-            tr = Transition(obs([0.0]), ActionIndex(0, 0), -1.0, obs([1.0]), True)
-            Episode((tr,), True, "bad")
 
-    def test_absent_note_must_be_zero(self):
-        with pytest.raises(DatasetError, match="all-zeros"):
-            JointObservation(np.zeros(2), np.array([0.0, 0.1]), note_present=False)
+class TestStoreCheck:
+    """An ``OfflineDataset`` checks the one store its episodes are views of."""
+
+    EPISODES = [{"structured": [[0.0], [1.0], [2.0]]},
+                {"structured": [[3.0], [4.0]], "split": "test"}]
+
+    def test_episodes_of_two_stores_are_rejected(self):
+        first, second = make_store(self.EPISODES).views(), make_store(self.EPISODES).views()
+        with pytest.raises(DatasetError, match="views of one store"):
+            OfflineDataset((first[0], second[1]), 1, 4)
+
+    @pytest.mark.parametrize("name", ["structured", "note_present", "state_id", "action",
+                                      "behavior_prob", "lengths", "survived", "episode_id"])
+    def test_arrays_that_disagree_with_lengths_are_rejected(self, name):
+        store = make_store(self.EPISODES)
+        short = replace(store, **{name: getattr(store, name)[:-1]})
+        with pytest.raises(DatasetError, match="but lengths and widths give"):
+            OfflineDataset(short.views(), 1, 4)
+
+    def test_an_unknown_split_is_rejected(self):
+        store = make_store([{"structured": [[0.0], [1.0]], "split": "holdout"}])
+        with pytest.raises(DatasetError, match="episode 'ep0' has a split outside"):
+            OfflineDataset(store.views(), 1, 4)
+
+    @pytest.mark.parametrize("n_features, d_n", [(2, 4), (1, 3)])
+    def test_frames_of_another_width_are_rejected(self, n_features, d_n):
+        with pytest.raises(DatasetError, match="but lengths and widths give"):
+            OfflineDataset(make_store(self.EPISODES).views(), n_features, d_n)
+
+    @pytest.mark.parametrize("empty", ["split", "no episodes"])
+    def test_an_empty_dataset_keeps_its_widths(self, empty):
+        ds = make_dataset([{"structured": [[0.0, 1.0]] * 3}], d_n=3)
+        none = ds.split("val") if empty == "split" else replace(ds, episodes=())
+        assert (len(none), none.n_transitions, none.n_features, none.d_n) == (0, 0, 2, 3)
+        assert_store_equals(none.store, {name: getattr(ds.store, name)[:0] for name in DTYPES})
 
 
 class TestNormalize:
     def make_dataset(self, col):
         # one episode whose feature-0 column over frames equals `col`
-        ep = make_episode([[c] for c in col])
-        return OfflineDataset((ep,), n_features=1, d_n=4, bin_edges=DoseBins(EDGES, EDGES))
+        return make_dataset([{"structured": [[c] for c in col]}])
 
     def frame_values(self, ds):
         return np.array([f.structured[0] for f in ds.episodes[0].frames()])
@@ -206,10 +206,9 @@ class TestNormalize:
         assert abs(a.mean()) < 1e-9 and abs(a.std() - 1.0) < 1e-9
 
     def test_stats_come_from_train_split_only(self):
-        ep_train = make_episode([[0.0], [2.0]], ep_id="a", split="train")
-        ep_test = make_episode([[100.0], [102.0]], ep_id="b", split="test")
-        ds = normalize(OfflineDataset((ep_train, ep_test), 1, 4,
-                                      bin_edges=DoseBins(EDGES, EDGES)))
+        ds = normalize(make_dataset([
+            {"structured": [[0.0], [2.0]], "episode_id": "a"},
+            {"structured": [[100.0], [102.0]], "episode_id": "b", "split": "test"}]))
         train_vals = np.array([f.structured[0] for f in ds.episodes[0].frames()])
         assert train_vals == pytest.approx([-1.0, 1.0])
         test_vals = np.array([f.structured[0] for f in ds.episodes[1].frames()])
@@ -223,23 +222,21 @@ class TestNormalize:
 
     def test_non_finite_feature_names_index_and_episode(self):
         # write into the stored array to simulate a corrupted frame
-        ds = self.make_dataset([1.0, 2.0, 3.0])
-        ds.store.structured[0, 0] = np.inf
-        with pytest.raises(DatasetError, match="feature 0 in episode 'ep0'"):
+        ds = make_dataset([{"structured": [[1.0], [2.0]], "episode_id": "a"},
+                           {"structured": [[1.0], [2.0], [3.0]], "episode_id": "b"}])
+        ds.store.structured[3, 0] = np.inf
+        with pytest.raises(DatasetError, match="feature 0 in episode 'b'"):
             normalize(ds)
 
 
 class TestIngestExport:
     def make_dataset(self):
         emb0 = [0.125, -1.5, 2.0, 0.0]
-        eps = (
-            make_episode([[0.5, 1.0], [1.5, -0.25], [2.5, 0.75]], survived=True,
-                         ep_id="ep000", embeddings=[emb0, None, emb0]),
-            make_episode([[0.0, 0.0], [1.0, 1.0]], survived=False, ep_id="ep001",
-                         split="val"),
-        )
-        return OfflineDataset(eps, n_features=2, d_n=4, bin_edges=DoseBins(EDGES, EDGES))
-
+        return make_dataset([
+            {"structured": [[0.5, 1.0], [1.5, -0.25], [2.5, 0.75]], "episode_id": "ep000",
+             "notes": {0: emb0, 2: emb0}},
+            {"structured": [[0.0, 0.0], [1.0, 1.0]], "survived": False, "episode_id": "ep001",
+             "split": "val"}])
     def test_round_trip_byte_exact(self, tmp_path):
         ds = self.make_dataset()
         paths = export(ds, tmp_path / "a")
@@ -265,8 +262,7 @@ class TestIngestExport:
         assert not loaded.episodes[1].survived
 
     def test_empty_notes_file_means_no_notes(self, tmp_path):
-        eps = (make_episode([[0.0], [1.0], [2.0]], ep_id="e"),)
-        ds = OfflineDataset(eps, 1, 4, bin_edges=DoseBins(EDGES, EDGES))
+        ds = make_dataset([{"structured": [[0.0], [1.0], [2.0]], "episode_id": "e"}])
         paths = export(ds, tmp_path)
         assert paths["notes"].read_text() == ""
         loaded = ingest(paths["structured"], paths["notes"], paths["manifest"])
@@ -309,47 +305,45 @@ class TestIngestExport:
 
 
 def per_transition_columns(episodes):
-    """Reference for the store's per-transition columns: one Python loop per
-    transition."""
+    """Reference for the store's per-transition columns, from the episodes'
+    rows: one Python loop per transition."""
     rows = {name: [] for name in ("action", "reward", "done", "behavior_prob",
                                   "state_id", "next_state_id", "episode_index")}
     for i, ep in enumerate(episodes):
-        for t, tr in enumerate(ep.transitions):
-            rows["action"].append(tr.action.flat)
-            rows["reward"].append(tr.reward)
-            rows["done"].append(tr.done)
-            rows["behavior_prob"].append(np.nan if tr.behavior_prob is None
-                                         else tr.behavior_prob)
-            rows["state_id"].append(-1 if tr.state_id is None else tr.state_id)
-            rows["next_state_id"].append(-1 if tr.next_state_id is None
-                                         else tr.next_state_id)
+        n = len(ep["action"])
+        for t in range(n):
+            rows["action"].append(ep["action"][t])
+            rows["reward"].append(terminal_reward(t, n, ep["survived"]))
+            rows["done"].append(t == n - 1)
+            rows["behavior_prob"].append(ep["behavior_prob"][t])
+            rows["state_id"].append(ep["state_id"][t])
+            rows["next_state_id"].append(ep["state_id"][t + 1])
             rows["episode_index"].append(i)
     dtypes = {"reward": np.float64, "behavior_prob": np.float64, "done": bool}
     out = {name: np.array(values, dtype=dtypes.get(name, np.int64))
            for name, values in rows.items()}
-    out["lengths"] = np.array([len(ep.transitions) for ep in episodes], dtype=np.int64)
-    out["offsets"] = np.array([sum(len(e.transitions) for e in episodes[:i])
+    out["lengths"] = np.array([len(ep["action"]) for ep in episodes], dtype=np.int64)
+    out["offsets"] = np.array([sum(len(e["action"]) for e in episodes[:i])
                                for i in range(len(episodes))], dtype=np.int64)
+    out["frame_episode"] = np.array([i for i, ep in enumerate(episodes)
+                                     for _ in ep["structured"]], dtype=np.int64)
     return out
 
 
 @st.composite
 def logged_episodes(draw):
-    """Episodes of random lengths; probs and state ids missing on random ones."""
+    """Rows of episodes of random lengths; probs and state ids missing on random ones."""
     episodes = []
-    for i in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, 5))
-        flats = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
         probs = draw(st.none() | st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
         states = draw(st.none() | st.lists(st.integers(0, 30), min_size=n + 1,
                                            max_size=n + 1))
-        ep = make_episode([[float(t)] for t in range(n + 1)], survived=draw(st.booleans()),
-                          ep_id=f"ep{i}", actions=[ActionIndex.from_flat(f) for f in flats])
-        episodes.append(replace(ep, transitions=tuple(
-            replace(tr, behavior_prob=None if probs is None else probs[t],
-                    state_id=None if states is None else states[t],
-                    next_state_id=None if states is None else states[t + 1])
-            for t, tr in enumerate(ep.transitions))))
+        episodes.append({"structured": [[float(t)] for t in range(n + 1)],
+                         "action": draw(st.lists(st.integers(0, 24), min_size=n, max_size=n)),
+                         "survived": draw(st.booleans()),
+                         "behavior_prob": [np.nan] * n if probs is None else probs,
+                         "state_id": [-1] * (n + 1) if states is None else states})
     return episodes
 
 
@@ -357,60 +351,26 @@ class TestTransitionColumns:
     @settings(max_examples=60, deadline=None)
     @given(logged_episodes())
     def test_equals_per_transition_reference(self, episodes):
-        store = store_of(episodes)
+        store = make_store(episodes)
         frame = store.decision_frame
         cols = {"action": store.action, "reward": store.reward, "done": store.done,
                 "behavior_prob": store.behavior_prob, "state_id": store.state_id[frame],
                 "next_state_id": store.state_id[frame + 1],
                 "episode_index": store.episode_index, "lengths": store.lengths,
-                "offsets": store.offsets}
+                "offsets": store.offsets, "frame_episode": store.frame_episode}
         for name, expected in per_transition_columns(episodes).items():
             got = cols[name]
             assert got.dtype == expected.dtype and got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
         missing = np.isnan(store.behavior_prob)
         first = next((i for i, ep in enumerate(episodes)
-                      if any(tr.behavior_prob is None for tr in ep.transitions)), None)
+                      if np.isnan(ep["behavior_prob"]).any()), None)
         assert store.first_episode(missing) == first
 
 
 # ---------------------------------------------------------------------------
 # The episode store
 # ---------------------------------------------------------------------------
-
-STORE_DTYPES = {"structured": np.float64, "note_embedding": np.float64,
-                "note_present": bool, "state_id": np.int64, "action": np.int64,
-                "iv_dose": np.float64, "vaso_dose": np.float64,
-                "behavior_prob": np.float64, "lengths": np.int64, "survived": bool,
-                "episode_id": object, "split": object}
-
-
-def per_transition_store(episodes):
-    """Reference for the store arrays: one Python loop over every transition,
-    plus each episode's final frame."""
-    rows = {name: [] for name in STORE_DTYPES}
-
-    def add_frame(obs, state_id):
-        rows["structured"].append(obs.structured)
-        rows["note_embedding"].append(obs.note_embedding)
-        rows["note_present"].append(obs.note_present)
-        rows["state_id"].append(-1 if state_id is None else state_id)
-
-    for ep in episodes:
-        for tr in ep.transitions:
-            add_frame(tr.obs, tr.state_id)
-            rows["action"].append(tr.action.flat)
-            rows["iv_dose"].append(tr.iv_dose)
-            rows["vaso_dose"].append(tr.vaso_dose)
-            rows["behavior_prob"].append(np.nan if tr.behavior_prob is None
-                                         else tr.behavior_prob)
-        add_frame(ep.transitions[-1].next_obs, ep.transitions[-1].next_state_id)
-        rows["lengths"].append(len(ep.transitions))
-        rows["survived"].append(ep.survived)
-        rows["episode_id"].append(ep.episode_id)
-        rows["split"].append(ep.split)
-    return {name: np.array(values, dtype=STORE_DTYPES[name])
-            for name, values in rows.items()}
 
 
 def assert_store_equals(store, expected):
@@ -445,6 +405,34 @@ def assert_same_episodes(got, want):
                 assert repr(getattr(tr, name)) == repr(getattr(tr_ref, name)), name
 
 
+def assert_views_read(views, episodes, d_n):
+    """Each view reads the rows it was made from: its id, split and outcome,
+    its frames, and per transition the values its rows log or imply."""
+    assert len(views) == len(episodes)
+    for view, ep in zip(views, episodes):
+        n = len(ep["action"])
+        assert (view.episode_id, view.split, view.survived, len(view)) == \
+            (ep["episode_id"], ep["split"], ep["survived"], n)
+        frames = view.frames()
+        assert len(frames) == n + 1
+        for step, frame in enumerate(frames):
+            note = ep["notes"].get(step)
+            assert frame.structured.tobytes() == np.array(ep["structured"][step]).tobytes()
+            assert frame.note_embedding.tobytes() == \
+                np.array([0.0] * d_n if note is None else note, dtype=np.float64).tobytes()
+            assert frame.note_present == (note is not None)
+        for t, tr in enumerate(view.transitions):
+            assert_same_frames([tr.obs, tr.next_obs], frames[t:t + 2])
+            assert (tr.action.flat, tr.reward, tr.done) == \
+                (ep["action"][t], terminal_reward(t, n, ep["survived"]), t == n - 1)
+            assert [tr.state_id, tr.next_state_id] == \
+                [None if s < 0 else s for s in ep["state_id"][t:t + 2]]
+            prob = ep["behavior_prob"][t]
+            assert repr(tr.behavior_prob) == repr(None if np.isnan(prob) else prob)
+            assert (repr(tr.iv_dose), repr(tr.vaso_dose)) == \
+                (repr(ep["iv_dose"][t]), repr(ep["vaso_dose"][t]))
+
+
 # finite floats, with the awkward ones drawn often: signed zeros, subnormals
 # and values near the largest double
 awkward = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308,
@@ -464,11 +452,12 @@ awkward_ids = st.builds(lambda stem, tail: stem + tail, st.text(id_chars, max_si
 
 
 @st.composite
-def cohorts(draw, with_ground_truth=False, ids=None):
-    """A hand-built dataset: random F and d_n, episodes of 1-6 transitions,
-    notes on random frames and actions discretized from random doses; with
-    ground truth, state ids and behaviour probabilities on random episodes.
-    Episode ids are ep000, ep001, ... or, given ``ids``, drawn from it."""
+def cohort_rows(draw, with_ground_truth=False, ids=None):
+    """The rows of a cohort, as ``(episodes, d_n, bins)`` for ``make_dataset``:
+    random F and d_n, episodes of 1-6 transitions, notes on random frames and
+    actions discretized from random doses; with ground truth, state ids and
+    behaviour probabilities on random episodes. Episode ids are ep000,
+    ep001, ... or, given ``ids``, drawn from it."""
     n_features, d_n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     bins = DoseBins(tuple(draw(edges)), tuple(draw(edges)))
     n_episodes = draw(st.integers(1, 4))
@@ -477,35 +466,30 @@ def cohorts(draw, with_ground_truth=False, ids=None):
     episodes = []
     for name in names:
         n = draw(st.integers(1, 6))
-        frames = []
-        for _ in range(n + 1):
-            present = draw(st.booleans())
-            note = draw(st.lists(finite, min_size=d_n, max_size=d_n)) if present else [0.0] * d_n
-            features = draw(st.lists(finite, min_size=n_features, max_size=n_features))
-            frames.append(JointObservation(np.array(features), np.array(note), present))
+        structured, notes = [], {}
+        for step in range(n + 1):
+            if draw(st.booleans()):
+                notes[step] = draw(st.lists(finite, min_size=d_n, max_size=d_n))
+            structured.append(draw(st.lists(finite, min_size=n_features, max_size=n_features)))
         known = with_ground_truth and draw(st.booleans())
-        states = draw(st.lists(st.integers(0, 30), min_size=n + 1, max_size=n + 1)) \
-            if known else [None] * (n + 1)
-        survived = draw(st.booleans())
-        transitions = []
-        for t in range(n):
-            iv, vaso = draw(dose), draw(dose)
-            transitions.append(Transition(
-                obs=frames[t], next_obs=frames[t + 1], reward=terminal_reward(t, n, survived),
-                done=t == n - 1,
-                action=ActionIndex(int(discretize_doses([iv], bins.iv)[0]),
-                                   int(discretize_doses([vaso], bins.vaso)[0])),
-                iv_dose=iv, vaso_dose=vaso, state_id=states[t], next_state_id=states[t + 1],
-                behavior_prob=draw(st.floats(1e-6, 1.0)) if known else None))
-        episodes.append(Episode(transitions, survived, name,
-                                split=draw(st.sampled_from(SPLITS))))
-    return OfflineDataset(tuple(episodes), n_features, d_n, bin_edges=bins)
+        iv = [draw(dose) for _ in range(n)]
+        vaso = [draw(dose) for _ in range(n)]
+        episodes.append({
+            "structured": structured, "notes": notes, "iv_dose": iv, "vaso_dose": vaso,
+            "action": (N_DOSE_LEVELS * discretize_doses(iv, bins.iv)
+                       + discretize_doses(vaso, bins.vaso)).tolist(),
+            "state_id": draw(st.lists(st.integers(0, 30), min_size=n + 1, max_size=n + 1))
+            if known else [-1] * (n + 1),
+            "behavior_prob": [draw(st.floats(1e-6, 1.0)) for _ in range(n)]
+            if known else [np.nan] * n,
+            "survived": draw(st.booleans()), "episode_id": name,
+            "split": draw(st.sampled_from(SPLITS))})
+    return episodes, d_n, bins
 
 
-def hand_built(dataset):
-    """Fresh hand-built copies of a dataset's episodes."""
-    return [Episode(tuple(ep.transitions), ep.survived, ep.episode_id, ep.split)
-            for ep in dataset.episodes]
+def cohorts(**kwargs):
+    """Datasets made from ``cohort_rows``."""
+    return cohort_rows(**kwargs).map(lambda rows: make_dataset(*rows))
 
 
 def read_files(paths):
@@ -514,41 +498,48 @@ def read_files(paths):
 
 class TestEpisodeStore:
     @settings(max_examples=60, deadline=None)
-    @given(cohorts(with_ground_truth=True))
-    def test_packed_hand_built_episodes_match_the_reference(self, ds):
-        episodes = hand_built(ds)
-        packed = OfflineDataset(tuple(episodes), ds.n_features, ds.d_n, bin_edges=ds.bin_edges)
-        assert_store_equals(packed.store, per_transition_store(episodes))
-        assert_same_episodes(packed.episodes, episodes)
+    @given(cohort_rows(with_ground_truth=True))
+    def test_views_read_the_rows_they_were_made_from(self, rows):
+        episodes, d_n, _ = rows
+        assert_views_read(make_dataset(*rows).episodes, episodes, d_n)
 
     @settings(max_examples=60, deadline=None)
-    @given(cohorts())
-    def test_ingested_store_matches_the_reference(self, ds):
-        episodes = hand_built(ds)
+    @given(cohort_rows())
+    def test_ingested_store_matches_the_reference(self, rows):
+        episodes, d_n, _ = rows
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = ingest(*export(ds, tmp).values())
-        assert_store_equals(loaded.store, per_transition_store(episodes))
-        assert_same_episodes(loaded.episodes, episodes)
+            loaded = ingest(*export(make_dataset(*rows), tmp).values())
+        assert_store_equals(loaded.store, {name: getattr(make_store(episodes, d_n), name)
+                                           for name in DTYPES})
+        assert_views_read(loaded.episodes, episodes, d_n)
 
     @settings(max_examples=30, deadline=None)
-    @given(cohorts(with_ground_truth=True), st.data())
-    def test_some_episodes_gather_their_rows(self, ds, data):
-        picked = data.draw(st.lists(st.sampled_from(ds.episodes), min_size=1, max_size=6))
-        sub = OfflineDataset(tuple(picked), ds.n_features, ds.d_n)
-        assert_store_equals(sub.store, per_transition_store(picked))
-        assert_same_episodes(sub.episodes, picked)
+    @given(cohort_rows(with_ground_truth=True), st.data())
+    def test_some_episodes_gather_their_rows(self, rows, data):
+        episodes, d_n, _ = rows
+        ds = make_dataset(*rows)
+        picked = data.draw(st.lists(st.sampled_from(range(len(episodes))), min_size=1,
+                                    max_size=6))
+        sub = OfflineDataset(tuple(ds.episodes[i] for i in picked), ds.n_features, ds.d_n)
+        reference = make_store([episodes[i] for i in picked], d_n)
+        assert_store_equals(sub.store, {name: getattr(reference, name) for name in DTYPES})
+        assert_views_read(sub.episodes, [episodes[i] for i in picked], d_n)
 
     @settings(max_examples=30, deadline=None)
-    @given(cohorts(with_ground_truth=True))
-    def test_a_split_is_the_dataset_of_its_episodes(self, ds):
+    @given(cohort_rows(with_ground_truth=True))
+    def test_a_split_is_the_dataset_of_its_episodes(self, rows):
+        episodes, d_n, _ = rows
+        ds = make_dataset(*rows)
         for name in SPLITS:
-            picked = [ep for ep in ds.episodes if ep.split == name]
+            picked = [ep for ep in episodes if ep["split"] == name]
             split = ds.split(name)
             assert (split.n_features, split.d_n, split.bin_edges) == \
                 (ds.n_features, ds.d_n, ds.bin_edges)
-            assert_same_episodes(split.episodes, picked)
+            assert_views_read(split.episodes, picked, d_n)
             if picked:
-                assert_store_equals(split.store, per_transition_store(picked))
+                reference = make_store(picked, d_n)
+                assert_store_equals(split.store, {name: getattr(reference, name)
+                                                  for name in DTYPES})
             assert (split is ds) == (len(picked) == len(ds))
 
 
@@ -583,7 +574,7 @@ class TestExportIngestProperties:
         assert (loaded.n_features, loaded.d_n, loaded.bin_edges) == \
             (ds.n_features, ds.d_n, ds.bin_edges)
         assert_store_equals(loaded.store, {name: getattr(ds.store, name)
-                                           for name in STORE_DTYPES})
+                                           for name in DTYPES})
 
 
 # Three hand-written files: rows and notes out of order, a -0.0 feature, an
@@ -624,7 +615,7 @@ def dataset_digest(ds) -> str:
     integer edge an integer) and every store array's dtype, shape and values."""
     h = hashlib.sha256(json.dumps([ds.n_features, ds.d_n, ds.bin_edges.iv,
                                    ds.bin_edges.vaso]).encode())
-    for name in STORE_DTYPES:
+    for name in DTYPES:
         a = getattr(ds.store, name)
         h.update(f"{name} {a.dtype.str} {a.shape}".encode())
         h.update(json.dumps(a.tolist()).encode() if a.dtype == object else a.tobytes())
@@ -663,7 +654,7 @@ class TestSnapshot:
             assert (hit.n_features, hit.d_n, hit.bin_edges) == \
                 (miss.n_features, miss.d_n, miss.bin_edges)
             assert_store_equals(hit.store, {name: getattr(miss.store, name)
-                                            for name in STORE_DTYPES})
+                                            for name in DTYPES})
             assert hit.store.episode_id.tolist() == [ep.episode_id for ep in
                                                      sorted(ds.episodes,
                                                             key=lambda ep: ep.episode_id)]
@@ -725,3 +716,39 @@ class TestSnapshot:
         assert dataset_digest(ingest(*paths)) == with_empty
         assert dataset_digest(ingest(*paths)) == with_empty
         assert len(parses) == 2
+
+
+class TestManifestBinEdges:
+    """Each dose bin edge is a JSON int or float, and an int stays an int."""
+
+    @staticmethod
+    def with_iv_edges(text: str) -> dict:
+        manifest = FIXTURE["manifest.json"].replace("[0.5, 1, 2.5, 4.0]", text)
+        assert manifest != FIXTURE["manifest.json"]
+        return dict(FIXTURE, **{"manifest.json": manifest})
+
+    @pytest.mark.parametrize("edges", ['["0.5", "1", "2.5", "4.0"]', "[0.5, true, 2.5, 4.0]",
+                                       '[0.5, "1", 2.5, 4.0]'])
+    def test_an_edge_that_is_not_a_number_is_rejected(self, tmp_path, edges):
+        paths = write_fixture(tmp_path, self.with_iv_edges(edges))
+        with pytest.raises(DatasetError, match="bad bin_edges .*must be numbers"):
+            ingest(*paths)
+        assert not (tmp_path / SNAPSHOT_NAME).exists()
+
+    def test_an_integer_edge_exports_as_an_integer(self, tmp_path):
+        ds = ingest(*write_fixture(tmp_path / "in"))
+        manifest = json.loads(export(ds, tmp_path / "out")["manifest"].read_text())
+        assert manifest["bin_edges"]["iv"] == [0.5, 1, 2.5, 4.0]
+        assert [type(edge) for edge in manifest["bin_edges"]["iv"]] == [float, int, float, float]
+
+    def test_a_snapshot_that_holds_strings_is_not_served(self, tmp_path, monkeypatch):
+        # a snapshot written while string edges were taken holds the strings;
+        # it is a miss, and the parse that follows rejects the manifest
+        paths = write_fixture(tmp_path, self.with_iv_edges('["0.5", "1", "2.5", "4.0"]'))
+        with monkeypatch.context() as m:
+            m.setattr(dataset_mod, "_dose_bins", lambda edges: DoseBins(
+                **{drug: tuple(edges[drug]) for drug in ("iv", "vaso")}))
+            assert ingest(*paths).bin_edges.iv == ("0.5", "1", "2.5", "4.0")
+        assert (tmp_path / SNAPSHOT_NAME).is_file()
+        with pytest.raises(DatasetError, match="bad bin_edges"):
+            ingest(*paths)

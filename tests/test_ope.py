@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from careql import ope as ope_mod
-from careql.dataset import N_ACTIONS, store_of
+from careql.dataset import N_ACTIONS
 from careql.netcore import DuelingQNetwork, Tensor, clone_param_values, load_param_values, no_grad
 from careql.ope import (
     BehaviorFitConfig,
@@ -37,6 +37,8 @@ from careql.synthgym import (
     rollout,
     state_values,
 )
+
+from stores import set_rows
 
 GAMMA = 0.95
 MAX_LEN = 18
@@ -122,14 +124,11 @@ class TestWis:
         assert abs(result.estimate - oracle) < 0.1
 
     def test_zero_behavior_probability_rejected(self, synth):
-        from dataclasses import replace
-
         _, _, dataset, target, _ = synth
-        ep = dataset.episodes[0]
-        bad = replace(ep, transitions=tuple(
-            replace(tr, behavior_prob=None) for tr in ep.transitions))
+        bad = set_rows(dataset.store.take(np.arange(1)), [0], behavior_prob=np.nan)
         with pytest.raises(OpeError, match="behavior"):
-            wis(eval_batch(replace(dataset, episodes=[bad]), target, LoggedBehavior()), GAMMA)
+            wis(eval_batch(replace(dataset, episodes=bad.views()), target, LoggedBehavior()),
+                GAMMA)
 
 
 class TestFqeTabular:
@@ -392,18 +391,11 @@ class TestFitBehavior:
         assert tv.max() < 0.05
 
     def test_single_action_dataset_near_point_mass(self, synth):
-        from dataclasses import replace
-        from careql.dataset import ActionIndex
-
         _, _, dataset, _, _ = synth
-        eps = []
-        for ep in dataset.episodes[:200]:
-            eps.append(replace(ep, transitions=tuple(
-                replace(tr, action=ActionIndex.from_flat(13))
-                for tr in ep.transitions)))
-        fitted = fit_behavior(replace(dataset, episodes=eps),
+        store = set_rows(dataset.store.take(np.arange(200)), range(200), action=13)
+        fitted = fit_behavior(replace(dataset, episodes=store.views()),
                               cfg=BehaviorFitConfig(floor=1e-3, steps=600))
-        dist = fitted.action_dist(eps[0].transitions[0].obs.structured[None, :])[0]
+        dist = fitted.action_dist(store.structured[:1])[0]
         assert dist.argmax() == 13
         assert dist.min() >= 1e-3 - 1e-15
 
@@ -480,31 +472,24 @@ class TestPolicyRows:
             OpeConfig(clip_percentile=clip)
 
 
-def strip(episode, **fields):
-    """The episode with the given transition fields set on every transition."""
-    from dataclasses import replace
-
-    return replace(episode, transitions=tuple(replace(tr, **fields)
-                                              for tr in episode.transitions))
-
-
 class TestMissingDataNamesEpisode:
     """Each error names the first episode, in order, that lacks the data."""
 
     def test_logged_behavior_without_probs(self, synth):
         _, _, dataset, _, _ = synth
-        eps = list(dataset.episodes[:4])
-        eps[1], eps[3] = strip(eps[1], behavior_prob=None), strip(eps[3], behavior_prob=None)
-        with pytest.raises(OpeError, match=f"episode {eps[1].episode_id!r} has no logged"):
-            LoggedBehavior().logged_probs(store_of(eps))
+        store = set_rows(dataset.store.take(np.arange(4)), [1, 3], behavior_prob=np.nan)
+        with pytest.raises(OpeError, match=f"episode {store.episode_id[1]!r} has no logged"):
+            LoggedBehavior().logged_probs(store)
 
     def test_fqe_tabular_without_state_ids(self, synth):
         mdp, _, dataset, target, _ = synth
-        eps = list(dataset.episodes[:4])
-        eps[2] = strip(eps[2], next_state_id=None)
-        eps[3] = strip(eps[3], state_id=None)
-        with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r} lacks state ids"):
-            fqe_tabular(eval_batch(replace(dataset, episodes=eps), target), target.probs, GAMMA)
+        # episode 2 lacks the state after its first decision, episode 3 every state
+        store = dataset.store.take(np.arange(4))
+        store.state_id[store.frame_offsets[2] + 1] = -1
+        store = set_rows(store, [3], state_id=-1)
+        with pytest.raises(OpeError, match=f"episode {store.episode_id[2]!r} lacks state ids"):
+            fqe_tabular(eval_batch(replace(dataset, episodes=store.views()), target),
+                        target.probs, GAMMA)
 
     def test_zero_behavior_probability(self, synth):
         _, _, dataset, target, _ = synth
@@ -536,10 +521,9 @@ class TestStateIdOutsideTable:
     @pytest.mark.parametrize("entry", ["evaluation_rows", "fqe_tabular"])
     def test_names_first_episode(self, synth, entry):
         _, _, dataset, target, _ = synth
-        eps = list(dataset.episodes[:40])
         # every episode ends in an absorbing state beyond the table; the
         # first two stay in state 0 so that a later one is named
-        eps[0], eps[1] = (strip(ep, state_id=0, next_state_id=0) for ep in eps[:2])
+        eps = set_rows(dataset.store.take(np.arange(40)), [0, 1], state_id=0).views()
         small = TabularPolicy(np.full((self.N_ROWS, N_ACTIONS), 1.0 / N_ACTIONS))
         batch = eval_batch(replace(dataset, episodes=eps), target)
         call = {"evaluation_rows": lambda: small.evaluation_rows(batch.store),

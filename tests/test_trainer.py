@@ -8,7 +8,7 @@ import pytest
 from careql import encoder as encoder_mod
 from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
-from careql.dataset import N_ACTIONS, EpisodeStore
+from careql.dataset import N_ACTIONS, EpisodeStore, store_of
 from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder
 from careql.netcore import Dense, Tensor, clone_param_values
 from careql.ope import (
@@ -45,6 +45,7 @@ from careql.trainer import (
     train,
 )
 
+from stores import set_rows
 from test_encoder import loop_episode_note_inputs
 
 
@@ -258,10 +259,8 @@ class TestTransitionTableReference:
     def test_byte_equal_to_per_transition_reference(self, kind):
         _, _, ds, _ = small_setup(n_episodes=40)
         # unknown behaviour probabilities and state ids on every other episode
-        episodes = [ep if i % 2 else replace(ep, transitions=[
-            replace(tr, behavior_prob=None, state_id=None, next_state_id=None)
-            for tr in ep.transitions]) for i, ep in enumerate(ds.episodes)]
-        ds = replace(ds, episodes=episodes)
+        store = set_rows(ds.store, range(0, len(ds), 2), behavior_prob=np.nan, state_id=-1)
+        ds = replace(ds, episodes=store.views())
         strategy = NoteStrategy(kind, window=2)
         rows = table_rows(ds.store, build_transition_table(ds.store, strategy, "multimodal"))
         reference = per_transition_table(ds, strategy)
@@ -612,7 +611,7 @@ class OneEpisodeAtATime:
 
 def split_forward(policy, episodes):
     """``forward_rows`` over the store of some episodes, split by episode."""
-    store = EpisodeStore.pack(episodes)
+    store = store_of(episodes)
     features, greedy = policy.forward_rows(store)
     return (np.split(features, store.frame_offsets[1:]),
             np.split(greedy, store.offsets[1:]))

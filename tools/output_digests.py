@@ -19,7 +19,13 @@ For each seed it prints one line per item:
 - every file that a small multimodal ``synth -> train -> eval ->
   cross-eval`` chain writes through ``cli.main`` with a fitted behaviour
   model (``MULTIMODAL_CONFIG``): BDESR, network OPE and the DR curve of
-  each FQE snapshot.
+  each FQE snapshot;
+- the widths and store arrays of the datasets that each library derivation
+  returns on a gap-family rollout (``store_lines``): the rollout, its
+  normalization, its train, empty val and test splits, its episodes taken
+  backwards and every other one, its rediscretization, and the ingest of its
+  files with and without ground truth; and the files that export writes
+  after that ingest.
 
 Run it from the repository root on two revisions and compare the outputs::
 
@@ -39,18 +45,19 @@ import io
 import json
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
-from careql import cli, dataset, ope, trainer  # noqa: E402
+from careql import cli, dataset, ope, synthgym, trainer  # noqa: E402
 from careql.encoder import NoteStrategy  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 PIPELINE_EPISODES = 200
+STORE_EPISODES = 150
 TRAIN_EPISODES = 500
 TRAIN_STEPS = 50
 SEEDS = (1, 3)
@@ -162,12 +169,54 @@ def multimodal_lines(seed: int, work: Path) -> list[str]:
     return lines
 
 
+def store_digest(data) -> str:
+    """sha256 of a dataset's widths and of every store array's dtype, shape and values."""
+    h = hashlib.sha256(json.dumps([data.n_features, data.d_n]).encode())
+    for f in fields(dataset.EpisodeStore):
+        a = getattr(data.store, f.name)
+        h.update(f"{f.name} {a.dtype.str} {a.shape}".encode())
+        h.update(json.dumps(a.tolist()).encode() if a.dtype == object else a.tobytes())
+    return h.hexdigest()
+
+
+def store_lines(seed: int, work: Path) -> list[str]:
+    mdp = synthgym.generate_mdp(workloads.gap_generator_config(), seed=seed)
+    behavior = synthgym.near_clinician_behavior(mdp, 0.3)
+    rolled = synthgym.rollout(mdp, behavior, n_episodes=STORE_EPISODES,
+                              max_len=workloads.MAX_LEN, seed=seed + 1,
+                              split_fractions=(0.8, 0.0, 0.2))
+    normalized = dataset.normalize(rolled)
+    files = dataset.export(rolled, work / "store_files")
+    synthgym.write_ground_truth(work / "ground_truth.json", mdp, behavior, rolled)
+    ingested = dataset.ingest(files["structured"], files["notes"], files["manifest"])
+    derived = {
+        "rollout": rolled,
+        "normalize": normalized,
+        "split_train": normalized.split("train"),
+        "split_val_empty": normalized.split("val"),
+        "split_test": normalized.split("test"),
+        "backwards_every_other": replace(normalized, episodes=normalized.episodes[::-2]),
+        "rediscretize": dataset.rediscretize(rolled, dataset.DoseBins(
+            (0.5, 1.5, 2.5, 3.5), (1.5, 2.5, 3.5, 4.5))),
+        "ingest": ingested,
+        "attach_ground_truth": synthgym.attach_ground_truth(
+            ingested, synthgym.load_ground_truth(work / "ground_truth.json")),
+    }
+    lines = [f"seed {seed} store {name} {len(data)} {store_digest(data)}"
+             for name, data in derived.items()]
+    exported = dataset.export(ingested, work / "store_export")
+    lines += [f"seed {seed} store export {name} {file_digest(path)}"
+              for name, path in sorted(exported.items())]
+    return lines
+
+
 def main() -> int:
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             for line in (pipeline_lines(seed, work) + train_lines(seed)
-                         + eval_lines(seed, work) + multimodal_lines(seed, work)):
+                         + eval_lines(seed, work) + multimodal_lines(seed, work)
+                         + store_lines(seed, work)):
                 print(line, flush=True)
     return 0
 
