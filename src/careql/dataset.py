@@ -288,7 +288,9 @@ class EpisodeStore:
     def check(self, n_features: int, d_n: int) -> None:
         """Raise a ``DatasetError`` unless every array has the shape that
         ``lengths`` and the frame widths ``n_features`` and ``d_n`` give it,
-        and every episode has a transition and a split in ``SPLITS``."""
+        every episode has a transition and a split in ``SPLITS``, every
+        action is a flat index below ``N_ACTIONS`` and every behavior
+        probability is NaN (unknown) or in [0, 1]."""
         n, n_frames = int(self.lengths.sum()), int(self.lengths.sum()) + self.lengths.size
         shapes = {**dict.fromkeys(_FRAME_FIELDS, (n_frames,)),
                   **dict.fromkeys(_TRANSITION_FIELDS, (n,)),
@@ -302,6 +304,14 @@ class EpisodeStore:
                           (~np.isin(self.split, SPLITS), f"has a split outside {SPLITS}")):
             if bad.any():
                 raise DatasetError(f"episode {self.episode_id[bad.argmax()]!r} {what}")
+        prob = self.behavior_prob
+        for bad, what in (((self.action < 0) | (self.action >= N_ACTIONS),
+                           f"has an action outside 0..{N_ACTIONS - 1}"),
+                          ((prob < 0.0) | (prob > 1.0),
+                           "has a behavior_prob that is neither NaN nor in [0, 1]")):
+            k = self.first_episode(bad)
+            if k is not None:
+                raise DatasetError(f"episode {self.episode_id[k]!r} {what}")
 
 
 def store_of(episodes: Sequence[Episode]) -> EpisodeStore:
@@ -786,6 +796,8 @@ def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
     """Write the three canonical files; inverse of ``ingest`` byte-for-byte."""
     if dataset.bin_edges is None:
         raise DatasetError("dataset has no bin edges; cannot export a round-trippable manifest")
+    if not dataset.episodes:
+        raise DatasetError("dataset has no episodes; there is nothing to export")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     structured_path = out / "structured.csv"

@@ -10,7 +10,7 @@ per modality, so each softmax is over a single score) then produces the
 2d-dimensional fused state fed to the Q-network. Everything downstream of
 the raw inputs is differentiable through the netcore tape: the structured
 encoder, the gate and the attention are one node each, whose values and
-gradients equal those of the same modules built from ``Tensor`` ops.
+gradients equal those of the same modules built op by op.
 
 The note strategies run over many histories laid end to end, such as every
 episode of an ``EpisodeStore`` (``episode_note_inputs``), as segment operations

@@ -1,21 +1,19 @@
 """Reverse-mode autodiff core for small dense networks.
 
-Everything runs in float64 numpy. A ``Tensor`` records the operation that
-produced it; ``backward()`` on a scalar loss walks the tape and accumulates
-gradients into every reachable parameter. The op set is deliberately small:
-exactly what the one ReLU trunk (``MLP``) of the dueling Q-head and the
-action classifiers, gated fusion and single-token cross-attention need.
+Everything runs in float64 numpy. A ``Tensor`` holds an array and the tape
+entry that produced it; ``backward()`` on a scalar loss walks the tape and
+accumulates gradients into every reachable parameter.
 
-Each network module is one node with a hand-written backward: an ``MLP``
-call (the whole ReLU stack), a ``DuelingQNetwork`` call (trunk, both heads
-and the mean-centring), and ``linear``, an affine map ``x @ W.T + b``; the
-encoder's modules and the trainer's losses are built the same way from the
-shared rules below. Such a node runs the numpy expressions of the same
-module built from ``Tensor`` ops, in the same order, so its values and
-gradients equal that op-by-op graph's bit for bit; the ops stay as the
-reference that the tests build every node from. Analytic gradients are
-verified against central finite differences (see ``gradient_check``),
-which is the independent oracle for this module.
+Every tape entry is a module node with a hand-written backward: ``linear``
+(an affine map ``x @ W.T + b``), ``concat``, an ``MLP`` call (the whole ReLU
+stack) and a ``DuelingQNetwork`` call (trunk, both heads and the
+mean-centring); the encoder's modules and the trainer's losses are built
+the same way from the shared rules below. A node runs the numpy
+expressions of the same module built op by op (a transpose, a matmul, an
+add, a ReLU, each its own node) in the same order, so its values and
+gradients equal that op-by-op graph's bit for bit. The tests keep that
+op-by-op reference and a central-difference gradient check in
+``tests/reference_ops.py``, and compare every node with both.
 
 A node is recorded only when one of its parents requires a gradient: a
 parameter (``requires_grad=True``) or a node recorded before it. Inputs and
@@ -49,24 +47,10 @@ def _f64(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
     """A float64 array plus the tape entry that produced it."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
-
-    # keep ndarray operators from intercepting mixed expressions; the
-    # reflected Tensor ops run instead
-    __array_ufunc__ = None
 
     # False inside ``no_grad``: new nodes keep no parents and no backward
     _record_tape = True
@@ -87,14 +71,7 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     # -- graph construction ------------------------------------------------
-
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
 
     @staticmethod
     def _node(data: Array, parents: tuple["Tensor", ...],
@@ -115,165 +92,6 @@ class Tensor:
             self.grad = g
         else:                               # g may be shared with another parent
             self.grad = self.grad + g
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-
-        def backward(g: Array) -> None:
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-
-        return Tensor._node(a.data + b.data, (a, b), backward)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "Tensor":
-        other = Tensor._lift(other)
-        a, b = self, other
-
-        def backward(g: Array) -> None:
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor._node(a.data * b.data, (a, b), backward)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return self * (-1.0)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor._lift(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor._lift(other) + (-self)
-
-    def __truediv__(self, scalar: float) -> "Tensor":
-        return self * (1.0 / float(scalar))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        a, b = self, Tensor._lift(other)
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ValueError(
-                f"matmul expects 2-d operands, got {a.data.shape} @ {b.data.shape}"
-            )
-        if a.data.shape[1] != b.data.shape[0]:
-            raise ValueError(
-                f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
-            )
-
-        def backward(g: Array) -> None:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-
-        return Tensor._node(a.data @ b.data, (a, b), backward)
-
-    def __rmatmul__(self, other) -> "Tensor":
-        return Tensor._lift(other) @ self
-
-    def transpose(self) -> "Tensor":
-        a = self
-
-        def backward(g: Array) -> None:
-            a._accumulate(g.T)
-
-        return Tensor._node(a.data.T, (a,), backward)
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    # -- nonlinearities -----------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        a = self
-        mask = (a.data > 0.0).astype(np.float64)
-
-        def backward(g: Array) -> None:
-            a._accumulate(g * mask)
-
-        return Tensor._node(a.data * mask, (a,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = _sigmoid(a.data)
-
-        def backward(g: Array) -> None:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor._node(out_data, (a,), backward)
-
-    def square(self) -> "Tensor":
-        a = self
-
-        def backward(g: Array) -> None:
-            a._accumulate(g * 2.0 * a.data)
-
-        return Tensor._node(a.data * a.data, (a,), backward)
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g: Array) -> None:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(ge, a.data.shape).copy())
-
-        return Tensor._node(out_data, (a,), backward)
-
-    def mean(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def logsumexp(self, axis: int = 1, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data, soft = _logsumexp(a.data, axis)
-        if not keepdims:
-            out_data = np.squeeze(out_data, axis=axis)
-
-        def backward(g: Array) -> None:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(ge * soft)
-
-        return Tensor._node(out_data, (a,), backward)
-
-    def softmax(self, axis: int = 1) -> "Tensor":
-        a = self
-        m = a.data.max(axis=axis, keepdims=True)
-        exps = np.exp(a.data - m)
-        out_data = exps / exps.sum(axis=axis, keepdims=True)
-
-        def backward(g: Array) -> None:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
-
-        return Tensor._node(out_data, (a,), backward)
-
-    # -- indexing ------------------------------------------------------------
-
-    def pick(self, indices: Array) -> "Tensor":
-        """Select one column per row of a 2-d tensor; returns shape (B,)."""
-        a = self
-        rows, idx = _pick_index(a.data, indices)
-
-        def backward(g: Array) -> None:
-            a._accumulate(_pick_backward(g, a.data, rows, idx))
-
-        return Tensor._node(a.data[rows, idx], (a,), backward)
 
     # -- backprop ------------------------------------------------------------
 
@@ -321,7 +139,7 @@ def no_grad():
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    parts = [Tensor._lift(t) for t in tensors]
+    parts = tuple(tensors)
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -333,7 +151,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
                 part._accumulate(g[tuple(sl)])
 
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis),
-                        tuple(parts), backward)
+                        parts, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +195,7 @@ def _affine(x: Array, W: Array, b: Array | None) -> Array:
     """x @ W.T + b, with W stored as (n_out, n_in).
 
     The products keep the orientation of a transpose node followed by a
-    matmul, so the values equal ``x @ W.T + b`` of ``Tensor`` ops bit for bit.
+    matmul, so the values equal an op-by-op ``x @ W.T + b`` bit for bit.
     """
     out = x @ W.T
     if b is not None:
@@ -531,8 +349,9 @@ class DuelingQNetwork:
         q = v + a - a.sum(axis=1, keepdims=True) * (1.0 / a.shape[1])
 
         def backward(g: Array) -> None:
-            # the op graph's chain: v + a, minus the mean as a sum times 1/n
-            g_v = _unbroadcast(g, v.shape)
+            # the op graph's chain: v + a, minus the mean as a sum times 1/n;
+            # v is broadcast across the actions, so its gradient sums over them
+            g_v = g.sum(axis=1, keepdims=True)
             g_a = g + (g_v * -1.0) * (1.0 / a.shape[1])
             want_h = bool(layers) or state.requires_grad
             g_hv = _affine_backward(g_v, h, vW, vh.W, vh.b, want_h)
@@ -617,6 +436,11 @@ def clone_param_values(params: Mapping[str, Tensor]) -> dict[str, Array]:
 
 def load_param_values(params: Mapping[str, Tensor],
                       values: Mapping[str, Array]) -> None:
+    """Set each parameter to its value in ``values``, which must hold exactly
+    the parameters' keys and shapes."""
+    unknown = sorted(set(values) - set(params))
+    if unknown:
+        raise ValueError(f"tensor {unknown[0]!r} is not a parameter of the model")
     for key, p in params.items():
         v = _f64(values[key])
         if v.shape != p.data.shape:
@@ -647,55 +471,36 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor],
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
+    """The tensors and metadata of a ``save_checkpoint`` file. A
+    ``ValueError`` names the first key whose value is not what
+    ``save_checkpoint`` writes: an integer ``format_version`` equal to
+    ``CHECKPOINT_FORMAT_VERSION``, and tensor values that are finite numbers."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or not isinstance(payload.get("tensors"), dict):
         raise ValueError("checkpoint must be a JSON object with a 'tensors' object")
     version = payload.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
-    tensors = {
-        key: _f64(entry["values"]).reshape(entry["shape"])
-        for key, entry in payload["tensors"].items()
-    }
+    tensors = {}
+    for key, entry in payload["tensors"].items():
+        arr = _finite_floats(entry["values"])
+        if arr is None:
+            raise ValueError(f"checkpoint tensor {key!r}: values must be a list of "
+                             "finite numbers")
+        tensors[key] = arr.reshape(entry["shape"])
     return tensors, payload.get("metadata", {})
 
 
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-
-GRADIENT_CHECK_STEP = 1e-5
-
-
-def gradient_check(loss_fn: Callable[[], Tensor],
-                   params: Mapping[str, Tensor]) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must rebuild the graph from the current parameter values on
-    every call. Relative error uses max(|analytic|, |numeric|, 1e-3) in the
-    denominator so exactly-zero gradients compare cleanly.
-    """
-    zero_grads(params)
-    loss_fn().backward()
-    analytic = {k: p.grad.copy() for k, p in params.items()}
-
-    worst = 0.0
-    for key, p in params.items():
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + GRADIENT_CHECK_STEP
-            up = loss_fn().item()
-            flat[i] = orig - GRADIENT_CHECK_STEP
-            down = loss_fn().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
-            a = analytic[key].ravel()[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            worst = max(worst, rel)
-    zero_grads(params)
-    return worst
+def _finite_floats(values) -> Array | None:
+    """``values`` as a float64 array when it is a list of finite JSON numbers,
+    else None. Types are checked first: JSON true and "1.0" would read as 1.0."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        arr = _f64(values)
+    except OverflowError:               # an integer beyond float64's range
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def collect_params(*components) -> dict[str, Tensor]:

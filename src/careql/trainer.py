@@ -143,8 +143,9 @@ class ActionClassifier:
         return self.head(self.trunk(x))
 
     def probs(self, x: Array) -> Array:
+        """Softmax of the logits of rows ``x``."""
         with no_grad():
-            return self.logits(Tensor(x)).softmax().data
+            return _logsumexp(self.logits(Tensor(x)).data, axis=1)[1]
 
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.trunk, self.head)
@@ -218,7 +219,7 @@ def cql_loss(q: Tensor, actions: Array, targets: Array,
 
     With alpha = 0 this is exactly the DQN objective; the regularizer is
     mean(logsumexp_a Q(s, a)) - mean(Q(s, a_data)). The loss is one node whose
-    value and gradient equal those of the same expression in ``Tensor`` ops.
+    value and gradient equal those of the same expression built op by op.
     """
     qd = q.data
     rows, idx = _pick_index(qd, actions)
@@ -235,7 +236,7 @@ def cql_loss(q: Tensor, actions: Array, targets: Array,
         loss = bellman + reg * alpha
 
     def backward(g: Array) -> None:
-        # the chain of the Tensor-op graph: the mean as a sum times 1/B, the
+        # the chain of the op-by-op graph: the mean as a sum times 1/B, the
         # square's derivative as 2 * d
         g_taken = g * 0.5 * inv_b * 2.0 * d
         g_q = None
@@ -255,7 +256,7 @@ def dqn_loss(q: Tensor, actions: Array, targets: Array) -> tuple[Tensor, dict]:
 
 def cross_entropy_loss(logits: Tensor, actions: Array) -> Tensor:
     """mean(logsumexp(logits) - logits at the actions) as one node, equal to
-    the same expression in ``Tensor`` ops."""
+    the same expression built op by op."""
     x = logits.data
     rows, idx = _pick_index(x, actions)
     lse, soft = _logsumexp(x, 1)

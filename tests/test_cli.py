@@ -493,6 +493,28 @@ CHECKPOINT_FAULTS = {
     "missing_tensors": json.dumps(
         {"format_version": 1, "metadata": STRUCTURED_META, "tensors": {}}),
 }
+
+
+def _set_first_value(value):
+    def edit(payload):
+        payload["tensors"]["q.advantage.W"]["values"][0] = value
+    return edit
+
+
+# (edit of a multimodal checkpoint that `careql train` wrote, the key that
+# `careql eval` must name when it refuses the edited file with exit 3)
+TRAINED_CHECKPOINT_FAULTS = {
+    "format_version_boolean": (lambda payload: payload.update(format_version=True),
+                               "format_version"),
+    "value_boolean": (_set_first_value(True), "q.advantage.W"),
+    "value_string": (_set_first_value("0.5"), "q.advantage.W"),
+    "value_nan": (_set_first_value(float("nan")), "q.advantage.W"),
+    "value_beyond_float_range": (_set_first_value(10**400), "q.advantage.W"),
+    # the model then builds no attention, and the file's attention tensors
+    # would be dropped
+    "attention_tensors_unused": (
+        lambda payload: payload["metadata"]["encoder"].update(use_attention=0), ".attn."),
+}
 CLIP_PERCENTILE_FAULTS = {"above_100": 150, "zero": 0, "negative": -5.0,
                           "string": "abc", "boolean": True}
 # (key, value) pairs that `careql train` must reject with exit 2 naming the key
@@ -719,6 +741,23 @@ class TestFaultInjection:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("data error:") and str(checkpoint) in err
+
+    @pytest.mark.parametrize("edit, key", list(TRAINED_CHECKPOINT_FAULTS.values()),
+                             ids=list(TRAINED_CHECKPOINT_FAULTS))
+    def test_edited_checkpoint_exits_3_naming_the_key(self, tmp_path, synth_dir, capsys,
+                                                      edit, key):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "multimodal")
+        payload = json.loads(checkpoint.read_text())
+        edit(payload)
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(write_config(tmp_path)),
+                     "--data", str(synth_dir), "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("data error:") and str(checkpoint) in err and key in err, err
+        assert not (tmp_path / "eval" / "ope_report.json").exists()
 
     @pytest.mark.parametrize("value", list(CLIP_PERCENTILE_FAULTS.values()),
                              ids=list(CLIP_PERCENTILE_FAULTS))

@@ -29,7 +29,7 @@ from careql.dataset import (
     normalize,
 )
 
-from stores import DTYPES, EDGES, make_dataset, make_store
+from stores import DTYPES, EDGES, make_dataset, make_store, set_rows
 
 
 def terminal_reward(t, n, survived):
@@ -167,6 +167,25 @@ class TestStoreCheck:
         with pytest.raises(DatasetError, match="episode 'ep0' has a split outside"):
             OfflineDataset(store.views(), 1, 4)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("action", 30, "has an action outside 0..24"),
+        ("action", -1, "has an action outside 0..24"),
+        ("behavior_prob", 1.7, "has a behavior_prob that is neither NaN nor in"),
+        ("behavior_prob", -0.1, "has a behavior_prob that is neither NaN nor in"),
+        ("behavior_prob", np.inf, "has a behavior_prob that is neither NaN nor in"),
+    ], ids=["action_30", "action_negative", "prob_above_one", "prob_negative", "prob_inf"])
+    def test_a_value_out_of_range_names_the_first_episode_holding_one(self, name, value,
+                                                                      message):
+        store = set_rows(make_store(self.EPISODES * 2), [1, 3], **{name: value})
+        with pytest.raises(DatasetError, match=f"episode 'ep1' {message}"):
+            OfflineDataset(store.views(), 1, 4)
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0, np.nan])
+    def test_a_behavior_prob_at_a_bound_or_unknown_is_kept(self, prob):
+        store = set_rows(make_store(self.EPISODES), [0], behavior_prob=prob)
+        ds = OfflineDataset(store.views(), 1, 4)
+        assert np.array_equal(ds.store.behavior_prob, store.behavior_prob, equal_nan=True)
+
     @pytest.mark.parametrize("n_features, d_n", [(2, 4), (1, 3)])
     def test_frames_of_another_width_are_rejected(self, n_features, d_n):
         with pytest.raises(DatasetError, match="but lengths and widths give"):
@@ -244,6 +263,12 @@ class TestIngestExport:
         paths2 = export(loaded, tmp_path / "b")
         for key in paths:
             assert paths[key].read_bytes() == paths2[key].read_bytes(), key
+
+    def test_export_of_an_empty_split_is_refused(self, tmp_path):
+        empty = self.make_dataset().split("test")
+        with pytest.raises(DatasetError, match="no episodes"):
+            export(empty, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_reingest_preserves_content(self, tmp_path):
         ds = self.make_dataset()

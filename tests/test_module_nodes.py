@@ -1,11 +1,11 @@
-"""Each module and loss node against the op-by-op graph of ``Tensor`` ops.
+"""Each module and loss node against the op-by-op graph of reference ops.
 
 A network module (``MLP``, ``DuelingQNetwork``, ``StructuredEncoder``,
 ``GatedFusion``, ``CrossModalAttention``) and each loss (``cql_loss``,
 ``cross_entropy_loss``) is one tape node with a hand-written backward. The
-references below build the same computation from ``Tensor`` primitives
-(matmul, transpose, add, relu, sigmoid, concat, pick, logsumexp, mean), one
-node per op. A node must equal its reference bit for bit: the forward, and
+references below build the same computation from the ops of
+``reference_ops`` (matmul, transpose, add, relu, sigmoid, concat, pick,
+logsumexp, mean), one node per op. A node must equal its reference bit for bit: the forward, and
 the gradient of every parameter and every input that requires one.
 """
 
@@ -27,11 +27,13 @@ from careql.netcore import (
     DuelingQNetwork,
     Tensor,
     concat,
-    gradient_check,
     no_grad,
     zero_grads,
 )
 from careql.trainer import cql_loss, cross_entropy_loss
+
+import reference_ops as ops
+from reference_ops import gradient_check
 
 SETTINGS = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -39,17 +41,17 @@ batches = st.integers(1, 6)
 
 
 # ---------------------------------------------------------------------------
-# References: the same modules built from Tensor ops, one node per op
+# References: the same modules built from reference ops, one node per op
 # ---------------------------------------------------------------------------
 
 
 def ref_affine(x, layer):
-    return x @ layer.W.T + layer.b
+    return ops.affine(x, layer.W, layer.b)
 
 
 def ref_mlp(mlp, x):
     for layer in mlp.layers:
-        x = ref_affine(x, layer).relu()
+        x = ops.relu(ref_affine(x, layer))
     return x
 
 
@@ -57,26 +59,26 @@ def ref_dueling(net, x):
     h = ref_mlp(net.trunk, x)
     v = ref_affine(h, net.value_head)
     a = ref_affine(h, net.advantage_head)
-    return v + a - a.mean(axis=1, keepdims=True)
+    return ops.sub(ops.add(v, a), ops.mean(a, axis=1, keepdims=True))
 
 
 def ref_structured(enc, x):
     h = ref_affine(x, enc.in_proj)
     for mix, out in enc.blocks:
-        h = h + ref_affine(ref_affine(h, mix).relu(), out)
+        h = ops.add(h, ref_affine(ops.relu(ref_affine(h, mix)), out))
     return h
 
 
 def ref_gate(gate, f_c, f_e):
-    psi = (concat([f_c, f_e], axis=1) @ gate.W.T + gate.b).sigmoid()
-    return psi * f_c + (1.0 - psi) * f_e
+    psi = ops.sigmoid(ops.affine(concat([f_c, f_e], axis=1), gate.W, gate.b))
+    return ops.add(ops.mul(psi, f_c), ops.mul(ops.sub(1.0, psi), f_e))
 
 
 def ref_attention(attn, n, l):
-    a_struct_to_note = n @ attn.Wv_n.T
-    a_note_to_struct = l @ attn.Wv_l.T
-    l_tilde = concat([l, a_note_to_struct], axis=1) @ attn.out_l.T
-    n_tilde = concat([n, a_struct_to_note], axis=1) @ attn.out_n.T
+    a_struct_to_note = ops.affine(n, attn.Wv_n)
+    a_note_to_struct = ops.affine(l, attn.Wv_l)
+    l_tilde = ops.affine(concat([l, a_note_to_struct], axis=1), attn.out_l)
+    n_tilde = ops.affine(concat([n, a_struct_to_note], axis=1), attn.out_n)
     return concat([l_tilde, n_tilde], axis=1)
 
 
@@ -91,19 +93,19 @@ def ref_state(enc, structured, f_c, f_e):
 
 
 def ref_cql(q, actions, targets, alpha):
-    q_taken = q.pick(actions)
-    bellman = (q_taken - Tensor(targets)).square().mean() * 0.5
+    q_taken = ops.pick(q, actions)
+    bellman = ops.mul(ops.mean(ops.square(ops.sub(q_taken, Tensor(targets)))), 0.5)
     diag = {"bellman": float(bellman.data), "mean_q": float(q.data.mean())}
     if alpha == 0.0:
         diag["reg"] = 0.0
         return bellman, diag
-    reg = q.logsumexp(axis=1).mean() - q_taken.mean()
+    reg = ops.sub(ops.mean(ops.logsumexp(q, axis=1)), ops.mean(q_taken))
     diag["reg"] = float(reg.data)
-    return bellman + alpha * reg, diag
+    return ops.add(bellman, ops.mul(reg, alpha)), diag
 
 
 def ref_cross_entropy(logits, actions):
-    return (logits.logsumexp(axis=1) - logits.pick(actions)).mean()
+    return ops.mean(ops.sub(ops.logsumexp(logits, axis=1), ops.pick(logits, actions)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ def run(build, leaves, upstream):
     """Forward value and every leaf gradient of ``sum(build() * upstream)``."""
     zero_grads(leaves)
     out = build()
-    (out * Tensor(upstream)).sum().backward()
+    ops.sum(ops.mul(out, Tensor(upstream))).backward()
     return out.data.copy(), {k: p.grad.copy() for k, p in leaves.items()}
 
 
@@ -143,7 +145,7 @@ def assert_node_equals_reference(node, reference, leaves, upstream):
 
 def gradient_error(node, leaves, upstream):
     trainable = {k: p for k, p in leaves.items() if p.requires_grad}
-    return gradient_check(lambda: (node() * Tensor(upstream)).sum(), trainable)
+    return gradient_check(lambda: ops.sum(ops.mul(node(), Tensor(upstream))), trainable)
 
 
 def with_input(params, **inputs):

@@ -11,7 +11,6 @@ from careql.netcore import (
     clone_param_values,
     collect_params,
     concat,
-    gradient_check,
     linear,
     load_checkpoint,
     load_param_values,
@@ -19,6 +18,9 @@ from careql.netcore import (
     save_checkpoint,
     zero_grads,
 )
+
+import reference_ops as ops
+from reference_ops import gradient_check
 
 
 def make_net(seed, input_dim=7, width=11, n_actions=25):
@@ -91,7 +93,7 @@ class TestBackward:
     def test_quadratic_gradient_is_parameter(self):
         rng = np.random.default_rng(0)
         theta = Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="theta")
-        loss = theta.square().sum() * 0.5
+        loss = ops.mul(ops.sum(ops.square(theta)), 0.5)
         loss.backward()
         assert np.allclose(theta.grad, theta.data, atol=1e-15)
 
@@ -101,10 +103,10 @@ class TestBackward:
         x = Tensor(rng.normal(size=(5, 3)))
 
         def loss_a():
-            return (x @ w).square().mean()
+            return ops.mean(ops.square(ops.matmul(x, w)))
 
         def loss_b():
-            return (x @ w).relu().sum() * 0.1
+            return ops.mul(ops.sum(ops.relu(ops.matmul(x, w))), 0.1)
 
         zero_grads({"w": w})
         loss_a().backward()
@@ -113,7 +115,7 @@ class TestBackward:
         loss_b().backward()
         gb = w.grad.copy()
         zero_grads({"w": w})
-        (loss_a() + loss_b()).backward()
+        ops.add(loss_a(), loss_b()).backward()
         assert np.abs(w.grad - (ga + gb)).max() < 1e-12
 
     def test_detached_parameter_gets_zero_gradient(self):
@@ -121,7 +123,7 @@ class TestBackward:
         used = Tensor(rng.normal(size=(2, 2)), requires_grad=True, name="used")
         unused = Tensor(rng.normal(size=(2, 2)), requires_grad=True, name="unused")
         zero_grads({"used": used, "unused": unused})
-        used.square().sum().backward()
+        ops.sum(ops.square(used)).backward()
         assert np.all(unused.grad == 0.0)
         assert np.any(used.grad != 0.0)
 
@@ -135,8 +137,8 @@ class TestBackward:
 
         def loss_fn():
             q = net(Tensor(x))
-            diff = q.pick(actions) - Tensor(targets)
-            return diff.square().mean() * 0.5
+            diff = ops.sub(ops.pick(q, actions), Tensor(targets))
+            return ops.mul(ops.mean(ops.square(diff)), 0.5)
 
         assert gradient_check(loss_fn, net.params()) < 1e-4
 
@@ -149,21 +151,28 @@ class TestBackward:
         params = {"w": w, "b": b}
         target = rng.normal(size=(6,))
 
+        def xw():
+            return ops.matmul(Tensor(x), w)
+
+        def xwb():
+            return ops.add(xw(), b)
+
+        def xwt():
+            return ops.matmul(Tensor(x), ops.transpose(w))
+
         cases = {
-            "sigmoid": lambda: ((Tensor(x) @ w + b).sigmoid()).mean(),
-            "logsumexp": lambda: (Tensor(x) @ w + b).logsumexp(axis=1).mean(),
-            "softmax": lambda: ((Tensor(x) @ w + b).softmax(axis=1)
-                                * Tensor(x)).sum(),
-            "concat": lambda: concat(
-                [Tensor(x) @ w, (Tensor(x) @ w.T).relu()], axis=1).square().mean(),
-            "pick": lambda: ((Tensor(x) @ w + b).pick(np.array([0, 1, 2, 3, 0, 1]))
-                             - Tensor(target)).square().mean(),
-            "mean_keepdims": lambda: ((Tensor(x) @ w)
-                                      - (Tensor(x) @ w).mean(axis=1, keepdims=True)
-                                      ).square().sum(),
-            "mul_gate": lambda: ((Tensor(x) @ w + b).sigmoid() * (Tensor(x) @ w)
-                                 + (1.0 - (Tensor(x) @ w + b).sigmoid())
-                                 * (Tensor(x) @ w.T)).square().mean(),
+            "sigmoid": lambda: ops.mean(ops.sigmoid(xwb())),
+            "logsumexp": lambda: ops.mean(ops.logsumexp(xwb(), axis=1)),
+            "softmax": lambda: ops.sum(ops.mul(ops.softmax(xwb(), axis=1), Tensor(x))),
+            "concat": lambda: ops.mean(ops.square(
+                concat([xw(), ops.relu(xwt())], axis=1))),
+            "pick": lambda: ops.mean(ops.square(ops.sub(
+                ops.pick(xwb(), np.array([0, 1, 2, 3, 0, 1])), Tensor(target)))),
+            "mean_keepdims": lambda: ops.sum(ops.square(ops.sub(
+                xw(), ops.mean(xw(), axis=1, keepdims=True)))),
+            "mul_gate": lambda: ops.mean(ops.square(ops.add(
+                ops.mul(ops.sigmoid(xwb()), xw()),
+                ops.mul(ops.sub(1.0, ops.sigmoid(xwb())), xwt())))),
         }
         for name, fn in cases.items():
             err = gradient_check(fn, params)
@@ -172,15 +181,16 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         t = Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            (t + 1.0).backward()
+            ops.add(t, 1.0).backward()
 
 
 def every_op(a, b, w):
     """One node of each op, on (3, 4) operands a and b and a (4, 5) weight."""
-    return [a + b, a * b, a - b, 2.0 - a, -a, a / 2.0, a @ w, a.T, a.relu(),
-            a.sigmoid(), a.square(), a.sum(), a.mean(axis=0),
-            a.logsumexp(axis=1), a.softmax(axis=1), a.pick(np.array([0, 3, 1])),
-            concat([a, b], axis=1)]
+    return [ops.add(a, b), ops.mul(a, b), ops.sub(a, b), ops.sub(2.0, a), ops.neg(a),
+            ops.div(a, 2.0), ops.matmul(a, w), ops.transpose(a), ops.relu(a),
+            ops.sigmoid(a), ops.square(a), ops.sum(a), ops.mean(a, axis=0),
+            ops.logsumexp(a, axis=1), ops.softmax(a, axis=1),
+            ops.pick(a, np.array([0, 3, 1])), concat([a, b], axis=1)]
 
 
 class TestNoGrad:
@@ -207,12 +217,12 @@ class TestNoGrad:
         with no_grad():
             with no_grad():
                 pass
-            assert (a * b)._parents == ()
-        assert (a * b)._parents == (a, b)
+            assert ops.mul(a, b)._parents == ()
+        assert ops.mul(a, b)._parents == (a, b)
         with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
                 raise RuntimeError("inside")
-        assert (a * b)._parents == (a, b)
+        assert ops.mul(a, b)._parents == (a, b)
 
     def test_loss_after_block_backpropagates_same_gradients(self):
         net = make_net(3)
@@ -222,7 +232,7 @@ class TestNoGrad:
 
         def loss():
             q = net(Tensor(x))
-            return (q.logsumexp(axis=1) - q.pick(actions)).mean()
+            return ops.mean(ops.sub(ops.logsumexp(q, axis=1), ops.pick(q, actions)))
 
         zero_grads(params)
         loss().backward()
@@ -250,12 +260,12 @@ class TestLinear:
     def test_bitwise_equal_to_matmul_transpose_add(self, bias):
         x, W, b, weights = self.graphs(bias)
         params = {"x": x, "W": W} if b is None else {"x": x, "W": W, "b": b}
-        reference = x @ W.T if b is None else x @ W.T + b
-        (reference * Tensor(weights)).sigmoid().sum().backward()
+        reference = ops.affine(x, W, b)
+        ops.sum(ops.sigmoid(ops.mul(reference, Tensor(weights)))).backward()
         expected = {k: p.grad.copy() for k, p in params.items()}
         zero_grads(params)
         fused = linear(x, W, b)
-        (fused * Tensor(weights)).sigmoid().sum().backward()
+        ops.sum(ops.sigmoid(ops.mul(fused, Tensor(weights)))).backward()
         assert np.array_equal(fused.data, reference.data)
         for key, p in params.items():
             assert np.array_equal(p.grad, expected[key]), key
@@ -265,7 +275,8 @@ class TestLinear:
         x, W, b, weights = self.graphs(bias)
         params = {"W": W} if b is None else {"W": W, "b": b}
         err = gradient_check(
-            lambda: (linear(Tensor(x.data), W, b) * Tensor(weights)).sigmoid().mean(),
+            lambda: ops.mean(ops.sigmoid(ops.mul(linear(Tensor(x.data), W, b),
+                                                 Tensor(weights)))),
             params)
         assert err < 1e-4
 
@@ -276,7 +287,7 @@ class TestTapeRecording:
         x = Tensor(rng.normal(size=(6, 4)))
         target = Tensor(rng.normal(size=(6, 2)))
         W = Tensor(rng.normal(size=(2, 4)), requires_grad=True, name="W")
-        loss = (linear(x, W) - target).square().mean()
+        loss = ops.mean(ops.square(ops.sub(linear(x, W), target)))
         loss.backward()
         assert x.grad is None and target.grad is None
         assert W.grad.any()
@@ -289,10 +300,10 @@ class TestTapeRecording:
         x = rng.normal(size=(3, 4))
 
         def loss():
-            a = Tensor(x) * w
-            c = a.square()
-            s = a + c
-            return (s + c).sum()
+            a = ops.mul(Tensor(x), w)
+            c = ops.square(a)
+            s = ops.add(a, c)
+            return ops.sum(ops.add(s, c))
 
         assert gradient_check(loss, {"w": w}) < 1e-6
 
@@ -300,7 +311,7 @@ class TestTapeRecording:
         rng = np.random.default_rng(23)
         a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
         w = Tensor(rng.normal(size=(4, 5)))
-        for node in every_op(a, b, w) + [linear(a, w.T, Tensor(np.ones(5)))]:
+        for node in every_op(a, b, w) + [linear(a, ops.transpose(w), Tensor(np.ones(5)))]:
             assert node._parents == () and node._backward is None
             assert not node.requires_grad
 
@@ -451,7 +462,7 @@ class TestDeterminism:
                 x = data_rng.normal(size=(6, 4))
                 a = data_rng.integers(0, 3, size=6)
                 y = data_rng.normal(size=6)
-                loss = (net(Tensor(x)).pick(a) - Tensor(y)).square().mean()
+                loss = ops.mean(ops.square(ops.sub(ops.pick(net(Tensor(x)), a), Tensor(y))))
                 loss.backward()
                 opt.step()
             return clone_param_values(net.params())

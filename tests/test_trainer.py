@@ -45,6 +45,7 @@ from careql.trainer import (
     train,
 )
 
+import reference_ops as ops
 from stores import set_rows
 from test_encoder import loop_episode_note_inputs
 
@@ -102,7 +103,7 @@ class TestCqlLoss:
             y = rng.normal(size=B)
             a, _ = cql_loss(Tensor(q_data), actions, y, alpha=0.0)
             b, _ = dqn_loss(Tensor(q_data), actions, y)
-            assert abs(a.item() - b.item()) <= 1e-12
+            assert abs(float(a.data) - float(b.data)) <= 1e-12
 
     def test_matches_hand_computation_single_transition(self):
         q_row = np.linspace(-1.0, 1.0, N_ACTIONS)[None, :]
@@ -112,7 +113,7 @@ class TestCqlLoss:
         loss, diag = cql_loss(Tensor(q_row), action, y, alpha)
         bellman = 0.5 * (q_row[0, 3] - 0.25) ** 2
         reg = np.log(np.exp(q_row[0]).sum()) - q_row[0, 3]
-        assert abs(loss.item() - (bellman + alpha * reg)) < 1e-10
+        assert abs(float(loss.data) - (bellman + alpha * reg)) < 1e-10
         assert diag["reg"] == pytest.approx(reg)
 
     def test_regularizer_nonnegative(self):
@@ -241,6 +242,17 @@ class TestActionClassifier:
         expected = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected /= expected.sum(axis=1, keepdims=True)
         assert np.array_equal(clf.probs(x), expected)
+
+    @pytest.mark.parametrize("spread", [1.0, 1e3])
+    def test_probs_bit_equal_to_reference_softmax(self, spread):
+        # an identity head makes the logits the input rows themselves; a large
+        # spread underflows most entries of each row to zero
+        clf = ActionClassifier(N_ACTIONS, np.random.default_rng(6), width=0, depth=0)
+        clf.head.W.data[...] = np.eye(N_ACTIONS)
+        clf.head.b.data[...] = 0.0
+        logits = spread * np.random.default_rng(7).normal(size=(9, N_ACTIONS))
+        assert np.array_equal(clf.logits(Tensor(logits)).data, logits)
+        assert np.array_equal(clf.probs(logits), ops.softmax(Tensor(logits)).data)
 
     def test_classifier_trunk_matches_relu_oracle(self):
         clf = ActionClassifier(7, np.random.default_rng(4), width=9, depth=2)
