@@ -471,8 +471,10 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     test = _eval_split(dataset)
     if not bdesr_only:
         report = _ope_report_for(cfg, _behavior_model(cfg, dataset, seed), test, policy, seed)
-        _write_ope_outputs(out, report, variant="policy")
+        # the residuals read Q at every frame, final frames too, so a
+        # non-finite Q stops the command before the report is written
         _write_residuals(out, policy, test, cfg["ope"]["gamma"])
+        _write_ope_outputs(out, report, variant="policy")
         print(f"OPE: opera={report.opera:.4f} dr={report.dr:.4f} "
               f"fqe={report.fqe:.4f} wis={report.wis:.4f} "
               f"(n={report.n_episodes}, fqe={report.fqe_mode})")
@@ -576,13 +578,13 @@ def cmd_cross_eval(args) -> int:
     result = tr_mod.train(train_ds, train_cfg, enc_cfg,
                           modality=cfg["modality"],
                           snapshot_interval=snapshot_interval)
-    result.policy.save(out / "checkpoint.json")
 
     test = _eval_split(eval_ds)
     behavior = _behavior_model(cfg, eval_ds, seed)
     report = _ope_report_for(cfg, behavior, test, result.policy, seed)
-    _write_ope_outputs(out, report, variant="cross")
     _write_residuals(out, result.policy, test, cfg["ope"]["gamma"])
+    result.policy.save(out / "checkpoint.json")
+    _write_ope_outputs(out, report, variant="cross")
 
     # DR across training iterations on the evaluation cohort, one batch each
     gamma = cfg["ope"]["gamma"]
@@ -692,7 +694,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, gym_mod.GeneratorError, tr_mod.TrainerError,
             ds_mod.DatasetError, ope_mod.OpeError, bdesr_mod.BdesrError,
-            tr_mod.TrainingDiverged, NonFiniteGradientError) as exc:
+            tr_mod.TrainingDiverged, tr_mod.NonFiniteQError,
+            NonFiniteGradientError) as exc:
         kind, code = _classify(exc)
         print(f"{kind}: {exc}", file=sys.stderr)
         return code

@@ -804,7 +804,7 @@ def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
     notes_path = out / "notes.jsonl"
     manifest_path = out / "manifest.json"
 
-    store = store_of(sorted(dataset.episodes, key=lambda ep: ep.episode_id))
+    store = dataset.store.take(np.argsort(dataset.store.episode_id, kind="stable"))
     n_features = dataset.n_features
     # the final frame of an episode has no decision and writes zero doses
     values = np.zeros((store.structured.shape[0], n_features + 2))

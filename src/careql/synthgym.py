@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    ActionIndex,
     N_ACTIONS,
     N_DOSE_LEVELS,
     DoseBins,
@@ -249,11 +248,6 @@ class GeneratorConfig:
 # ---------------------------------------------------------------------------
 
 
-def _level_gap(a: int, target: int) -> float:
-    ai, at = ActionIndex.from_flat(a), ActionIndex.from_flat(target)
-    return 0.5 * (abs(ai.iv_level - at.iv_level) + abs(ai.vaso_level - at.vaso_level))
-
-
 def generate_mdp(config: GeneratorConfig, seed: int) -> TabularMDP:
     """Deterministically build an MDP and certify its modality gaps.
 
@@ -287,33 +281,24 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
     n_ord = n_u * n_v
     S = n_ord + 2
     surv_state, dead_state = n_ord, n_ord + 1
+    # ordinary state s = u * n_v + v; the absorbing states come last
+    u, v = np.divmod(np.arange(n_ord), n_v)
+    severity_of = np.append(u, [-1, -1])
+    context_of = np.append(v, [-1, -1])
 
-    severity_of = np.full(S, -1, dtype=np.int64)
-    context_of = np.full(S, -1, dtype=np.int64)
-    for u in range(n_u):
-        for v in range(n_v):
-            s = u * n_v + v
-            severity_of[s] = u
-            context_of[s] = v
+    # optimal action couples both factors: IV level (u + v), vaso level (u + 2v)
+    best_iv, best_vaso = (u + v) % N_DOSE_LEVELS, (u + 2 * v) % N_DOSE_LEVELS
+    optimal = np.append(N_DOSE_LEVELS * best_iv + best_vaso, [0, 0])
 
-    # optimal action couples both factors
-    optimal = np.zeros(S, dtype=np.int64)
-    for s in range(n_ord):
-        u, v = severity_of[s], context_of[s]
-        optimal[s] = ActionIndex((u + v) % N_DOSE_LEVELS,
-                                 (u + 2 * v) % N_DOSE_LEVELS).flat
-
-    # survival probability at resolution, best for the optimal action
+    # survival probability at resolution, best for the optimal action and
+    # falling with the mean level distance from it
     frac = (np.arange(n_u) / max(n_u - 1, 1))
     (best_h, best_s), (worst_h, worst_s) = SURVIVE_BEST, SURVIVE_WORST
-    q_best = best_h - frac * (best_h - best_s)
-    q_worst = worst_h - frac * (worst_h - worst_s)
-    q = np.zeros((n_ord, N_ACTIONS))
-    for s in range(n_ord):
-        u = severity_of[s]
-        for a in range(N_ACTIONS):
-            closeness = 1.0 - _level_gap(a, int(optimal[s])) / 4.0
-            q[s, a] = q_worst[u] + (q_best[u] - q_worst[u]) * closeness
+    q_best = (best_h - frac * (best_h - best_s))[u, None]
+    q_worst = (worst_h - frac * (worst_h - worst_s))[u, None]
+    iv, vaso = np.divmod(np.arange(N_ACTIONS), N_DOSE_LEVELS)
+    level_gap = 0.5 * (np.abs(iv - best_iv[:, None]) + np.abs(vaso - best_vaso[:, None]))
+    q = q_worst + (q_best - q_worst) * (1.0 - level_gap / 4.0)
     q += Q_JITTER * rng.uniform(-1.0, 1.0, size=q.shape)
     q = np.clip(q, 0.02, 0.98)
 
@@ -323,55 +308,42 @@ def _build_mdp(config: GeneratorConfig, seed: int, attempt: int) -> TabularMDP:
     t_u[-1] = config.term_prob_edge
 
     # action-independent severity drift (reflecting random walk + jitter)
-    drift = np.zeros((n_u, n_u))
-    for u in range(n_u):
-        down, up = (1.0 - DRIFT_STAY) / 2.0, (1.0 - DRIFT_STAY) / 2.0
-        drift[u, u] += DRIFT_STAY
-        drift[u, max(u - 1, 0)] += down
-        drift[u, min(u + 1, n_u - 1)] += up
+    levels, step = np.arange(n_u), (1.0 - DRIFT_STAY) / 2.0
+    drift = DRIFT_STAY * np.eye(n_u)
+    np.add.at(drift, (levels, np.maximum(levels - 1, 0)), step)
+    np.add.at(drift, (levels, np.minimum(levels + 1, n_u - 1)), step)
     drift += DRIFT_JITTER * rng.uniform(0.0, 1.0, size=drift.shape)
     drift /= drift.sum(axis=1, keepdims=True)
 
+    # resolve with probability t, else drift (u, v) -> (u2, v)
+    t = t_u[u, None]
     transition = np.zeros((S, N_ACTIONS, S))
-    terminal_prob = np.zeros((S, N_ACTIONS))
-    for s in range(n_ord):
-        u, v = severity_of[s], context_of[s]
-        t = t_u[u]
-        terminal_prob[s, :] = t
-        for a in range(N_ACTIONS):
-            transition[s, a, surv_state] = t * q[s, a]
-            transition[s, a, dead_state] = t * (1.0 - q[s, a])
-            for u2 in range(n_u):
-                transition[s, a, u2 * n_v + v] = (1.0 - t) * drift[u, u2]
-    for s_abs in (surv_state, dead_state):
-        transition[s_abs, :, s_abs] = 1.0
-        terminal_prob[s_abs, :] = 1.0
+    transition[:n_ord, :, surv_state] = t * q
+    transition[:n_ord, :, dead_state] = t * (1.0 - q)
+    transition[np.arange(n_ord)[:, None], :, levels * n_v + v[:, None]] = \
+        ((1.0 - t) * drift[u])[:, :, None]
+    absorbing = np.arange(S) >= n_ord
+    transition[absorbing, :, absorbing] = 1.0
+    terminal_prob = np.ones((S, N_ACTIONS))
+    terminal_prob[:n_ord] = t
 
-    reward_terminal = np.where(severity_of <= (n_u - 1) // 2, 1.0, -1.0)
-    reward_terminal[surv_state] = 1.0
-    reward_terminal[dead_state] = -1.0
-
-    absorbing = np.zeros(S, dtype=bool)
-    absorbing[[surv_state, dead_state]] = True
+    reward_terminal = np.append(np.where(u <= (n_u - 1) // 2, 1.0, -1.0), [1.0, -1.0])
 
     # start in the middle of the severity range, context uniform
     initial_dist = np.zeros(S)
-    band = np.arange(1, n_u - 1) if n_u >= 4 else np.arange(n_u)
-    for u in band:
-        for v in range(n_v):
-            initial_dist[u * n_v + v] = 1.0
+    initial_dist[:n_ord] = (n_u < 4) | ((u >= 1) & (u < n_u - 1))
     initial_dist /= initial_dist.sum()
 
-    emission_l = np.zeros((S, config.n_features))
-    emission_n = np.zeros((S, config.d_n))
+    # a keyed draw per id; absorbing states take the ids after the last
+    # severity and context
+    def embed(kind: str, ids: Array, width: int) -> Array:
+        return np.array([pseudo_embed(k, kind, width, seed) for k in range(ids.max() + 1)])[ids]
+
+    u_ids, v_ids = np.append(u, [n_u, n_u + 1]), np.append(v, [n_v, n_v + 1])
+    emission_l = STRUCT_SCALE * embed("severity", u_ids, config.n_features)
+    emission_n = embed("event", v_ids, config.d_n)
     context_proto = np.zeros((S, config.d_n))
-    for s in range(S):
-        u = severity_of[s] if s < n_ord else n_u + (s - n_ord)
-        v = context_of[s] if s < n_ord else n_v + (s - n_ord)
-        emission_l[s] = STRUCT_SCALE * pseudo_embed(int(u), "severity", config.n_features, seed)
-        emission_n[s] = pseudo_embed(int(v), "event", config.d_n, seed)
-        if s < n_ord:
-            context_proto[s] = pseudo_embed(int(v), "context", config.d_n, seed)
+    context_proto[:n_ord] = embed("context", v, config.d_n)
 
     note_prob = np.full(S, config.note_prob)
     note_prob[absorbing] = 0.0
@@ -497,36 +469,34 @@ def optimal_values(mdp: TabularMDP) -> tuple[Array, Array]:
 
 
 def _factor_structure(mdp: TabularMDP):
-    """Severity-chain quantities, asserting the generator's factorization."""
+    """Severity-chain quantities (t_u, q, drift, p_u, p_v), read from the
+    MDP's tensors and never from the generator's constants, checking the
+    factorization the generator promises: termination keyed by severity
+    alone, a severity drift shared by every context and action, and an
+    initial distribution that is a product of its marginals."""
     n_u, n_v = mdp.n_severity, mdp.n_context
     n_ord = n_u * n_v
-    surv_state = n_ord
-    t_u = np.zeros(n_u)
-    q = np.zeros((n_u, n_v, N_ACTIONS))
-    drift = np.zeros((n_u, n_u))
-    for u in range(n_u):
-        rows = [u * n_v + v for v in range(n_v)]
-        t_vals = mdp.terminal_prob[rows, :]
-        if np.ptp(t_vals) > 1e-12:
-            raise GeneratorError("termination must be severity-keyed and action-independent")
-        t_u[u] = t_vals[0, 0]
-        for v in range(n_v):
-            s = rows[v]
-            q[u, v, :] = mdp.transition[s, :, surv_state] / max(t_u[u], 1e-300)
-        # drift of severity, must be shared across contexts and actions
-        drift_rows = mdp.transition[rows][:, :, :n_ord].reshape(n_v, N_ACTIONS, n_u, n_v)
-        per = drift_rows[np.arange(n_v), :, :, np.arange(n_v)] / max(1.0 - t_u[u], 1e-300)
-        if np.ptp(per, axis=(0, 1)).max() > 1e-12:
-            raise GeneratorError("severity drift must be context- and action-independent")
-        drift[u] = per[0, 0]
-    p_u = np.zeros(n_u)
-    p_v = np.zeros(n_v)
-    for u in range(n_u):
-        for v in range(n_v):
-            p_u[u] += mdp.initial_dist[u * n_v + v]
-            p_v[v] += mdp.initial_dist[u * n_v + v]
+    t_vals = mdp.terminal_prob[:n_ord].reshape(n_u, n_v * N_ACTIONS)
+    if np.ptp(t_vals, axis=1).max() > 1e-12:
+        raise GeneratorError("termination must be severity-keyed and action-independent")
+    t_u = t_vals[:, 0]
+    q = mdp.transition[:n_ord, :, n_ord].reshape(n_u, n_v, N_ACTIONS) \
+        / np.maximum(t_u, 1e-300)[:, None, None]
+    # per[v, u, a, u2]: the move (u, v) -> (u2, v) under action a
+    contexts = np.arange(n_v)
+    moves = mdp.transition[:n_ord, :, :n_ord].reshape(n_u, n_v, N_ACTIONS, n_u, n_v)
+    per = moves[:, contexts, :, :, contexts] / np.maximum(1.0 - t_u, 1e-300)[:, None, None]
+    if np.ptp(per, axis=(0, 2)).max() > 1e-12:
+        raise GeneratorError("severity drift must be context- and action-independent")
+    drift = per[0, :, 0]
+    # marginals summed in index order (cumsum adds sequentially; sum would
+    # add pairwise and round differently once a row has 9 or more entries);
+    # p_u is copied out of its column because a dot product rounds a strided
+    # vector differently
+    joint = mdp.initial_dist[:n_ord].reshape(n_u, n_v)
+    p_u = joint.cumsum(axis=1)[:, -1].copy()
+    p_v = joint.cumsum(axis=0)[-1]
     if n_u > 1 and n_v > 1:
-        joint = mdp.initial_dist[:n_ord].reshape(n_u, n_v)
         if np.abs(joint - np.outer(p_u, p_v)).max() > 1e-9:
             raise GeneratorError("initial distribution must factorize over (severity, context)")
     return t_u, q, drift, p_u, p_v
@@ -681,7 +651,6 @@ class CanonicalInputs:
     structured: Array     # (S, F)
     event_note: Array     # (S, d_n)
     context_note: Array   # (S, d_n)
-    note_present: Array   # (S,) bool
 
 
 def canonical_inputs(mdp: TabularMDP, feature_stats=None) -> CanonicalInputs:
@@ -693,7 +662,6 @@ def canonical_inputs(mdp: TabularMDP, feature_stats=None) -> CanonicalInputs:
         structured=structured,
         event_note=mdp.emission_n_proto.copy(),
         context_note=mdp.context_prototype.copy(),
-        note_present=np.ones(mdp.n_states, dtype=bool),
     )
 
 

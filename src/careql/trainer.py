@@ -59,6 +59,19 @@ def _check_action_rule(algorithm: str, bcq_threshold: float) -> None:
         raise TrainerError("bcq_threshold must be in [0, 1]")
 
 
+class NonFiniteQError(RuntimeError):
+    """A policy's no-grad forward gave a NaN or infinite Q value."""
+
+
+def _finite_q(q: Array) -> Array:
+    """``q``, after checking that every value is finite."""
+    bad = ~np.isfinite(q)
+    if bad.any():
+        raise NonFiniteQError(f"non-finite Q in a policy forward "
+                              f"({int(bad.sum())} of {q.size} values)")
+    return q
+
+
 class TrainingDiverged(RuntimeError):
     """Non-finite loss; carries the last parameter snapshot and the log."""
 
@@ -299,11 +312,11 @@ class LearnedPolicy:
 
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
         with no_grad():
-            return self.model.q_values(structured, f_c, f_e).data
+            return _finite_q(self.model.q_values(structured, f_c, f_e).data)
 
     def _greedy(self, state: Tensor) -> Array:
         """The action rule on model-input states; call under ``no_grad``."""
-        q = self.model.qnet(state).data
+        q = _finite_q(self.model.qnet(state).data)
         if self.algorithm == "bcq":
             probs = self.behavior_classifier.probs(state.data)
             q = bcq_masked_q(q, probs, self.bcq_threshold)
@@ -379,6 +392,7 @@ class LearnedPolicy:
     def load(cls, path: str | Path) -> "LearnedPolicy":
         values, meta = load_checkpoint(path)
         _check_action_rule(meta["algorithm"], meta["bcq_threshold"])
+        _check_metadata_types(meta, METADATA_NUMBERS)
         enc_cfg = EncoderConfig(strategy=NoteStrategy(**meta["strategy"]), **meta["encoder"])
         width, depth = meta["qnet"]["width"], meta["qnet"]["depth"]
         rng = np.random.default_rng(0)
@@ -389,7 +403,30 @@ class LearnedPolicy:
         policy = cls(model=model, algorithm=meta["algorithm"],
                      bcq_threshold=meta["bcq_threshold"], behavior_classifier=classifier)
         load_param_values(policy.all_params(), values)
+        # the flag is checked once the tensors load, so that a false-like
+        # value is reported by the attention tensors it leaves unused
+        _check_metadata_types(meta, {"encoder.use_attention": (bool,)})
         return policy
+
+
+# the JSON types that ``LearnedPolicy.save`` writes for each metadata number,
+# by its dotted key (``type(True)`` is bool, so an int key refuses it)
+METADATA_NUMBERS = {
+    "bcq_threshold": (int, float), "strategy.window": (int,),
+    **{f"encoder.{key}": (int,) for key in ("n_features", "d_n", "d", "d_k", "depth")},
+    "qnet.width": (int,), "qnet.depth": (int,),
+}
+
+
+def _check_metadata_types(meta: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """A ``ValueError`` naming the first metadata value, of the dotted keys
+    in ``types``, whose JSON type is not one that key allows."""
+    for name, allowed in types.items():
+        *section, key = name.split(".")
+        value = (meta[section[0]] if section else meta)[key]
+        if type(value) not in allowed:
+            raise ValueError(f"checkpoint metadata {name!r} must be "
+                             f"{' or '.join(t.__name__ for t in allowed)}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,42 @@ TRAINED_CHECKPOINT_FAULTS = {
     "attention_tensors_unused": (
         lambda payload: payload["metadata"]["encoder"].update(use_attention=0), ".attn."),
 }
+# (edit of a multimodal BCQ checkpoint with a one-layer Q trunk that `careql
+# train` wrote, the metadata key `careql eval` must name when it refuses the
+# edited file with exit 3): a value of a JSON type that `save` never writes,
+# which the model would otherwise build from (true as 1, 1 as true, 3.0 as 3)
+# or fail on without naming it (8.0 as a width)
+METADATA_TYPE_FAULTS = {
+    "bcq_threshold_boolean": (lambda payload: payload["metadata"].update(bcq_threshold=True),
+                              "bcq_threshold"),
+    "window_float": (lambda payload: payload["metadata"]["strategy"].update(window=3.0),
+                     "strategy.window"),
+    "encoder_depth_boolean": (lambda payload: payload["metadata"]["encoder"].update(depth=True),
+                              "encoder.depth"),
+    "qnet_depth_boolean": (lambda payload: payload["metadata"]["qnet"].update(depth=True),
+                           "qnet.depth"),
+    "encoder_width_float": (lambda payload: payload["metadata"]["encoder"].update(d=8.0),
+                            "encoder.d"),
+    "use_attention_integer": (
+        lambda payload: payload["metadata"]["encoder"].update(use_attention=1),
+        "encoder.use_attention"),
+}
+
+
+def _overflow_q(payload):
+    """Finite Q-head biases whose sum overflows: V + A is inf and the
+    dueling mean-centring then gives NaN."""
+    tensors = payload["tensors"]
+    tensors["q.value.b"]["values"] = [1e308]
+    tensors["q.advantage.b"]["values"] = [1e308] * len(tensors["q.advantage.b"]["values"])
+
+
+# (modality, algorithm and edit of a checkpoint that `careql train` wrote)
+# whose Q is not finite, which `careql eval` must refuse with exit 4
+NON_FINITE_Q_FAULTS = {
+    "structured_bcq_q_overflow": ("structured", "bcq", _overflow_q),
+    "multimodal_cql_q_overflow": ("multimodal", "cql", _overflow_q),
+}
 CLIP_PERCENTILE_FAULTS = {"above_100": 150, "zero": 0, "negative": -5.0,
                           "string": "abc", "boolean": True}
 # (key, value) pairs that `careql train` must reject with exit 2 naming the key
@@ -742,22 +778,49 @@ class TestFaultInjection:
         assert code == 3
         assert err.startswith("data error:") and str(checkpoint) in err
 
-    @pytest.mark.parametrize("edit, key", list(TRAINED_CHECKPOINT_FAULTS.values()),
-                             ids=list(TRAINED_CHECKPOINT_FAULTS))
-    def test_edited_checkpoint_exits_3_naming_the_key(self, tmp_path, synth_dir, capsys,
-                                                      edit, key):
-        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "multimodal")
+    @staticmethod
+    def eval_edited(tmp_path, data, checkpoint, edit, capsys):
+        """Exit code and stderr of `careql eval` on ``checkpoint`` edited by ``edit``."""
         payload = json.loads(checkpoint.read_text())
         edit(payload)
         checkpoint.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["eval", "--config", str(write_config(tmp_path)),
-                     "--data", str(synth_dir), "--checkpoint", str(checkpoint),
+                     "--data", str(data), "--checkpoint", str(checkpoint),
                      "--out", str(tmp_path / "eval")])
-        err = capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", list(TRAINED_CHECKPOINT_FAULTS.values()),
+                             ids=list(TRAINED_CHECKPOINT_FAULTS))
+    def test_edited_checkpoint_exits_3_naming_the_key(self, tmp_path, synth_dir, capsys,
+                                                      edit, key):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "multimodal")
+        code, err = self.eval_edited(tmp_path, synth_dir, checkpoint, edit, capsys)
         assert code == 3, err
         assert err.startswith("data error:") and str(checkpoint) in err and key in err, err
         assert not (tmp_path / "eval" / "ope_report.json").exists()
+
+    @pytest.mark.parametrize("edit, key", list(METADATA_TYPE_FAULTS.values()),
+                             ids=list(METADATA_TYPE_FAULTS))
+    def test_mistyped_metadata_exits_3_naming_the_key(self, tmp_path, synth_dir, capsys,
+                                                      edit, key):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "multimodal",
+                                           {"train.algorithm": "bcq", "train.trunk_depth": 1})
+        code, err = self.eval_edited(tmp_path, synth_dir, checkpoint, edit, capsys)
+        assert code == 3, err
+        assert err.startswith("data error:") and str(checkpoint) in err and key in err, err
+        assert not (tmp_path / "eval" / "ope_report.json").exists()
+
+    @pytest.mark.parametrize("modality, algorithm, edit", list(NON_FINITE_Q_FAULTS.values()),
+                             ids=list(NON_FINITE_Q_FAULTS))
+    def test_non_finite_q_exits_4_before_writing(self, tmp_path, synth_dir, capsys,
+                                                 modality, algorithm, edit):
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, modality,
+                                           {"train.algorithm": algorithm})
+        code, err = self.eval_edited(tmp_path, synth_dir, checkpoint, edit, capsys)
+        assert code == 4, err
+        assert err.startswith("numeric failure:") and "non-finite Q" in err, err
+        assert not [p for p in (tmp_path / "eval").rglob("*") if p.is_file()]
 
     @pytest.mark.parametrize("value", list(CLIP_PERCENTILE_FAULTS.values()),
                              ids=list(CLIP_PERCENTILE_FAULTS))
@@ -1030,9 +1093,9 @@ class TestFaultInjection:
                      "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")]) == 0
 
     @staticmethod
-    def short_checkpoint(tmp_path, data, modality):
-        cfg = write_config(tmp_path, {"train.total_steps": 5, "modality": modality},
-                           name="short.json")
+    def short_checkpoint(tmp_path, data, modality, extra=None):
+        cfg = write_config(tmp_path, {"train.total_steps": 5, "modality": modality,
+                                      **(extra or {})}, name="short.json")
         out = tmp_path / "train"
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--out", str(out)]) == 0

@@ -592,6 +592,22 @@ class TestExportIngestProperties:
             assert read_files(export(loaded, tmp / "c")) == files
 
     @settings(max_examples=60, deadline=None)
+    @given(cohort_rows(ids=awkward_ids), st.randoms(use_true_random=False))
+    def test_export_orders_episodes_by_their_ids(self, rows, rng):
+        # ids with non-ASCII letters and trailing NULs, in a shuffled order:
+        # the files are those of the same episodes built in id order
+        episodes, d_n, bins = rows
+        shuffled = list(episodes)
+        rng.shuffle(shuffled)
+        ordered = sorted(episodes, key=lambda ep: ep["episode_id"])
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            files = read_files(export(make_dataset(shuffled, d_n, bins), tmp / "a"))
+            assert files == read_files(export(make_dataset(ordered, d_n, bins), tmp / "b"))
+        assert [ep["id"] for ep in json.loads(files["manifest"])["episodes"]] == \
+            [ep["episode_id"] for ep in ordered]
+
+    @settings(max_examples=60, deadline=None)
     @given(cohorts())
     def test_ingest_of_export_has_the_datasets_arrays(self, ds):
         with tempfile.TemporaryDirectory() as tmp:

@@ -7,11 +7,18 @@ references below build the same computation from the ops of
 ``reference_ops`` (matmul, transpose, add, relu, sigmoid, concat, pick,
 logsumexp, mean), one node per op. A node must equal its reference bit for bit: the forward, and
 the gradient of every parameter and every input that requires one.
+
+Sizes are drawn small (batches of 1-6 rows, widths of 4-6) and at training
+scale (batches of 64-256 rows, widths of 16-64), because BLAS picks its
+kernel by shape: some reorderings of a product round exactly like the
+reference at the small sizes and differ in the last bits only at the large
+ones (with 4 input columns and 16 or more output columns, the input gradient
+``g @ W`` written as ``(W.T @ g.T).T`` is one).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from careql.encoder import (
     CrossModalAttention,
@@ -37,7 +44,8 @@ from reference_ops import gradient_check
 
 SETTINGS = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
-batches = st.integers(1, 6)
+batches = st.one_of(st.integers(1, 6), st.integers(64, 256))
+widths = st.one_of(st.integers(4, 6), st.integers(16, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +169,19 @@ def with_input(params, **inputs):
 
 class TestMlpNode:
     @SETTINGS
-    @given(seed=seeds, batch=batches, depth=st.integers(0, 3),
+    @given(seed=seeds, batch=batches, width=widths, depth=st.integers(0, 3),
            input_grad=st.booleans())
-    def test_bit_equal_to_ops(self, seed, batch, depth, input_grad):
+    @example(seed=0, batch=256, width=64, depth=2, input_grad=True)
+    def test_bit_equal_to_ops(self, seed, batch, width, depth, input_grad):
         rng = np.random.default_rng(seed)
-        mlp = MLP(4, 5, depth, rng, "t")
+        mlp = MLP(4, width, depth, rng, "t")
         x = leaf(rng, (batch, 4), requires_grad=input_grad or depth == 0)
         if depth == 0:
             assert mlp(x) is x
             return
         leaves = with_input(mlp.params(), x=x)
         assert_node_equals_reference(lambda: mlp(x), lambda: ref_mlp(mlp, x), leaves,
-                                     rng.normal(size=(batch, 5)))
+                                     rng.normal(size=(batch, width)))
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_gradient_check(self, depth):
@@ -185,11 +194,12 @@ class TestMlpNode:
 
 class TestDuelingNode:
     @SETTINGS
-    @given(seed=seeds, batch=batches, depth=st.integers(0, 3),
+    @given(seed=seeds, batch=batches, width=widths, depth=st.integers(0, 3),
            input_grad=st.booleans())
-    def test_bit_equal_to_ops(self, seed, batch, depth, input_grad):
+    @example(seed=0, batch=256, width=64, depth=2, input_grad=True)
+    def test_bit_equal_to_ops(self, seed, batch, width, depth, input_grad):
         rng = np.random.default_rng(seed)
-        net = DuelingQNetwork(4, rng, width=5, depth=depth, n_actions=6)
+        net = DuelingQNetwork(4, rng, width=width, depth=depth, n_actions=6)
         x = leaf(rng, (batch, 4), requires_grad=input_grad)
         leaves = with_input(net.params(), x=x)
         assert_node_equals_reference(lambda: net(x), lambda: ref_dueling(net, x), leaves,
@@ -206,43 +216,44 @@ class TestDuelingNode:
 
 class TestEncoderNodes:
     @SETTINGS
-    @given(seed=seeds, batch=batches, depth=st.integers(0, 2),
+    @given(seed=seeds, batch=batches, width=widths, depth=st.integers(0, 2),
            input_grad=st.booleans())
-    def test_structured_bit_equal_to_ops(self, seed, batch, depth, input_grad):
+    @example(seed=0, batch=256, width=64, depth=1, input_grad=True)
+    def test_structured_bit_equal_to_ops(self, seed, batch, width, depth, input_grad):
         rng = np.random.default_rng(seed)
-        enc = StructuredEncoder(4, 5, depth, rng)
+        enc = StructuredEncoder(4, width, depth, rng)
         x = leaf(rng, (batch, 4), requires_grad=input_grad)
         leaves = with_input(enc.params(), x=x)
         assert_node_equals_reference(lambda: enc(x), lambda: ref_structured(enc, x),
-                                     leaves, rng.normal(size=(batch, 5)))
+                                     leaves, rng.normal(size=(batch, width)))
 
     @SETTINGS
-    @given(seed=seeds, batch=batches, grads=st.lists(st.booleans(), min_size=4,
-                                                     max_size=4))
-    def test_gate_bit_equal_to_ops(self, seed, batch, grads):
+    @given(seed=seeds, batch=batches, width=widths,
+           grads=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_gate_bit_equal_to_ops(self, seed, batch, width, grads):
         rng = np.random.default_rng(seed)
-        gate = GatedFusion(5, rng)
+        gate = GatedFusion(width, rng)
         gate.W.requires_grad, gate.b.requires_grad = grads[:2]
-        f_c = leaf(rng, (batch, 5), requires_grad=grads[2])
-        f_e = leaf(rng, (batch, 5), requires_grad=grads[3])
+        f_c = leaf(rng, (batch, width), requires_grad=grads[2])
+        f_e = leaf(rng, (batch, width), requires_grad=grads[3])
         leaves = with_input(gate.params(), f_c=f_c, f_e=f_e)
         assert_node_equals_reference(lambda: gate(f_c, f_e),
                                      lambda: ref_gate(gate, f_c, f_e), leaves,
-                                     rng.normal(size=(batch, 5)))
+                                     rng.normal(size=(batch, width)))
 
     @SETTINGS
-    @given(seed=seeds, batch=batches, grads=st.lists(st.booleans(), min_size=6,
-                                                     max_size=6))
-    def test_attention_bit_equal_to_ops(self, seed, batch, grads):
+    @given(seed=seeds, batch=batches, width=widths,
+           grads=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_attention_bit_equal_to_ops(self, seed, batch, width, grads):
         rng = np.random.default_rng(seed)
-        attn = CrossModalAttention(5, 3, rng)
+        attn = CrossModalAttention(width, 3, rng)
         for p, flag in zip((attn.Wv_l, attn.Wv_n, attn.out_l, attn.out_n), grads):
             p.requires_grad = flag
-        n = leaf(rng, (batch, 5), requires_grad=grads[4])
-        l = leaf(rng, (batch, 5), requires_grad=grads[5])
+        n = leaf(rng, (batch, width), requires_grad=grads[4])
+        l = leaf(rng, (batch, width), requires_grad=grads[5])
         leaves = with_input(attn.params(), n=n, l=l)
         assert_node_equals_reference(lambda: attn(n, l), lambda: ref_attention(attn, n, l),
-                                     leaves, rng.normal(size=(batch, 10)))
+                                     leaves, rng.normal(size=(batch, 2 * width)))
 
     def test_gradient_checks(self):
         rng = np.random.default_rng(7)
@@ -260,11 +271,11 @@ class TestEncoderNodes:
 
 class TestStateEncoderNodes:
     @SETTINGS
-    @given(seed=seeds, batch=batches, kind=st.sampled_from(STRATEGY_KINDS),
+    @given(seed=seeds, batch=batches, width=widths, kind=st.sampled_from(STRATEGY_KINDS),
            use_attention=st.booleans(), data=st.data())
-    def test_bit_equal_to_ops(self, seed, batch, kind, use_attention, data):
+    def test_bit_equal_to_ops(self, seed, batch, width, kind, use_attention, data):
         rng = np.random.default_rng(seed)
-        cfg = EncoderConfig(n_features=4, d_n=3, d=5, d_k=2, depth=1,
+        cfg = EncoderConfig(n_features=4, d_n=3, d=width, d_k=2, depth=1,
                             strategy=NoteStrategy(kind), use_attention=use_attention)
         enc = StateEncoder(cfg, rng)
         params = enc.params()
@@ -278,7 +289,7 @@ class TestStateEncoderNodes:
         args = tuple(inputs.values())
         assert_node_equals_reference(lambda: enc.forward(*args),
                                      lambda: ref_state(enc, *args), leaves,
-                                     rng.normal(size=(batch, 10)))
+                                     rng.normal(size=(batch, 2 * width)))
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     @pytest.mark.parametrize("use_attention", [True, False])

@@ -1,10 +1,11 @@
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from careql.dataset import N_ACTIONS
+from careql.dataset import N_ACTIONS, N_DOSE_LEVELS, ActionIndex
+from careql import synthgym
 from careql.synthgym import (
     BehaviorPolicy,
     GeneratorConfig,
@@ -154,6 +155,109 @@ class TestGenerateMdp:
             GeneratorConfig(gamma=1.0)
 
 
+def loop_build(cfg, seed, attempt):
+    """The arrays of ``_build_mdp(cfg, seed, attempt)``, built state by state
+    and action by action over ``ActionIndex`` in the order of the generator's
+    arithmetic: the reference for its array expressions."""
+    rng = np.random.default_rng([seed, attempt, 913])
+    n_u, n_v = cfg.n_severity, cfg.n_context
+    n_ord = n_u * n_v
+    S = n_ord + 2
+    severity_of = np.full(S, -1, dtype=np.int64)
+    context_of = np.full(S, -1, dtype=np.int64)
+    optimal = np.zeros(S, dtype=np.int64)
+    for s in range(n_ord):
+        u, v = divmod(s, n_v)
+        severity_of[s], context_of[s] = u, v
+        optimal[s] = ActionIndex((u + v) % N_DOSE_LEVELS, (u + 2 * v) % N_DOSE_LEVELS).flat
+    frac = np.arange(n_u) / max(n_u - 1, 1)
+    (best_h, best_s), (worst_h, worst_s) = synthgym.SURVIVE_BEST, synthgym.SURVIVE_WORST
+    q_best, q_worst = best_h - frac * (best_h - best_s), worst_h - frac * (worst_h - worst_s)
+    q = np.zeros((n_ord, N_ACTIONS))
+    for s in range(n_ord):
+        u, target = severity_of[s], ActionIndex.from_flat(int(optimal[s]))
+        for a in range(N_ACTIONS):
+            ai = ActionIndex.from_flat(a)
+            gap = 0.5 * (abs(ai.iv_level - target.iv_level)
+                         + abs(ai.vaso_level - target.vaso_level))
+            q[s, a] = q_worst[u] + (q_best[u] - q_worst[u]) * (1.0 - gap / 4.0)
+    q = np.clip(q + synthgym.Q_JITTER * rng.uniform(-1.0, 1.0, size=q.shape), 0.02, 0.98)
+    t_u = np.full(n_u, cfg.term_prob_mid)
+    t_u[[0, -1]] = cfg.term_prob_edge
+    drift = np.zeros((n_u, n_u))
+    for u in range(n_u):
+        drift[u, u] += synthgym.DRIFT_STAY
+        drift[u, max(u - 1, 0)] += (1.0 - synthgym.DRIFT_STAY) / 2.0
+        drift[u, min(u + 1, n_u - 1)] += (1.0 - synthgym.DRIFT_STAY) / 2.0
+    drift += synthgym.DRIFT_JITTER * rng.uniform(0.0, 1.0, size=drift.shape)
+    drift /= drift.sum(axis=1, keepdims=True)
+    transition = np.zeros((S, N_ACTIONS, S))
+    terminal_prob = np.ones((S, N_ACTIONS))
+    initial_dist = np.zeros(S)
+    emission_l, emission_n = np.zeros((S, cfg.n_features)), np.zeros((S, cfg.d_n))
+    context_proto = np.zeros((S, cfg.d_n))
+    for s in range(S):
+        # absorbing states take the ids after the last severity and context
+        u, v = divmod(s, n_v) if s < n_ord else (n_u + s - n_ord, n_v + s - n_ord)
+        emission_l[s] = synthgym.STRUCT_SCALE * pseudo_embed(u, "severity", cfg.n_features, seed)
+        emission_n[s] = pseudo_embed(v, "event", cfg.d_n, seed)
+        if s >= n_ord:
+            transition[s, :, s] = 1.0
+            continue
+        context_proto[s] = pseudo_embed(v, "context", cfg.d_n, seed)
+        t = t_u[u]
+        terminal_prob[s] = t
+        for a in range(N_ACTIONS):
+            transition[s, a, n_ord] = t * q[s, a]
+            transition[s, a, n_ord + 1] = t * (1.0 - q[s, a])
+            for u2 in range(n_u):
+                transition[s, a, u2 * n_v + v] = (1.0 - t) * drift[u, u2]
+        initial_dist[s] = 1.0 if n_u < 4 or 0 < u < n_u - 1 else 0.0
+    initial_dist /= initial_dist.sum()
+    return {"transition": transition, "terminal_prob": terminal_prob,
+            "initial_dist": initial_dist, "severity_of": severity_of,
+            "context_of": context_of, "optimal_action": optimal,
+            "emission_l_mean": emission_l, "emission_n_proto": emission_n,
+            "context_prototype": context_proto}
+
+
+def loop_factors(mdp):
+    """``_factor_structure(mdp)`` read severity by severity and state by
+    state, with the initial marginals summed one state at a time."""
+    n_u, n_v = mdp.n_severity, mdp.n_context
+    t_u, q, drift = np.zeros(n_u), np.zeros((n_u, n_v, N_ACTIONS)), np.zeros((n_u, n_u))
+    p_u, p_v = np.zeros(n_u), np.zeros(n_v)
+    for u in range(n_u):
+        t_u[u] = mdp.terminal_prob[u * n_v, 0]
+        for v in range(n_v):
+            s = u * n_v + v
+            q[u, v] = mdp.transition[s, :, n_u * n_v] / max(t_u[u], 1e-300)
+            p_u[u] += mdp.initial_dist[s]
+            p_v[v] += mdp.initial_dist[s]
+        for u2 in range(n_u):
+            drift[u, u2] = mdp.transition[u * n_v, 0, u2 * n_v] / max(1.0 - t_u[u], 1e-300)
+    return t_u, q, drift, p_u, p_v
+
+
+def bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# pairs of (n_severity, n_context); from 9 contexts on, a pairwise sum of an
+# initial-distribution row rounds differently from the sequential one
+@pytest.mark.parametrize("n_severity, n_context", [(1, 2), (2, 1), (2, 9), (3, 13), (5, 3),
+                                                   (9, 8), (12, 9)])
+def test_array_generator_matches_the_per_state_loops(n_severity, n_context):
+    cfg = GeneratorConfig(n_severity=n_severity, n_context=n_context, n_features=6, d_n=8)
+    for seed, attempt in ((0, 0), (7, 3)):
+        mdp = synthgym._build_mdp(cfg, seed, attempt)
+        for name, want in loop_build(cfg, seed, attempt).items():
+            assert bits(getattr(mdp, name)) == bits(want), name
+        for got, want in zip(synthgym._factor_structure(mdp), loop_factors(mdp)):
+            assert bits(got) == bits(want)
+
+
 class TestExactPolicyValue:
     def test_immediate_certain_death_is_minus_one(self):
         mdp = certain_death_mdp()
@@ -232,6 +336,28 @@ class TestUnimodalOracles:
                 best_stationary = max(best_stationary, exact_policy_value(mdp, full))
         assert bound >= best_stationary - 1e-9
         assert bound <= mdp.oracle["value_optimal"] + 1e-9
+
+    # edits of the 2x2 MDP's tensors (state s = 2u + v) that break one
+    # factorization the oracles rely on, and the error each must raise
+    @pytest.mark.parametrize("edit, message", [
+        # state (0, 1) resolves more often under action 7 than under the others
+        (lambda m: {"terminal_prob": np.where(np.arange(N_ACTIONS) == 7, 0.01, 0.0)
+                    * (np.arange(m.n_states) == 1)[:, None] + m.terminal_prob},
+         "termination must be severity-keyed"),
+        # state (1, 0) under action 5 drifts to severity 0 more than the others
+        (lambda m: {"transition": m.transition + 0.01 * np.einsum(
+            "s,a,t->sat", np.arange(m.n_states) == 2, np.arange(N_ACTIONS) == 5,
+            (np.arange(m.n_states) == 0) * 1.0 - (np.arange(m.n_states) == 2))},
+         "severity drift must be context- and action-independent"),
+        # episodes start at (0, 0) or (1, 1) only
+        (lambda m: {"initial_dist": np.array([0.5, 0.0, 0.0, 0.5, 0.0, 0.0])},
+         "initial distribution must factorize"),
+    ], ids=["termination_by_action", "drift_by_action", "initial_not_a_product"])
+    def test_oracles_refuse_a_tensor_that_does_not_factor(self, small_mdp, edit, message):
+        mdp = replace(small_mdp, **edit(small_mdp))
+        for oracle in (best_structured_only, best_note_only):
+            with pytest.raises(GeneratorError, match=message):
+                oracle(mdp)
 
 
 class TestRollout:

@@ -25,7 +25,14 @@ For each seed it prints one line per item:
   normalization, its train, empty val and test splits, its episodes taken
   backwards and every other one, its rediscretization, and the ingest of its
   files with and without ground truth; and the files that export writes
-  after that ingest.
+  after that ingest;
+- the synthetic generator on each (n_severity, n_context) pair of
+  ``GENERATOR_SEVERITIES`` x ``GENERATOR_CONTEXTS`` with at least 2 states
+  (``generator_lines``): every ``TabularMDP`` field of the first attempt's
+  MDP (``_build_mdp``), the five arrays ``_factor_structure`` reads from it,
+  and the MDP that ``generate_mdp`` certifies or its ``GeneratorError``, at
+  the default ``min_gap`` and at ``GENERATOR_STRICT_GAP``, which some pairs
+  meet only on a later attempt and some not at all.
 
 Run it from the repository root on two revisions and compare the outputs::
 
@@ -42,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -61,6 +69,9 @@ STORE_EPISODES = 150
 TRAIN_EPISODES = 500
 TRAIN_STEPS = 50
 SEEDS = (1, 3)
+GENERATOR_SEVERITIES = (1, 2, 3, 5, 9, 12)
+GENERATOR_CONTEXTS = (1, 2, 3, 8, 9, 13)
+GENERATOR_STRICT_GAP = 0.2
 # (name, TrainConfig changes, EncoderConfig changes, modality) of each
 # training run beside the acceptance config's CQL and BCQ
 TRAIN_VARIANTS = [
@@ -210,13 +221,53 @@ def store_lines(seed: int, work: Path) -> list[str]:
     return lines
 
 
+def arrays_digest(*arrays) -> str:
+    """sha256 of each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def mdp_digest(mdp) -> str:
+    """sha256 of every ``TabularMDP`` field: arrays by ``arrays_digest``, the
+    rest (the oracle values among them) by ``repr``."""
+    h = hashlib.sha256()
+    for f in fields(synthgym.TabularMDP):
+        value = getattr(mdp, f.name)
+        text = arrays_digest(value) if isinstance(value, np.ndarray) else repr(value)
+        h.update(f"{f.name} {text}".encode())
+    return h.hexdigest()
+
+
+def generator_lines(seed: int) -> list[str]:
+    lines = []
+    for n_u, n_v in itertools.product(GENERATOR_SEVERITIES, GENERATOR_CONTEXTS):
+        if n_u * n_v < 2:
+            continue
+        cfg = synthgym.GeneratorConfig(n_severity=n_u, n_context=n_v)
+        mdp = synthgym._build_mdp(cfg, seed, 0)
+        outcomes = []
+        for min_gap in (cfg.min_gap, GENERATOR_STRICT_GAP):
+            try:
+                outcomes.append(mdp_digest(synthgym.generate_mdp(
+                    replace(cfg, min_gap=min_gap), seed)))
+            except synthgym.GeneratorError as exc:
+                outcomes.append(f"error {exc}")
+        lines.append(f"seed {seed} generator {n_u}x{n_v} build {mdp_digest(mdp)} "
+                     f"factors {arrays_digest(*synthgym._factor_structure(mdp))} "
+                     f"generate {' | '.join(outcomes)}")
+    return lines
+
+
 def main() -> int:
     for seed in SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             for line in (pipeline_lines(seed, work) + train_lines(seed)
                          + eval_lines(seed, work) + multimodal_lines(seed, work)
-                         + store_lines(seed, work)):
+                         + store_lines(seed, work) + generator_lines(seed)):
                 print(line, flush=True)
     return 0
 
