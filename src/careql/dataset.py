@@ -271,7 +271,11 @@ class EpisodeStore:
         return tuple(Episode(self, i) for i in range(self.lengths.shape[0]))
 
     def take(self, index: Array) -> "EpisodeStore":
-        """The store of episodes ``index``, in that order."""
+        """The store of episodes ``index``, in that order: this store itself
+        when they are all of its episodes in its order."""
+        n = self.lengths.size
+        if np.shape(index) == (n,) and (index == np.arange(n)).all():
+            return self
         lengths = self.lengths[index]
         rows = {**dict.fromkeys(_FRAME_FIELDS, _ranges(self.frame_offsets[index], lengths + 1)),
                 **dict.fromkeys(_TRANSITION_FIELDS, _ranges(self.offsets[index], lengths)),
@@ -315,15 +319,12 @@ class EpisodeStore:
 
 
 def store_of(episodes: Sequence[Episode]) -> EpisodeStore:
-    """The store of some views of one store, in order: that store when they
-    are all of its episodes in its order, rows gathered from it otherwise."""
+    """The store of some views of one store, in order (``EpisodeStore.take``)."""
     store = episodes[0].store
     if any(ep.store is not store for ep in episodes):
         raise DatasetError("the episodes of a dataset must be views of one store")
-    index = np.fromiter((ep.index for ep in episodes), dtype=np.int64, count=len(episodes))
-    if index.shape == store.lengths.shape and (index == np.arange(index.size)).all():
-        return store
-    return store.take(index)
+    return store.take(np.fromiter((ep.index for ep in episodes), dtype=np.int64,
+                                  count=len(episodes)))
 
 
 @dataclass(frozen=True)

@@ -258,39 +258,37 @@ def _prepare_stats(batch: EvalBatch, q_rows: Array | None, gamma: float) -> _Epi
                          traj_weight=rho[np.arange(n), store.lengths - 1], gamma=gamma)
 
 
-def _clipped_weights(stats: _EpisodeStats, idx: Array,
-                     clip_percentile: float | None) -> Array:
-    """Trajectory weights of the episodes at idx, capped at their percentile."""
-    w = stats.traj_weight[idx]
-    if clip_percentile is not None:
-        w = np.minimum(w, np.percentile(w, clip_percentile))
-    return w
-
-
 def _ess(w: Array) -> float:
     return float(w.sum() ** 2 / np.maximum((w * w).sum(), 1e-300))
 
 
-def _wis_from_stats(stats: _EpisodeStats, idx: Array,
-                    clip_percentile: float | None) -> float:
-    w = _clipped_weights(stats, idx, clip_percentile)
-    total = w.sum()
-    if total <= 0.0:
+def _wis_rows(stats: _EpisodeStats, idx: Array,
+              clip_percentile: float | None) -> tuple[Array, Array]:
+    """WIS of each row of episode indices ``idx`` (R, n), and the (R, n)
+    trajectory weights it reads, each row capped at its own percentile."""
+    w = stats.traj_weight[idx]
+    if clip_percentile is not None:
+        np.minimum(w, np.percentile(w, clip_percentile, axis=1, keepdims=True), out=w)
+    total = w.sum(axis=1)
+    if (total <= 0.0).any():
         raise OpeError("all importance weights are zero; the target policy "
                        "has no overlap with the logged actions")
-    return float((w * stats.returns[idx]).sum() / total)
+    return (w * stats.returns[idx]).sum(axis=1) / total, w
 
 
-def _wdr_from_stats(stats: _EpisodeStats, idx: Array) -> float:
-    rho = stats.rho[idx]
-    n, t_max = rho.shape
-    totals = rho.sum(axis=0)
+def _wdr_rows(stats: _EpisodeStats, counts: Array) -> Array:
+    """Weighted per-decision DR of each row of per-episode counts (R, n):
+    at step t an episode weighs its rho_t over the row's total (0 where that
+    is 0), and each of the row's n episodes weighs 1/n at step 0."""
+    rho = stats.rho
+    totals = counts @ rho
+    corrected = counts @ (rho * (stats.rewards - stats.q_taken))
+    carried = counts @ (rho[:, :-1] * stats.v_hat[:, 1:])
     with np.errstate(invalid="ignore", divide="ignore"):
-        w = np.where(totals > 0.0, rho / totals, 0.0)
-    w_prev = np.concatenate([np.full((n, 1), 1.0 / n), w[:, :-1]], axis=1)
-    per_t = (w * (stats.rewards[idx] - stats.q_taken[idx])
-             + w_prev * stats.v_hat[idx]).sum(axis=0)
-    return float((stats.gamma ** np.arange(t_max)) @ per_t)
+        per_t = np.where(totals > 0.0, corrected / totals, 0.0)
+        per_t[:, 1:] += np.where(totals[:, :-1] > 0.0, carried / totals[:, :-1], 0.0)
+    per_t[:, 0] += counts @ stats.v_hat[:, 0] / counts.shape[1]
+    return per_t @ (stats.gamma ** np.arange(rho.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +311,9 @@ def wis(batch: EvalBatch, gamma: float, clip_percentile: float | None = None) ->
     lies between the smallest and largest observed return.
     """
     stats = _prepare_stats(batch, None, gamma)
-    idx = np.arange(stats.returns.shape[0])
-    w = _clipped_weights(stats, idx, clip_percentile)
-    return WisResult(estimate=_wis_from_stats(stats, idx, clip_percentile),
-                     weights=w, returns=stats.returns, effective_sample_size=_ess(w))
+    estimate, w = _wis_rows(stats, np.arange(stats.returns.shape[0])[None], clip_percentile)
+    return WisResult(estimate=float(estimate[0]), weights=w[0], returns=stats.returns,
+                     effective_sample_size=_ess(w[0]))
 
 
 def dr(batch: EvalBatch, q_rows: Array | None, gamma: float) -> float:
@@ -328,7 +325,7 @@ def dr(batch: EvalBatch, q_rows: Array | None, gamma: float) -> float:
     terms telescope and the estimate equals its initial-state value.
     """
     stats = _prepare_stats(batch, q_rows, gamma)
-    return _wdr_from_stats(stats, np.arange(stats.returns.shape[0]))
+    return float(_wdr_rows(stats, np.ones((1, stats.returns.shape[0])))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +568,12 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
     """WIS + DR + FQE point estimates, paired bootstrap SEs, and OPERA.
 
     FQE runs in tabular mode when a state-indexed policy matrix and latent
-    state ids are available, otherwise in network mode. The bootstrap
-    resamples episodes; WIS and DR are recomputed per replicate. Tabular FQE
-    is refit per replicate from the resampled empirical model; the network
-    FQE replicate only resamples per-episode initial-state values (the
-    network is fit once, so its bootstrap SE understates refit variance).
+    state ids are available, otherwise in network mode. One (B + 1, n) matrix
+    of episode indices holds the sample itself in row 0 and its B resamples
+    below; WIS answers for every row at once from its weights, DR from its
+    per-episode counts. Tabular FQE is refit on each resample's counts; the
+    network FQE replicate only resamples per-episode initial-state values
+    (the network is fit once, so its bootstrap SE understates refit variance).
     """
     batch = eval_batch(dataset, policy, behavior)
     store = batch.store
@@ -593,35 +591,26 @@ def evaluate_policy(dataset: OfflineDataset, policy, behavior, cfg: OpeConfig,
         fqe_mode = "network"
 
     stats = _prepare_stats(batch, fqe_result.q_rows, cfg.gamma)
-    full_idx = np.arange(n)
-    wis_point = _wis_from_stats(stats, full_idx, cfg.clip_percentile)
-    dr_point = _wdr_from_stats(stats, full_idx)
-    fqe_point = fqe_result.estimate
-
     rng = np.random.default_rng([cfg.seed, 97])
-    reps = np.zeros((cfg.n_bootstrap, 3))
-    for b in range(cfg.n_bootstrap):
-        idx = rng.integers(0, n, size=n)
-        reps[b, 0] = _wis_from_stats(stats, idx, cfg.clip_percentile)
-        reps[b, 1] = _wdr_from_stats(stats, idx)
-        if table is not None:
-            reps[b, 2] = _tabular_fqe(store, table, cfg.gamma,
-                                      np.bincount(idx, minlength=n))[0]
-        else:
-            reps[b, 2] = float(fqe_result.initial_values[idx].mean())
-
-    agg = opera([("wis", wis_point, reps[:, 0]),
-                 ("dr", dr_point, reps[:, 1]),
-                 ("fqe", fqe_point, reps[:, 2])])
-
-    ess = _ess(_clipped_weights(stats, full_idx, cfg.clip_percentile))
-    ses = {name: float(reps[:, j].std(ddof=1))
-           for j, name in enumerate(("wis", "dr", "fqe"))}
-    opera_reps = reps @ np.array([agg.weights["wis"], agg.weights["dr"],
-                                  agg.weights["fqe"]])
-    ses["opera"] = float(opera_reps.std(ddof=1))
-    return OPEReport(wis=wis_point, dr=dr_point, fqe=fqe_point,
-                     opera=agg.estimate, standard_errors=ses,
+    idx = np.vstack([np.arange(n), rng.integers(0, n, size=(cfg.n_bootstrap, n))])
+    wis_rows, w = _wis_rows(stats, idx, cfg.clip_percentile)
+    ess = _ess(w[0])
+    del w
+    counts = np.bincount((idx + n * np.arange(idx.shape[0])[:, None]).ravel(),
+                         minlength=idx.size).reshape(idx.shape).astype(np.float64)
+    if table is None:
+        fqe_reps = fqe_result.initial_values[idx[1:]].mean(axis=1)
+    else:
+        fqe_reps = np.array([_tabular_fqe(store, table, cfg.gamma, c)[0] for c in counts[1:]])
+    del idx
+    dr_rows = _wdr_rows(stats, counts)
+    names = ("wis", "dr", "fqe")
+    points = (float(wis_rows[0]), float(dr_rows[0]), fqe_result.estimate)
+    reps = np.stack([wis_rows[1:], dr_rows[1:], fqe_reps], axis=1)
+    agg = opera([(name, points[j], reps[:, j]) for j, name in enumerate(names)])
+    ses = {name: float(reps[:, j].std(ddof=1)) for j, name in enumerate(names)}
+    ses["opera"] = float((reps @ np.array([agg.weights[name] for name in names])).std(ddof=1))
+    return OPEReport(*points, opera=agg.estimate, standard_errors=ses,
                      opera_weights=agg.weights, effective_sample_size=ess,
                      n_episodes=n, fqe_mode=fqe_mode,
                      used_inverse_variance_fallback=agg.used_inverse_variance_fallback)

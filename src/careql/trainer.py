@@ -12,6 +12,7 @@ variants are plain dueling networks on the raw inputs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,14 @@ def _check_action_rule(algorithm: str, bcq_threshold: float) -> None:
 
 class NonFiniteQError(RuntimeError):
     """A policy's no-grad forward gave a NaN or infinite Q value."""
+
+
+@contextmanager
+def _policy_forward():
+    """``no_grad`` without numpy's overflow and invalid-value warnings, which
+    ``_finite_q`` reports as an error."""
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        yield
 
 
 def _finite_q(q: Array) -> Array:
@@ -311,11 +320,11 @@ class LearnedPolicy:
         return self.model.enc_cfg.strategy
 
     def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
-        with no_grad():
+        with _policy_forward():
             return _finite_q(self.model.q_values(structured, f_c, f_e).data)
 
     def _greedy(self, state: Tensor) -> Array:
-        """The action rule on model-input states; call under ``no_grad``."""
+        """The action rule on model-input states; call under ``_policy_forward``."""
         q = _finite_q(self.model.qnet(state).data)
         if self.algorithm == "bcq":
             probs = self.behavior_classifier.probs(state.data)
@@ -323,7 +332,7 @@ class LearnedPolicy:
         return q.argmax(axis=1)
 
     def greedy_actions(self, structured: Array, f_c: Array, f_e: Array) -> Array:
-        with no_grad():
+        with _policy_forward():
             return self._greedy(self.model.state_tensor(structured, f_c, f_e))
 
     def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
@@ -333,7 +342,7 @@ class LearnedPolicy:
         All frames go through the state encoder, the Q-head and, for BCQ,
         the classifier in one batched no-grad forward.
         """
-        with no_grad():
+        with _policy_forward():
             state = self.model.state_tensor(*self.episode_inputs(store))
             greedy = self._greedy(Tensor(state.data[store.decision_frame]))
         return state.data, greedy

@@ -28,6 +28,7 @@ from careql.dataset import (
     ingest,
     normalize,
 )
+from careql.synthgym import GeneratorConfig, generate_mdp, near_clinician_behavior, rollout
 
 from stores import DTYPES, EDGES, make_dataset, make_store, set_rows
 
@@ -269,6 +270,15 @@ class TestIngestExport:
         with pytest.raises(DatasetError, match="no episodes"):
             export(empty, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_export_of_ids_in_order_gathers_no_rows(self, tmp_path):
+        # a rollout numbers its episodes in order, so export writes its store
+        mdp = generate_mdp(GeneratorConfig(n_severity=3, n_context=2, n_features=4, d_n=4,
+                                           min_gap=0.0), seed=3)
+        ds = rollout(mdp, near_clinician_behavior(mdp, 0.3), n_episodes=12, max_len=6, seed=1)
+        assert ds.store.take(np.arange(12)) is ds.store
+        with mock.patch.object(dataset_mod, "_ranges", side_effect=AssertionError("gathered")):
+            export(ds, tmp_path)
 
     def test_reingest_preserves_content(self, tmp_path):
         ds = self.make_dataset()

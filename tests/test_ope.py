@@ -15,6 +15,8 @@ from careql.ope import (
     OpeConfig,
     OpeError,
     TabularPolicy,
+    _ess,
+    _prepare_stats,
     _tabular_fqe,
     dr,
     eval_batch,
@@ -568,6 +570,56 @@ rollout_cases = dict(seed=st.integers(0, 2 ** 16), n_episodes=st.integers(2, 25)
                      target_eps=st.floats(0.05, 0.9))
 
 
+def wis_from_stats(stats, idx, clip_percentile):
+    """WIS of the episodes at idx, one resample at a time."""
+    w = stats.traj_weight[idx]
+    if clip_percentile is not None:
+        w = np.minimum(w, np.percentile(w, clip_percentile))
+    total = w.sum()
+    if total <= 0.0:
+        raise OpeError("all importance weights are zero; the target policy "
+                       "has no overlap with the logged actions")
+    return float((w * stats.returns[idx]).sum() / total)
+
+
+def wdr_from_stats(stats, idx):
+    """Weighted per-decision DR of the episodes at idx, one resample at a time."""
+    rho = stats.rho[idx]
+    n, t_max = rho.shape
+    totals = rho.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.where(totals > 0.0, rho / totals, 0.0)
+    w_prev = np.concatenate([np.full((n, 1), 1.0 / n), w[:, :-1]], axis=1)
+    per_t = (w * (stats.rewards[idx] - stats.q_taken[idx])
+             + w_prev * stats.v_hat[idx]).sum(axis=0)
+    return float((stats.gamma ** np.arange(t_max)) @ per_t)
+
+
+def bootstrap_loop(data, target, cfg):
+    """Tabular-mode points, bootstrap SEs and ESS of ``evaluate_policy``,
+    with one resample drawn and evaluated per step of a loop."""
+    batch = eval_batch(data, target, LoggedBehavior())
+    fqe = fqe_tabular(batch, target.probs, cfg.gamma)
+    stats = _prepare_stats(batch, fqe.q_rows, cfg.gamma)
+    n = len(data.episodes)
+    full = np.arange(n)
+    rng = np.random.default_rng([cfg.seed, 97])
+    reps = np.zeros((cfg.n_bootstrap, 3))
+    for b in range(cfg.n_bootstrap):
+        idx = rng.integers(0, n, size=n)
+        reps[b, 0] = wis_from_stats(stats, idx, cfg.clip_percentile)
+        reps[b, 1] = wdr_from_stats(stats, idx)
+        reps[b, 2] = _tabular_fqe(data.store, target.probs, cfg.gamma,
+                                  np.bincount(idx, minlength=n))[0]
+    w = stats.traj_weight
+    if cfg.clip_percentile is not None:
+        w = np.minimum(w, np.percentile(w, cfg.clip_percentile))
+    return {"wis": wis_from_stats(stats, full, cfg.clip_percentile),
+            "dr": wdr_from_stats(stats, full), "fqe": fqe.estimate, "ess": _ess(w),
+            "se": {name: float(reps[:, j].std(ddof=1))
+                   for j, name in enumerate(("wis", "dr", "fqe"))}}
+
+
 class TestBatchEstimatorProperties:
     """Invariants of the batch estimators on small random rollouts."""
 
@@ -598,6 +650,24 @@ class TestBatchEstimatorProperties:
                                  policy_table=target.probs, n_states=tiny_mdp.n_states)
         w = np.array(list(report.opera_weights.values()))
         assert (w >= -1e-12).all() and w.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**rollout_cases, clip=st.sampled_from([None, 50.0, 99.0]))
+    def test_bootstrap_matches_loop_reference(self, tiny_mdp, seed, n_episodes,
+                                              target_eps, clip):
+        # WIS, FQE and ESS read the same numbers in the same order; DR's
+        # sums over a resample are matrix products, which add in another order
+        data, target = small_rollout(tiny_mdp, seed, n_episodes, target_eps)
+        cfg = OpeConfig(gamma=GAMMA, n_bootstrap=20, seed=seed, clip_percentile=clip)
+        report = evaluate_policy(data, target, LoggedBehavior(), cfg,
+                                 policy_table=target.probs, n_states=tiny_mdp.n_states)
+        ref = bootstrap_loop(data, target, cfg)
+        assert (report.wis, report.fqe, report.effective_sample_size) == \
+            (ref["wis"], ref["fqe"], ref["ess"])
+        se = report.standard_errors
+        assert (se["wis"], se["fqe"]) == (ref["se"]["wis"], ref["se"]["fqe"])
+        assert report.dr == pytest.approx(ref["dr"], abs=1e-12, rel=0)
+        assert se["dr"] == pytest.approx(ref["se"]["dr"], abs=1e-12, rel=0)
 
     @settings(max_examples=50, deadline=None)
     @given(**rollout_cases, data=st.data())

@@ -34,6 +34,11 @@ For each seed it prints one line per item:
   the default ``min_gap`` and at ``GENERATOR_STRICT_GAP``, which some pairs
   meet only on a later attempt and some not at all.
 
+``ope_value_lines`` also prints, by ``repr``, every number of the eval
+pass's network and tabular OPE reports and of each ``ope_report.json`` that
+the chains write, so that a change which moves them in the last bits shows
+by how much.
+
 Run it from the repository root on two revisions and compare the outputs::
 
     PYTHONPATH=src python3 tools/output_digests.py > after.txt
@@ -128,7 +133,7 @@ def pipeline_lines(seed: int, work: Path) -> list[str]:
     lines = [f"seed {seed} pipeline exit codes {codes}"]
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         lines.append(f"seed {seed} pipeline {path.relative_to(out)} {file_digest(path)}")
-    return lines
+    return lines + report_file_lines(f"seed {seed} pipeline", out)
 
 
 def train_lines(seed: int) -> list[str]:
@@ -151,7 +156,28 @@ def eval_lines(seed: int, work: Path) -> list[str]:
     fqe = ope.fqe_network(batch, workloads.GAMMA, replace(task.net_cfg.fqe, iterations=1))
     return [f"seed {seed} eval_pass {_sha(json.dumps(out, sort_keys=True).encode())}",
             f"seed {seed} fqe_network_1 q_rows {_sha(fqe.q_rows.tobytes())} "
-            f"estimate {fqe.estimate!r}"]
+            f"estimate {fqe.estimate!r}",
+            *ope_value_lines(f"seed {seed} eval_pass network", out["network"]),
+            *ope_value_lines(f"seed {seed} eval_pass tabular", out["tabular"])]
+
+
+def ope_value_lines(label: str, report: dict) -> list[str]:
+    """Every number of an OPE report (``OPEReport.to_dict``) by ``repr``: its
+    estimates, standard errors and OPERA weights, its ESS, episode count, FQE
+    mode and fallback flag."""
+    lines = [f"{label} {group} {name} {value!r}"
+             for group in ("estimates", "standard_errors", "opera_weights")
+             for name, value in report[group].items()]
+    return lines + [f"{label} {key} {report[key]!r}"
+                    for key in ("effective_sample_size", "n_episodes", "fqe_mode",
+                                "used_inverse_variance_fallback")]
+
+
+def report_file_lines(label: str, out: Path) -> list[str]:
+    """``ope_value_lines`` of each ``ope_report.json`` under ``out``."""
+    return [line for path in sorted(out.rglob("ope_report.json"))
+            for line in ope_value_lines(f"{label} {path.relative_to(out)}",
+                                        json.loads(path.read_text(encoding="utf-8")))]
 
 
 def multimodal_lines(seed: int, work: Path) -> list[str]:
@@ -177,7 +203,7 @@ def multimodal_lines(seed: int, work: Path) -> list[str]:
     lines = [f"seed {seed} multimodal exit codes {codes}"]
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         lines.append(f"seed {seed} multimodal {path.relative_to(out)} {file_digest(path)}")
-    return lines
+    return lines + report_file_lines(f"seed {seed} multimodal", out)
 
 
 def store_digest(data) -> str:
