@@ -439,7 +439,13 @@ def compute_feature_stats(dataset: OfflineDataset) -> FeatureStats:
     store = dataset.store
     train = store.split == "train"
     rows = store.structured[train[store.frame_episode]] if train.any() else store.structured
-    return FeatureStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = rows.mean(axis=0), rows.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        raise DatasetError(f"feature {int(bad.argmax())} is too large to standardize: "
+                           f"its mean or standard deviation overflows")
+    return FeatureStats(mean=mean, std=std)
 
 
 def normalize(dataset: OfflineDataset, stats: FeatureStats | None = None) -> OfflineDataset:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import EpisodeStore, N_ACTIONS, OfflineDataset
+from .dataset import DatasetError, EpisodeStore, N_ACTIONS, OfflineDataset
 from .netcore import Adam, DuelingQNetwork, Tensor, no_grad
 from .synthgym import rows_are_distributions
 from .trainer import ActionClassifier, cross_entropy_loss, dqn_loss
@@ -232,7 +232,7 @@ def _prepare_stats(batch: EvalBatch, q_rows: Array | None, gamma: float) -> _Epi
         raise OpeError("importance weights need a batch built with a behavior model")
     bad = store.first_episode(batch.beta <= 0.0)
     if bad is not None:
-        raise OpeError(
+        raise DatasetError(
             f"episode {store.episode_id[bad]!r}: zero behavior probability "
             f"on a logged action violates the support assumption"
         )
@@ -415,18 +415,20 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
                           n_actions=N_ACTIONS, name="fqe")
     opt = Adam(net.params(), lr=FQE_LEARNING_RATE)
-    for it in range(cfg.iterations):
-        with no_grad():
-            next_q = net(Tensor(X_next)).data
-        targets = store.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
-        if not np.isfinite(targets).all():
-            raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
-                           f"non-finite regression targets")
-        for _ in range(cfg.steps_per_iteration):
-            idx = rng.integers(0, X.shape[0], size=min(FQE_BATCH_SIZE, X.shape[0]))
-            loss = dqn_loss(net(Tensor(X[idx])), store.action[idx], targets[idx])[0]
-            loss.backward()
-            opt.step()
+    # the target check and Adam's gradient check report an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations):
+            with no_grad():
+                next_q = net(Tensor(X_next)).data
+            targets = store.reward + gamma * not_done * (pi_next * next_q).sum(axis=1)
+            if not np.isfinite(targets).all():
+                raise OpeError(f"fitted Q-evaluation diverged at iteration {it}: "
+                               f"non-finite regression targets")
+            for _ in range(cfg.steps_per_iteration):
+                idx = rng.integers(0, X.shape[0], size=min(FQE_BATCH_SIZE, X.shape[0]))
+                loss = dqn_loss(net(Tensor(X[idx])), store.action[idx], targets[idx])[0]
+                loss.backward()
+                opt.step()
     with no_grad():
         q_rows = net(Tensor(X)).data
         q0 = net(Tensor(X[store.offsets])).data

@@ -61,7 +61,7 @@ def _check_action_rule(algorithm: str, bcq_threshold: float) -> None:
 
 
 class NonFiniteQError(RuntimeError):
-    """A policy's no-grad forward gave a NaN or infinite Q value."""
+    """A NaN or infinite Q in a policy's no-grad forward or Bellman residuals."""
 
 
 @contextmanager
@@ -323,29 +323,23 @@ class LearnedPolicy:
         with _policy_forward():
             return _finite_q(self.model.q_values(structured, f_c, f_e).data)
 
-    def _greedy(self, state: Tensor) -> Array:
-        """The action rule on model-input states; call under ``_policy_forward``."""
-        q = _finite_q(self.model.qnet(state).data)
-        if self.algorithm == "bcq":
-            probs = self.behavior_classifier.probs(state.data)
-            q = bcq_masked_q(q, probs, self.bcq_threshold)
-        return q.argmax(axis=1)
-
-    def greedy_actions(self, structured: Array, f_c: Array, f_e: Array) -> Array:
+    def forward(self, structured: Array, f_c: Array, f_e: Array,
+                decisions=slice(None)) -> tuple[Array, Array]:
+        """State features at every input row and, in one batched no-grad
+        forward, the action rule's choice (BCQ-constrained or greedy) at rows
+        ``decisions``."""
         with _policy_forward():
-            return self._greedy(self.model.state_tensor(structured, f_c, f_e))
+            state = self.model.state_tensor(structured, f_c, f_e).data
+            at = state[decisions]
+            q = _finite_q(self.model.qnet(Tensor(at)).data)
+            if self.algorithm == "bcq":
+                q = bcq_masked_q(q, self.behavior_classifier.probs(at), self.bcq_threshold)
+        return state, q.argmax(axis=1)
 
     def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """State features at every frame row of a store and greedy actions at
-        every decision, the rows of its ``decision_frame``.
-
-        All frames go through the state encoder, the Q-head and, for BCQ,
-        the classifier in one batched no-grad forward.
-        """
-        with _policy_forward():
-            state = self.model.state_tensor(*self.episode_inputs(store))
-            greedy = self._greedy(Tensor(state.data[store.decision_frame]))
-        return state.data, greedy
+        every decision, the rows of its ``decision_frame``."""
+        return self.forward(*self.episode_inputs(store), decisions=store.decision_frame)
 
     def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """Per-frame state features and the eps-soft (N, 25) action distribution."""
@@ -377,7 +371,7 @@ class LearnedPolicy:
         """
         f_c = canon.context_note if self.strategy.kind == "context" \
             else np.zeros_like(canon.context_note)
-        return self.greedy_actions(canon.structured, f_c, canon.event_note)
+        return self.forward(canon.structured, f_c, canon.event_note)[1]
 
     # -- persistence --------------------------------------------------------
 
@@ -471,6 +465,7 @@ class TrainResult:
     snapshots: list[tuple[int, dict[str, Array]]] = field(default_factory=list)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the loss and gradient checks report overflow
 def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
           modality: str = "multimodal",
           snapshot_interval: int | None = None) -> TrainResult:
@@ -524,7 +519,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             table = target_q_table(model, inputs, cfg.batch_size)
         idx = batch_rng.integers(0, store.action.shape[0], size=cfg.batch_size)
         frame = store.decision_frame[idx]
-        state = tuple(x[frame] for x in inputs)
+        state = model.state_tensor(*(x[frame] for x in inputs))
         action, reward, done = store.action[idx], store.reward[idx], store.done[idx]
         next_q = table[frame + 1]
         if cfg.algorithm == "bcq":
@@ -533,7 +528,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             next_q = bcq_masked_q(next_q, classifier.probs(next_state), cfg.bcq_threshold)
         y = dqn_target(reward, done, next_q, cfg.gamma)
 
-        q = model.q_values(*state)
+        q = model.qnet(state)
         alpha = cfg.cql_alpha if cfg.algorithm == "cql" else 0.0
         loss, diag = cql_loss(q, action, y, alpha)
         if not np.isfinite(loss.data):
@@ -541,10 +536,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         loss.backward()
         opt.step()
 
-        if cfg.algorithm == "bcq":
-            with no_grad():
-                features = model.state_tensor(*state).data
-            clf_loss = cross_entropy_loss(classifier.logits(Tensor(features)), action)
+        if cfg.algorithm == "bcq":   # the imitation head reads the Q step's state
+            clf_loss = cross_entropy_loss(classifier.logits(Tensor(state.data)), action)
             clf_loss.backward()
             clf_opt.step()
 
@@ -590,8 +583,11 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     q = policy.q_matrix(*policy.episode_inputs(store))
     q_taken = q[store.decision_frame, store.action]
     bootstrap = dqn_target(store.reward, store.done, q[store.decision_frame + 1], gamma)
-    residuals = bootstrap - q_taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = bootstrap - q_taken
+        mean, std = float(residuals.mean()), float(residuals.std())
+    if not np.isfinite([mean, std]).all():   # as the mean is, with a non-finite residual
+        raise NonFiniteQError(f"non-finite Bellman residuals (mean {mean}, std {std})")
     counts, edges = np.histogram(residuals, bins=RESIDUAL_BINS)
-    return BellmanResiduals(samples=residuals, mean=float(residuals.mean()),
-                            std=float(residuals.std()),
+    return BellmanResiduals(samples=residuals, mean=mean, std=std,
                             hist_counts=counts, hist_edges=edges)

@@ -827,6 +827,25 @@ class TestFaultInjection:
         assert err.startswith("numeric failure:") and "non-finite Q" in err, err
         assert not [p for p in (tmp_path / "eval").rglob("*") if p.is_file()]
 
+    def test_zero_logged_behavior_probability_exits_3_naming_the_episode(
+            self, tmp_path, synth_dir, capsys):
+        # a behaviour policy that only ever takes action 0 gives every other
+        # logged action probability 0, which the importance weights cannot use
+        checkpoint = self.short_checkpoint(tmp_path, synth_dir, "multimodal")
+        path = synth_dir / "ground_truth.json"
+        gt = json.loads(path.read_text())
+        gt["behavior_probs"] = [[1.0] + [0.0] * (len(row) - 1) for row in gt["behavior_probs"]]
+        path.write_text(json.dumps(gt))
+        test = ingest(*(synth_dir / name for name in
+                        ("structured.csv", "notes.jsonl", "manifest.json"))).split("test").store
+        first = test.episode_id[test.episode_index[np.flatnonzero(test.action != 0)[0]]]
+        capsys.readouterr()
+        code = main(["eval", "--config", str(write_config(tmp_path)), "--data", str(synth_dir),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"data error: episode {first!r}: zero behavior probability"), err
+
     @pytest.mark.parametrize("value", list(CLIP_PERCENTILE_FAULTS.values()),
                              ids=list(CLIP_PERCENTILE_FAULTS))
     def test_bad_clip_percentile_exits_2_naming_it(self, tmp_path, capsys, value):

@@ -248,6 +248,14 @@ class TestNormalize:
         with pytest.raises(DatasetError, match="feature 0 in episode 'b'"):
             normalize(ds)
 
+    # finite values whose sum (and so the mean) or spread overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", [[1e308, 1e308, 0.0], [1e308, -1e308, 0.0]])
+    def test_overflowing_statistics_name_the_feature(self, column):
+        ds = make_dataset([{"structured": [[1.0, c] for c in column]}])
+        with pytest.raises(DatasetError, match="feature 1 is too large to standardize"):
+            normalize(ds)
+
 
 class TestIngestExport:
     def make_dataset(self):

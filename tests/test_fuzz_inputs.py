@@ -5,17 +5,19 @@ duplicate, swap or truncate a line; change one JSON value) to one file of a
 12-episode ``synth`` bundle, its trained checkpoint or its config, and runs
 ``ingest``, ``train`` or ``eval`` on it through ``cli.main``. The command
 must end in a documented exit code (0 ok, 2 config, 3 data, 4 numeric) with
-no exception escaping. Hypothesis is derandomised and keeps no example
-database, so every run tries the same examples.
+no exception escaping and no numpy warning, and every JSON file it writes
+must be valid JSON, with no NaN or Infinity. Hypothesis is derandomised and
+keeps no example database, so every run tries the same examples.
 """
 
 import json
 import shutil
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from careql.cli import main
@@ -35,6 +37,15 @@ CELLS = ("", "nan", "-inf", "1e308", "-1", "0", "2", "0.5", "x", "null", "[]", "
 JSON_VALUES = (None, True, -1, 0, 2, 0.5, 1e308, "x", "", [], {}, [1.0], {"x": 1})
 COMMANDS = ("ingest", "train", "eval")
 KINDS = ("cell", "drop", "duplicate", "swap", "truncate", "json")
+# (checkpoint tensor whose first value is set to 1e308, what `careql eval`'s
+# numeric failure names): an overflow in the residuals of a finite Q, or in
+# network FQE on overflowing state features
+CHECKPOINT_OVERFLOWS = {
+    "q_head_residuals": ("q.advantage.W", "non-finite Bellman residuals"),
+    "encoder_input": ("state.enc.in_proj.W", "non-finite gradient in 'fqe."),
+    "note_projection": ("state.note_proj.b", "non-finite gradient in 'fqe."),
+    "attention_values": ("state.attn.Wv_l", "non-finite gradient in 'fqe."),
+}
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +98,30 @@ def edit_json_value(text: str, pick: int, value) -> str:
     return "\n".join(lines) + "\n"
 
 
+def edit_text(text: str, kind: str, i: int, j: int, k: int, cell: str, value) -> str:
+    """``text`` after one edit of the vocabulary: ``kind`` at line i (and j),
+    comma-separated cell j of line i, prefix length k, or JSON leaf i."""
+    lines = text.splitlines()
+    if kind == "json":
+        return edit_json_value(text, i, value)
+    if not lines:
+        return text
+    a, b = i % len(lines), j % len(lines)
+    if kind == "cell":
+        cells = lines[a].split(",")
+        cells[b % len(cells)] = cell
+        lines[a] = ",".join(cells)
+    elif kind == "drop":
+        del lines[a]
+    elif kind == "duplicate":
+        lines.insert(a, lines[a])
+    elif kind == "swap":
+        lines[a], lines[b] = lines[b], lines[a]
+    else:
+        lines[a] = lines[a][:k % (len(lines[a]) + 1)]
+    return "".join(line + "\n" for line in lines)
+
+
 @st.composite
 def edits(draw):
     """(file name, edit kind, function of its text, command that reads the
@@ -96,34 +131,36 @@ def edits(draw):
     kind = draw(st.sampled_from(KINDS if name.endswith("json") else KINDS[:-1]))
     i, j, k = (draw(st.integers(0, 10 ** 6)) for _ in range(3))
     cell, value = draw(st.sampled_from(CELLS)), draw(st.sampled_from(JSON_VALUES))
-
-    def edit(text: str) -> str:
-        lines = text.splitlines()
-        if kind == "json":
-            return edit_json_value(text, i, value)
-        if not lines:
-            return text
-        a, b = i % len(lines), j % len(lines)
-        if kind == "cell":
-            cells = lines[a].split(",")
-            cells[b % len(cells)] = cell
-            lines[a] = ",".join(cells)
-        elif kind == "drop":
-            del lines[a]
-        elif kind == "duplicate":
-            lines.insert(a, lines[a])
-        elif kind == "swap":
-            lines[a], lines[b] = lines[b], lines[a]
-        else:
-            lines[a] = lines[a][:k % (len(lines[a]) + 1)]
-        return "".join(line + "\n" for line in lines)
-
-    return name, kind, edit, command
+    return name, kind, partial(edit_text, kind=kind, i=i, j=j, k=k, cell=cell, value=value), \
+        command
 
 
+def overflow_cell(name: str, command: str) -> tuple:
+    """The edit that writes 1e308 into the third cell of the second line
+    of ``name`` (a feature of a structured row, a value of a note
+    embedding), read by ``command``."""
+    return name, "cell", partial(edit_text, kind="cell", i=1, j=2, k=0, cell="1e308",
+                                 value=None), command
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_valid_json(out: Path) -> None:
+    """Every ``.json`` file under ``out`` parses as strict JSON."""
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFuzzedInputs:
     @settings(max_examples=2500, deadline=None, derandomize=True, database=None)
     @given(edit=edits())
+    # finite values that overflow: a feature's z-score statistics, and a
+    # note value the training loss
+    @example(edit=overflow_cell("structured.csv", "ingest"))
+    @example(edit=overflow_cell("notes.jsonl", "train"))
     def test_one_edit_ends_in_a_documented_exit_code(self, bundle, edit):
         name, kind, change, command = edit
         with tempfile.TemporaryDirectory() as tmp:
@@ -141,4 +178,21 @@ class TestFuzzedInputs:
                     "eval": ["--data", str(data), "--checkpoint", str(work / "checkpoint.json"),
                              "--out", str(work / "out")]}[command]
             code = main([command, "--config", str(work / "config.json"), *args])
+            assert_valid_json(work / "out")
         assert code in (0, 2, 3, 4), (name, kind, command, code)
+
+    @pytest.mark.parametrize("key, message", list(CHECKPOINT_OVERFLOWS.values()),
+                             ids=list(CHECKPOINT_OVERFLOWS))
+    def test_overflowing_checkpoint_exits_4_before_writing(self, bundle, tmp_path, capsys,
+                                                           key, message):
+        payload = json.loads((bundle / "checkpoint.json").read_text())
+        payload["tensors"][key]["values"][0] = 1e308
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(bundle / "config.json"), "--data", str(bundle),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("numeric failure:") and message in err, err
+        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from careql import ope as ope_mod
-from careql.dataset import N_ACTIONS
+from careql.dataset import N_ACTIONS, DatasetError
 from careql.netcore import DuelingQNetwork, Tensor, clone_param_values, load_param_values, no_grad
 from careql.ope import (
     BehaviorFitConfig,
@@ -503,7 +503,8 @@ class TestMissingDataNamesEpisode:
                 probs[np.cumsum(store.lengths)[2:] - 1] = 0.0   # last step of episodes 2+
                 return probs
 
-        with pytest.raises(OpeError, match=f"episode {eps[2].episode_id!r}: zero behavior"):
+        with pytest.raises(DatasetError,
+                           match=f"episode {eps[2].episode_id!r}: zero behavior"):
             wis(eval_batch(replace(dataset, episodes=eps), target, ZeroOnLaterEpisodes()), GAMMA)
 
 

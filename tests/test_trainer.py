@@ -333,7 +333,7 @@ class TestTrain:
                                                              "multimodal")]
         state = policy.model.state_tensor(*inputs).data
         probs = policy.behavior_classifier.probs(state)
-        greedy = policy.greedy_actions(*inputs)
+        greedy = policy.forward(*inputs)[1]
         ratio = probs[np.arange(64), greedy] / probs.max(axis=1)
         assert (ratio >= cfg.bcq_threshold - 1e-12).all()
 
@@ -454,6 +454,25 @@ class TestTargetTable:
         target_rows = [rows for _, forwards in calls for rows in forwards]
         assert len(target_rows) == 3 * -(-n_frames // batch_size)
         assert set(target_rows) == {batch_size}
+
+    def test_multimodal_bcq_encodes_twice_per_step(self, monkeypatch):
+        # the Q step's state, whose features the classifier loss also reads,
+        # and the next state of the target mask, plus the table's forwards
+        # at each refresh
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        calls = []
+        real_forward = StateEncoder.forward
+
+        def forward(encoder, *args):
+            calls.append(args[0].shape[0])
+            return real_forward(encoder, *args)
+
+        monkeypatch.setattr(StateEncoder, "forward", forward)
+        cfg = quick_train_cfg(total_steps=7, target_update=3, batch_size=16, algorithm="bcq")
+        train(ds, cfg, enc_cfg)
+        n_frames = (ds.split("train") or ds).store.structured.shape[0]
+        assert len(calls) == 2 * cfg.total_steps + 3 * -(-n_frames // cfg.batch_size)
+        assert set(calls) == {cfg.batch_size}
 
     @pytest.mark.parametrize("algorithm, freeze", [("cql", False), ("bcq", False),
                                                    ("cql", True)])
@@ -596,7 +615,7 @@ def one_episode_forward(policy, episode):
     structured = np.stack([frame.structured for frame in episode.frames()])
     f_c, f_e = loop_episode_note_inputs(episode, policy.strategy)
     T = len(episode)
-    return (policy.greedy_actions(structured[:T], f_c[:T], f_e[:T]),
+    return (policy.forward(structured[:T], f_c[:T], f_e[:T])[1],
             policy.model.state_tensor(structured, f_c, f_e).data,
             policy.q_matrix(structured, f_c, f_e))
 
