@@ -451,8 +451,7 @@ def _write_bdesr_outputs(out: Path, report: dict, variant: str) -> None:
     _write_csv(out / "bdesr_report.csv", lines)
 
 
-def _write_residuals(out: Path, policy, dataset, gamma: float) -> None:
-    res = tr_mod.bellman_residuals(policy, dataset, gamma)
+def _write_residuals(out: Path, res) -> None:
     _write_json(out / "residuals.json", {
         "mean": res.mean, "std": res.std, "n": int(res.samples.size),
         "hist_counts": res.hist_counts.tolist(),
@@ -471,9 +470,8 @@ def cmd_eval(args, ope_only: bool = False, bdesr_only: bool = False) -> int:
     test = _eval_split(dataset)
     if not bdesr_only:
         report = _ope_report_for(cfg, _behavior_model(cfg, dataset, seed), test, policy, seed)
-        # the residuals read Q at every frame, final frames too, so a
-        # non-finite Q stops the command before the report is written
-        _write_residuals(out, policy, test, cfg["ope"]["gamma"])
+        # before any file, so that residuals which overflow leave none
+        _write_residuals(out, tr_mod.bellman_residuals(policy, test, cfg["ope"]["gamma"]))
         _write_ope_outputs(out, report, variant="policy")
         print(f"OPE: opera={report.opera:.4f} dr={report.dr:.4f} "
               f"fqe={report.fqe:.4f} wis={report.wis:.4f} "
@@ -581,13 +579,13 @@ def cmd_cross_eval(args) -> int:
 
     test = _eval_split(eval_ds)
     behavior = _behavior_model(cfg, eval_ds, seed)
-    report = _ope_report_for(cfg, behavior, test, result.policy, seed)
-    _write_residuals(out, result.policy, test, cfg["ope"]["gamma"])
-    result.policy.save(out / "checkpoint.json")
-    _write_ope_outputs(out, report, variant="cross")
-
-    # DR across training iterations on the evaluation cohort, one batch each
     gamma = cfg["ope"]["gamma"]
+    report = _ope_report_for(cfg, behavior, test, result.policy, seed)
+    residuals = tr_mod.bellman_residuals(result.policy, test, gamma)
+
+    # DR across training iterations on the evaluation cohort, one batch each;
+    # the last snapshot is the final step's, so the policy ends the loop
+    # holding its final parameters
     curve_lines = ["step,dr"]
     for step, values in result.snapshots:
         load_param_values(result.policy.all_params(), values)
@@ -596,6 +594,11 @@ def cmd_cross_eval(args) -> int:
         fqe_res = ope_mod.fqe_network(batch, gamma, _ope_config(cfg, seed).fqe)
         point = ope_mod.dr(batch, fqe_res.q_rows, gamma)
         curve_lines.append(f"{step},{point!r}")
+    # no file is written until every estimate is computed, so that a run
+    # which fails leaves no report for `careql report` to count
+    _write_residuals(out, residuals)
+    result.policy.save(out / "checkpoint.json")
+    _write_ope_outputs(out, report, variant="cross")
     _write_csv(out / "dr_curve.csv", curve_lines)
     _write_provenance(out, cfg, seed)
     print(f"cross-eval: opera={report.opera:.4f} dr={report.dr:.4f} "

@@ -805,6 +805,12 @@ def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
         raise DatasetError("dataset has no bin edges; cannot export a round-trippable manifest")
     if not dataset.episodes:
         raise DatasetError("dataset has no episodes; there is nothing to export")
+    # ingest splits a CSV line at every comma and the file where str.splitlines does
+    bad = next((ep_id for ep_id in dataset.store.episode_id
+                if "," in ep_id or len(f"{ep_id}.".splitlines()) > 1), None)
+    if bad is not None:
+        raise DatasetError(f"episode id {bad!r} holds a comma or a line break, "
+                           f"which a structured CSV cell cannot hold")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     structured_path = out / "structured.csv"

@@ -12,7 +12,6 @@ variants are plain dueling networks on the raw inputs.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -62,14 +61,6 @@ def _check_action_rule(algorithm: str, bcq_threshold: float) -> None:
 
 class NonFiniteQError(RuntimeError):
     """A NaN or infinite Q in a policy's no-grad forward or Bellman residuals."""
-
-
-@contextmanager
-def _policy_forward():
-    """``no_grad`` without numpy's overflow and invalid-value warnings, which
-    ``_finite_q`` reports as an error."""
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        yield
 
 
 def _finite_q(q: Array) -> Array:
@@ -202,8 +193,10 @@ class QModel:
             return Tensor(structured)
         return Tensor(np.concatenate([f_c, f_e], axis=1))
 
-    def q_values(self, structured: Array, f_c: Array, f_e: Array) -> Tensor:
-        return self.qnet(self.state_tensor(structured, f_c, f_e))
+    def q_values(self, structured: Array, f_c: Array, f_e: Array) -> tuple[Tensor, Tensor]:
+        """The state tensor of the inputs and the Q-head's output on it."""
+        state = self.state_tensor(structured, f_c, f_e)
+        return state, self.qnet(state)
 
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.qnet, self.encoder)
@@ -319,35 +312,33 @@ class LearnedPolicy:
     def strategy(self) -> NoteStrategy:
         return self.model.enc_cfg.strategy
 
-    def q_matrix(self, structured: Array, f_c: Array, f_e: Array) -> Array:
-        with _policy_forward():
-            return _finite_q(self.model.q_values(structured, f_c, f_e).data)
-
     def forward(self, structured: Array, f_c: Array, f_e: Array,
-                decisions=slice(None)) -> tuple[Array, Array]:
-        """State features at every input row and, in one batched no-grad
-        forward, the action rule's choice (BCQ-constrained or greedy) at rows
-        ``decisions``."""
-        with _policy_forward():
-            state = self.model.state_tensor(structured, f_c, f_e).data
-            at = state[decisions]
-            q = _finite_q(self.model.qnet(Tensor(at)).data)
+                decisions=slice(None)) -> tuple[Array, Array, Array]:
+        """(state features, Q) at every input row, from one batched no-grad
+        forward whose Q must be finite, and the action rule's choice
+        (BCQ-constrained or greedy) at rows ``decisions``."""
+        # numpy's overflow warnings would only precede _finite_q's error
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            state, q = self.model.q_values(structured, f_c, f_e)
+            state, q = state.data, _finite_q(q.data)
+            at = q[decisions]
             if self.algorithm == "bcq":
-                q = bcq_masked_q(q, self.behavior_classifier.probs(at), self.bcq_threshold)
-        return state, q.argmax(axis=1)
+                probs = self.behavior_classifier.probs(state[decisions])
+                at = bcq_masked_q(at, probs, self.bcq_threshold)
+        return state, q, at.argmax(axis=1)
 
-    def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
-        """State features at every frame row of a store and greedy actions at
-        every decision, the rows of its ``decision_frame``."""
+    def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
+        """State features and Q at every frame row of a store, and the
+        choices at every decision, the rows of its ``decision_frame``."""
         return self.forward(*self.episode_inputs(store), decisions=store.decision_frame)
 
     def evaluation_rows(self, store: EpisodeStore) -> tuple[Array, Array]:
         """Per-frame state features and the eps-soft (N, 25) action distribution."""
-        features, greedy = self.forward_rows(store)
+        features, _, greedy = self.forward_rows(store)
         return features, eps_soft_matrix(greedy, N_ACTIONS, self.eps)
 
     def greedy_rows(self, store: EpisodeStore) -> Array:
-        return self.forward_rows(store)[1]
+        return self.forward_rows(store)[2]
 
     def episode_inputs(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
         """(structured, f_c, f_e) model inputs at every frame row of a store."""
@@ -371,7 +362,7 @@ class LearnedPolicy:
         """
         f_c = canon.context_note if self.strategy.kind == "context" \
             else np.zeros_like(canon.context_note)
-        return self.forward(canon.structured, f_c, canon.event_note)[1]
+        return self.forward(canon.structured, f_c, canon.event_note)[2]
 
     # -- persistence --------------------------------------------------------
 
@@ -453,7 +444,7 @@ def target_q_table(model: QModel, inputs: tuple[Array, Array, Array],
     n = inputs[0].shape[0]
     rows = np.arange(-(-n // batch_size) * batch_size) % n
     with no_grad():
-        chunks = [model.q_values(*(x[chunk] for x in inputs)).data
+        chunks = [model.q_values(*(x[chunk] for x in inputs))[1].data
                   for chunk in rows.reshape(-1, batch_size)]
     return np.concatenate(chunks)[:n]
 
@@ -475,7 +466,8 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     regularizer magnitude at every eval interval. A non-finite loss aborts
     with the last logged parameter snapshot attached to the exception.
     ``snapshot_interval`` additionally collects (step, values of every
-    policy parameter) pairs for evaluation-across-iterations curves.
+    policy parameter) pairs for evaluation-across-iterations curves, the
+    last at the final step.
 
     The target is the model's Q at every frame row of the store as it was
     at the last refresh (at step 1, its initial parameters), computed once
@@ -519,7 +511,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             table = target_q_table(model, inputs, cfg.batch_size)
         idx = batch_rng.integers(0, store.action.shape[0], size=cfg.batch_size)
         frame = store.decision_frame[idx]
-        state = model.state_tensor(*(x[frame] for x in inputs))
+        state, q = model.q_values(*(x[frame] for x in inputs))
         action, reward, done = store.action[idx], store.reward[idx], store.done[idx]
         next_q = table[frame + 1]
         if cfg.algorithm == "bcq":
@@ -528,7 +520,6 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
             next_q = bcq_masked_q(next_q, classifier.probs(next_state), cfg.bcq_threshold)
         y = dqn_target(reward, done, next_q, cfg.gamma)
 
-        q = model.qnet(state)
         alpha = cfg.cql_alpha if cfg.algorithm == "cql" else 0.0
         loss, diag = cql_loss(q, action, y, alpha)
         if not np.isfinite(loss.data):
@@ -577,10 +568,10 @@ def bellman_residuals(policy: LearnedPolicy, dataset: OfflineDataset,
     means the bootstrap keeps running above the fitted Q, the signature of
     value overestimation; a well-calibrated Q concentrates the distribution
     around zero. The histogram has ``RESIDUAL_BINS`` equal-width bins. Q
-    is computed in one forward over every frame of the dataset's store.
+    is the policy's forward over every frame of the dataset's store.
     """
     store = dataset.store
-    q = policy.q_matrix(*policy.episode_inputs(store))
+    q = policy.forward_rows(store)[1]
     q_taken = q[store.decision_frame, store.action]
     bootstrap = dqn_target(store.reward, store.done, q[store.decision_frame + 1], gamma)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -397,6 +397,34 @@ class TestCrossEval:
         assert (same_out / "checkpoint.json").read_bytes() == \
             (train_out / "checkpoint.json").read_bytes()
 
+    def test_a_failing_dr_snapshot_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a run that fails leaves no ope_report.json for `careql report` to count
+        from careql import ope
+
+        cfg = write_config(tmp_path, {"cross_eval.snapshot_points": 2, "ope.n_bootstrap": 5,
+                                      "ope.fqe_iterations": 1, "ope.fqe_steps": 5,
+                                      "train.total_steps": 20})
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        fits, fit = [], ope.fqe_network
+
+        def failing(*args, **kwargs):
+            # the final policy's OPE fits once, then each DR-curve snapshot
+            fits.append(1)
+            if len(fits) == 3:
+                raise ope.OpeError("injected fault in the second snapshot")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(ope, "fqe_network", failing)
+        out = tmp_path / "cross"
+        capsys.readouterr()
+        code = main(["cross-eval", "--config", str(cfg), "--train-data", str(data),
+                     "--eval-data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("numeric failure: injected fault"), err
+        assert len(fits) == 3
+        assert not [p for p in out.rglob("*") if p.is_file()]
 
     def test_bcq_cross_eval_writes_a_dr_curve(self, tmp_path):
         cfg = write_config(tmp_path, {"train.algorithm": "bcq",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import replace
@@ -277,6 +278,15 @@ class TestIngestExport:
         empty = self.make_dataset().split("test")
         with pytest.raises(DatasetError, match="no episodes"):
             export(empty, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\nb", "a\r", "\x0b", "\x0c", "\x1c",
+                                        "\x1d", "\x1e", "\x85", "a\u2028", "\u2029b"])
+    def test_export_refuses_an_id_that_ingest_would_split(self, tmp_path, bad_id):
+        ds = make_dataset([{"structured": [[0.0], [1.0]], "episode_id": "ep0"},
+                           {"structured": [[0.0], [1.0]], "episode_id": bad_id}])
+        with pytest.raises(DatasetError, match=re.escape(f"episode id {bad_id!r}")):
+            export(ds, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_export_of_ids_in_order_gathers_no_rows(self, tmp_path):

@@ -32,6 +32,7 @@ from careql.synthgym import (
 from careql.trainer import (
     ActionClassifier,
     LearnedPolicy,
+    NonFiniteQError,
     TrainConfig,
     TrainerError,
     TrainingDiverged,
@@ -306,10 +307,10 @@ class TestTrain:
         plain = train(ds, quick_train_cfg(algorithm="dqn"), enc_cfg)
         canon = canonical_inputs(mdp)
         rare = behavior.probs < 0.02  # actions the behavior almost never takes
-        q_cons = conservative.policy.q_matrix(canon.structured, canon.context_note,
-                                              canon.event_note)
-        q_plain = plain.policy.q_matrix(canon.structured, canon.context_note,
-                                        canon.event_note)
+        q_cons = conservative.policy.forward(canon.structured, canon.context_note,
+                                             canon.event_note)[1]
+        q_plain = plain.policy.forward(canon.structured, canon.context_note,
+                                       canon.event_note)[1]
         assert q_cons[rare].mean() < q_plain[rare].mean()
 
     def test_cql_recovers_near_optimal_policy_small(self):
@@ -333,7 +334,7 @@ class TestTrain:
                                                              "multimodal")]
         state = policy.model.state_tensor(*inputs).data
         probs = policy.behavior_classifier.probs(state)
-        greedy = policy.forward(*inputs)[1]
+        greedy = policy.forward(*inputs)[2]
         ratio = probs[np.arange(64), greedy] / probs.max(axis=1)
         assert (ratio >= cfg.bcq_threshold - 1e-12).all()
 
@@ -370,7 +371,7 @@ class TestTrain:
             cfg = quick_train_cfg(total_steps=2500, algorithm="cql",
                                   cql_alpha=alpha, seed=11)
             policy = train(ds, cfg, enc_cfg).policy
-            q = policy.q_matrix(*inputs)
+            q = policy.forward(*inputs)[1]
             mean_q.append(q.mean())
         for lo, hi in zip(mean_q[1:], mean_q[:-1]):
             assert lo <= hi + 1e-6, mean_q
@@ -565,7 +566,7 @@ class TestTargetTable:
         rng = np.random.default_rng(5)
         for _ in range(5):
             frame = rng.integers(0, ds.store.structured.shape[0], size=64)
-            q = model.q_values(*(x[frame] for x in inputs)).data
+            q = model.q_values(*(x[frame] for x in inputs))[1].data
             assert q.tobytes() == table[frame].tobytes()
 
 
@@ -598,6 +599,27 @@ class TestLearnedPolicy:
         probs = loaded.episode_action_probs(ep, eps=0.01)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_q_overflowing_at_final_frames_stops_ope_bdesr_and_residuals(self):
+        # OPE, BDESR and the residuals check Q at every frame, final ones too
+        _, _, ds, enc_cfg = small_setup(n_episodes=20)
+        model = trainer_mod.QModel("structured", enc_cfg, np.random.default_rng(0), 16, 2)
+        model.qnet.trunk.layers[0].W.data[...] = 1.0
+        policy = LearnedPolicy(model=model, algorithm="dqn", bcq_threshold=0.3)
+        store = ds.store
+        structured = store.structured.copy()
+        structured[store.frame_offsets + store.lengths] = 1.7e308
+        overflowing = replace(ds, episodes=replace(store, structured=structured).views())
+        inputs = policy.episode_inputs(overflowing.store)
+        assert np.isfinite(policy.forward(*(x[store.decision_frame] for x in inputs))[1]).all()
+        cfg = OpeConfig(gamma=0.9, n_bootstrap=5, seed=0,
+                        fqe=FqeNetConfig(iterations=2, steps_per_iteration=5, width=8))
+        for run in (lambda: evaluate_policy(overflowing, soften(policy), LoggedBehavior(), cfg),
+                    lambda: bdesr_report(overflowing, policy),
+                    lambda: bellman_residuals(policy, overflowing, gamma=0.9)):
+            with pytest.raises(NonFiniteQError, match="non-finite Q"):
+                run()
+
     def test_eps_soft_probs(self):
         _, _, ds, enc_cfg = small_setup(n_episodes=20)
         result = train(ds, quick_train_cfg(total_steps=50), enc_cfg)
@@ -615,9 +637,9 @@ def one_episode_forward(policy, episode):
     structured = np.stack([frame.structured for frame in episode.frames()])
     f_c, f_e = loop_episode_note_inputs(episode, policy.strategy)
     T = len(episode)
-    return (policy.forward(structured[:T], f_c[:T], f_e[:T])[1],
+    return (policy.forward(structured[:T], f_c[:T], f_e[:T])[2],
             policy.model.state_tensor(structured, f_c, f_e).data,
-            policy.q_matrix(structured, f_c, f_e))
+            policy.forward(structured, f_c, f_e)[1])
 
 
 @dataclass
@@ -643,7 +665,7 @@ class OneEpisodeAtATime:
 def split_forward(policy, episodes):
     """``forward_rows`` over the store of some episodes, split by episode."""
     store = store_of(episodes)
-    features, greedy = policy.forward_rows(store)
+    features, _, greedy = policy.forward_rows(store)
     return (np.split(features, store.frame_offsets[1:]),
             np.split(greedy, store.offsets[1:]))
 
@@ -730,6 +752,27 @@ class TestBatchedForward:
         bdesr_report(replace(ds, episodes=episodes), policy)
         assert (calls["flatten"], calls["encode"]) == (flattens, encodes)
 
+    def test_one_q_forward_per_forward_rows_and_residuals(self, trained_policy, monkeypatch):
+        # state features, Q and choices come from one QModel.q_values call
+        policy, ds = trained_policy
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trainer_mod.QModel, "q_values",
+                            counted("q", trainer_mod.QModel.q_values))
+        monkeypatch.setattr(StateEncoder, "forward", counted("encode", StateEncoder.forward))
+        encodes = 1 if policy.model.modality == "multimodal" else 0
+        for run in (lambda: policy.forward_rows(ds.store),
+                    lambda: bellman_residuals(policy, ds, gamma=0.9)):
+            calls.clear()
+            run()
+            assert (calls["q"], calls["encode"]) == (1, encodes)
+
     def test_no_per_episode_note_inputs_or_forwards(self, trained_policy, monkeypatch):
         # training, OPE, BDESR and the residuals compute note and model inputs
         # once per call, for every episode of the store they are given
@@ -772,14 +815,11 @@ class _TabularQStub:
         self.mdp = mdp
         self.q_table = q_table
 
-    def episode_inputs(self, store):
-        # q_matrix reads only the structured features
-        return build_transition_table(store, NoteStrategy("impute"), "structured")
-
-    def q_matrix(self, structured, f_c, f_e):
-        dists = ((structured[:, None, :] - self.mdp.emission_l_mean[None, :, :]) ** 2
+    def forward_rows(self, store):
+        # Q at each frame's nearest state; the residuals read only Q
+        dists = ((store.structured[:, None, :] - self.mdp.emission_l_mean[None, :, :]) ** 2
                  ).sum(axis=2)
-        return self.q_table[dists.argmin(axis=1)]
+        return None, self.q_table[dists.argmin(axis=1)], None
 
 
 class TestBellmanResiduals:
@@ -851,8 +891,8 @@ class TestBellmanResiduals:
         policy = train(ds, quick_train_cfg(total_steps=50), enc_cfg).policy
         store, frame = ds.store, ds.store.decision_frame
         inputs = build_transition_table(store, policy.strategy, "multimodal")
-        q = policy.q_matrix(*(x[frame] for x in inputs))
-        next_q = policy.q_matrix(*(x[frame + 1] for x in inputs))
+        q = policy.forward(*(x[frame] for x in inputs))[1]
+        next_q = policy.forward(*(x[frame + 1] for x in inputs))[1]
         expected = dqn_target(store.reward, store.done, next_q, 0.9) \
             - q[np.arange(frame.size), store.action]
         forwards = Counter()
