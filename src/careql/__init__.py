@@ -7,6 +7,16 @@ and verify everything against exact dynamic-programming oracles on
 synthetic tabular MDPs.
 """
 
+import os
+
+# One BLAS thread unless the environment sets another count. numpy reads
+# these when it is first imported, which for the ``careql`` console script
+# is below: with more threads than cores, a second numpy process makes
+# OpenBLAS oversubscribe the CPU.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .dataset import (
     ActionIndex,
     DatasetError,

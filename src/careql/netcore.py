@@ -1,8 +1,13 @@
 """Reverse-mode autodiff core for small dense networks.
 
-Everything runs in float64 numpy. A ``Tensor`` holds an array and the tape
-entry that produced it; ``backward()`` on a scalar loss walks the tape and
-accumulates gradients into every reachable parameter.
+A ``Tensor`` holds a float32 or float64 array and the tape entry that
+produced it; ``backward()`` on a scalar loss walks the tape and accumulates
+gradients into every reachable parameter. A node computes in the dtype of
+its inputs. Every network careql fits trains in ``TRAIN_DTYPE`` (float32):
+a fit casts its parameters (``cast_params``) and its inputs (``as_dtype``)
+once, so its activations, gradients and Adam moments are float32 too,
+while the losses reduce in float64. Parameters are drawn, and the tests
+run every node, in float64.
 
 Every tape entry is a module node with a hand-written backward: ``linear``
 (an affine map ``x @ W.T + b``), ``concat``, an ``MLP`` call (the whole ReLU
@@ -34,21 +39,33 @@ import numpy as np
 
 Array = np.ndarray
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+# the dtype of every network that careql fits: see ``cast_params``
+TRAIN_DTYPE = np.float32
 # Adam's moment decay rates and denominator offset
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
-    """Raised by the optimizer when a parameter gradient is NaN or inf."""
+    """Raised by the optimizer when a parameter gradient, or its square, is
+    NaN or inf."""
 
 
-def _f64(x) -> Array:
-    return np.asarray(x, dtype=np.float64)
+def _node_array(x) -> Array:
+    """``x`` as an array: a float32 array as it is, anything else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
+def as_dtype(x: Array, dtype) -> Array:
+    """``x`` cast to ``dtype``; a finite value beyond its range becomes an
+    infinity, with no warning, for the finite checks downstream to report."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x).astype(dtype, copy=False)
 
 
 class Tensor:
-    """A float64 array plus the tape entry that produced it."""
+    """A float32 or float64 array plus the tape entry that produced it."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
@@ -56,7 +73,7 @@ class Tensor:
     _record_tape = True
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = _f64(data)
+        self.data = _node_array(data)
         self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
         self.requires_grad = requires_grad
         self.name = name
@@ -375,10 +392,10 @@ class DuelingQNetwork:
 class Adam:
     """Adam with bias correction over flat moment buffers; clears grads after each step.
 
-    The moments of all parameters live in one flat ``m`` and one flat ``v``,
-    so a step is one gather of the gradients and one update expression,
-    followed by one in-place subtraction per parameter. ``grad_clip`` caps
-    each parameter's gradient norm separately.
+    The moments of all parameters live in one flat ``m`` and one flat ``v``
+    of the parameters' dtype, so a step is one gather of the gradients and
+    one update expression, followed by one in-place subtraction per
+    parameter. ``grad_clip`` caps each parameter's gradient norm separately.
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
@@ -390,23 +407,25 @@ class Adam:
         sizes = [p.data.size for p in self.params.values()]
         self._slices = [slice(end - size, end)
                         for size, end in zip(sizes, np.cumsum(sizes).tolist())]
-        self._m = np.zeros(sum(sizes))
-        self._v = np.zeros(sum(sizes))
+        dtype = np.result_type(np.float32, *(p.data.dtype for p in self.params.values()))
+        self._m = np.zeros(sum(sizes), dtype)
+        self._v = np.zeros(sum(sizes), dtype)
 
     def step(self) -> None:
-        grads = [np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+        grads = [np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.ravel()
                  for p in self.params.values()]
-        g = np.concatenate(grads) if grads else np.zeros(0)
-        if not np.isfinite(g).all():
-            bad = next(key for key, sl in zip(self.params, self._slices)
-                       if not np.isfinite(g[sl]).all())
-            raise NonFiniteGradientError(f"non-finite gradient in {bad!r}")
+        g = np.concatenate(grads) if grads else np.zeros(0, self._m.dtype)
+        self._check_finite(g, "non-finite gradient in {!r}")
         if self.grad_clip is not None:
             for sl in self._slices:
                 part = g[sl]
-                norm = float(np.sqrt((part * part).sum()))
+                # in float64: a float32 square overflows from 1.8e19
+                norm = float(np.sqrt(np.square(part, dtype=np.float64).sum()))
                 if norm > self.grad_clip:
                     part *= self.grad_clip / norm
+        with np.errstate(over="ignore"):
+            g2 = g * g
+        self._check_finite(g2, "gradient in {!r} overflows Adam's second moment")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
@@ -415,11 +434,28 @@ class Adam:
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
+        v += (1.0 - ADAM_BETA2) * g2
         update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         for p, sl in zip(self.params.values(), self._slices):
             p.data -= update[sl].reshape(p.data.shape)
         zero_grads(self.params)
+
+    def _check_finite(self, values: Array, message: str) -> None:
+        """A ``NonFiniteGradientError`` naming, by ``message``, the first
+        parameter whose slice of the flat ``values`` is not finite."""
+        if not np.isfinite(values).all():
+            bad = next(key for key, sl in zip(self.params, self._slices)
+                       if not np.isfinite(values[sl]).all())
+            raise NonFiniteGradientError(message.format(bad))
+
+
+def cast_params(params: Mapping[str, Tensor], dtype=TRAIN_DTYPE) -> None:
+    """Rebind each parameter's value, and its gradient, to a ``dtype`` copy.
+    A fit calls it once, before it builds its optimizer."""
+    for p in params.values():
+        p.data = p.data.astype(dtype)
+        if p.grad is not None:
+            p.grad = p.grad.astype(dtype)
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:
@@ -436,13 +472,14 @@ def clone_param_values(params: Mapping[str, Tensor]) -> dict[str, Array]:
 
 def load_param_values(params: Mapping[str, Tensor],
                       values: Mapping[str, Array]) -> None:
-    """Set each parameter to its value in ``values``, which must hold exactly
-    the parameters' keys and shapes."""
+    """Set each parameter to a copy of its value in ``values``, which must
+    hold exactly the parameters' keys and shapes; a float32 value stays
+    float32, any other becomes float64."""
     unknown = sorted(set(values) - set(params))
     if unknown:
         raise ValueError(f"tensor {unknown[0]!r} is not a parameter of the model")
     for key, p in params.items():
-        v = _f64(values[key])
+        v = _node_array(values[key])
         if v.shape != p.data.shape:
             raise ValueError(
                 f"shape mismatch for {key!r}: have {p.data.shape}, "
@@ -458,12 +495,15 @@ def load_param_values(params: Mapping[str, Tensor],
 
 def save_checkpoint(path: str | Path, params: Mapping[str, Tensor],
                     metadata: dict | None = None) -> None:
-    """Write parameters as versioned JSON; floats round-trip bit-exactly."""
+    """Write parameters as versioned JSON. Each value is written as the
+    shortest decimal that reads back to it in its own dtype, so a float32
+    tensor round-trips bit-exactly through ``as_dtype(values, np.float32)``
+    and a float64 one through the loaded values themselves."""
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "metadata": metadata or {},
         "tensors": {
-            key: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
+            key: {"shape": list(p.data.shape), "values": _shortest_floats(p.data)}
             for key, p in sorted(params.items())
         },
     }
@@ -471,10 +511,12 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor],
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
-    """The tensors and metadata of a ``save_checkpoint`` file. A
+    """The float64 tensors and the metadata of a ``save_checkpoint`` file. A
     ``ValueError`` names the first key whose value is not what
     ``save_checkpoint`` writes: an integer ``format_version`` equal to
-    ``CHECKPOINT_FORMAT_VERSION``, and tensor values that are finite numbers."""
+    ``CHECKPOINT_FORMAT_VERSION``, and tensor values that are finite numbers
+    within the finite range of ``TRAIN_DTYPE``, the dtype of the networks it
+    holds."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or not isinstance(payload.get("tensors"), dict):
         raise ValueError("checkpoint must be a JSON object with a 'tensors' object")
@@ -486,21 +528,31 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Array], dict]:
         arr = _finite_floats(entry["values"])
         if arr is None:
             raise ValueError(f"checkpoint tensor {key!r}: values must be a list of "
-                             "finite numbers")
+                             f"finite numbers within {np.dtype(TRAIN_DTYPE)}'s range")
         tensors[key] = arr.reshape(entry["shape"])
     return tensors, payload.get("metadata", {})
 
 
 def _finite_floats(values) -> Array | None:
-    """``values`` as a float64 array when it is a list of finite JSON numbers,
-    else None. Types are checked first: JSON true and "1.0" would read as 1.0."""
+    """``values`` as a float64 array when it is a list of JSON numbers that
+    are finite in ``TRAIN_DTYPE``, else None. Types are checked first: JSON
+    true and "1.0" would read as 1.0."""
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         return None
     try:
-        arr = _f64(values)
+        arr = np.asarray(values, dtype=np.float64)
     except OverflowError:               # an integer beyond float64's range
         return None
-    return arr if np.isfinite(arr).all() else None
+    return arr if np.isfinite(as_dtype(arr, TRAIN_DTYPE)).all() else None
+
+
+def _shortest_floats(x: Array) -> list[float]:
+    """The values of a float32 or float64 array as Python floats whose
+    ``repr`` is the shortest decimal that reads back to each value in the
+    array's dtype."""
+    if x.dtype == np.float32:   # numpy's str of a float32 is its shortest decimal
+        return x.ravel().astype(str).astype(np.float64).tolist()
+    return x.ravel().tolist()
 
 
 def collect_params(*components) -> dict[str, Tensor]:

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DatasetError, EpisodeStore, N_ACTIONS, OfflineDataset
-from .netcore import Adam, DuelingQNetwork, Tensor, no_grad
+from .netcore import TRAIN_DTYPE, Adam, DuelingQNetwork, Tensor, as_dtype, cast_params, no_grad
 from .synthgym import rows_are_distributions
 from .trainer import ActionClassifier, cross_entropy_loss, dqn_loss
 
@@ -181,7 +181,7 @@ class FittedBehavior:
         self.floor = floor
 
     def action_dist(self, features: Array) -> Array:
-        p = self._classifier.probs(np.atleast_2d(features))
+        p = self._classifier.probs(np.atleast_2d(features)).astype(np.float64)
         return (1.0 - N_ACTIONS * self.floor) * p + self.floor
 
     def logged_probs(self, store: EpisodeStore) -> Array:
@@ -192,16 +192,17 @@ class FittedBehavior:
 def fit_behavior(dataset: OfflineDataset,
                  cfg: BehaviorFitConfig | None = None) -> FittedBehavior:
     """Fit the logging policy as a floored softmax classifier (an
-    ``ActionClassifier`` of depth 0) on the raw structured vector of each
-    decision's frame."""
+    ``ActionClassifier`` of depth 0, trained in ``TRAIN_DTYPE``) on the raw
+    structured vector of each decision's frame."""
     cfg = cfg or BehaviorFitConfig()
     if not dataset.episodes:
         raise OpeError("no episodes to fit a behavior model on")
     store = dataset.store
-    X, y = store.structured[store.decision_frame], store.action
+    X, y = as_dtype(store.structured[store.decision_frame], TRAIN_DTYPE), store.action
 
     rng = np.random.default_rng([cfg.seed, 31])
     classifier = ActionClassifier(X.shape[1], rng, width=0, depth=0)
+    cast_params(classifier.params())
     opt = Adam(classifier.params(), lr=cfg.learning_rate)
     for _ in range(cfg.steps):
         idx = rng.integers(0, X.shape[0], size=min(BEHAVIOR_BATCH_SIZE, X.shape[0]))
@@ -401,11 +402,13 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
 
     Each outer iteration regresses r + gamma (1 - done) sum_a pi(a|s') Q_k
     (s', a) onto Q_{k+1}(s, a), with Q_k the network as the iteration starts;
-    diverging values abort.
+    diverging values abort. The network and its features are in
+    ``TRAIN_DTYPE``; the targets and the returned Q are float64.
     """
     cfg = cfg or FqeNetConfig()
     store, pi = batch.store, batch.pi
-    X, X_next = batch.decision_features, batch.next_features
+    X, X_next = (as_dtype(x, TRAIN_DTYPE) for x in (batch.decision_features,
+                                                    batch.next_features))
     # policy distribution at the successor state; rows for terminal
     # transitions are masked by (1 - done)
     pi_next = np.where(store.done[:, None], 0.0, np.roll(pi, -1, axis=0))
@@ -414,6 +417,7 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
     rng = np.random.default_rng([cfg.seed, 41])
     net = DuelingQNetwork(X.shape[1], rng, width=cfg.width, depth=cfg.depth,
                           n_actions=N_ACTIONS, name="fqe")
+    cast_params(net.params())
     opt = Adam(net.params(), lr=FQE_LEARNING_RATE)
     # the target check and Adam's gradient check report an overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -430,8 +434,8 @@ def fqe_network(batch: EvalBatch, gamma: float, cfg: FqeNetConfig | None = None)
                 loss.backward()
                 opt.step()
     with no_grad():
-        q_rows = net(Tensor(X)).data
-        q0 = net(Tensor(X[store.offsets])).data
+        q_rows = net(Tensor(X)).data.astype(np.float64)
+        q0 = net(Tensor(X[store.offsets])).data.astype(np.float64)
     initial = (pi[store.offsets] * q0).sum(axis=1)
     return FqeResult(estimate=float(initial.mean()), q_rows=q_rows,
                      initial_values=initial)

@@ -21,6 +21,7 @@ from .dataset import Episode, EpisodeStore, N_ACTIONS, OfflineDataset, store_of
 from .encoder import EncoderConfig, NoteStrategy, StateEncoder, episode_note_inputs
 from .netcore import (
     MLP,
+    TRAIN_DTYPE,
     Adam,
     Dense,
     DuelingQNetwork,
@@ -28,6 +29,8 @@ from .netcore import (
     _logsumexp,
     _pick_backward,
     _pick_index,
+    as_dtype,
+    cast_params,
     clone_param_values,
     collect_params,
     load_checkpoint,
@@ -156,9 +159,10 @@ class ActionClassifier:
         return self.head(self.trunk(x))
 
     def probs(self, x: Array) -> Array:
-        """Softmax of the logits of rows ``x``."""
+        """Softmax of the logits of rows ``x``, in the parameters' dtype."""
         with no_grad():
-            return _logsumexp(self.logits(Tensor(x)).data, axis=1)[1]
+            logits = self.logits(Tensor(as_dtype(x, self.head.W.data.dtype)))
+            return _logsumexp(logits.data, axis=1)[1]
 
     def params(self) -> dict[str, Tensor]:
         return collect_params(self.trunk, self.head)
@@ -192,6 +196,12 @@ class QModel:
         if self.modality == "structured":
             return Tensor(structured)
         return Tensor(np.concatenate([f_c, f_e], axis=1))
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters: float64 as built, ``TRAIN_DTYPE``
+        once trained or loaded."""
+        return self.qnet.value_head.W.data.dtype
 
     def q_values(self, structured: Array, f_c: Array, f_e: Array) -> tuple[Tensor, Tensor]:
         """The state tensor of the inputs and the Q-head's output on it."""
@@ -234,9 +244,11 @@ def cql_loss(q: Tensor, actions: Array, targets: Array,
 
     With alpha = 0 this is exactly the DQN objective; the regularizer is
     mean(logsumexp_a Q(s, a)) - mean(Q(s, a_data)). The loss is one node whose
-    value and gradient equal those of the same expression built op by op.
+    value and gradient equal those of the same expression built op by op in
+    float64: it reduces Q's values as float64, and Q's gradient is cast back
+    to Q's dtype.
     """
-    qd = q.data
+    qd = q.data.astype(np.float64, copy=False)
     rows, idx = _pick_index(qd, actions)
     q_taken = qd[rows, idx]
     inv_b = 1.0 / q_taken.size
@@ -260,7 +272,7 @@ def cql_loss(q: Tensor, actions: Array, targets: Array,
             g_taken = g_taken + g_reg * -1.0 * inv_b
             g_q = g_reg * inv_b * soft
         full = _pick_backward(g_taken, qd, rows, idx)
-        q._accumulate(full if g_q is None else g_q + full)
+        q._accumulate((full if g_q is None else g_q + full).astype(q.data.dtype, copy=False))
 
     return Tensor._node(np.asarray(loss), (q,), backward), diag
 
@@ -271,8 +283,9 @@ def dqn_loss(q: Tensor, actions: Array, targets: Array) -> tuple[Tensor, dict]:
 
 def cross_entropy_loss(logits: Tensor, actions: Array) -> Tensor:
     """mean(logsumexp(logits) - logits at the actions) as one node, equal to
-    the same expression built op by op."""
-    x = logits.data
+    the same expression built op by op in float64, on the logits' values as
+    float64; their gradient is cast back to their dtype."""
+    x = logits.data.astype(np.float64, copy=False)
     rows, idx = _pick_index(x, actions)
     lse, soft = _logsumexp(x, 1)
     inv_b = 1.0 / idx.size
@@ -280,7 +293,8 @@ def cross_entropy_loss(logits: Tensor, actions: Array) -> Tensor:
 
     def backward(g: Array) -> None:
         g_each = g * inv_b
-        logits._accumulate(g_each * soft + _pick_backward(g_each * -1.0, x, rows, idx))
+        g_x = g_each * soft + _pick_backward(g_each * -1.0, x, rows, idx)
+        logits._accumulate(g_x.astype(logits.data.dtype, copy=False))
 
     return Tensor._node(np.asarray(loss), (logits,), backward)
 
@@ -314,18 +328,21 @@ class LearnedPolicy:
 
     def forward(self, structured: Array, f_c: Array, f_e: Array,
                 decisions=slice(None)) -> tuple[Array, Array, Array]:
-        """(state features, Q) at every input row, from one batched no-grad
-        forward whose Q must be finite, and the action rule's choice
-        (BCQ-constrained or greedy) at rows ``decisions``."""
+        """(state features, Q) as float64 at every input row, from one
+        batched no-grad forward in the parameters' dtype whose Q must be
+        finite, and the action rule's choice (BCQ-constrained or greedy) at
+        rows ``decisions``."""
         # numpy's overflow warnings would only precede _finite_q's error
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            state, q = self.model.q_values(structured, f_c, f_e)
+            state, q = self.model.q_values(*(as_dtype(x, self.model.dtype)
+                                             for x in (structured, f_c, f_e)))
             state, q = state.data, _finite_q(q.data)
             at = q[decisions]
             if self.algorithm == "bcq":
                 probs = self.behavior_classifier.probs(state[decisions])
                 at = bcq_masked_q(at, probs, self.bcq_threshold)
-        return state, q, at.argmax(axis=1)
+        return (state.astype(np.float64, copy=False), q.astype(np.float64, copy=False),
+                at.argmax(axis=1))
 
     def forward_rows(self, store: EpisodeStore) -> tuple[Array, Array, Array]:
         """State features and Q at every frame row of a store, and the
@@ -396,7 +413,9 @@ class LearnedPolicy:
             classifier = ActionClassifier(model.qnet.input_dim, rng, width=width, depth=depth)
         policy = cls(model=model, algorithm=meta["algorithm"],
                      bcq_threshold=meta["bcq_threshold"], behavior_classifier=classifier)
-        load_param_values(policy.all_params(), values)
+        # load_checkpoint checked that every value is finite in TRAIN_DTYPE
+        load_param_values(policy.all_params(),
+                          {key: v.astype(TRAIN_DTYPE) for key, v in values.items()})
         # the flag is checked once the tensors load, so that a false-like
         # value is reported by the attention tensors it leaves unused
         _check_metadata_types(meta, {"encoder.use_attention": (bool,)})
@@ -435,11 +454,12 @@ def target_q_table(model: QModel, inputs: tuple[Array, Array, Array],
 
     Every forward has exactly ``batch_size`` rows, the last one wrapping
     around to the first rows, because BLAS rounds a row's product by the
-    number of rows in the batch. On the OpenBLAS kernels measured, a batch
-    size that is a multiple of 4 (as in every config of this repository)
-    then gives each row the Q, bit for bit, that a per-step forward of a
-    minibatch gives it; another size also rounds a row by its place in the
-    batch, so values may differ from per-step forwards in the last bits.
+    number of rows in the batch. On the OpenBLAS kernels measured, float32
+    and float64 alike, a batch size that is a multiple of 4 (as in every
+    config of this repository) then gives each row the Q, bit for bit, that
+    a per-step forward of a minibatch gives it; another size also rounds a
+    row by its place in the batch, so values may differ from per-step
+    forwards in the last bits.
     """
     n = inputs[0].shape[0]
     rows = np.arange(-(-n // batch_size) * batch_size) % n
@@ -462,8 +482,12 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
           snapshot_interval: int | None = None) -> TrainResult:
     """Optimize a Q-model on the dataset's training split.
 
-    Deterministic given cfg.seed. The log records loss, mean Q and the
-    regularizer magnitude at every eval interval. A non-finite loss aborts
+    The networks train in ``TRAIN_DTYPE``: their parameters are drawn in
+    float64 and cast once, and the transition table is cast once, so every
+    forward, gradient and Adam step runs in it, while the losses and the
+    Bellman targets are float64. Deterministic given cfg.seed. The log
+    records loss, mean Q and the regularizer magnitude at every eval
+    interval. A non-finite loss aborts
     with the last logged parameter snapshot attached to the exception.
     ``snapshot_interval`` additionally collects (step, values of every
     policy parameter) pairs for evaluation-across-iterations curves, the
@@ -481,9 +505,11 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     model = QModel(modality, enc_cfg, np.random.default_rng([cfg.seed, 11]),
                    cfg.hidden_width, cfg.trunk_depth)
     store = (dataset.split("train") or dataset).store
-    inputs = build_transition_table(store, enc_cfg.strategy, modality)
+    inputs = tuple(as_dtype(x, TRAIN_DTYPE)
+                   for x in build_transition_table(store, enc_cfg.strategy, modality))
 
     params = model.params()
+    cast_params(params)
     trainable = dict(model.qnet.params()) if cfg.freeze_encoders else params
     for key, p in params.items():   # a frozen encoder stays off the tape
         p.requires_grad = key in trainable
@@ -495,6 +521,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         classifier = ActionClassifier(model.qnet.input_dim,
                                       np.random.default_rng([cfg.seed, 23]),
                                       width=cfg.hidden_width, depth=cfg.trunk_depth)
+        cast_params(classifier.params())
         clf_opt = Adam(classifier.params(), lr=cfg.learning_rate,
                        grad_clip=cfg.grad_clip)
 

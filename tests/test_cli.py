@@ -2,11 +2,14 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import careql
 from careql import dataset as dataset_mod
 from careql.cli import DEFAULT_CONFIG, ConfigError, build_parser, load_config, main
 from careql.dataset import SNAPSHOT_NAME, ingest
@@ -520,9 +523,9 @@ CHECKPOINT_FAULTS = {
     "wrong_format_version": json.dumps(
         {"format_version": 99, "metadata": STRUCTURED_META, "tensors": {}}),
     "missing_metadata_keys": json.dumps(
-        {"format_version": 1, "metadata": {}, "tensors": {}}),
+        {"format_version": 2, "metadata": {}, "tensors": {}}),
     "missing_tensors": json.dumps(
-        {"format_version": 1, "metadata": STRUCTURED_META, "tensors": {}}),
+        {"format_version": 2, "metadata": STRUCTURED_META, "tensors": {}}),
 }
 
 
@@ -537,10 +540,14 @@ def _set_first_value(value):
 TRAINED_CHECKPOINT_FAULTS = {
     "format_version_boolean": (lambda payload: payload.update(format_version=True),
                                "format_version"),
+    # a checkpoint of float64 values, written before training ran in float32
+    "format_version_1": (lambda payload: payload.update(format_version=1),
+                         "format_version: 1"),
     "value_boolean": (_set_first_value(True), "q.advantage.W"),
     "value_string": (_set_first_value("0.5"), "q.advantage.W"),
     "value_nan": (_set_first_value(float("nan")), "q.advantage.W"),
     "value_beyond_float_range": (_set_first_value(10**400), "q.advantage.W"),
+    "value_beyond_float32_range": (_set_first_value(1e39), "q.advantage.W"),
     # the model then builds no attention, and the file's attention tensors
     # would be dropped
     "attention_tensors_unused": (
@@ -569,11 +576,11 @@ METADATA_TYPE_FAULTS = {
 
 
 def _overflow_q(payload):
-    """Finite Q-head biases whose sum overflows: V + A is inf and the
-    dueling mean-centring then gives NaN."""
+    """Q-head biases, finite in float32, whose sum overflows: V + A is inf
+    and the dueling mean-centring then gives NaN."""
     tensors = payload["tensors"]
-    tensors["q.value.b"]["values"] = [1e308]
-    tensors["q.advantage.b"]["values"] = [1e308] * len(tensors["q.advantage.b"]["values"])
+    tensors["q.value.b"]["values"] = [3e38]
+    tensors["q.advantage.b"]["values"] = [3e38] * len(tensors["q.advantage.b"]["values"])
 
 
 # (modality, algorithm and edit of a checkpoint that `careql train` wrote)
@@ -1223,3 +1230,20 @@ class TestSnapshot:
         assert main(["ingest", "--data", str(synth_dir)]) == 0
         assert capsys.readouterr() == expected
         assert sorted(p.name for p in synth_dir.iterdir()) == files
+
+
+class TestBlasThreads:
+    # numpy reads the BLAS thread counts when it is first imported, which for
+    # the console script is when it imports the package
+    @pytest.mark.parametrize("preset, expected", [(None, "1 1"), ("3", "3 1")])
+    def test_importing_the_package_sets_one_thread_unless_set(self, preset, expected):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {key: value for key, value in os.environ.items() if key not in names}
+        env["PYTHONPATH"] = str(Path(careql.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        script = ("import os, sys; import careql; assert 'numpy' in sys.modules; "
+                  "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == expected

@@ -6,10 +6,12 @@ duplicate, swap or truncate a line; change one JSON value) to one file of a
 ``ingest``, ``train`` or ``eval`` on it through ``cli.main``. The command
 must end in a documented exit code (0 ok, 2 config, 3 data, 4 numeric) with
 no exception escaping and no numpy warning, and every JSON file it writes
-must be valid JSON, with no NaN or Infinity. Hypothesis is derandomised and
-keeps no example database, so every run tries the same examples.
+must be valid JSON, with no NaN or Infinity. Hypothesis draws from a fixed
+seed and keeps no example database, so every run tries the same examples,
+also after the test's source is edited.
 """
 
+import hashlib
 import json
 import shutil
 import tempfile
@@ -17,7 +19,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from careql.cli import main
@@ -37,14 +39,19 @@ CELLS = ("", "nan", "-inf", "1e308", "-1", "0", "2", "0.5", "x", "null", "[]", "
 JSON_VALUES = (None, True, -1, 0, 2, 0.5, 1e308, "x", "", [], {}, [1.0], {"x": 1})
 COMMANDS = ("ingest", "train", "eval")
 KINDS = ("cell", "drop", "duplicate", "swap", "truncate", "json")
-# (checkpoint tensor whose first value is set to 1e308, what `careql eval`'s
-# numeric failure names): an overflow in the residuals of a finite Q, or in
-# network FQE on overflowing state features
+# the examples: a seed fixed before the first run, so that they do not
+# depend on the test's source as a derandomised run's do
+FUZZ_SETTINGS = settings(max_examples=2500, deadline=None, derandomize=True, database=None)
+FUZZ_SEED = 0
+# (checkpoint tensor whose first value is set to 3e38, finite in float32,
+# what `careql eval`'s numeric failure names): an overflow in the policy's
+# float32 forward, or in network FQE on state features that are finite in
+# float32 (the float64 residuals of a Q finite in float32 cannot overflow)
 CHECKPOINT_OVERFLOWS = {
-    "q_head_residuals": ("q.advantage.W", "non-finite Bellman residuals"),
-    "encoder_input": ("state.enc.in_proj.W", "non-finite gradient in 'fqe."),
+    "q_head_forward": ("q.trunk0.b", "non-finite Q in a policy forward"),
+    "encoder_input": ("state.enc.in_proj.b", "non-finite gradient in 'fqe."),
     "note_projection": ("state.note_proj.b", "non-finite gradient in 'fqe."),
-    "attention_values": ("state.attn.Wv_l", "non-finite gradient in 'fqe."),
+    "attention_values": ("state.attn.Wv_n", "non-finite gradient in 'fqe."),
 }
 
 
@@ -135,12 +142,18 @@ def edits(draw):
         command
 
 
-def overflow_cell(name: str, command: str) -> tuple:
-    """The edit that writes 1e308 into the third cell of the second line
-    of ``name`` (a feature of a structured row, a value of a note
-    embedding), read by ``command``."""
-    return name, "cell", partial(edit_text, kind="cell", i=1, j=2, k=0, cell="1e308",
+def overflow_cell(name: str, command: str, cell: str = "1e308") -> tuple:
+    """The edit that writes ``cell``, a large finite number, into the third
+    cell of the second line of ``name`` (a feature of a structured row, a
+    value of a note embedding), read by ``command``."""
+    return name, "cell", partial(edit_text, kind="cell", i=1, j=2, k=0, cell=cell,
                                  value=None), command
+
+
+def drawn_edit(edit) -> str:
+    """The repr of what an example of ``edits()`` drew."""
+    name, kind, change, command = edit
+    return repr((name, kind, sorted(change.keywords.items()), command))
 
 
 def refuse_constant(name: str):
@@ -155,12 +168,19 @@ def assert_valid_json(out: Path) -> None:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFuzzedInputs:
-    @settings(max_examples=2500, deadline=None, derandomize=True, database=None)
+    @FUZZ_SETTINGS
+    @seed(FUZZ_SEED)
     @given(edit=edits())
     # finite values that overflow: a feature's z-score statistics, and a
     # note value the training loss
     @example(edit=overflow_cell("structured.csv", "ingest"))
     @example(edit=overflow_cell("notes.jsonl", "train"))
+    # finite values beyond float32's range, which the networks' inputs are
+    # cast to
+    @example(edit=overflow_cell("structured.csv", "train", "1e39"))
+    @example(edit=overflow_cell("structured.csv", "eval", "1e39"))
+    @example(edit=overflow_cell("notes.jsonl", "train", "1e39"))
+    @example(edit=overflow_cell("notes.jsonl", "eval", "1e39"))
     def test_one_edit_ends_in_a_documented_exit_code(self, bundle, edit):
         name, kind, change, command = edit
         with tempfile.TemporaryDirectory() as tmp:
@@ -185,14 +205,54 @@ class TestFuzzedInputs:
                              ids=list(CHECKPOINT_OVERFLOWS))
     def test_overflowing_checkpoint_exits_4_before_writing(self, bundle, tmp_path, capsys,
                                                            key, message):
-        payload = json.loads((bundle / "checkpoint.json").read_text())
-        payload["tensors"][key]["values"][0] = 1e308
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps(payload))
-        capsys.readouterr()
-        code = main(["eval", "--config", str(bundle / "config.json"), "--data", str(bundle),
-                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
+        code, err = eval_with_first_value(bundle, tmp_path, capsys, key, 3e38)
         assert code == 4, err
         assert err.startswith("numeric failure:") and message in err, err
-        assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("key", [key for key, _ in CHECKPOINT_OVERFLOWS.values()])
+    def test_checkpoint_value_beyond_float32_exits_3_naming_it(self, bundle, tmp_path,
+                                                               capsys, key):
+        code, err = eval_with_first_value(bundle, tmp_path, capsys, key, 1e308)
+        assert code == 3, err
+        assert err.startswith("data error:") and repr(key) in err, err
+
+
+def eval_with_first_value(bundle: Path, tmp_path: Path, capsys, key: str,
+                          value: float) -> tuple[int, str]:
+    """The exit code and stderr of ``careql eval`` on the bundle with the
+    first value of checkpoint tensor ``key`` set to ``value``, after
+    checking that it wrote no file."""
+    payload = json.loads((bundle / "checkpoint.json").read_text())
+    payload["tensors"][key]["values"][0] = value
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["eval", "--config", str(bundle / "config.json"), "--data", str(bundle),
+                 "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+    assert not [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    return code, capsys.readouterr().err
+
+
+def test_editing_the_body_draws_the_same_examples():
+    # two tests drawing under the fuzz test's settings and seed, whose
+    # bodies differ by a comment and a statement, draw the same 2,500
+    # examples; without the seed the derandomised draws follow the source
+    drawn = {"first": [], "second": [], "unseeded_first": [], "unseeded_second": []}
+
+    def first(edit):
+        drawn[key].append(drawn_edit(edit))
+
+    def second(edit):
+        # a comment that the first body lacks
+        record = drawn[key].append
+        record(drawn_edit(edit))
+
+    for key, test in (("first", first), ("second", second)):
+        FUZZ_SETTINGS(seed(FUZZ_SEED)(given(edit=edits())(test)))()
+    for key, test in (("unseeded_first", first), ("unseeded_second", second)):
+        FUZZ_SETTINGS(given(edit=edits())(test))()
+    digests = {key: hashlib.sha256("\n".join(examples).encode()).hexdigest()
+               for key, examples in drawn.items()}
+    assert len(drawn["first"]) == 2500
+    assert digests["first"] == digests["second"]
+    assert digests["unseeded_first"] != digests["unseeded_second"]

@@ -6,8 +6,11 @@ from careql.netcore import (
     Adam,
     Dense,
     DuelingQNetwork,
+    TRAIN_DTYPE,
     NonFiniteGradientError,
     Tensor,
+    as_dtype,
+    cast_params,
     clone_param_values,
     collect_params,
     concat,
@@ -370,6 +373,27 @@ class TestAdam:
             opt.step()
         assert all(not p.data.any() for p in params.values())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float32_gradient_clipped_by_its_float64_norm(self):
+        # the gradient's square overflows float32; its norm does not
+        p = Tensor(np.zeros(3), requires_grad=True, name="p")
+        cast_params({"p": p})
+        opt = Adam({"p": p}, lr=0.1, grad_clip=1.0)
+        p.grad[:] = [1e20, 0.0, -1e20]
+        opt.step()
+        assert p.data.dtype == TRAIN_DTYPE
+        assert p.data.tolist() == pytest.approx([-0.1, 0.0, 0.1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gradient_whose_square_overflows_names_its_key(self):
+        params = {k: Tensor(np.zeros(2), requires_grad=True, name=k) for k in ("fine", "big")}
+        cast_params(params)
+        opt = Adam(params)
+        params["big"].grad[:] = [1e20, 0.0]
+        with pytest.raises(NonFiniteGradientError, match="'big' overflows"):
+            opt.step()
+        assert all(not p.data.any() for p in params.values())
+
     def test_updates_after_load_param_values_rebinds_data(self):
         rng = np.random.default_rng(25)
         params = {"w": Tensor(rng.normal(size=(3, 2)), requires_grad=True, name="w")}
@@ -486,6 +510,27 @@ class TestCheckpoint:
         load_param_values(other.params(), values)
         x = np.random.default_rng(0).normal(size=(3, 5))
         assert np.array_equal(other(Tensor(x)).data, net(Tensor(x)).data)
+
+    def test_float32_round_trip_bit_exact(self, tmp_path):
+        # each float32 value is written as its shortest decimal, which reads
+        # back to it once cast to float32
+        net = make_net(15, input_dim=5, width=6)
+        cast_params(net.params())
+        net.params()["q.value.b"].data[0] = np.float32(np.pi)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, net.params())
+        values, _ = load_checkpoint(path)
+        assert '"values": [3.1415927]' in path.read_text()
+        for key, p in net.params().items():
+            assert as_dtype(values[key], TRAIN_DTYPE).tobytes() == p.data.tobytes(), key
+
+    def test_value_beyond_float32_range_rejected(self, tmp_path):
+        net = make_net(16, input_dim=5, width=6)
+        net.params()["q.advantage.W"].data[0, 0] = 1e39
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, net.params())
+        with pytest.raises(ValueError, match="'q.advantage.W'.*float32's range"):
+            load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         net = make_net(13, input_dim=5, width=6)

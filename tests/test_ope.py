@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from careql import ope as ope_mod
 from careql.dataset import N_ACTIONS, DatasetError
-from careql.netcore import DuelingQNetwork, Tensor, clone_param_values, load_param_values, no_grad
+from careql.netcore import (
+    TRAIN_DTYPE,
+    DuelingQNetwork,
+    Tensor,
+    cast_params,
+    clone_param_values,
+    load_param_values,
+    no_grad,
+)
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
@@ -225,13 +233,16 @@ class TestFqeNetwork:
         # iteration k's regression targets are r + gamma (1 - d) sum_a
         # pi(a|s') Q_k(s', a), with Q_k the network as iteration k starts:
         # at k = 0 a network freshly drawn from the seed. Random features make
-        # every decision's row unique, so a minibatch's rows name its decisions.
+        # every decision's row unique, so a minibatch's rows, the features
+        # cast to TRAIN_DTYPE, name its decisions. The fresh network is cast too.
         _, _, dataset, target, _ = synth
         batch = eval_batch(replace(dataset, episodes=dataset.episodes[:60]), target)
         batch = replace(batch, features=np.random.default_rng(7).normal(
             size=(batch.features.shape[0], 5)))
         cfg = FqeNetConfig(iterations=3, steps_per_iteration=4, width=16, depth=1, seed=2)
-        store, X, X_next = batch.store, batch.decision_features, batch.next_features
+        store = batch.store
+        X, X_next = (x.astype(TRAIN_DTYPE) for x in (batch.decision_features,
+                                                     batch.next_features))
         decision_of = {row.tobytes(): k for k, row in enumerate(X)}
         assert len(decision_of) == X.shape[0]
         forwards, iterates, regressions = [], [], []
@@ -257,6 +268,7 @@ class TestFqeNetwork:
             net = DuelingQNetwork(X.shape[1], np.random.default_rng([cfg.seed, 41]),
                                   width=cfg.width, depth=cfg.depth, n_actions=N_ACTIONS,
                                   name="fqe")
+            cast_params(net.params())
             if values is not None:
                 load_param_values(net.params(), values)
             return net

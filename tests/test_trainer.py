@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from careql import encoder as encoder_mod
+from careql import netcore
 from careql import trainer as trainer_mod
 from careql.bdesr import bdesr_report
 from careql.dataset import N_ACTIONS, EpisodeStore, store_of
 from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder
-from careql.netcore import Dense, Tensor, clone_param_values
+from careql.netcore import TRAIN_DTYPE, Dense, Tensor, cast_params, clone_param_values
 from careql.ope import (
     BehaviorFitConfig,
     FqeNetConfig,
     LoggedBehavior,
     OpeConfig,
+    eval_batch,
     evaluate_policy,
     fit_behavior,
+    fqe_network,
     soften,
 )
 from careql.synthgym import (
@@ -488,6 +491,7 @@ class TestTargetTable:
         initial = trainer_mod.QModel("multimodal", enc_cfg,
                                      np.random.default_rng([cfg.seed, 11]),
                                      cfg.hidden_width, cfg.trunk_depth).params()
+        cast_params(initial)
         assert [step for step, _ in result.snapshots] == [3, 6, 7]
         expected = [{k: p.data for k, p in initial.items()}] + \
             [values for _, values in result.snapshots[:2]]
@@ -504,7 +508,8 @@ class TestTargetTable:
         # reward plus gamma times the largest target-table Q among the
         # actions whose behaviour-probability ratio to the modal action is
         # at least tau (no bootstrap when done). The structured model's next
-        # state is the raw next frame, which names the transition.
+        # state is the raw next frame cast to TRAIN_DTYPE, which names the
+        # transition.
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         store = (ds.split("train") or ds).store
         events = []
@@ -532,13 +537,14 @@ class TestTargetTable:
                               algorithm="bcq", bcq_threshold=tau, gamma=gamma)
         train(ds, cfg, enc_cfg, modality="structured")
 
-        frame_of = {row.tobytes(): f for f, row in enumerate(store.structured)}
+        frame_of = {row.tobytes(): f
+                    for f, row in enumerate(store.structured.astype(TRAIN_DTYPE))}
         assert len(frame_of) == store.structured.shape[0]
         transition_of = {f + 1: k for k, f in enumerate(store.decision_frame)}
         current, next_states, n_steps, n_masked, n_done = None, None, 0, 0, 0
         for kind, value in events:
             if kind == "table":
-                current = value
+                current = value.astype(np.float64)
             elif kind == "probs":
                 next_states = value
             else:
@@ -556,12 +562,16 @@ class TestTargetTable:
         assert n_steps == cfg.total_steps
         assert n_masked and n_done
 
-    def test_rows_equal_minibatch_forwards(self):
+    @pytest.mark.parametrize("dtype", [TRAIN_DTYPE, np.float64])
+    def test_rows_equal_minibatch_forwards(self, dtype):
         # a batch of 64 rows, like every batch size the repository's configs
-        # use, rounds each row's product the same wherever the row sits in it
+        # use, rounds each row's product the same wherever the row sits in
+        # it, in the training dtype as in float64
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         model = trainer_mod.QModel("multimodal", enc_cfg, np.random.default_rng(4), 16, 2)
-        inputs = build_transition_table(ds.store, enc_cfg.strategy, "multimodal")
+        cast_params(model.params(), dtype)
+        inputs = tuple(x.astype(dtype)
+                       for x in build_transition_table(ds.store, enc_cfg.strategy, "multimodal"))
         table = trainer_mod.target_q_table(model, inputs, 64)
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -598,6 +608,21 @@ class TestLearnedPolicy:
                               result.policy.episode_greedy_actions(ep))
         probs = loaded.episode_action_probs(ep, eps=0.01)
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("modality, algorithm", [("multimodal", "bcq"),
+                                                     ("structured", "cql")])
+    def test_load_of_save_gives_the_same_q_bit_for_bit(self, tmp_path, modality, algorithm):
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        policy = train(ds, quick_train_cfg(total_steps=20, algorithm=algorithm), enc_cfg,
+                       modality=modality).policy
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        loaded = LearnedPolicy.load(path)
+        for key, p in loaded.all_params().items():
+            assert p.data.dtype == TRAIN_DTYPE
+            assert p.data.tobytes() == policy.all_params()[key].data.tobytes(), key
+        for ours, theirs in zip(loaded.forward_rows(ds.store), policy.forward_rows(ds.store)):
+            assert ours.tobytes() == theirs.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_q_overflowing_at_final_frames_stops_ope_bdesr_and_residuals(self):
@@ -637,9 +662,8 @@ def one_episode_forward(policy, episode):
     structured = np.stack([frame.structured for frame in episode.frames()])
     f_c, f_e = loop_episode_note_inputs(episode, policy.strategy)
     T = len(episode)
-    return (policy.forward(structured[:T], f_c[:T], f_e[:T])[2],
-            policy.model.state_tensor(structured, f_c, f_e).data,
-            policy.forward(structured, f_c, f_e)[1])
+    features, q, _ = policy.forward(structured, f_c, f_e)
+    return policy.forward(structured[:T], f_c[:T], f_e[:T])[2], features, q
 
 
 @dataclass
@@ -690,7 +714,7 @@ class TestBatchedForward:
             ref_greedy, ref_feats, ref_q = one_episode_forward(policy, ep)
             assert np.array_equal(greedy, ref_greedy)
             assert np.abs(feats - ref_feats).max() <= 1e-12
-            q = policy.model.qnet(Tensor(feats)).data
+            q = policy.model.qnet(Tensor(feats.astype(policy.model.dtype))).data
             assert np.abs(q - ref_q).max() <= 1e-12
 
     def test_one_episode_methods_are_the_batched_forward(self, trained_policy):
@@ -806,6 +830,65 @@ class TestBatchedForward:
         bellman_residuals(policy, ds, gamma=0.9)
         assert episodes == Counter({("note_inputs", len(ds)): 3 * notes,
                                     ("episode_inputs", len(ds)): 3})
+
+
+def spy_product_dtypes(monkeypatch) -> list[np.dtype]:
+    """Wrap netcore's affine product and its backward wherever they are
+    called; the list collects the dtype of every array operand of every
+    call: input, weights, bias, output gradient and parameter gradients."""
+    dtypes = []
+    real_affine, real_backward = netcore._affine, netcore._affine_backward
+
+    def affine(x, W, b):
+        dtypes.extend(a.dtype for a in (x, W, b) if a is not None)
+        return real_affine(x, W, b)
+
+    def affine_backward(g, x, Wd, W, b, want_x):
+        arrays = (g, x, Wd, W.data, W.grad) + (() if b is None else (b.data, b.grad))
+        dtypes.extend(a.dtype for a in arrays if a is not None)
+        return real_backward(g, x, Wd, W, b, want_x)
+
+    for module in (netcore, encoder_mod):
+        monkeypatch.setattr(module, "_affine", affine)
+        monkeypatch.setattr(module, "_affine_backward", affine_backward)
+    return dtypes
+
+
+class TestTrainDtype:
+    # a float64 operand would silently promote its product to float64
+    @pytest.mark.parametrize("modality, algorithm", [
+        ("multimodal", "cql"), ("multimodal", "bcq"), ("structured", "bcq")])
+    def test_training_products_are_float32(self, monkeypatch, modality, algorithm):
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        dtypes = spy_product_dtypes(monkeypatch)
+        result = train(ds, quick_train_cfg(total_steps=6, target_update=3, batch_size=16,
+                                           algorithm=algorithm), enc_cfg, modality=modality)
+        assert dtypes and set(dtypes) == {np.dtype(TRAIN_DTYPE)}
+        features, q, _ = result.policy.forward_rows(ds.store)
+        assert features.dtype == q.dtype == np.float64
+
+    def test_ope_fits_are_float32_and_estimates_float64(self, monkeypatch):
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        policy = soften(train(ds, quick_train_cfg(total_steps=4), enc_cfg).policy)
+        dtypes = spy_product_dtypes(monkeypatch)
+        behavior = fit_behavior(ds, BehaviorFitConfig(steps=3))
+        assert dtypes and set(dtypes) == {np.dtype(TRAIN_DTYPE)}
+        dtypes.clear()
+        fqe = fqe_network(eval_batch(ds, policy, behavior), 0.9,
+                          FqeNetConfig(iterations=2, steps_per_iteration=3, width=8))
+        assert dtypes and set(dtypes) == {np.dtype(TRAIN_DTYPE)}
+        assert fqe.q_rows.dtype == fqe.initial_values.dtype == np.float64
+        assert behavior.logged_probs(ds.store).dtype == np.float64
+        report = evaluate_policy(ds, policy, behavior, OpeConfig(
+            gamma=0.9, n_bootstrap=4, fqe=FqeNetConfig(iterations=1, steps_per_iteration=2,
+                                                       width=8)))
+        values = report.to_dict()
+        numbers = [*values["estimates"].values(), *values["standard_errors"].values(),
+                   *values["opera_weights"].values(), values["effective_sample_size"]]
+        assert all(type(v) is float for v in numbers)
+        residuals = bellman_residuals(policy, ds, gamma=0.9)
+        assert residuals.samples.dtype == residuals.hist_edges.dtype == np.float64
+        assert type(residuals.mean) is type(residuals.std) is float
 
 
 class _TabularQStub:
