@@ -79,8 +79,7 @@ DEFAULT_CONFIG: dict = {
         "algorithm": "cql", "total_steps": 5000, "batch_size": 256,
         "learning_rate": 1e-4, "gamma": 0.99, "cql_alpha": 2.0,
         "bcq_threshold": 0.3, "target_update": 1000, "hidden_width": 512,
-        "trunk_depth": 3, "eval_interval": 500, "grad_clip": None,
-        "freeze_encoders": False,
+        "trunk_depth": 3, "eval_interval": 500,
     },
     "ope": {
         "gamma": 0.99, "n_bootstrap": 200, "eps_soft": 0.01,
@@ -98,8 +97,8 @@ DEFAULT_CONFIG: dict = {
     "seeds": [0, 1, 2, 3, 4],
     "seed": 0,
 }
-# Numeric keys that may also be null (a null default is such a number).
-NULLABLE_KEYS = ("train.grad_clip", "ope.clip_percentile")
+# Numeric keys that may also be null.
+NULLABLE_KEYS = ("ope.clip_percentile",)
 # Integer keys, or lists of integers, whose least value is not 1.
 INTEGER_MINIMA = {"seed": 0, "seeds": 0, "dataset.synth.seed": 0,
                   "encoder.depth": 0, "ope.fqe_depth": 0, "ope.n_bootstrap": 2}

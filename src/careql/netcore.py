@@ -395,14 +395,12 @@ class Adam:
     The moments of all parameters live in one flat ``m`` and one flat ``v``
     of the parameters' dtype, so a step is one gather of the gradients and
     one update expression, followed by one in-place subtraction per
-    parameter. ``grad_clip`` caps each parameter's gradient norm separately.
+    parameter.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
-                 grad_clip: float | None = None):
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4):
         self.params = dict(params)
         self.lr = float(lr)
-        self.grad_clip = grad_clip
         self.step_count = 0
         sizes = [p.data.size for p in self.params.values()]
         self._slices = [slice(end - size, end)
@@ -416,13 +414,6 @@ class Adam:
                  for p in self.params.values()]
         g = np.concatenate(grads) if grads else np.zeros(0, self._m.dtype)
         self._check_finite(g, "non-finite gradient in {!r}")
-        if self.grad_clip is not None:
-            for sl in self._slices:
-                part = g[sl]
-                # in float64: a float32 square overflows from 1.8e19
-                norm = float(np.sqrt(np.square(part, dtype=np.float64).sum()))
-                if norm > self.grad_clip:
-                    part *= self.grad_clip / norm
         with np.errstate(over="ignore"):
             g2 = g * g
         self._check_finite(g2, "gradient in {!r} overflows Adam's second moment")
@@ -498,15 +489,17 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor],
     """Write parameters as versioned JSON. Each value is written as the
     shortest decimal that reads back to it in its own dtype, so a float32
     tensor round-trips bit-exactly through ``as_dtype(values, np.float32)``
-    and a float64 one through the loaded values themselves."""
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "metadata": metadata or {},
-        "tensors": {
-            key: {"shape": list(p.data.shape), "values": _shortest_floats(p.data)}
-            for key, p in sorted(params.items())
-        },
-    }
+    and a float64 one through the loaded values themselves. A ``ValueError``
+    names the first key whose value ``load_checkpoint`` would refuse, one
+    not finite in ``TRAIN_DTYPE``, before anything is written."""
+    tensors = {}
+    for key, p in sorted(params.items()):
+        if not np.isfinite(as_dtype(p.data, TRAIN_DTYPE)).all():
+            raise ValueError(f"checkpoint tensor {key!r}: values must be finite "
+                             f"within {np.dtype(TRAIN_DTYPE)}'s range")
+        tensors[key] = {"shape": list(p.data.shape), "values": _shortest_floats(p.data)}
+    payload = {"format_version": CHECKPOINT_FORMAT_VERSION,
+               "metadata": metadata or {}, "tensors": tensors}
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 

@@ -86,6 +86,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One ``train`` run; its one Adam steps every parameter at ``learning_rate``."""
     total_steps: int
     batch_size: int = 256
     learning_rate: float = 1e-4
@@ -98,8 +99,6 @@ class TrainConfig:
     hidden_width: int = 512
     trunk_depth: int = 3
     eval_interval: int = 500
-    grad_clip: float | None = None
-    freeze_encoders: bool = False
 
     def __post_init__(self):
         _check_action_rule(self.algorithm, self.bcq_threshold)
@@ -113,10 +112,6 @@ class TrainConfig:
             raise TrainerError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.cql_alpha < 0:
             raise TrainerError("cql_alpha must be >= 0")
-        clip = self.grad_clip
-        if clip is not None and (isinstance(clip, bool) or not isinstance(clip, (int, float))
-                                 or not clip > 0):
-            raise TrainerError(f"grad_clip must be null or a positive number, got {clip!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +382,10 @@ class LearnedPolicy:
         return collect_params(self.model, self.behavior_classifier)
 
     def save(self, path: str | Path) -> None:
+        """Write the policy's parameters and what ``load`` rebuilds it from.
+        ``load`` rounds every value to ``TRAIN_DTYPE``: a trained or loaded
+        policy's values are float32 already and come back bit for bit, while
+        one built but never trained holds float64 values, which it rounds."""
         encoder = asdict(self.model.enc_cfg)
         meta = {
             "modality": self.model.modality,
@@ -485,10 +484,13 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     The networks train in ``TRAIN_DTYPE``: their parameters are drawn in
     float64 and cast once, and the transition table is cast once, so every
     forward, gradient and Adam step runs in it, while the losses and the
-    Bellman targets are float64. Deterministic given cfg.seed. The log
+    Bellman targets are float64. Every parameter of the Q-model and of
+    BCQ's imitation classifier trains with one Adam: a BCQ step adds the
+    classifier's cross-entropy gradient, taken on the Q step's state, before
+    that step. Deterministic given cfg.seed. The log
     records loss, mean Q and the regularizer magnitude at every eval
     interval. A non-finite loss aborts
-    with the last logged parameter snapshot attached to the exception.
+    with the last logged Q-model snapshot attached to the exception.
     ``snapshot_interval`` additionally collects (step, values of every
     policy parameter) pairs for evaluation-across-iterations curves, the
     last at the final step.
@@ -508,29 +510,20 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
     inputs = tuple(as_dtype(x, TRAIN_DTYPE)
                    for x in build_transition_table(store, enc_cfg.strategy, modality))
 
-    params = model.params()
-    cast_params(params)
-    trainable = dict(model.qnet.params()) if cfg.freeze_encoders else params
-    for key, p in params.items():   # a frozen encoder stays off the tape
-        p.requires_grad = key in trainable
-    opt = Adam(trainable, lr=cfg.learning_rate, grad_clip=cfg.grad_clip)
-
     classifier = None
-    clf_opt = None
     if cfg.algorithm == "bcq":
         classifier = ActionClassifier(model.qnet.input_dim,
                                       np.random.default_rng([cfg.seed, 23]),
                                       width=cfg.hidden_width, depth=cfg.trunk_depth)
-        cast_params(classifier.params())
-        clf_opt = Adam(classifier.params(), lr=cfg.learning_rate,
-                       grad_clip=cfg.grad_clip)
+    policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
+                           bcq_threshold=cfg.bcq_threshold, behavior_classifier=classifier)
+    cast_params(policy.all_params())
+    opt = Adam(policy.all_params(), lr=cfg.learning_rate)
 
     batch_rng = np.random.default_rng([cfg.seed, 77])
     log: list[dict] = []
     snapshots: list[tuple[int, dict[str, Array]]] = []
-    last_snapshot = clone_param_values(params)
-    policy = LearnedPolicy(model=model, algorithm=cfg.algorithm,
-                           bcq_threshold=cfg.bcq_threshold, behavior_classifier=classifier)
+    last_snapshot = clone_param_values(model.params())
     table = None
 
     for step in range(1, cfg.total_steps + 1):
@@ -552,12 +545,9 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at step {step}", last_snapshot, log)
         loss.backward()
-        opt.step()
-
         if cfg.algorithm == "bcq":   # the imitation head reads the Q step's state
-            clf_loss = cross_entropy_loss(classifier.logits(Tensor(state.data)), action)
-            clf_loss.backward()
-            clf_opt.step()
+            cross_entropy_loss(classifier.logits(Tensor(state.data)), action).backward()
+        opt.step()
 
         if step % cfg.target_update == 0:
             table = None
@@ -565,7 +555,7 @@ def train(dataset: OfflineDataset, cfg: TrainConfig, enc_cfg: EncoderConfig,
         if step % cfg.eval_interval == 0 or step == cfg.total_steps:
             log.append({"step": step, "loss": float(loss.data),
                         "mean_q": diag["mean_q"], "reg_term": diag["reg"]})
-            last_snapshot = clone_param_values(params)
+            last_snapshot = clone_param_values(model.params())
         if snapshot_interval is not None and \
                 (step % snapshot_interval == 0 or step == cfg.total_steps):
             snapshots.append((step, clone_param_values(policy.all_params())))

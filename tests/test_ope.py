@@ -25,6 +25,7 @@ from careql.ope import (
     TabularPolicy,
     _ess,
     _prepare_stats,
+    _simplex_min_quadratic,
     _tabular_fqe,
     dr,
     eval_batch,
@@ -386,6 +387,34 @@ class TestOpera:
     def test_needs_two_estimators(self):
         with pytest.raises(OpeError):
             opera([("only", 0.0, np.zeros(10))])
+
+
+def barycentric_grid(k: int, steps: int = 400) -> np.ndarray:
+    """Every point of the simplex in R^k whose coordinates are multiples of 1/steps."""
+    head = np.indices((steps + 1,) * (k - 1)).reshape(k - 1, -1).T
+    head = head[head.sum(axis=1) <= steps]
+    return np.column_stack([head, steps - head.sum(axis=1)]) / steps
+
+
+class TestSimplexMinQuadratic:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([2, 3]))
+    def test_minimises_over_the_simplex(self, seed, k):
+        # a full-rank PSD matrix whose rows are scaled apart, so that the
+        # minimum falls at a vertex, on an edge or in the interior
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(k, k))
+        scale = 10.0 ** rng.uniform(-1.0, 1.0, size=k)
+        cov = scale[:, None] * (a @ a.T + 0.1 * np.eye(k)) * scale
+        w = _simplex_min_quadratic(cov)
+        assert (w >= 0.0).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
+        grid = barycentric_grid(k)
+        grid_min = ((grid @ cov) * grid).sum(axis=1).min()
+        assert w @ cov @ w <= grid_min + 1e-12 * np.trace(cov)
+        if k == 2:
+            (s11, s12), (_, s22) = cov
+            w1 = np.clip((s22 - s12) / (s11 + s22 - 2.0 * s12), 0.0, 1.0)
+            assert w[0] == pytest.approx(w1, abs=1e-9)
 
 
 class TestFitBehavior:

@@ -341,25 +341,44 @@ class TestTrain:
         ratio = probs[np.arange(64), greedy] / probs.max(axis=1)
         assert (ratio >= cfg.bcq_threshold - 1e-12).all()
 
-    def test_freeze_encoders_keeps_encoder_fixed(self):
-        _, _, ds, enc_cfg = small_setup(n_episodes=30)
-        cfg = quick_train_cfg(total_steps=100, freeze_encoders=True)
-        result = train(ds, cfg, enc_cfg)
-        fresh = train(ds, quick_train_cfg(total_steps=1, freeze_encoders=True), enc_cfg)
-        enc_after = {k: p.data for k, p in result.policy.model.encoder.params().items()}
-        enc_init = {k: p.data for k, p in fresh.policy.model.encoder.params().items()}
-        for key in enc_after:
-            assert np.array_equal(enc_after[key], enc_init[key]), key
+    def test_bcq_trains_every_parameter_with_one_adam_step(self, monkeypatch):
+        # the Q-model and the imitation classifier share one optimizer
+        calls = []
+        real_step = netcore.Adam.step
 
-    def test_frozen_encoder_gets_no_gradient(self):
-        # nothing zeroes a frozen parameter's gradient, so a gradient that
-        # reached one in any step would still be there after training
+        def step(opt):
+            calls.append(sorted(opt.params))
+            real_step(opt)
+
+        monkeypatch.setattr(netcore.Adam, "step", step)
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
-        result = train(ds, quick_train_cfg(total_steps=3, freeze_encoders=True), enc_cfg)
-        frozen = [p for key, p in result.policy.model.params().items()
-                  if key.startswith("state.")]
-        assert frozen
-        assert all(p.grad is None or not p.grad.any() for p in frozen)
+        cfg = quick_train_cfg(algorithm="bcq", total_steps=5, batch_size=16)
+        result = train(ds, cfg, enc_cfg)
+        assert len(calls) == cfg.total_steps
+        assert all(keys == sorted(result.policy.all_params()) for keys in calls)
+
+    @pytest.mark.parametrize("algorithm", ["cql", "bcq"])
+    def test_every_parameter_learns(self, monkeypatch, algorithm):
+        # no parameter is left out of the optimizer: the encoder, fusion,
+        # attention, Q-head and BCQ's classifier all move in training, but
+        # for the attention's query and key matrices, which never affect the
+        # output (one token per modality) and so never get a gradient
+        initial = {}
+        real_init = netcore.Adam.__init__
+
+        def init(opt, params, lr=1e-4):
+            initial.update(clone_param_values(params))
+            real_init(opt, params, lr)
+
+        monkeypatch.setattr(netcore.Adam, "__init__", init)
+        _, _, ds, enc_cfg = small_setup(n_episodes=30)
+        cfg = quick_train_cfg(algorithm=algorithm, total_steps=20, batch_size=16)
+        params = train(ds, cfg, enc_cfg).policy.all_params()
+        assert set(initial) == set(params)
+        unused = {f"state.attn.{w}" for w in ("Wq_l", "Wk_l", "Wq_n", "Wk_n")}
+        assert unused < set(params)
+        for key, p in params.items():
+            assert np.array_equal(p.data, initial[key]) == (key in unused), key
 
     def test_conservatism_monotone_in_alpha(self):
         # stronger regularization weakly lowers the mean Q over the full
@@ -478,15 +497,14 @@ class TestTargetTable:
         assert len(calls) == 2 * cfg.total_steps + 3 * -(-n_frames // cfg.batch_size)
         assert set(calls) == {cfg.batch_size}
 
-    @pytest.mark.parametrize("algorithm, freeze", [("cql", False), ("bcq", False),
-                                                   ("cql", True)])
-    def test_each_table_is_the_model_at_its_refresh(self, monkeypatch, algorithm, freeze):
+    @pytest.mark.parametrize("algorithm", ["cql", "bcq"])
+    def test_each_table_is_the_model_at_its_refresh(self, monkeypatch, algorithm):
         # the table of steps 1-3 is the initial model's Q, that of steps 4-6
         # the model's after step 3, and that of step 7 the model's after step 6
         _, _, ds, enc_cfg = small_setup(n_episodes=30)
         calls = spy_tables(monkeypatch)
         cfg = quick_train_cfg(total_steps=7, target_update=3, batch_size=16,
-                              algorithm=algorithm, freeze_encoders=freeze)
+                              algorithm=algorithm)
         result = train(ds, cfg, enc_cfg, snapshot_interval=cfg.target_update)
         initial = trainer_mod.QModel("multimodal", enc_cfg,
                                      np.random.default_rng([cfg.seed, 11]),

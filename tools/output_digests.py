@@ -9,9 +9,8 @@ For each seed it prints one line per item:
 - the trained parameters of 50-step multimodal CQL and BCQ runs at the
   acceptance config, and of variants of it (`TRAIN_VARIANTS`): DQN, target
   refreshes within the run (every step, every 20 steps, and every 15 steps,
-  which leaves a partial last interval), frozen encoders, the structured and
-  notes modalities, the other note strategies, no attention and encoder
-  depth 0;
+  which leaves a partial last interval), the structured and notes
+  modalities, the other note strategies, no attention and encoder depth 0;
 - the outputs of one ``eval_ope_network`` pass: behaviour fit, network OPE,
   BDESR, Bellman residuals and tabular OPE;
 - one network FQE fit of a single iteration on that pass's batch: its
@@ -85,9 +84,6 @@ TRAIN_VARIANTS = [
     ("cql_refresh20", {"target_update": 20}, {}, "multimodal"),
     ("bcq_refresh15", {"algorithm": "bcq", "target_update": 15}, {}, "multimodal"),
     ("bcq_refresh20", {"algorithm": "bcq", "target_update": 20}, {}, "multimodal"),
-    ("cql_frozen_encoders", {"freeze_encoders": True, "target_update": 20}, {}, "multimodal"),
-    ("bcq_frozen_encoders", {"algorithm": "bcq", "freeze_encoders": True,
-                             "target_update": 20}, {}, "multimodal"),
     ("cql_structured", {}, {}, "structured"),
     ("cql_notes", {}, {}, "notes"),
     ("cql_raw", {}, {"strategy": NoteStrategy("raw")}, "multimodal"),
