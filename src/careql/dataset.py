@@ -29,7 +29,8 @@ canonical (episode_id, step) order, so it mirrors ingest byte for byte.
 Ingest parses the text once per content: it keeps the dataset of a
 successful parse in a snapshot beside the structured CSV (``SNAPSHOT_NAME``),
 keyed by the sha256 of the three files' bytes, and later ingests of the same
-bytes load its arrays instead.
+bytes load its arrays instead. Export writes that snapshot of its own files,
+so a directory that export wrote is never parsed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -533,7 +535,7 @@ def ingest(structured_file: str | Path, notes_file: str | Path,
     if not len(dataset):
         raise DatasetError(f"manifest {manifest_path}: lists no episodes")
     if parsed:
-        _write_snapshot(snapshot, digest, dataset)
+        _write_snapshot(structured_path, digest, dataset)
     return dataset
 
 
@@ -555,7 +557,9 @@ def _text(data: bytes, name: str) -> str:
 
 
 def _digest(contents: Iterable[bytes | None]) -> str:
-    """sha256 of the files' bytes, each prefixed by its length or marked absent."""
+    """sha256 of the files' bytes, each prefixed by its length or marked
+    absent. Each file's bytes are let go before the next are taken, so
+    ``contents`` may read the files one at a time."""
     h = hashlib.sha256()
     for data in contents:
         if data is None:
@@ -563,6 +567,7 @@ def _digest(contents: Iterable[bytes | None]) -> str:
         else:
             h.update(b"%d;" % len(data))
             h.update(data)
+        del data
     return h.hexdigest()
 
 
@@ -571,17 +576,49 @@ def _parse(paths: Sequence[Path], contents: dict[str, bytes | None]) -> OfflineD
     out of ``contents`` as they are decoded, so they are freed before the
     next file is parsed."""
     structured_path, notes_path, manifest_path = paths
-    n_features, d_n, splits, bins = _read_manifest(
-        manifest_path, _text(contents.pop("manifest"), f"manifest {manifest_path}"))
-    columns = _read_structured(
+    name = f"manifest {manifest_path}"
+    manifest = _read_manifest(name, _text(contents.pop("manifest"), name))
+    n_features, _, splits, _ = manifest
+    dataset = _ingested(manifest, **_read_structured(
         structured_path, _text(contents.pop("structured"), str(structured_path)).splitlines(),
-        n_features, splits)
-    n_frames = columns["structured"].shape[0]
-    store = EpisodeStore(**columns, note_embedding=np.zeros((n_frames, d_n)),
-                         note_present=np.zeros(n_frames, dtype=bool),
-                         action=_flat_actions(columns["iv_dose"], columns["vaso_dose"], bins))
+        n_features, splits))
     if contents["notes"] is not None:
-        _read_notes(notes_path, _text(contents.pop("notes"), str(notes_path)).splitlines(), store)
+        _read_notes(notes_path, _text(contents.pop("notes"), str(notes_path)).splitlines(),
+                    dataset.store)
+    return dataset
+
+
+def _ingested(manifest: tuple[int, int, Mapping[str, str], DoseBins], structured: Array,
+              iv_dose: Array, vaso_dose: Array, lengths: Array, survived: Array,
+              note_embedding: Array | None = None,
+              note_present: Array | None = None) -> OfflineDataset:
+    """The dataset ingest returns for files whose manifest reads as
+    ``manifest`` (see ``_read_manifest``), whose structured rows hold these
+    columns in (episode_id, step) order, and whose notes are the rows
+    ``note_present`` of ``note_embedding`` (none when not given). Files hold
+    no state ids or behaviour probabilities (-1, NaN), and actions are the
+    doses' levels under the manifest's bins."""
+    n_features, d_n, splits, bins = manifest
+    ids = sorted(splits)
+    n_frames = structured.shape[0]
+    if note_present is None:
+        note_embedding, note_present = np.zeros((n_frames, d_n)), np.zeros(n_frames, dtype=bool)
+    elif (note_embedding.dtype != np.float64
+          or (note_embedding.view(np.uint64).any(axis=1) & ~note_present).any()):
+        # a frame with no note holds something other than +0.0 bits
+        given, note_embedding = note_embedding, np.zeros((n_frames, d_n))
+        note_embedding[note_present] = given[note_present]
+    store = EpisodeStore(
+        structured=np.ascontiguousarray(structured, dtype=np.float64),
+        note_embedding=np.ascontiguousarray(note_embedding), note_present=note_present,
+        state_id=np.full(n_frames, -1, dtype=np.int64),
+        action=_flat_actions(iv_dose, vaso_dose, bins),
+        iv_dose=np.ascontiguousarray(iv_dose, dtype=np.float64),
+        vaso_dose=np.ascontiguousarray(vaso_dose, dtype=np.float64),
+        behavior_prob=np.full(iv_dose.shape[0], np.nan),
+        lengths=np.asarray(lengths, dtype=np.int64), survived=np.asarray(survived, dtype=bool),
+        episode_id=np.array(ids, dtype=object),
+        split=np.array([splits[ep_id] for ep_id in ids], dtype=object))
     return OfflineDataset(store.views(), n_features=n_features, d_n=d_n, bin_edges=bins)
 
 
@@ -605,9 +642,12 @@ def _load_snapshot(path: Path, digest: str) -> OfflineDataset | None:
         return None
 
 
-def _write_snapshot(path: Path, digest: str, dataset: OfflineDataset) -> None:
-    """Write ``dataset``'s snapshot to a temporary file beside ``path`` and
-    rename it over ``path``; skipped if the directory cannot be written."""
+def _write_snapshot(structured_path: Path, digest: str, dataset: OfflineDataset) -> None:
+    """Write ``dataset``'s snapshot ``SNAPSHOT_NAME`` beside the structured
+    file at ``structured_path``, with that file's permission bits, so that
+    whoever may read the data may read the snapshot too: to a temporary
+    file, renamed over the snapshot. Skipped if it cannot be written."""
+    path = structured_path.parent / SNAPSHOT_NAME
     store = dataset.store
     meta = {"version": SNAPSHOT_VERSION, "digest": digest, "n_features": dataset.n_features,
             "d_n": dataset.d_n, "bin_edges": {"iv": list(dataset.bin_edges.iv),
@@ -619,15 +659,18 @@ def _write_snapshot(path: Path, digest: str, dataset: OfflineDataset) -> None:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, meta=np.array(json.dumps(meta)),
                      **{name: getattr(store, name) for name in _SNAPSHOT_ARRAYS})
+        os.chmod(tmp, stat.S_IMODE(structured_path.stat().st_mode))
         os.replace(tmp, path)
     except OSError:
         if tmp is not None:
             Path(tmp).unlink(missing_ok=True)
 
 
-def _read_manifest(path: Path, text: str) -> tuple[int, int, dict[str, str], DoseBins]:
+def _read_manifest(name: str, text: str) -> tuple[int, int, dict[str, str], DoseBins]:
+    """The widths, the split of each episode id and the dose bins of the
+    manifest ``text``; an error names the manifest as ``name``."""
     def error(message: str) -> DatasetError:
-        return DatasetError(f"manifest {path}: {message}")
+        return DatasetError(f"{name}: {message}")
 
     try:
         man = json.loads(text)
@@ -672,8 +715,9 @@ def _dose_bins(edges: Mapping) -> DoseBins:
 
 def _read_structured(path: Path, lines: list[str], n_features: int,
                      splits: Mapping[str, str]) -> dict[str, Array]:
-    """Frame, transition and episode columns of the structured CSV at
-    ``path``, whose lines are ``lines``, checked and sorted by (episode_id, step)."""
+    """The structured, dose, length and survived columns of the structured
+    CSV at ``path``, whose lines are ``lines``, checked and sorted by
+    (episode_id, step), as ``_ingested`` takes them."""
     header = _csv_header(n_features)
     if not lines:
         raise DatasetError(f"{path}: empty structured file")
@@ -714,12 +758,9 @@ def _read_structured(path: Path, lines: list[str], n_features: int,
         codes.append(code[cells[0]])
         flags.append((cells[-2] == "1", cells[-1] == "1"))
 
-    bad = ~np.isfinite(values)
-    bad[:, n_features:] |= values[:, n_features:] < 0.0
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise DatasetError(f"{path} line {r + 2}: {header[2 + c]} is {float(values[r, c])!r}; "
-                           f"features must be finite and doses finite and nonnegative")
+    bad = _bad_value(values, n_features)
+    if bad is not None:
+        raise DatasetError(f"{path} line {bad[0] + 2}: {bad[1]}")
 
     codes, steps = np.array(codes, dtype=np.int64), np.array(steps, dtype=np.int64)
     order = np.lexsort((steps, codes))
@@ -753,12 +794,23 @@ def _read_structured(path: Path, lines: list[str], n_features: int,
             raise DatasetError(f"{path} line {line_of[r]}: episode {ids[codes[r]]!r}: {what}")
 
     decision = order[~final]
-    return dict(structured=np.ascontiguousarray(values[order, :n_features]),
-                state_id=np.full(codes.size, -1, dtype=np.int64),
-                iv_dose=values[decision, n_features], vaso_dose=values[decision, n_features + 1],
-                behavior_prob=np.full(decision.size, np.nan), lengths=counts - 1,
-                survived=survived[starts], episode_id=np.array(ids, dtype=object),
-                split=np.array([splits[ep_id] for ep_id in ids], dtype=object))
+    return dict(structured=values[order, :n_features], iv_dose=values[decision, n_features],
+                vaso_dose=values[decision, n_features + 1], lengths=counts - 1,
+                survived=survived[starts])
+
+
+def _bad_value(values: Array, n_features: int) -> tuple[int, str] | None:
+    """The first row of ``values``, each a structured row's ``n_features``
+    features and then its two doses, that holds a feature that is not
+    finite or a dose that is not finite and nonnegative, and what is wrong
+    with it; None when every row is fine."""
+    bad = ~np.isfinite(values)
+    bad[:, n_features:] |= values[:, n_features:] < 0.0
+    if not bad.any():
+        return None
+    r, c = np.argwhere(bad)[0]
+    return int(r), (f"{_csv_header(n_features)[2 + c]} is {float(values[r, c])!r}; "
+                    f"features must be finite and doses finite and nonnegative")
 
 
 def _read_notes(path: Path, lines: list[str], store: EpisodeStore) -> None:
@@ -800,55 +852,89 @@ def _read_notes(path: Path, lines: list[str], store: EpisodeStore) -> None:
 
 
 def export(dataset: OfflineDataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three canonical files; inverse of ``ingest`` byte-for-byte."""
+    """Write the three canonical files, the inverse of ``ingest`` byte for
+    byte, and the snapshot a parse of them writes (skipped if it cannot be
+    written), so the first ingest of ``out_dir`` parses no text; return the
+    files' paths.
+
+    Before the directory is made, a ``DatasetError`` refuses what ingest
+    would not read back: no bin edges or episodes, an id that is not a
+    string, holds a comma or a line break or is repeated, bad bin edges, a
+    feature that is not finite, a negative or non-finite dose, or a note
+    embedding that is not of finite numbers."""
     if dataset.bin_edges is None:
         raise DatasetError("dataset has no bin edges; cannot export a round-trippable manifest")
     if not dataset.episodes:
         raise DatasetError("dataset has no episodes; there is nothing to export")
-    # ingest splits a CSV line at every comma and the file where str.splitlines does
-    bad = next((ep_id for ep_id in dataset.store.episode_id
-                if "," in ep_id or len(f"{ep_id}.".splitlines()) > 1), None)
-    if bad is not None:
-        raise DatasetError(f"episode id {bad!r} holds a comma or a line break, "
-                           f"which a structured CSV cell cannot hold")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    structured_path = out / "structured.csv"
-    notes_path = out / "notes.jsonl"
-    manifest_path = out / "manifest.json"
-
+    for ep_id in dataset.store.episode_id:
+        if not isinstance(ep_id, str):
+            raise DatasetError(f"episode id {ep_id!r} is not a string")
+        # ingest splits a CSV line at every comma and the file where str.splitlines does
+        if "," in ep_id or len(f"{ep_id}.".splitlines()) > 1:
+            raise DatasetError(f"episode id {ep_id!r} holds a comma or a line break, "
+                               f"which a structured CSV cell cannot hold")
     store = dataset.store.take(np.argsort(dataset.store.episode_id, kind="stable"))
     n_features = dataset.n_features
+    manifest_text = json.dumps({
+        "episodes": [{"id": ep_id, "split": split}
+                     for ep_id, split in zip(store.episode_id, store.split)],
+        "n_features": n_features, "d_n": dataset.d_n,
+        "bin_edges": {"iv": list(dataset.bin_edges.iv), "vaso": list(dataset.bin_edges.vaso)},
+    }, indent=2, sort_keys=True) + "\n"
+    # the manifest as ingest reads it, which refuses a repeated id and bad bin edges
+    manifest = _read_manifest("manifest to export", manifest_text)
+
     # the final frame of an episode has no decision and writes zero doses
     values = np.zeros((store.structured.shape[0], n_features + 2))
     values[:, :n_features] = store.structured
     values[store.decision_frame, n_features] = store.iv_dose
     values[store.decision_frame, n_features + 1] = store.vaso_dose
+    note_embedding, note_present = store.note_embedding, np.asarray(store.note_present, bool)
+    if note_embedding.dtype.kind not in "iuf":
+        raise DatasetError(f"note embeddings must be numbers, got dtype {note_embedding.dtype}")
+    bad = _bad_value(values, n_features)
+    if bad is None:
+        unfinished = note_present & ~np.isfinite(note_embedding).all(axis=1)
+        if unfinished.any():
+            bad = int(unfinished.argmax()), "note embedding must be finite"
+    if bad is not None:
+        k = int(store.frame_episode[bad[0]])
+        raise DatasetError(f"episode {store.episode_id[k]!r} step "
+                           f"{bad[0] - store.frame_offsets[k]}: {bad[1]}")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"structured": out / "structured.csv", "notes": out / "notes.jsonl",
+             "manifest": out / "manifest.json"}
+    survived = np.asarray(store.survived, bool)
     rows = iter(values)
-    with structured_path.open("w", encoding="utf-8") as fh:
+    with paths["structured"].open("w", encoding="utf-8") as fh:
         fh.write(",".join(_csv_header(n_features)) + "\n")
-        for ep_id, length, survived in zip(store.episode_id, store.lengths.tolist(),
-                                           store.survived.tolist()):
+        for ep_id, length, ep_survived in zip(store.episode_id, store.lengths.tolist(),
+                                              survived.tolist()):
             for step in range(length + 1):
                 # repr is the shortest decimal that round-trips the float
                 fh.write(f"{ep_id},{step},{','.join(map(repr, next(rows).tolist()))},"
-                         f"{int(step == length)},{int(survived)}\n")
+                         f"{int(step == length)},{int(ep_survived)}\n")
+    del values, rows    # freed before the files are read back for the digest
 
-    noted = np.flatnonzero(store.note_present)
+    noted = np.flatnonzero(note_present)
     episode = store.frame_episode[noted]
-    with notes_path.open("w", encoding="utf-8") as fh:
+    with paths["notes"].open("w", encoding="utf-8") as fh:
         for row, k, step in zip(noted.tolist(), episode.tolist(),
                                 (noted - store.frame_offsets[episode]).tolist()):
-            fh.write(json.dumps({"episode_id": store.episode_id[k], "step": step,
-                                 "embedding": store.note_embedding[row].tolist()},
-                                sort_keys=True) + "\n")
+            fh.write(_note_line(store.episode_id[k], step, note_embedding[row].tolist())
+                     + "\n")
+    paths["manifest"].write_text(manifest_text, encoding="utf-8")
 
-    manifest = {
-        "episodes": [{"id": ep_id, "split": split}
-                     for ep_id, split in zip(store.episode_id, store.split)],
-        "n_features": dataset.n_features,
-        "d_n": dataset.d_n,
-        "bin_edges": {"iv": list(dataset.bin_edges.iv), "vaso": list(dataset.bin_edges.vaso)},
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return {"structured": structured_path, "notes": notes_path, "manifest": manifest_path}
+    _write_snapshot(paths["structured"], _digest(map(_read_bytes, paths.values())),
+                    _ingested(manifest, store.structured, store.iv_dose, store.vaso_dose,
+                              store.lengths, survived, note_embedding, note_present))
+    return paths
+
+
+def _note_line(episode_id: str, step: int, embedding: list) -> str:
+    """The notes file line of a frame's note: ``json.dumps`` of its object
+    with sorted keys, for a string id, an int step and finite numbers."""
+    return '{"embedding": [%s], "episode_id": %s, "step": %d}' % (
+        ", ".join(map(repr, embedding)), json.dumps(episode_id), step)

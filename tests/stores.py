@@ -1,14 +1,19 @@
-"""Episode stores made by hand for tests, and edits of their rows.
+"""Episode stores made by hand for tests, edits of their rows, and the
+ingest of exported files from their snapshot and from their text.
 
 A test makes a dataset as a library user does: it builds an ``EpisodeStore``
 from arrays and takes its views, ``OfflineDataset(store.views(), F, d_n)``.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from careql.dataset import N_DOSE_LEVELS, DoseBins, EpisodeStore, OfflineDataset
+from careql import dataset as dataset_mod
+from careql.dataset import (N_DOSE_LEVELS, SNAPSHOT_NAME, DoseBins, EpisodeStore,
+                            OfflineDataset, ingest)
 
 EDGES = (0.5, 1.5, 2.5, 3.5)
 FRAME_ARRAYS = ("structured", "note_embedding", "note_present", "state_id")
@@ -67,3 +72,26 @@ def set_rows(store: EpisodeStore, episodes, **values) -> EpisodeStore:
         array[np.isin(owner, list(episodes))] = value
         changed[name] = array
     return replace(store, **changed)
+
+
+def ingest_parsed(paths) -> OfflineDataset:
+    """Ingest the three files ``paths`` that export wrote twice: from the
+    snapshot export wrote beside them, which must serve it without a parse,
+    then with that snapshot deleted, so the text is parsed. Assert that both
+    have the same widths, bin edges and store arrays; return the parsed one."""
+    paths = [Path(p) for p in paths]
+    with mock.patch.object(dataset_mod, "_read_structured",
+                           side_effect=AssertionError("export's snapshot was not served")):
+        served = ingest(*paths)
+    (paths[0].parent / SNAPSHOT_NAME).unlink()
+    parsed = ingest(*paths)
+    assert repr((served.n_features, served.d_n, served.bin_edges)) == \
+        repr((parsed.n_features, parsed.d_n, parsed.bin_edges))
+    for f in fields(EpisodeStore):
+        got, want = getattr(served.store, f.name), getattr(parsed.store, f.name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), f.name
+        else:
+            assert got.tobytes() == want.tobytes(), f.name
+    return parsed

@@ -14,7 +14,7 @@ import pytest
 
 from careql.bdesr import bdesr_report
 from careql.cli import main as cli_main
-from careql.dataset import N_ACTIONS, export, ingest, normalize
+from careql.dataset import N_ACTIONS, export, normalize
 from careql.encoder import EncoderConfig, NoteStrategy, StateEncoder
 from careql.netcore import DuelingQNetwork, Tensor, collect_params
 from careql.ope import (
@@ -45,6 +45,7 @@ from careql.trainer import (
 
 import reference_ops as ops
 from reference_ops import gradient_check
+from stores import ingest_parsed
 
 MAX_LEN = 18
 GAMMA = 0.95
@@ -433,8 +434,8 @@ def test_criterion_09_determinism_and_round_trip(tmp_path):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
     # ingest(export(x)) == x byte-for-byte on the canonical files
-    loaded = ingest(data_a / "structured.csv", data_a / "notes.jsonl",
-                    data_a / "manifest.json")
+    loaded = ingest_parsed(data_a / name for name in
+                           ("structured.csv", "notes.jsonl", "manifest.json"))
     re_exported = export(loaded, tmp_path / "rt")
     for name, path in re_exported.items():
         original = data_a / path.name

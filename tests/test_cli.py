@@ -1011,6 +1011,8 @@ class TestFaultInjection:
     def test_cohort_with_no_episodes_exits_3_naming_the_manifest(self, tmp_path, synth_dir,
                                                                  capsys):
         empty_cohort(synth_dir)
+        # synth wrote the snapshot of the files it wrote, which no command replaces
+        snapshot = (synth_dir / SNAPSHOT_NAME).read_bytes()
         cfg = str(write_config(tmp_path))
         message = f"data error: manifest {synth_dir / 'manifest.json'}: lists no episodes"
         for command, *args in (["ingest"], ["train", "--out", str(tmp_path / "train")],
@@ -1020,7 +1022,7 @@ class TestFaultInjection:
             err = capsys.readouterr().err
             assert code == 3, (command, err)
             assert err.startswith(message), (command, err)
-            assert not (synth_dir / SNAPSHOT_NAME).exists()
+            assert (synth_dir / SNAPSHOT_NAME).read_bytes() == snapshot
 
     def test_snapshot_of_a_cohort_with_no_episodes_is_refused(self, synth_dir, capsys,
                                                               monkeypatch):
@@ -1030,8 +1032,7 @@ class TestFaultInjection:
         paths = [synth_dir / name for name in ("structured.csv", "notes.jsonl", "manifest.json")]
         contents = {key: path.read_bytes()
                     for key, path in zip(("structured", "notes", "manifest"), paths)}
-        dataset_mod._write_snapshot(synth_dir / SNAPSHOT_NAME,
-                                    dataset_mod._digest(contents.values()),
+        dataset_mod._write_snapshot(paths[0], dataset_mod._digest(contents.values()),
                                     dataset_mod._parse(paths, dict(contents)))
 
         def parse(*args):
@@ -1209,8 +1210,8 @@ class TestSnapshot:
         return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
                 if p.is_file() and p.name != SNAPSHOT_NAME}
 
-    def test_a_chain_parses_its_data_once_and_writes_the_same_files(self, tmp_path, capsys,
-                                                                    monkeypatch):
+    def test_a_chain_parses_no_text_and_writes_the_same_files(self, tmp_path, capsys,
+                                                              monkeypatch):
         parses = []
         read = dataset_mod._read_structured
 
@@ -1222,7 +1223,8 @@ class TestSnapshot:
         root = tmp_path / "chain"
         kept = self.chain(tmp_path, root, drop_snapshot=False)
         kept_out = capsys.readouterr()
-        assert len(parses) == 1 and (root / "data" / SNAPSHOT_NAME).is_file()
+        # synth's export wrote the snapshot that each later step reads
+        assert len(parses) == 0 and (root / "data" / SNAPSHOT_NAME).is_file()
         shutil.rmtree(root)
         parses.clear()
         dropped = self.chain(tmp_path, root, drop_snapshot=True)
@@ -1234,10 +1236,11 @@ class TestSnapshot:
 
     def test_ingest_exits_0_when_the_snapshot_cannot_be_written(self, synth_dir, capsys,
                                                                  monkeypatch):
-        files = sorted(p.name for p in synth_dir.iterdir())
         assert main(["ingest", "--data", str(synth_dir)]) == 0
         expected = capsys.readouterr()
+        # synth wrote a snapshot; without it, ingest parses and fails to write one
         (synth_dir / SNAPSHOT_NAME).unlink()
+        files = sorted(p.name for p in synth_dir.iterdir())
 
         def refuse(*args, **kwargs):
             raise OSError("read-only file system")

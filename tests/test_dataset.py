@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import stat
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from careql import dataset as dataset_mod
@@ -31,7 +32,7 @@ from careql.dataset import (
 )
 from careql.synthgym import GeneratorConfig, generate_mdp, near_clinician_behavior, rollout
 
-from stores import DTYPES, EDGES, make_dataset, make_store, set_rows
+from stores import DTYPES, EDGES, ingest_parsed, make_dataset, make_store, set_rows
 
 
 def terminal_reward(t, n, survived):
@@ -258,6 +259,43 @@ class TestNormalize:
             normalize(ds)
 
 
+def two_frames(**episode):
+    """An episode of one transition and its two frames, with ``episode``'s rows."""
+    return {"structured": [[0.0], [1.0]], **episode}
+
+
+def edited_store(episodes, **arrays) -> OfflineDataset:
+    """The dataset of ``make_store(episodes)`` with some arrays replaced,
+    each by its result on the store's own: ``name=lambda a: ...``."""
+    store = make_store(episodes)
+    store = replace(store, **{name: edit(getattr(store, name)) for name, edit in arrays.items()})
+    return OfflineDataset(store.views(), store.structured.shape[1], 4,
+                          bin_edges=DoseBins(EDGES, EDGES))
+
+
+# datasets whose files ingest would refuse, and the message export refuses them with
+EXPORT_REFUSALS = {
+    "nan_feature": (lambda: make_dataset([two_frames(structured=[[0.0], [np.nan]])]),
+                    "episode 'ep0' step 1: f0 is nan"),
+    "negative_dose": (lambda: make_dataset([two_frames(iv_dose=[-1.0])]),
+                      "episode 'ep0' step 0: iv_dose is -1.0"),
+    "inf_embedding": (lambda: make_dataset([two_frames(notes={1: [0.0, np.inf, 0.0, 0.0]})]),
+                      "episode 'ep0' step 1: note embedding must be finite"),
+    "repeated_id": (lambda: make_dataset([two_frames(episode_id="a"),
+                                          two_frames(episode_id="a")]),
+                    "lists episode 'a' twice"),
+    "descending_edges": (lambda: make_dataset([two_frames()], bins=DoseBins(EDGES[::-1], EDGES)),
+                         r"bad bin_edges \(bin edges must be strictly increasing"),
+    "three_edges": (lambda: make_dataset([two_frames()], bins=DoseBins(EDGES, EDGES[:3])),
+                    r"bad bin_edges \(expected 4 bin edges"),
+    "integer_id": (lambda: make_dataset([two_frames(episode_id=7)]),
+                   "episode id 7 is not a string"),
+    "boolean_embedding": (lambda: edited_store([two_frames(notes={0: [1.0, 0.0, 1.0, 0.0]})],
+                                               note_embedding=lambda a: a.astype(bool)),
+                          "note embeddings must be numbers, got dtype bool"),
+}
+
+
 class TestIngestExport:
     def make_dataset(self):
         emb0 = [0.125, -1.5, 2.0, 0.0]
@@ -269,7 +307,7 @@ class TestIngestExport:
     def test_round_trip_byte_exact(self, tmp_path):
         ds = self.make_dataset()
         paths = export(ds, tmp_path / "a")
-        loaded = ingest(paths["structured"], paths["notes"], paths["manifest"])
+        loaded = ingest_parsed(paths.values())
         paths2 = export(loaded, tmp_path / "b")
         for key in paths:
             assert paths[key].read_bytes() == paths2[key].read_bytes(), key
@@ -289,6 +327,13 @@ class TestIngestExport:
             export(ds, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("make, message", list(EXPORT_REFUSALS.values()),
+                             ids=list(EXPORT_REFUSALS))
+    def test_export_refuses_what_ingest_would_refuse(self, tmp_path, make, message):
+        with pytest.raises(DatasetError, match=message):
+            export(make(), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_export_of_ids_in_order_gathers_no_rows(self, tmp_path):
         # a rollout numbers its episodes in order, so export writes its store
         mdp = generate_mdp(GeneratorConfig(n_severity=3, n_context=2, n_features=4, d_n=4,
@@ -301,7 +346,7 @@ class TestIngestExport:
     def test_reingest_preserves_content(self, tmp_path):
         ds = self.make_dataset()
         paths = export(ds, tmp_path)
-        loaded = ingest(paths["structured"], paths["notes"], paths["manifest"])
+        loaded = ingest_parsed(paths.values())
         assert len(loaded) == 2
         ep = loaded.episodes[0]
         assert ep.episode_id == "ep000"
@@ -318,7 +363,7 @@ class TestIngestExport:
         ds = make_dataset([{"structured": [[0.0], [1.0], [2.0]], "episode_id": "e"}])
         paths = export(ds, tmp_path)
         assert paths["notes"].read_text() == ""
-        loaded = ingest(paths["structured"], paths["notes"], paths["manifest"])
+        loaded = ingest_parsed(paths.values())
         for ep in loaded.episodes:
             for frame in ep.frames():
                 assert not frame.note_present
@@ -561,7 +606,7 @@ class TestEpisodeStore:
     def test_ingested_store_matches_the_reference(self, rows):
         episodes, d_n, _ = rows
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = ingest(*export(make_dataset(*rows), tmp).values())
+            loaded = ingest_parsed(export(make_dataset(*rows), tmp).values())
         assert_store_equals(loaded.store, {name: getattr(make_store(episodes, d_n), name)
                                            for name in DTYPES})
         assert_views_read(loaded.episodes, episodes, d_n)
@@ -604,7 +649,7 @@ class TestExportIngestProperties:
             tmp = Path(tmp)
             paths = export(ds, tmp / "a")
             files = read_files(paths)
-            assert read_files(export(ingest(*paths.values()), tmp / "b")) == files
+            assert read_files(export(ingest_parsed(paths.values()), tmp / "b")) == files
 
             shuffled = tmp / "shuffled"
             shuffled.mkdir()
@@ -639,7 +684,7 @@ class TestExportIngestProperties:
     @given(cohorts())
     def test_ingest_of_export_has_the_datasets_arrays(self, ds):
         with tempfile.TemporaryDirectory() as tmp:
-            loaded = ingest(*export(ds, tmp).values())
+            loaded = ingest_parsed(export(ds, tmp).values())
         assert (loaded.n_features, loaded.d_n, loaded.bin_edges) == \
             (ds.n_features, ds.d_n, ds.bin_edges)
         assert_store_equals(loaded.store, {name: getattr(ds.store, name)
@@ -716,6 +761,8 @@ class TestSnapshot:
             tmp = Path(tmp)
             paths = export(ds, tmp / "files")
             files = read_files(paths)
+            # export wrote a snapshot; without it, the first ingest parses
+            (tmp / "files" / SNAPSHOT_NAME).unlink()
             miss = ingest(*paths.values())
             assert (tmp / "files" / SNAPSHOT_NAME).is_file()
             with mock.patch.object(dataset_mod, "_read_structured", side_effect=AssertionError):
@@ -787,6 +834,73 @@ class TestSnapshot:
         assert len(parses) == 2
 
 
+def snapshot_arrays(path: Path) -> dict:
+    """The dtype, shape and bytes of each array of the snapshot at ``path``,
+    its JSON ``meta`` string among them."""
+    with np.load(path) as npz:
+        return {name: (npz[name].dtype.str, npz[name].shape, npz[name].tobytes())
+                for name in npz.files}
+
+
+def with_absent_rows(embedding):
+    """``embedding`` with frames 1 and 2, which have no note, not zero."""
+    embedding = embedding.copy()
+    embedding[1] = [1.0, -0.0, np.inf, 2.0]
+    embedding[2] = -0.0
+    return embedding
+
+
+NOTED = [{"structured": [[0.5], [1.5], [2.5]], "notes": {0: [0.25, -0.0, 1e16, 3.0]},
+          "iv_dose": [0.0, 2.0], "vaso_dose": [5e-324, 1e16]},
+         {"structured": [[1.0], [2.0]], "episode_id": "a", "iv_dose": [1.0],
+          "vaso_dose": [0.75]}]
+
+
+class TestExportSnapshot:
+    """The snapshot export writes is the one a parse of its files writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cohorts(ids=awkward_ids))
+    @example(make_dataset([two_frames(structured=[[-0.0, 5e-324], [1e16, 0.5]],
+                                      notes={0: [-0.0, 5e-324, 1e16, 1.0]})]))
+    @example(make_dataset([two_frames(iv_dose=[1.0], vaso_dose=[2.0])],
+                          bins=DoseBins((1, 2, 3, 4), (0.5, 1, 2.5, 4.0))))
+    @example(edited_store(NOTED, note_embedding=with_absent_rows))
+    @example(make_dataset([two_frames(action=[24], iv_dose=[0.0], vaso_dose=[9.0]),
+                           {"structured": [[0.0], [1.0], [2.0]], "action": [0, 3],
+                            "episode_id": "b"}]))
+    @example(edited_store(NOTED, structured=lambda a: a.astype(np.float32),
+                          lengths=lambda a: a.astype(np.int32),
+                          survived=lambda a: a.astype(np.int8)))
+    def test_export_writes_the_snapshot_a_parse_writes(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = export(ds, tmp)
+            snapshot = Path(tmp) / SNAPSHOT_NAME
+            exported = snapshot_arrays(snapshot)
+            snapshot.unlink()
+            ingest(*paths.values())
+            assert snapshot_arrays(snapshot) == exported
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_the_snapshot_has_the_mode_of_the_data(self, tmp_path, umask):
+        def mode(path: Path) -> int:
+            return stat.S_IMODE(path.stat().st_mode)
+
+        snapshot = tmp_path / SNAPSHOT_NAME
+        previous = os.umask(umask)
+        try:
+            paths = export(make_dataset(NOTED), tmp_path)
+            assert mode(paths["structured"]) == 0o666 & ~umask
+            assert mode(snapshot) == mode(paths["structured"])
+            # the snapshot of a parse takes the structured file's mode too
+            paths["structured"].chmod(0o640)
+            snapshot.unlink()
+            ingest(*paths.values())
+            assert mode(snapshot) == 0o640
+        finally:
+            os.umask(previous)
+
+
 class TestManifestBinEdges:
     """Each dose bin edge is a JSON int or float, and an int stays an int."""
 
@@ -821,3 +935,20 @@ class TestManifestBinEdges:
         assert (tmp_path / SNAPSHOT_NAME).is_file()
         with pytest.raises(DatasetError, match="bad bin_edges"):
             ingest(*paths)
+
+
+# ids that JSON must escape, and numbers whose repr is awkward
+note_ids = st.text(st.one_of(st.sampled_from('"\\\x00\x01\x1f\x7f\x85\u2028é病'),
+                             st.characters()))
+note_numbers = st.one_of(st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308]),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-2 ** 53, 2 ** 53).map(float))
+
+
+class TestNoteLine:
+    @settings(max_examples=200, deadline=None)
+    @given(note_ids, st.integers(0, 10 ** 6), st.lists(note_numbers, min_size=1, max_size=8))
+    @example('q"\\\x00\x1f\x7fé病', 0, [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, 3.0])
+    def test_a_note_line_is_the_json_of_its_object(self, ep_id, step, embedding):
+        assert dataset_mod._note_line(ep_id, step, embedding) == json.dumps(
+            {"episode_id": ep_id, "step": step, "embedding": embedding}, sort_keys=True)

@@ -443,7 +443,8 @@ class TestRollout:
 
 class TestGroundTruth:
     def test_round_trip_and_attach(self, tmp_path):
-        from careql.dataset import export, ingest
+        from careql.dataset import export
+        from stores import ingest_parsed
 
         mdp = generate_mdp(GeneratorConfig(n_features=6, d_n=8), seed=12)
         behavior = near_clinician_behavior(mdp, 0.3)
@@ -464,7 +465,7 @@ class TestGroundTruth:
             mdp.oracle["value_optimal"])
 
         paths = export(ds, tmp_path)
-        loaded = ingest(paths["structured"], paths["notes"], paths["manifest"])
+        loaded = ingest_parsed(paths.values())
         attached = attach_ground_truth(loaded, gt)
         for ep_orig, ep_new in zip(ds.episodes, attached.episodes):
             for a, b in zip(ep_orig.transitions, ep_new.transitions):

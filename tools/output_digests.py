@@ -4,8 +4,9 @@ For each seed it prints one line per item:
 
 - every file that a ``synth -> ingest -> train -> eval -> report`` chain
   writes through ``cli.main``, with the benchmark's ``pipeline_cli`` config
-  at 200 episodes (the ingest snapshot is digested by its arrays, because
-  the zip archive records its write time);
+  at 200 episodes (the snapshot that export writes beside the data files
+  is digested by its arrays, because the zip archive records its write
+  time);
 - the trained parameters of 50-step multimodal CQL and BCQ runs at the
   acceptance config, and of variants of it (`TRAIN_VARIANTS`): DQN, target
   refreshes within the run (every step, every 20 steps, and every 15 steps,
